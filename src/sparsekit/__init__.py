@@ -10,7 +10,6 @@ from .errors import (
     NoEligibleRemoval,
     NoPositiveEntry,
     NotFound,
-    NotPSD,
     NoWitness,
     NumericalWarning,
     PreconditionViolation,
@@ -21,13 +20,7 @@ from .linalg import (
     EigenDecomposition,
     VectorFamily,
     WeightedSelection,
-    barrier_lower,
-    barrier_upper,
     check_isotropy,
-    psd_sqrt,
-    quadratic_form,
-    shifted_inverse_power,
-    spectrum_bounds,
     whiten,
 )
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFound
-from .minip import minip_transform_dataset
+from .minip import minip_transform_dataset, minip_transform_query
 
 __all__ = ["AipeConfig", "InnerProductEstimator"]
 
@@ -83,12 +83,6 @@ class InnerProductEstimator:
     def count(self) -> int:
         return len(self._ids)
 
-    def ids(self) -> list[int]:
-        return list(self._ids)
-
-    def point(self, pid: int) -> np.ndarray:
-        return self._points[pid]
-
     def insert(self, z) -> int:
         """Add a point; the dataset radius only ever grows (monotone bound)."""
         z = np.asarray(z, dtype=float)
@@ -116,20 +110,13 @@ class InnerProductEstimator:
         aug, _ = minip_transform_dataset(rows, self.radius)
         return aug
 
-    def _transform_query(self, q: np.ndarray) -> np.ndarray:
-        norm = float(np.linalg.norm(q))
-        if norm > 1.0 + 1e-9:
-            raise ValueError("query must lie in the unit ball")
-        tail = math.sqrt(max(1.0 - norm * norm, 0.0))
-        return np.concatenate([q, [tail], [0.0]])
-
     def distance_estimates(self, q, rng: np.random.Generator) -> np.ndarray:
         """Median per-point distance estimates in the transformed space."""
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
             raise ValueError(f"expected a query of dim {self.dim}")
         aug = self._transformed()
-        qa = self._transform_query(q)
+        qa, _ = minip_transform_query(q, 1.0)
         picks = rng.choice(self.pool, size=self.config.sample_count(self.pool), replace=False)
         ests = np.empty((len(picks), aug.shape[0]))
         for row, j in enumerate(picks):
@@ -137,18 +124,6 @@ class InnerProductEstimator:
             diff = aug @ S.T - qa @ S.T
             ests[row] = np.linalg.norm(diff, axis=1)
         return np.median(ests, axis=0)
-
-    def exact_distances(self, q) -> np.ndarray:
-        """Transformed-space distances; the oracle counterpart of the estimates."""
-        aug = self._transformed()
-        qa = self._transform_query(np.asarray(q, dtype=float))
-        return np.linalg.norm(aug - qa, axis=1)
-
-    def query_all(self, q, rng: np.random.Generator) -> dict[int, float]:
-        """Inner-product estimates w_i = D (1 - d_i^2/2), keyed by point id."""
-        d = self.distance_estimates(q, rng)
-        w = self.radius * (1.0 - 0.5 * d**2)
-        return dict(zip(self._ids, w.tolist()))
 
     def query_min(self, q, rng: np.random.Generator) -> int:
         """Id of the point with the largest estimated distance (ties: lowest id).

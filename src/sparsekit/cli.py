@@ -26,7 +26,6 @@ from . import expdesign as xd
 from . import kadison_singer as ks
 from . import sparsifier as sp
 from .aipe import AipeConfig
-from .afn import AfnConfig
 from .errors import (
     ConfigError,
     IterationExhausted,
@@ -73,9 +72,6 @@ class RunConfig:
 
     def aipe_config(self) -> AipeConfig:
         return AipeConfig.desk() if self.profile == "desk" else AipeConfig()
-
-    def afn_config(self) -> AfnConfig:
-        return AfnConfig.desk() if self.profile == "desk" else AfnConfig()
 
 
 def _report_skeleton(config: RunConfig) -> dict:

@@ -28,10 +28,6 @@ class BarrierViolation(SparsekitError, ArithmeticError):
     """A shift parameter is on the wrong side of the spectrum's barrier."""
 
 
-class NotPSD(SparsekitError, ArithmeticError):
-    """A matrix required to be positive semi-definite is not."""
-
-
 class SingularGram(SparsekitError, ArithmeticError):
     """A Gram matrix is numerically singular and cannot be whitened."""
 

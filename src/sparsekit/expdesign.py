@@ -2,8 +2,9 @@
 
 Maintains a size-n set S and the normalized inverse-square matrix
 A_t = (c_t I + alpha sum_{i in S} x x^T)^{-2} with tr[A_t] = 1.  Each
-iteration removes the member with the smallest B^- score (found by a Min-IP
-structure or an eligible-filtered scan) and inserts the non-member with the
+iteration removes the member with the smallest B^- score (proposed by the
+shared Min-IP backend of minip_backend and verified, or found by an
+eligible-filtered scan) and inserts the non-member with the
 largest B^+ score (always by linear scan: the target values are ~1/n, too
 small for approximate search to resolve).  The loop exits as soon as
 lambda_min of the selected Gram matrix clears 1 - gamma eps.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aipe import AipeConfig, InnerProductEstimator
+from .aipe import AipeConfig
 from .errors import (
     ConfigError,
     IterationExhausted,
@@ -24,7 +25,8 @@ from .errors import (
     PreconditionViolation,
 )
 from .linalg import VectorFamily, WeightedSelection, eigendecompose
-from .minip import MinIpConfig, RobustMinIpIndex, minip_transform_query
+from .minip import MinIpConfig
+from .minip_backend import MinIpBackend
 
 __all__ = [
     "find_ct",
@@ -38,14 +40,15 @@ __all__ = [
 INELIGIBLE = None  # sentinel returned for b_minus when the denominator is <= 0
 
 
-def find_ct(Z: np.ndarray, alpha: float, tol: float = 1e-10) -> float:
+def find_ct(eigenvalues: np.ndarray, alpha: float, tol: float = 1e-10) -> float:
     """The constant c with sum_i (c + alpha lambda_i)^{-2} = 1.
 
-    One eigendecomposition, then monotone bisection on the scalar map; each
-    evaluation is O(d).  The map decreases from +inf to 0 on
-    (-alpha lambda_min, inf), so the root exists and is unique.
+    `eigenvalues` are the ascending eigenvalues lambda_i of Z.  Monotone
+    bisection on the scalar map; each evaluation is O(d).  The map decreases
+    from +inf to 0 on (-alpha lambda_min, inf), so the root exists and is
+    unique.
     """
-    vals = eigendecompose(Z).eigenvalues
+    vals = np.asarray(eigenvalues, dtype=float)
     scaled = alpha * vals
     d = len(vals)
 
@@ -167,8 +170,10 @@ def swap_round(
     if not 0.0 < c < 1.0:
         raise ConfigError(f"c={c} violates 0 < c < 1")
     beta = 1.0 / c
+    if gamma - 1.0 - 2.0 / c <= 0.0:
+        raise ConfigError(f"c={c} violates c > 2/(gamma-1) = {2.0 / (gamma - 1.0)}")
     n_floor = 6.0 * d / epsilon**2 / (gamma - 1.0 - 2.0 / c)
-    if gamma - 1.0 - 2.0 / c <= 0.0 or n < n_floor:
+    if n < n_floor:
         raise PreconditionViolation(
             f"n={n} violates n >= 6d/eps^2/(gamma-1-2/c) = {n_floor}"
         )
@@ -187,40 +192,11 @@ def swap_round(
         initial_set=np.array(sorted(members)),
     )
 
-    structure = None
-    if backend == "aipe":
-        if tau is None:
-            raise ConfigError("aipe backend needs tau")
-        hi = 1.01 * tau / (0.01 + tau)
-        if not tau < c < hi:
-            raise ConfigError(f"c={c} violates tau < c < 1.01*tau/(0.01+tau) = {hi}")
-        eps_ds = math.sqrt(c * (1.0 - tau) / (c - tau)) - 1.0
-        member_vecs = np.stack([np.outer(X[i], X[i]).ravel() for i in members])
-        structure = InnerProductEstimator(
-            member_vecs, eps_ds, 0.1, seed, aipe_config or AipeConfig()
+    index = None
+    if backend != "exact":
+        index = MinIpBackend(
+            backend, X, members, c, tau, 0.1, seed, aipe_config, minip_config
         )
-        est_id_to_member = dict(zip(structure.ids(), members))
-    elif backend == "afn":
-        if tau is None:
-            raise ConfigError("afn backend needs tau")
-        member_vecs = np.stack([np.outer(X[i], X[i]).ravel() for i in members])
-        # diameter over ALL rows so later inserts from the complement fit
-        global_dx = float(np.max(np.linalg.norm(X, axis=1) ** 2))
-        structure = RobustMinIpIndex(
-            member_vecs,
-            c=c,
-            tau=tau,
-            lam=0.05,
-            delta=0.1,
-            eps=0.05,
-            seed=seed,
-            config=minip_config or MinIpConfig(),
-            transform=True,
-            D_X=global_dx,
-        )
-        est_id_to_member = dict(zip(range(n), members))
-    elif backend != "exact":
-        raise ConfigError(f"unknown backend {backend!r}")
 
     member_mask = np.zeros(m, dtype=bool)
     member_mask[members] = True
@@ -234,35 +210,26 @@ def swap_round(
     result.lambda_trace.append(lam_min)
     t = 1
     while t <= T_cap and lam_min <= 1.0 - gamma * epsilon:
-        c_t = find_ct(Z, alpha)
         eig = eigendecompose(Z)
+        c_t = find_ct(eig.eigenvalues, alpha)
         inv_gaps = 1.0 / (c_t + alpha * eig.eigenvalues)
         A_half = (eig.eigenvectors * inv_gaps) @ eig.eigenvectors.T
         A = (eig.eigenvectors * inv_gaps**2) @ eig.eigenvectors.T
         result.trace_norm.append(float(np.trace(A)))
 
-        member_list = np.flatnonzero(member_mask)
-        rows = X[member_list]
         i_t = None
-        if structure is not None:
-            q = tau * swap_query_matrix(A, A_half, n, epsilon, alpha).ravel()
-            if np.linalg.norm(q) > 0.0:
-                if backend == "aipe":
-                    pid = structure.query_min(q / max(np.linalg.norm(q), 1.0), rng)
-                    cand = est_id_to_member.get(pid)
-                else:
-                    xq, _ = minip_transform_query(q)
-                    hit = structure.query(xq, rng)
-                    cand = None if hit is None else est_id_to_member.get(hit[0])
-                if cand is not None and member_mask[cand]:
-                    bp, bm = b_scores(A, A_half, X[cand], alpha, beta)
-                    if bm is not INELIGIBLE and bm <= removal_bound * (1.0 + 1e-9):
-                        i_t = cand
-                        b_minus_val = bm
+        if index is not None:
+            cand = index.propose(swap_query_matrix(A, A_half, n, epsilon, alpha), rng)
+            if cand is not None and member_mask[cand]:
+                _, bm = b_scores(A, A_half, X[cand], alpha, beta)
+                if bm is not INELIGIBLE and bm <= removal_bound * (1.0 + 1e-9):
+                    i_t = cand
+                    b_minus_val = bm
             if i_t is None:
                 result.fallbacks += 1
         if i_t is None:
-            local, scores = _removal_scan(rows, A, A_half, alpha, beta)
+            member_list = np.flatnonzero(member_mask)
+            local, scores = _removal_scan(X[member_list], A, A_half, alpha, beta)
             i_t = int(member_list[local])
             b_minus_val = float(scores[local])
 
@@ -279,21 +246,9 @@ def swap_round(
         result.trace_minus.append(b_minus_val)
         result.trace_plus.append(b_plus_val)
         result.swaps += 1
-        if structure is not None:
-            if backend == "aipe":
-                est_pid = next(k for k, v in est_id_to_member.items() if v == i_t)
-                structure.delete(est_pid)
-                del est_id_to_member[est_pid]
-                new_pid = structure.insert(np.outer(X[j_t], X[j_t]).ravel())
-                est_id_to_member[new_pid] = j_t
-            else:
-                est_pid = next(k for k, v in est_id_to_member.items() if v == i_t)
-                structure.delete(est_pid)
-                del est_id_to_member[est_pid]
-                vec = np.outer(X[j_t], X[j_t]).ravel()
-                aug, _ = structure_transform(structure, vec)
-                new_pid = structure.insert(aug)
-                est_id_to_member[new_pid] = j_t
+        if index is not None:
+            index.retire(i_t)
+            index.insert(j_t)
 
         lam_min, Z = current_lambda_min()
         result.lambda_trace.append(lam_min)
@@ -309,13 +264,3 @@ def swap_round(
             result=result,
         )
     return result
-
-
-def structure_transform(index: RobustMinIpIndex, vec: np.ndarray):
-    """Re-apply the index's dataset transform to a new raw vector."""
-    norm = float(np.linalg.norm(vec))
-    if norm > index.D_X * (1 + 1e-12):
-        raise PreconditionViolation("new point exceeds the index diameter D_X")
-    scaled = vec / index.D_X
-    tail = math.sqrt(max(1.0 - (norm / index.D_X) ** 2, 0.0))
-    return np.concatenate([scaled, [0.0], [tail]]), index.D_X

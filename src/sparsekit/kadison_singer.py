@@ -9,11 +9,11 @@ is
 
 and any i with c_i <= beta keeps the potential falling and the norm below
 the barrier a_{j+1}.  The exact backend scans for the argmin; the
-approximate backends ask a Min-IP structure for a candidate, verify the
-witness inequality directly, and fall back to the scan (counted) whenever
-the structure fails or its answer does not verify.  Chosen indices are
-deleted from the backing structure immediately, so they are never proposed
-again.
+approximate backends ask the shared Min-IP backend (minip_backend) for a
+candidate, verify the witness inequality directly, and fall back to the
+scan (counted) whenever the backend fails or its answer does not verify.
+Chosen indices are retired from the backend immediately, so they are never
+proposed again.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aipe import AipeConfig, InnerProductEstimator
+from .aipe import AipeConfig
 from .errors import BarrierCollapse, ConfigError, PreconditionViolation
 from .linalg import VectorFamily, WeightedSelection, check_isotropy, eigendecompose
-from .minip import MinIpConfig, RobustMinIpIndex, minip_transform_query
+from .minip import MinIpConfig
+from .minip_backend import MinIpBackend
 
 __all__ = [
     "ks_barrier_sequence",
@@ -103,29 +104,29 @@ class KsRunResult:
         }
 
 
-def _greedy_loop(family, N, n, beta, propose, on_select=None) -> KsRunResult:
-    """Core loop; `propose(Qmat)` suggests a candidate index or None.
+def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
+    """Core loop; `backend` (a MinIpBackend, or None) proposes candidates.
 
-    Suggested indices are verified against the witness inequality
+    Proposed indices are verified against the witness inequality
     c_i <= beta; failures fall back to the exact argmin scan over the
     remaining set (counted), so every accepted step preserves the barrier
-    invariants.  `on_select(i)` retires the chosen index from any backing
-    structure before the next step.
+    invariants.  The chosen index is retired from the backend before the
+    next step.
     """
     d = family.dim
     m = family.count
     V = family.vectors
     a = ks_barrier_sequence(N, m, n)
     T = np.zeros((d, d))
-    remaining = list(range(m))
+    remaining = np.ones(m, dtype=bool)
     chosen: list[int] = []
     result = KsRunResult(selection=None, final_norm=math.nan, barrier_sequence=a, beta=beta)
     result.potential_trace.append(d / a[0])  # Phi^{a_0}(0)
     witness_tol = 1.0 + 1e-9
     for j in range(n):
         Qmat = ks_query_matrix(T, a[j], a[j + 1])
-        i_star = propose(Qmat)
-        if i_star is not None and i_star in remaining:
+        i_star = None if backend is None else backend.propose(Qmat, rng)
+        if i_star is not None and remaining[i_star]:
             witness = float(V[i_star] @ Qmat @ V[i_star])
             if witness > beta * witness_tol:
                 i_star = None
@@ -133,9 +134,10 @@ def _greedy_loop(family, N, n, beta, propose, on_select=None) -> KsRunResult:
             i_star = None
         if i_star is None:
             result.fallbacks += 1
-            rows = V[remaining]
+            candidates = np.flatnonzero(remaining)
+            rows = V[candidates]
             scores = np.einsum("ij,jk,ik->i", rows, Qmat, rows)
-            i_star = remaining[int(np.argmin(scores))]
+            i_star = int(candidates[int(np.argmin(scores))])
             witness = float(scores.min())
             if witness > beta * witness_tol:
                 raise BarrierCollapse(
@@ -144,9 +146,9 @@ def _greedy_loop(family, N, n, beta, propose, on_select=None) -> KsRunResult:
         result.score_trace.append(witness)
         T = T + np.outer(V[i_star], V[i_star]) / beta
         chosen.append(i_star)
-        remaining.remove(i_star)
-        if on_select is not None:
-            on_select(i_star)
+        remaining[i_star] = False
+        if backend is not None:
+            backend.retire(i_star)
         vals = np.linalg.eigvalsh(T)
         if vals[-1] >= a[j + 1]:
             raise BarrierCollapse(
@@ -162,7 +164,7 @@ def _greedy_loop(family, N, n, beta, propose, on_select=None) -> KsRunResult:
 def ks_greedy_exact(family: VectorFamily, N: float, n: int) -> KsRunResult:
     """Exact greedy (beta = 1): final norm < a_n."""
     _check_family(family, N)
-    result = _greedy_loop(family, N, n, 1.0, lambda Qmat: None)
+    result = _greedy_loop(family, N, n, 1.0)
     result.fallbacks = 0  # the scan is the primary path here, not a fallback
     return result
 
@@ -187,59 +189,9 @@ def ks_select(
     _check_family(family, N)
     if backend == "exact":
         return ks_greedy_exact(family, N, n)
-    if c is None or tau is None:
-        raise ConfigError("approximate backends need both c and tau")
-    if not tau < c:
-        raise ConfigError(f"c={c} violates c > tau={tau}")
-    beta = 1.0 / c
-    V = family.vectors
-    vec_points = np.stack([np.outer(v, v).ravel() for v in V])
-    rng = np.random.default_rng(seed)
-
-    if backend == "aipe":
-        hi = 1.01 * tau / (0.01 + tau)
-        if not c < hi:
-            raise ConfigError(f"c={c} violates c < 1.01*tau/(0.01+tau) = {hi}")
-        # distance ratio this (c, tau) demands: (1+eps)^2 = c(1-tau)/(c-tau)
-        eps = math.sqrt(c * (1.0 - tau) / (c - tau)) - 1.0
-        est = InnerProductEstimator(
-            vec_points, eps, delta, seed, aipe_config or AipeConfig()
-        )
-
-        def propose(Qmat):
-            q = tau * Qmat.ravel()
-            norm = np.linalg.norm(q)
-            if norm == 0.0:
-                return None
-            return est.query_min(q / max(norm, 1.0), rng)
-
-        result = _greedy_loop(family, N, n, beta, propose, on_select=est.delete)
-        result.backend = "aipe"
-        return result
-
-    if backend == "afn":
-        index = RobustMinIpIndex(
-            vec_points,
-            c=c,
-            tau=tau,
-            lam=0.05,
-            delta=delta,
-            eps=0.05,
-            seed=seed,
-            config=minip_config or MinIpConfig(),
-            transform=True,
-        )
-
-        def propose(Qmat):
-            q = tau * Qmat.ravel()
-            if np.linalg.norm(q) == 0.0:
-                return None
-            xq, _ = minip_transform_query(q)
-            hit = index.query(xq, rng)
-            return None if hit is None else hit[0]
-
-        result = _greedy_loop(family, N, n, beta, propose, on_select=index.delete)
-        result.backend = "afn"
-        return result
-
-    raise ConfigError(f"unknown backend {backend!r}")
+    index = MinIpBackend(
+        backend, family.vectors, range(family.count), c, tau, delta, seed, aipe_config, minip_config
+    )
+    result = _greedy_loop(family, N, n, 1.0 / c, index, np.random.default_rng(seed))
+    result.backend = backend
+    return result

@@ -1,9 +1,10 @@
-"""Dense linear-algebra kernels and barrier-potential primitives.
+"""Vector families, weighted selections, and the dense kernels the solvers share.
 
-Everything here routes through one symmetric eigendecomposition per call
-(``numpy.linalg.eigh``); there is deliberately no fast-matrix-multiplication
-path.  All functions are pure: they never mutate their inputs and hold no
-state, so concurrent invocation is safe.
+The one spectral primitive is ``eigendecompose`` (``numpy.linalg.eigh``);
+each solver derives its barrier potentials and inverse powers from it
+inline.  There is deliberately no fast-matrix-multiplication path.  All
+functions are pure: they never mutate their inputs and hold no state, so
+concurrent invocation is safe.
 """
 
 from __future__ import annotations
@@ -12,24 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BarrierViolation,
-    DimensionMismatch,
-    NotPSD,
-    SingularGram,
-)
+from .errors import DimensionMismatch, SingularGram
 
 __all__ = [
     "VectorFamily",
     "WeightedSelection",
     "EigenDecomposition",
-    "quadratic_form",
     "eigendecompose",
-    "barrier_upper",
-    "barrier_lower",
-    "shifted_inverse_power",
-    "psd_sqrt",
-    "spectrum_bounds",
     "whiten",
     "check_isotropy",
 ]
@@ -153,86 +143,6 @@ def eigendecompose(A) -> EigenDecomposition:
     A = _check_symmetric(_as_square(A))
     vals, vecs = np.linalg.eigh(A)
     return EigenDecomposition(vals, vecs)
-
-
-def quadratic_form(v, M) -> float:
-    """Evaluate v^T M v."""
-    v = np.asarray(v, dtype=float)
-    M = _as_square(M)
-    if v.shape != (M.shape[0],):
-        raise DimensionMismatch(
-            f"vector of dim {v.shape} incompatible with matrix {M.shape}"
-        )
-    return float(v @ M @ v)
-
-
-def _barrier_tol(A: np.ndarray) -> float:
-    return 1e-12 * max(1.0, float(np.linalg.norm(A)))
-
-
-def barrier_upper(A, u: float) -> float:
-    """Upper barrier potential: sum of 1/(u - lambda_i).
-
-    Raises BarrierViolation unless u clears the top eigenvalue by the
-    conservative roundoff margin, preventing division blow-ups.
-    """
-    A = _as_square(A)
-    vals = eigendecompose(A).eigenvalues
-    if u <= vals[-1] + _barrier_tol(A):
-        raise BarrierViolation(f"u={u} does not clear lambda_max={vals[-1]}")
-    return float(np.sum(1.0 / (u - vals)))
-
-
-def barrier_lower(A, ell: float) -> float:
-    """Lower barrier potential: sum of 1/(lambda_i - ell)."""
-    A = _as_square(A)
-    vals = eigendecompose(A).eigenvalues
-    if ell >= vals[0] - _barrier_tol(A):
-        raise BarrierViolation(f"ell={ell} does not clear lambda_min={vals[0]}")
-    return float(np.sum(1.0 / (vals - ell)))
-
-
-def shifted_inverse_power(A, shift: float, sign: str, power: int) -> np.ndarray:
-    """(shift*I - A)^-power for sign="upper", (A - shift*I)^-power for "lower".
-
-    Computed through one eigendecomposition; power is 1 or 2.
-    """
-    if sign not in ("upper", "lower"):
-        raise ValueError("sign must be 'upper' or 'lower'")
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    A = _as_square(A)
-    eig = eigendecompose(A)
-    vals, Q = eig.eigenvalues, eig.eigenvectors
-    tol = _barrier_tol(A)
-    if sign == "upper":
-        if shift <= vals[-1] + tol:
-            raise BarrierViolation(f"u={shift} does not clear lambda_max={vals[-1]}")
-        gaps = shift - vals
-    else:
-        if shift >= vals[0] - tol:
-            raise BarrierViolation(f"ell={shift} does not clear lambda_min={vals[0]}")
-        gaps = vals - shift
-    return (Q * gaps ** (-float(power))) @ Q.T
-
-
-def psd_sqrt(A) -> np.ndarray:
-    """Unique PSD square root, with tiny negative eigenvalues clamped to zero."""
-    A = _as_square(A)
-    eig = eigendecompose(A)
-    vals = eig.eigenvalues
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if vals[0] < -1e-8 * scale:
-        raise NotPSD(f"lambda_min={vals[0]} is negative beyond tolerance")
-    clamped = np.clip(vals, 0.0, None)
-    Q = eig.eigenvectors
-    return (Q * np.sqrt(clamped)) @ Q.T
-
-
-def spectrum_bounds(A) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix."""
-    vals = eigendecompose(_as_square(A)).eigenvalues
-    return float(vals[0]), float(vals[-1])
 
 
 def whiten(family: VectorFamily, pi=None) -> VectorFamily:

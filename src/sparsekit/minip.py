@@ -238,9 +238,6 @@ class RobustMinIpIndex:
     def count(self) -> int:
         return len(self._points)
 
-    def point(self, pid) -> np.ndarray:
-        return self._points[pid]
-
     def insert(self, p, pid=None):
         p = np.asarray(p, dtype=float)
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:

@@ -82,20 +82,6 @@ class MatrixSearchTree:
     def node_matrix(self, k: int) -> np.ndarray:
         return self._nodes[k]
 
-    def update(self, i: int, M_new) -> None:
-        """Replace leaf i and recompute its ancestors' sums."""
-        M_new = np.asarray(M_new, dtype=float)
-        if M_new.shape != (self.dim, self.dim):
-            raise DimensionMismatch("replacement matrix has wrong shape")
-        if not 0 <= i < self.m:
-            raise IndexError(f"leaf index {i} out of range for m={self.m}")
-        k = self._capacity + i
-        self._nodes[k] = M_new
-        k //= 2
-        while k >= 1:
-            self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
-            k //= 2
-
     def query_positive(self, A) -> int:
         """Index i with <M_i, A> > 0, under the promise that the total is > 0."""
         A = np.asarray(A, dtype=float)

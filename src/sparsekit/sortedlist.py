@@ -43,12 +43,6 @@ class SortedKeyList:
         start = self._items.bisect_left((threshold, _NEG_INF_PAYLOAD))
         return self._items.islice(start, len(self._items))
 
-    def count_leq(self, threshold: float) -> int:
-        return self._items.bisect_right((threshold, _INF_PAYLOAD))
-
-    def count_geq(self, threshold: float) -> int:
-        return len(self._items) - self._items.bisect_left((threshold, _NEG_INF_PAYLOAD))
-
     def max(self):
         if not self._items:
             raise NotFound("empty list has no max")

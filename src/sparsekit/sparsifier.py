@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BarrierViolation, IsotropyViolation, NoWitness, NumericalWarning
+from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoWitness, NumericalWarning
 from .linalg import VectorFamily, WeightedSelection, check_isotropy, eigendecompose
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
@@ -67,7 +67,7 @@ def _barrier_matrices(A: np.ndarray, u_prev, u_cur, l_prev, l_cur):
 
 def _check_input(family: VectorFamily, epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise ConfigError(f"epsilon={epsilon} violates 0 < epsilon < 1")
     if not check_isotropy(family, ISOTROPY_TOL):
         raise IsotropyViolation(
             "family is not isotropic: sum of outer products differs from I"

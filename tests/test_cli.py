@@ -1,0 +1,41 @@
+"""The command line: exit codes of the error taxonomy, and replayable reports."""
+
+import json
+
+from sparsekit import cli
+from sparsekit.io import write_matrix_file
+
+from conftest import random_isotropic_family, random_ks_family
+
+
+def test_sparsify_epsilon_out_of_range_is_config_error(tmp_path, rng, capsys):
+    path = str(tmp_path / "family.mtx")
+    write_matrix_file(path, random_isotropic_family(20, 3, rng).vectors)
+    assert cli.main(["sparsify", "--input", path, "--epsilon", "2"]) == cli.EXIT_CONFIG
+    assert "epsilon=2.0 violates 0 < epsilon < 1" in capsys.readouterr().err
+
+
+def test_expdesign_default_gamma_and_c_is_config_error(tmp_path, rng, capsys):
+    # the defaults gamma=3, c=0.5 can never meet c > 2/(gamma-1) = 1
+    path = str(tmp_path / "design.mtx")
+    write_matrix_file(path, rng.standard_normal((40, 3)))
+    argv = ["expdesign", "--input", path, "--n", "20", "--whiten"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "c > 2/(gamma-1)" in capsys.readouterr().err
+
+
+def test_ks_aipe_replay_identical_apart_from_timings(tmp_path, rng):
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "aipe"]
+    out = tmp_path / "report.json"
+    argv += ["--c", "0.505", "--tau", "0.5", "--profile", "desk", "--seed", "3"]
+    argv += ["--output", str(out)]  # the report's config records this path
+    texts = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "pass"
+        del report["timings"]
+        texts.append(json.dumps(report, indent=2, sort_keys=True))
+    assert texts[0] == texts[1]

@@ -1,150 +1,12 @@
-"""Kernels and barrier potentials against direct-evaluation oracles."""
+"""Vector-family kernels and the eigendecomposition against direct oracles."""
 
 import numpy as np
 import pytest
 
-from sparsekit.errors import BarrierViolation, DimensionMismatch, NotPSD, SingularGram
-from sparsekit.linalg import (
-    VectorFamily,
-    barrier_lower,
-    barrier_upper,
-    check_isotropy,
-    eigendecompose,
-    psd_sqrt,
-    quadratic_form,
-    shifted_inverse_power,
-    spectrum_bounds,
-    whiten,
-)
+from sparsekit.errors import SingularGram
+from sparsekit.linalg import VectorFamily, check_isotropy, eigendecompose, whiten
 
 from conftest import random_symmetric
-
-
-class TestQuadraticForm:
-    def test_identity_case(self):
-        assert quadratic_form([1.0, 0.0], np.eye(2)) == 1.0
-
-    def test_direct_expansion(self):
-        assert quadratic_form([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]]) == 6.0
-
-    def test_elementwise_sum_oracle(self):
-        v = np.array([3.0, -1.0])
-        M = np.array([[2.0, 0.0], [0.0, 5.0]])
-        oracle = sum(v[i] * M[i, j] * v[j] for i in range(2) for j in range(2))
-        assert oracle == 23.0
-        assert quadratic_form(v, M) == pytest.approx(oracle, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            quadratic_form([1.0, 2.0, 3.0], np.eye(2))
-
-
-class TestBarriers:
-    def test_zero_matrix_seed_value(self):
-        # with u = d/eps on the zero matrix the potential is exactly eps
-        d, eps = 4, 0.5
-        assert barrier_upper(np.zeros((d, d)), d / eps) == pytest.approx(eps, abs=1e-12)
-        assert barrier_lower(np.zeros((d, d)), -d / eps) == pytest.approx(eps, abs=1e-12)
-
-    def test_diagonal_cases(self):
-        assert barrier_upper(np.diag([1.0, 3.0]), 4.0) == pytest.approx(1.0 / 3 + 1.0)
-        assert barrier_lower(np.diag([2.0, 5.0]), 1.0) == pytest.approx(1.0 + 0.25)
-
-    def test_eigendecomposition_oracle(self, rng):
-        A = random_symmetric(5, rng)
-        vals = np.linalg.eigvalsh(A)
-        u = vals[-1] + 1.0
-        ell = vals[0] - 0.7
-        assert barrier_upper(A, u) == pytest.approx(np.sum(1.0 / (u - vals)), abs=1e-9)
-        assert barrier_lower(A, ell) == pytest.approx(np.sum(1.0 / (vals - ell)), abs=1e-9)
-
-    def test_barrier_violation(self, rng):
-        A = random_symmetric(4, rng)
-        vals = np.linalg.eigvalsh(A)
-        with pytest.raises(BarrierViolation):
-            barrier_upper(A, vals[-1])
-        with pytest.raises(BarrierViolation):
-            barrier_lower(A, vals[0])
-
-    def test_upper_barrier_decreasing_in_u(self, rng):
-        A = random_symmetric(6, rng)
-        top = np.linalg.eigvalsh(A)[-1]
-        grid = top + np.linspace(0.5, 5.0, 12)
-        values = [barrier_upper(A, u) for u in grid]
-        assert np.all(np.diff(values) < 0)
-
-    def test_barrier_equals_trace_of_inverse_power(self, rng):
-        A = random_symmetric(5, rng)
-        u = np.linalg.eigvalsh(A)[-1] + 2.0
-        M = shifted_inverse_power(A, u, "upper", 1)
-        assert barrier_upper(A, u) == pytest.approx(np.trace(M), abs=1e-9)
-
-
-class TestShiftedInversePower:
-    def test_scalar_shift_of_zero(self):
-        out = shifted_inverse_power(np.zeros((2, 2)), 2.0, "upper", 1)
-        assert np.allclose(out, 0.5 * np.eye(2))
-
-    def test_diagonal_case(self):
-        out = shifted_inverse_power(np.diag([1.0, 3.0]), 4.0, "upper", 2)
-        assert np.allclose(out, np.diag([1.0 / 9.0, 1.0]))
-
-    def test_gaussian_elimination_oracle(self, rng):
-        A = random_symmetric(6, rng)
-        u = np.linalg.eigvalsh(A)[-1] + 1.3
-        inv = np.linalg.solve(u * np.eye(6) - A, np.eye(6))
-        assert np.allclose(shifted_inverse_power(A, u, "upper", 1), inv, atol=1e-8)
-        assert np.allclose(shifted_inverse_power(A, u, "upper", 2), inv @ inv, atol=1e-8)
-        ell = np.linalg.eigvalsh(A)[0] - 0.9
-        inv_l = np.linalg.solve(A - ell * np.eye(6), np.eye(6))
-        assert np.allclose(shifted_inverse_power(A, ell, "lower", 2), inv_l @ inv_l, atol=1e-8)
-
-    def test_power_two_is_square_of_power_one(self, rng):
-        A = random_symmetric(5, rng)
-        u = np.linalg.eigvalsh(A)[-1] + 0.8
-        M1 = shifted_inverse_power(A, u, "upper", 1)
-        M2 = shifted_inverse_power(A, u, "upper", 2)
-        assert np.linalg.norm(M2 - M1 @ M1) <= 1e-8
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_multiply_back_oracle(self, rng):
-        G = rng.standard_normal((7, 4))
-        A = G.T @ G
-        B = psd_sqrt(A)
-        assert np.linalg.norm(B.T @ B - A) <= 1e-8 * max(1.0, np.linalg.norm(A))
-
-    def test_idempotence(self, rng):
-        vals = np.array([0.3, 1.1, 2.4, 5.0])
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        B = (Q * vals) @ Q.T
-        assert np.allclose(psd_sqrt(B @ B), B, atol=1e-7)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
-            psd_sqrt(np.diag([1.0, -0.5]))
-
-
-class TestSpectrumBounds:
-    def test_identity(self):
-        assert spectrum_bounds(np.eye(3)) == (1.0, 1.0)
-
-    def test_diagonal(self):
-        lo, hi = spectrum_bounds(np.diag([-1.0, 0.0, 7.0]))
-        assert (lo, hi) == (-1.0, 7.0)
-
-    def test_full_eigen_oracle(self, rng):
-        A = random_symmetric(8, rng)
-        vals = np.linalg.eigvalsh(A)
-        lo, hi = spectrum_bounds(A)
-        tol = 1e-9 * np.linalg.norm(A)
-        assert abs(lo - vals[0]) <= tol and abs(hi - vals[-1]) <= tol
 
 
 class TestWhiten:

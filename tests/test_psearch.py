@@ -88,34 +88,6 @@ class TestMatrixTreeQuery:
             tree.query_positive(np.array([[1.0]]))
 
 
-class TestMatrixTreeUpdate:
-    def test_identity_update(self, rng):
-        mats = random_sparse_matrices(8, 3, rng)
-        tree = MatrixSearchTree(mats)
-        before = tree._nodes.copy()
-        tree.update(5, mats[5])
-        assert np.array_equal(tree._nodes, before)
-
-    def test_zeroing_leaf_decreases_root(self, rng):
-        mats = random_sparse_matrices(8, 3, rng)
-        tree = MatrixSearchTree(mats)
-        root_before = tree.root_sum.copy()
-        tree.update(2, np.zeros((3, 3)))
-        assert np.allclose(root_before - tree.root_sum, mats[2], atol=1e-12)
-
-    def test_rebuild_oracle_after_updates(self, rng):
-        mats = random_sparse_matrices(32, 4, rng)
-        tree = MatrixSearchTree(mats)
-        current = list(mats)
-        for _ in range(50):
-            i = int(rng.integers(0, 32))
-            M_new = rng.standard_normal((4, 4))
-            tree.update(i, M_new)
-            current[i] = M_new
-        rebuilt = MatrixSearchTree(current)
-        assert np.allclose(tree._nodes, rebuilt._nodes, atol=1e-10)
-
-
 class TestVectorTreeInit:
     def test_basis_single_leaf(self):
         fam = VectorFamily(np.eye(3))
