@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularGram
+from .errors import DimensionMismatch, PreconditionViolation, SingularGram
 
 __all__ = [
     "VectorFamily",
@@ -52,7 +52,7 @@ class VectorFamily:
         if self.vectors.ndim != 2:
             raise DimensionMismatch("vectors must be a 2-D (m, d) array")
         if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("vector family contains non-finite entries")
+            raise PreconditionViolation("vector family contains non-finite entries")
         if self.nnz_per_row is None:
             self.nnz_per_row = np.count_nonzero(self.vectors, axis=1)
         else:

@@ -70,6 +70,11 @@ class MatrixSearchTree:
             self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
         self.last_query_ip_count = 0
 
+    @staticmethod
+    def node_bytes(m: int, d: int) -> int:
+        """Bytes of the float64 node array a tree over m d x d matrices holds."""
+        return 16 * _next_pow2(m) * d * d
+
     @property
     def root_sum(self) -> np.ndarray:
         return self._nodes[1]

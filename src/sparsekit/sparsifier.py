@@ -3,15 +3,19 @@
 Both variants run the same two-barrier greedy loop: barriers u_t, ell_t
 advance by fixed increments, the gap matrix Q = L_t - U_t is formed from one
 eigendecomposition of the accumulator, and an index with v^T Q v >= 0 is
-selected and added with weight 1/(c_t d).  The reference variant finds the
-index by linear scan; the fast variant asks a positive-search tree chosen by
-an nnz-based cost model.  Everything is deterministic: reruns on equal
-input produce identical selections.
+selected and added with weight 1/(c_t d).  The loop itself does O(d^3)
+work per iteration and never touches all m rows: the trace's gap sum is
+<G, Q> with G the family's Gram matrix, computed once.  The reference
+variant finds the index by a linear scan, one m x d by d x d product per
+iteration; the fast variant asks a positive-search tree chosen by an
+nnz-based cost model, at O(d^2 log m) per iteration.  Everything is
+deterministic: reruns on equal input produce identical selections.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,10 +78,20 @@ def _check_input(family: VectorFamily, epsilon: float) -> None:
         )
 
 
+def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v_i^T M v_i for every row v_i of V: one m x d by d x d GEMM, O(m d^2)."""
+    return np.einsum("ij,ij->i", V @ M, V)
+
+
 def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick):
-    """Shared loop; `pick(Q, V)` returns the chosen index for gap matrix Q."""
+    """Shared loop; `pick(Qgap)` returns an index with v^T Qgap v >= 0.
+
+    Apart from `pick` and the rare c <= 0 rescue, each iteration costs
+    O(d^3), independent of the number of rows m.
+    """
     d = family.dim
     V = family.vectors
+    G = family.gram()
     T = math.ceil(d / epsilon**2)
     u, ell = d / epsilon, -d / epsilon
     delta_u = 1.0
@@ -88,19 +102,18 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
         u_next, ell_next = u + delta_u, ell + delta_l
         L, U, phi_u, phi_l = _barrier_matrices(A, u, u_next, ell, ell_next)
         Qgap = L - U
-        gap_values = np.einsum("ij,jk,ik->i", V, Qgap, V)
-        gap_sum = float(gap_values.sum())
-        j = pick(Qgap, gap_values)
+        gap_sum = float(np.vdot(G, Qgap))  # = sum_i v_i^T Qgap v_i
+        j = pick(Qgap)
         c = 0.5 * float(V[j] @ (L + U) @ V[j])
         if c <= 0.0:
             # impossible in exact arithmetic (U is positive definite);
-            # rescue the iteration with the best scanned witness
+            # rescue the iteration with the first witness whose scale is positive
             warnings.warn("nonpositive step scale; rescanning", NumericalWarning)
             trace.fallbacks += 1
-            candidates = np.flatnonzero(gap_values >= 0.0)
+            candidates = np.flatnonzero(_row_quadratic_forms(V, Qgap) >= 0.0)
             if candidates.size == 0:
                 raise NoWitness("no index witnesses the barrier gap")
-            scales = 0.5 * np.einsum("ij,jk,ik->i", V[candidates], L + U, V[candidates])
+            scales = 0.5 * _row_quadratic_forms(V[candidates], L + U)
             good = candidates[scales > 0.0]
             if good.size == 0:
                 raise NoWitness("every gap witness has nonpositive step scale")
@@ -125,19 +138,30 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
 def bss_reference(family: VectorFamily, epsilon: float):
     """Two-barrier greedy with linear-scan index search.
 
-    Returns (selection, A_final, trace) with A_final = A_T / d, whose
-    spectrum lies in (1 - eps - 2 eps^2, 1 + eps).
+    Each iteration scans all m rows for the first index with v^T Q v >= 0,
+    one m x d by d x d product: O(m d^2) per iteration.  Returns
+    (selection, A_final, trace) with A_final = A_T / d, whose spectrum lies
+    in (1 - eps - 2 eps^2, 1 + eps).
     """
     _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 2.0 * epsilon)
+    V = family.vectors
 
-    def pick(Qgap, gap_values):
-        idx = np.flatnonzero(gap_values >= 0.0)
+    def pick(Qgap):
+        idx = np.flatnonzero(_row_quadratic_forms(V, Qgap) >= 0.0)
         if idx.size == 0:
             raise NoWitness("no index witnesses the barrier gap")
         return int(idx[0])
 
     return _run_barrier_loop(family, epsilon, delta_l, pick)
+
+
+def _physical_memory_bytes():
+    """Installed physical memory in bytes, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def choose_tree(family: VectorFamily, omega: float = 3.0) -> str:
@@ -149,8 +173,13 @@ def choose_tree(family: VectorFamily, omega: float = 3.0) -> str:
 def sparsify_fast(family: VectorFamily, epsilon: float, omega: float = 3.0):
     """Tree-accelerated variant; same spectral contract as the reference.
 
-    The slightly smaller lower-barrier step 1/(1+3 eps) funds the strict
+    Each iteration asks the tree only: one root-to-leaf descent of
+    O(d^2 log m) plus an O(d^2) cross-check, no scan over the m rows.  The
+    slightly smaller lower-barrier step 1/(1+3 eps) funds the strict
     averaging margin that keeps positive search sound under roundoff.
+
+    Raises ConfigError, before allocating anything, when the matrix tree
+    and its m outer products would not fit in physical memory.
     """
     _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 3.0 * epsilon)
@@ -158,10 +187,19 @@ def sparsify_fast(family: VectorFamily, epsilon: float, omega: float = 3.0):
     if kind == "vector":
         tree = BatchedVectorSearchTree(family)
     else:
+        m, d = family.count, family.dim
+        needed = MatrixSearchTree.node_bytes(m, d) + 8 * m * d * d
+        physical = _physical_memory_bytes()
+        if physical is not None and needed > physical:
+            raise ConfigError(
+                f"the matrix search tree over m={m}, d={d} needs {needed} bytes "
+                f"(16*capacity*d^2 for its nodes plus 8*m*d^2 for the outer products), "
+                f"more than the {physical} bytes of physical memory"
+            )
         tree = MatrixSearchTree([np.outer(v, v) for v in family.vectors])
     V = family.vectors
 
-    def pick(Qgap, gap_values):
+    def pick(Qgap):
         j = tree.query_positive(Qgap)
         # O(d^2) soundness cross-check of the tree's answer
         if float(V[j] @ Qgap @ V[j]) < 0.0:

@@ -4,6 +4,7 @@ import json
 
 from sparsekit import cli
 from sparsekit.io import write_matrix_file
+from sparsekit.minip import exact_min_ip
 
 from conftest import random_isotropic_family, random_ks_family
 
@@ -39,3 +40,36 @@ def test_ks_aipe_replay_identical_apart_from_timings(tmp_path, rng):
         del report["timings"]
         texts.append(json.dumps(report, indent=2, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+class ExactMinIpIndex:
+    """Stands in for RobustMinIpIndex: answers every query by an exact scan."""
+
+    def __init__(self, points, c, tau, lam, delta, eps, seed, config):
+        self.points, self.c, self.tau, self.lambda_tilde = points, c, tau, 0.0
+
+    def query(self, q, rng):
+        i, ip = exact_min_ip(self.points, q)
+        return i, self.points[i], ip
+
+
+def test_oracle_without_backend_runs_the_minip_suite(tmp_path, monkeypatch):
+    # the real index takes minutes to build even at n=2, so a scan stands in
+    monkeypatch.setattr(cli, "RobustMinIpIndex", ExactMinIpIndex)
+    out = tmp_path / "report.json"
+    assert cli.main(["oracle", "--n", "16", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["backend"] == "minip"
+    assert report["successes"] > 0 and report["verdict"] == "pass"
+
+
+def test_oracle_unknown_suite_is_config_error(capsys):
+    assert cli.main(["oracle", "--backend", "exact"]) == cli.EXIT_CONFIG
+    assert "unknown oracle suite 'exact'" in capsys.readouterr().err
+
+
+def test_sparsify_non_finite_input_is_precondition_violation(tmp_path, capsys):
+    path = tmp_path / "family.csv"
+    path.write_text("1,0\n0,nan\n")
+    assert cli.main(["sparsify", "--input", str(path)]) == cli.EXIT_PRECONDITION
+    assert "non-finite" in capsys.readouterr().err
