@@ -8,8 +8,13 @@ independently sampled sketches are what make the estimates stable under
 adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
-Sketches exist only as seeds; they are materialized on demand and cached, so
-memory stays O(m d) plus the cache.  Mutations need exclusive access.
+Pool member j is the s_dim x (D+2) Gaussian S_j drawn from the j-th child of
+the root SeedSequence; the child is derived when j is first sampled, never
+spawned up front.  Only the triangular QR factor R_j of S_j, at most
+(D+2) x (D+2), is cached: ||S_j v|| = ||R_j v|| for every v, so a sketch
+costs O(m D^2) per query instead of O(m s_dim D).  Points live in one
+contiguous array with a parallel id array; deletes swap-remove.  Mutations
+need exclusive access.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFound
+from .errors import DimensionMismatch, NotFound, PreconditionViolation
 from .minip import minip_transform_dataset, minip_transform_query
 
 __all__ = ["AipeConfig", "InnerProductEstimator"]
@@ -54,7 +59,7 @@ class InnerProductEstimator:
     def __init__(self, points, eps: float, delta: float, seed, config: AipeConfig = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 1:
-            raise ValueError("need at least one point")
+            raise PreconditionViolation("need at least one point")
         self.config = config or AipeConfig()
         self.eps = float(eps)
         self.delta = float(delta)
@@ -64,65 +69,78 @@ class InnerProductEstimator:
             self.radius = 1.0
         self.s_dim = self.config.sketch_dim(self.eps)
         self.pool = self.config.pool_size(self.s_dim, pts.shape[0], self.delta)
-        self._sketch_seeds = np.random.SeedSequence(seed).spawn(self.pool)
-        self._sketch_cache: dict[int, np.ndarray] = {}
-        self._points: dict[int, np.ndarray] = {}
-        self._ids: list[int] = []
-        self._next_id = 0
-        for p in pts:
-            self._append(p)
-
-    def _append(self, p: np.ndarray) -> int:
-        pid = self._next_id
-        self._next_id += 1
-        self._points[pid] = np.asarray(p, dtype=float)
-        self._ids.append(pid)
-        return pid
+        self._root_seed = np.random.SeedSequence(seed)
+        self._factors: dict[int, np.ndarray] = {}
+        n = pts.shape[0]
+        self._rows = pts.copy()
+        self._ids = np.arange(n)
+        self._slot = dict(zip(range(n), range(n)))
+        self._n = n
+        self._next_id = n
 
     @property
     def count(self) -> int:
-        return len(self._ids)
+        return self._n
 
     def insert(self, z) -> int:
         """Add a point; the dataset radius only ever grows (monotone bound)."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
-            raise ValueError(f"expected a vector of dim {self.dim}")
+            raise DimensionMismatch(f"expected a vector of dim {self.dim}, got shape {z.shape}")
         self.radius = max(self.radius, float(np.linalg.norm(z)))
-        return self._append(z)
+        if self._n == len(self._rows):  # full: double the capacity
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
+        pid = self._next_id
+        self._next_id += 1
+        self._rows[self._n] = z
+        self._ids[self._n] = pid
+        self._slot[pid] = self._n
+        self._n += 1
+        return pid
 
     def delete(self, pid: int) -> None:
-        if pid not in self._points:
+        slot = self._slot.pop(pid, None)
+        if slot is None:
             raise NotFound(f"point id {pid} not stored")
-        del self._points[pid]
-        self._ids.remove(pid)
+        last = self._n - 1
+        if slot != last:
+            self._rows[slot] = self._rows[last]
+            self._ids[slot] = self._ids[last]
+            self._slot[int(self._ids[slot])] = slot
+        self._n = last
 
-    def _sketch(self, j: int) -> np.ndarray:
-        S = self._sketch_cache.get(j)
-        if S is None:
-            gen = np.random.Generator(np.random.Philox(self._sketch_seeds[j]))
+    def _factor(self, j: int) -> np.ndarray:
+        """R with ||S_j v|| = ||R v||, S_j the j-th pool member's Gaussian sketch."""
+        R = self._factors.get(j)
+        if R is None:
+            root = self._root_seed
+            # bit-identical to root.spawn(pool)[j], without spawning the pool
+            child = np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size
+            )
+            gen = np.random.Generator(np.random.Philox(child))
             S = gen.standard_normal((self.s_dim, self.dim + 2)) / math.sqrt(self.s_dim)
-            self._sketch_cache[j] = S
-        return S
-
-    def _transformed(self):
-        rows = np.stack([self._points[pid] for pid in self._ids])
-        aug, _ = minip_transform_dataset(rows, self.radius)
-        return aug
+            R = np.linalg.qr(S, mode="r")
+            self._factors[j] = R
+        return R
 
     def distance_estimates(self, q, rng: np.random.Generator) -> np.ndarray:
-        """Median per-point distance estimates in the transformed space."""
+        """Median per-point distance estimates in the transformed space.
+
+        Entry i belongs to the point in slot i; `query_min` maps slots to ids.
+        """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
-            raise ValueError(f"expected a query of dim {self.dim}")
-        aug = self._transformed()
+            raise DimensionMismatch(f"expected a query of dim {self.dim}, got shape {q.shape}")
+        # transformed afresh: an insert may have grown the radius
+        aug, _ = minip_transform_dataset(self._rows[: self._n], self.radius)
         qa, _ = minip_transform_query(q, 1.0)
+        diff = aug - qa
         picks = rng.choice(self.pool, size=self.config.sample_count(self.pool), replace=False)
-        ests = np.empty((len(picks), aug.shape[0]))
+        ests = np.empty((len(picks), self._n))
         for row, j in enumerate(picks):
-            S = self._sketch(int(j))
-            diff = aug @ S.T - qa @ S.T
-            ests[row] = np.linalg.norm(diff, axis=1)
+            ests[row] = np.linalg.norm(diff @ self._factor(int(j)).T, axis=1)
         return np.median(ests, axis=0)
 
     def query_min(self, q, rng: np.random.Generator) -> int:
@@ -133,5 +151,5 @@ class InnerProductEstimator:
         approximate Min-IP.
         """
         d = self.distance_estimates(q, rng)
-        order = np.lexsort((self._ids, -d))
-        return self._ids[int(order[0])]
+        ids = self._ids[: self._n]
+        return int(ids[np.lexsort((ids, -d))[0]])

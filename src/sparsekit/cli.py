@@ -57,7 +57,7 @@ class RunConfig:
     tau: float = None
     lam: float = 0.05
     delta: float = 0.1
-    gamma: float = 3.0
+    gamma: float = xd.DEFAULT_GAMMA
     n: int = None
     N: float = None
     seed: int = 0
@@ -167,7 +167,7 @@ def run_expdesign(config: RunConfig) -> dict:
         config.n,
         config.epsilon,
         gamma=config.gamma,
-        c=config.c if config.c is not None else 0.5,
+        c=config.c if config.c is not None else xd.DEFAULT_C,
         tau=config.tau,
         backend=config.backend,
         seed=config.seed,
@@ -244,7 +244,9 @@ def run_oracle(config: RunConfig) -> dict:
         report["verdict"] = "pass" if worst <= 1e-9 else "fail"
         return report
     if which == "minip":
-        n = config.n or 64
+        n = 64 if config.n is None else config.n
+        if n < 0:
+            raise ConfigError(f"n={n} violates n >= 0")
         if n == 0:
             report["checked"] = 0
             report["verdict"] = "nothing to check"
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float)
         p.add_argument("--lambda", type=float, dest="lam", default=0.05)
         p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--gamma", type=float, default=3.0)
+        p.add_argument("--gamma", type=float, default=xd.DEFAULT_GAMMA)
         p.add_argument("--n", type=int)
         p.add_argument("--N", type=float, dest="N")
         p.add_argument("--seed", type=int)

@@ -39,6 +39,10 @@ __all__ = [
 
 INELIGIBLE = None  # sentinel returned for b_minus when the denominator is <= 0
 
+# gamma=3 would need c > 2/(gamma-1) = 1, which 0 < c < 1 forbids
+DEFAULT_GAMMA = 4.0
+DEFAULT_C = 0.9
+
 
 def find_ct(eigenvalues: np.ndarray, alpha: float, tol: float = 1e-10) -> float:
     """The constant c with sum_i (c + alpha lambda_i)^{-2} = 1.
@@ -136,8 +140,8 @@ def swap_round(
     pi,
     n: int,
     epsilon: float,
-    gamma: float = 3.0,
-    c: float = 0.5,
+    gamma: float = DEFAULT_GAMMA,
+    c: float = DEFAULT_C,
     tau: float = None,
     backend: str = "exact",
     seed: int = 0,

@@ -93,9 +93,9 @@ class WeightedSelection:
         if self.indices.shape != self.weights.shape or self.indices.ndim != 1:
             raise DimensionMismatch("indices and weights must be parallel 1-D arrays")
         if np.any(self.weights <= 0):
-            raise ValueError("selection weights must be strictly positive")
+            raise PreconditionViolation("selection weights must be strictly positive")
         if len(np.unique(self.indices)) != len(self.indices):
-            raise ValueError("selection indices must be distinct")
+            raise PreconditionViolation("selection indices must be distinct")
 
     @property
     def support_size(self) -> int:
@@ -103,7 +103,7 @@ class WeightedSelection:
 
     def validate_range(self, m: int) -> None:
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= m):
-            raise ValueError(f"selection indices out of range for m={m}")
+            raise PreconditionViolation(f"selection indices out of range for m={m}")
 
     def reconstruct(self, family: VectorFamily) -> np.ndarray:
         """Weighted sum of outer products over the selection."""

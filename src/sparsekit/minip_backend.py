@@ -61,7 +61,7 @@ class MinIpBackend:
         self.tau = tau
         self._X = X
         rows = [int(i) for i in rows]
-        points = np.stack([self._point(i) for i in rows])
+        points = self._points(rows)
         if kind == "aipe":
             # distance ratio this (c, tau) demands: (1+eps)^2 = c(1-tau)/(c-tau)
             eps = math.sqrt(c * (1.0 - tau) / (c - tau)) - 1.0
@@ -85,8 +85,10 @@ class MinIpBackend:
         self._row_of = dict(enumerate(rows))
         self._pid_of = {row: pid for pid, row in self._row_of.items()}
 
-    def _point(self, row: int) -> np.ndarray:
-        return np.outer(self._X[row], self._X[row]).ravel()
+    def _points(self, rows) -> np.ndarray:
+        """vec(x x^T) of each listed row of X, one per output row."""
+        Y = self._X[rows]
+        return (Y[:, :, None] * Y[:, None, :]).reshape(len(Y), Y.shape[1] ** 2)
 
     def propose(self, Q: np.ndarray, rng: np.random.Generator):
         """A stored row with approximately minimal <tau Q, x x^T>, or None."""
@@ -109,7 +111,7 @@ class MinIpBackend:
 
     def insert(self, row: int) -> None:
         """Store another row of X; it must not be stored already."""
-        point = self._point(row)
+        point = self._points([row])[0]
         if self.kind == "afn":
             point = minip_transform_dataset(point, self._index.D_X)[0][0]
         pid = self._index.insert(point)

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
+
 from sparsekit import cli
 from sparsekit.io import write_matrix_file
+from sparsekit.linalg import VectorFamily, whiten
 from sparsekit.minip import exact_min_ip
 
 from conftest import random_isotropic_family, random_ks_family
@@ -16,13 +19,26 @@ def test_sparsify_epsilon_out_of_range_is_config_error(tmp_path, rng, capsys):
     assert "epsilon=2.0 violates 0 < epsilon < 1" in capsys.readouterr().err
 
 
-def test_expdesign_default_gamma_and_c_is_config_error(tmp_path, rng, capsys):
-    # the defaults gamma=3, c=0.5 can never meet c > 2/(gamma-1) = 1
+def test_expdesign_infeasible_gamma_and_c_is_config_error(tmp_path, rng, capsys):
+    # gamma=3, c=0.5 can never meet c > 2/(gamma-1) = 1
     path = str(tmp_path / "design.mtx")
     write_matrix_file(path, rng.standard_normal((40, 3)))
-    argv = ["expdesign", "--input", path, "--n", "20", "--whiten"]
+    argv = ["expdesign", "--input", path, "--n", "20", "--whiten", "--gamma", "3", "--c", "0.5"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "c > 2/(gamma-1)" in capsys.readouterr().err
+
+
+def test_expdesign_defaults_run_on_feasible_input(tmp_path, rng):
+    # n >= 6d/eps^2/(gamma-1-2/c) = 246.9 at d=2 and the defaults eps=0.25, gamma=4, c=0.9
+    m, n = 500, 250
+    pi = np.full(m, n / m)
+    path = str(tmp_path / "design.mtx")
+    write_matrix_file(path, whiten(VectorFamily(rng.standard_normal((m, 2))), pi).vectors)
+    out = tmp_path / "report.json"
+    assert cli.main(["expdesign", "--input", path, "--n", str(n), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["gamma"] == 4.0 and report["verdict"] == "pass"
+    assert report["result"]["selection"]["support_size"] == n
 
 
 def test_ks_aipe_replay_identical_apart_from_timings(tmp_path, rng):
@@ -61,6 +77,19 @@ def test_oracle_without_backend_runs_the_minip_suite(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["config"]["backend"] == "minip"
     assert report["successes"] > 0 and report["verdict"] == "pass"
+
+
+def test_oracle_n_zero_checks_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "RobustMinIpIndex", None)  # must not be built
+    out = tmp_path / "report.json"
+    assert cli.main(["oracle", "--n", "0", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["checked"] == 0 and report["verdict"] == "nothing to check"
+
+
+def test_oracle_negative_n_is_config_error(capsys):
+    assert cli.main(["oracle", "--n", "-1"]) == cli.EXIT_CONFIG
+    assert "n=-1 violates n >= 0" in capsys.readouterr().err
 
 
 def test_oracle_unknown_suite_is_config_error(capsys):

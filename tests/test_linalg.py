@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from sparsekit.errors import SingularGram
-from sparsekit.linalg import VectorFamily, check_isotropy, eigendecompose, whiten
+from sparsekit.errors import PreconditionViolation, SingularGram
+from sparsekit.linalg import (
+    VectorFamily,
+    WeightedSelection,
+    check_isotropy,
+    eigendecompose,
+    whiten,
+)
 
 from conftest import random_symmetric
 
@@ -60,3 +66,23 @@ class TestEigenDecomposition:
         QtQ = eig.eigenvectors.T @ eig.eigenvectors
         assert np.linalg.norm(QtQ - np.eye(6)) <= 1e-8
         assert np.all(np.diff(eig.eigenvalues) >= 0)
+
+
+class TestWeightedSelection:
+    @pytest.mark.parametrize(
+        "indices, weights, message",
+        [
+            ([0, 1], [1.0, 0.0], "strictly positive"),
+            ([0, 1], [1.0, -2.0], "strictly positive"),
+            ([2, 2], [1.0, 1.0], "distinct"),
+        ],
+    )
+    def test_invalid_selection_is_precondition_violation(self, indices, weights, message):
+        with pytest.raises(PreconditionViolation, match=message):
+            WeightedSelection(indices, weights)
+
+    @pytest.mark.parametrize("indices", [[0, 3], [-1, 1]])
+    def test_out_of_range_is_precondition_violation(self, indices):
+        sel = WeightedSelection(indices, [1.0, 1.0])
+        with pytest.raises(PreconditionViolation, match="out of range for m=3"):
+            sel.reconstruct(VectorFamily(np.eye(3)))
