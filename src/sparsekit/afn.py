@@ -1,4 +1,10 @@
-"""Random-projection furthest-neighbor structures.
+"""Random-projection furthest-neighbor structures over a shared PointStore.
+
+Neither structure holds points.  Both read coordinates from a PointStore
+that their owner fills and empties; `insert(pid)` and `delete(pid)` keep a
+structure in step with it, so a point must be in the store while it is
+inserted into or deleted from a structure.  Many structures may share one
+store.
 
 DfnStructure answers fixed-radius decision queries: given (q, r), either
 return a point at distance >= r / cbar (post-checked before returning) or
@@ -6,12 +12,11 @@ Fail (None).  It keeps one sorted list of projections per Gaussian
 direction; points far from q in some direction are candidates.
 
 AfnStructure wraps several independent DFN copies and binary-searches the
-radius between bw/2 and sqrt(d)/eps * bw, where bw is the current boxwidth
-of the point set, maintained exactly under inserts and deletes through
-per-dimension sorted lists.
+radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
+the longest side of the live points' bounding box.
 
-Builds and updates need exclusive access; queries are read-only and safe to
-run concurrently between mutations.
+Builds and updates need exclusive access; queries change nothing but the
+store's boxwidth cache and are safe to run concurrently between mutations.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFound
+from .pointstore import PointStore
 from .sortedlist import SortedKeyList
 
 __all__ = ["AfnConfig", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
@@ -105,45 +110,33 @@ class AfnConfig:
 class DfnStructure:
     """Fixed-radius decision version of approximate furthest neighbor."""
 
-    def __init__(self, points, cbar: float, seed, config: AfnConfig = None):
+    def __init__(self, store: PointStore, cbar: float, seed, config: AfnConfig = None):
         if cbar <= 1.0:
             raise ValueError("cbar must exceed 1")
-        self.config = config or AfnConfig()
-        pts = {pid: np.asarray(p, dtype=float) for pid, p in points}
-        if not pts:
+        if not len(store):
             raise ValueError("need at least one point")
-        self.dim = next(iter(pts.values())).shape[0]
+        self.config = config or AfnConfig()
+        self.store = store
+        self.dim = store.dim
         self.cbar = float(cbar)
-        self.n0 = len(pts)
+        self.n0 = len(store)
         self.ell = self.config.directions(self.n0, self.cbar)
         self.t = solve_threshold(self.n0)
         self.seed = seed
         self.directions = gaussian_matrix(self.ell, self.dim, seed)
-        self._points = {}
         self._lists = [SortedKeyList() for _ in range(self.ell)]
-        for pid, p in pts.items():
-            self.insert(pid, p)
+        for pid in store.ids.tolist():
+            self.insert(pid)
 
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def point(self, pid):
-        return self._points[pid]
-
-    def insert(self, pid, p) -> None:
-        p = np.asarray(p, dtype=float)
-        if pid in self._points:
-            raise ValueError(f"point id {pid!r} already stored")
-        keys = self.directions @ p
+    def insert(self, pid) -> None:
+        """Index the stored point `pid`."""
+        keys = self.directions @ self.store[pid]
         for i in range(self.ell):
             self._lists[i].insert(float(keys[i]), pid)
-        self._points[pid] = p
 
     def delete(self, pid) -> None:
-        if pid not in self._points:
-            raise NotFound(f"point id {pid!r} not stored")
-        p = self._points.pop(pid)
-        keys = self.directions @ p
+        """Unindex `pid`; call before the store removes it."""
+        keys = self.directions @ self.store[pid]
         for i in range(self.ell):
             self._lists[i].delete(float(keys[i]), pid)
 
@@ -179,7 +172,7 @@ class DfnStructure:
         best = None
         best_dist = r / self.cbar
         for pid in seen:
-            p = self._points[pid]
+            p = self.store[pid]
             dist = float(np.linalg.norm(p - q))
             if dist >= best_dist:
                 best_dist = dist
@@ -190,12 +183,10 @@ class DfnStructure:
 class AfnStructure:
     """Amplified furthest-neighbor search over independent DFN copies."""
 
-    def __init__(self, points, cbar: float, delta: float, seed, config: AfnConfig = None):
+    def __init__(self, store: PointStore, cbar: float, delta: float, seed, config: AfnConfig = None):
         self.config = config or AfnConfig()
-        points = [(pid, np.asarray(p, dtype=float)) for pid, p in points]
-        if not points:
-            raise ValueError("need at least one point")
-        self.dim = points[0][1].shape[0]
+        self.store = store
+        self.dim = store.dim
         self.cbar = float(cbar)
         self.delta = float(delta)
         self.eps = max(self.cbar - 1.0, 1e-9)
@@ -203,40 +194,18 @@ class AfnStructure:
         self.rounds = self.config.search_rounds(self.dim, self.eps, self.delta)
         seeds = _seed_sequence(seed).spawn(self.copies)
         self._dfns = [
-            DfnStructure(points, cbar, seeds[i], self.config) for i in range(self.copies)
+            DfnStructure(store, cbar, seeds[i], self.config) for i in range(self.copies)
         ]
-        self._dim_lists = [SortedKeyList() for _ in range(self.dim)]
-        self._points = {}
-        for pid, p in points:
-            self._register(pid, p)
 
-    def _register(self, pid, p) -> None:
-        for j in range(self.dim):
-            self._dim_lists[j].insert(float(p[j]), pid)
-        self._points[pid] = p
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def boxwidth(self) -> float:
-        widths = (lst.max()[0] - lst.min()[0] for lst in self._dim_lists)
-        return max(widths)
-
-    def insert(self, pid, p) -> None:
-        p = np.asarray(p, dtype=float)
+    def insert(self, pid) -> None:
+        """Index the stored point `pid` in every DFN copy."""
         for dfn in self._dfns:
-            dfn.insert(pid, p)
-        self._register(pid, p)
+            dfn.insert(pid)
 
     def delete(self, pid) -> None:
-        if pid not in self._points:
-            raise NotFound(f"point id {pid!r} not stored")
-        p = self._points.pop(pid)
+        """Unindex `pid` from every DFN copy; call before the store removes it."""
         for dfn in self._dfns:
             dfn.delete(pid)
-        for j in range(self.dim):
-            self._dim_lists[j].delete(float(p[j]), pid)
 
     def _query_all_copies(self, q, r: float):
         for dfn in self._dfns:
@@ -251,13 +220,13 @@ class AfnStructure:
         Binary search brackets the largest radius at which some DFN copy
         still answers; the witness from the highest successful radius is
         returned.  A zero boxwidth means all points coincide, so any stored
-        point is exact.
+        point is exact: the lowest id is returned.
         """
         q = np.asarray(q, dtype=float)
-        bw = self.boxwidth
+        bw = self.store.boxwidth
         if bw == 0.0:
-            pid = next(iter(self._points))
-            return pid, self._points[pid]
+            pid = self.store.lowest_id()
+            return pid, self.store[pid]
         lo = bw / 2.0
         hi = math.sqrt(self.dim) / self.eps * bw
         best = self._query_all_copies(q, lo)

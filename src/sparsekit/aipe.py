@@ -12,9 +12,9 @@ Pool member j is the s_dim x (D+2) Gaussian S_j drawn from the j-th child of
 the root SeedSequence; the child is derived when j is first sampled, never
 spawned up front.  Only the triangular QR factor R_j of S_j, at most
 (D+2) x (D+2), is cached: ||S_j v|| = ||R_j v|| for every v, so a sketch
-costs O(m D^2) per query instead of O(m s_dim D).  Points live in one
-contiguous array with a parallel id array; deletes swap-remove.  Mutations
-need exclusive access.
+costs O(m D^2) per query instead of O(m s_dim D).  Points live in a
+PointStore (one contiguous array; deletes swap-remove).  Mutations need
+exclusive access.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFound, PreconditionViolation
+from .errors import DimensionMismatch, PreconditionViolation
 from .minip import minip_transform_dataset, minip_transform_query
+from .pointstore import PointStore
 
 __all__ = ["AipeConfig", "InnerProductEstimator"]
 
@@ -71,16 +72,12 @@ class InnerProductEstimator:
         self.pool = self.config.pool_size(self.s_dim, pts.shape[0], self.delta)
         self._root_seed = np.random.SeedSequence(seed)
         self._factors: dict[int, np.ndarray] = {}
-        n = pts.shape[0]
-        self._rows = pts.copy()
-        self._ids = np.arange(n)
-        self._slot = dict(zip(range(n), range(n)))
-        self._n = n
-        self._next_id = n
+        self._store = PointStore(pts)
+        self._next_id = pts.shape[0]
 
     @property
     def count(self) -> int:
-        return self._n
+        return len(self._store)
 
     def insert(self, z) -> int:
         """Add a point; the dataset radius only ever grows (monotone bound)."""
@@ -88,27 +85,13 @@ class InnerProductEstimator:
         if z.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of dim {self.dim}, got shape {z.shape}")
         self.radius = max(self.radius, float(np.linalg.norm(z)))
-        if self._n == len(self._rows):  # full: double the capacity
-            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
-            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
         pid = self._next_id
         self._next_id += 1
-        self._rows[self._n] = z
-        self._ids[self._n] = pid
-        self._slot[pid] = self._n
-        self._n += 1
+        self._store.add(pid, z)
         return pid
 
     def delete(self, pid: int) -> None:
-        slot = self._slot.pop(pid, None)
-        if slot is None:
-            raise NotFound(f"point id {pid} not stored")
-        last = self._n - 1
-        if slot != last:
-            self._rows[slot] = self._rows[last]
-            self._ids[slot] = self._ids[last]
-            self._slot[int(self._ids[slot])] = slot
-        self._n = last
+        self._store.remove(pid)
 
     def _factor(self, j: int) -> np.ndarray:
         """R with ||S_j v|| = ||R v||, S_j the j-th pool member's Gaussian sketch."""
@@ -134,11 +117,11 @@ class InnerProductEstimator:
         if q.shape != (self.dim,):
             raise DimensionMismatch(f"expected a query of dim {self.dim}, got shape {q.shape}")
         # transformed afresh: an insert may have grown the radius
-        aug, _ = minip_transform_dataset(self._rows[: self._n], self.radius)
+        aug, _ = minip_transform_dataset(self._store.points, self.radius)
         qa, _ = minip_transform_query(q, 1.0)
         diff = aug - qa
         picks = rng.choice(self.pool, size=self.config.sample_count(self.pool), replace=False)
-        ests = np.empty((len(picks), self._n))
+        ests = np.empty((len(picks), len(self._store)))
         for row, j in enumerate(picks):
             ests[row] = np.linalg.norm(diff @ self._factor(int(j)).T, axis=1)
         return np.median(ests, axis=0)
@@ -151,5 +134,5 @@ class InnerProductEstimator:
         approximate Min-IP.
         """
         d = self.distance_estimates(q, rng)
-        ids = self._ids[: self._n]
+        ids = self._store.ids
         return int(ids[np.lexsort((ids, -d))[0]])

@@ -9,8 +9,16 @@ far points, and converts distance back to inner product through
 <p, x> = 1 - ||p - x||^2 / 2.  Candidates violating the advertised bound
 tau/c + lambda_tilde are discarded, so a returned point never violates it.
 
+The index owns one PointStore of raw points and one of sketched points per
+ensemble member; every replica of a sketch reads that sketch's store and
+holds only its directions and projection lists.  The index alone changes
+the stores and issues point ids in increasing order.  Configurations that
+ask for more than MAX_STRUCTURES replicas in all are refused before any is
+built.
+
 Build and update need exclusive access; queries are read-only between
-mutations and draw all randomness from an explicit caller RNG.
+mutations (apart from the stores' boxwidth caches) and draw all randomness
+from an explicit caller RNG.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .afn import AfnConfig, AfnStructure
-from .errors import ConfigError, DimensionMismatch, NotFound
-from .sketch import SketchEnsemble, ensemble_size_default
+from .errors import ConfigError, DimensionMismatch
+from .pointstore import PointStore
+from .sketch import SketchEnsemble, ensemble_size_default, sketch_rows
 
 __all__ = [
     "minip_transform_dataset",
@@ -32,7 +41,11 @@ __all__ = [
     "MinIpConfig",
     "minip_window",
     "RobustMinIpIndex",
+    "MAX_STRUCTURES",
 ]
+
+#: most AFN replicas (ensemble size x replicas per sketch) one index may build
+MAX_STRUCTURES = 10_000
 
 
 def minip_transform_dataset(X, D_X: float = None):
@@ -178,6 +191,14 @@ class RobustMinIpIndex:
         if b is None:
             b = max(8, math.ceil(4.0 / max(eps, 0.05) ** 2 * math.log(n / delta)))
         k = self.config.ensemble_size(n, d, delta)
+        rows = sketch_rows(self.config.sketch_kind, b, self.config.sketch_sparsity)
+        self.kappa = self.config.replica_count(n, rows, self.lam, self.delta)
+        structures = k * self.kappa
+        if structures > MAX_STRUCTURES:
+            raise ConfigError(
+                f"k={k} sketches x kappa={self.kappa} replicas = {structures} AFN "
+                f"structures exceeds the limit of {MAX_STRUCTURES}"
+            )
         self.ensemble = SketchEnsemble(
             kind=self.config.sketch_kind,
             side=side,
@@ -188,24 +209,19 @@ class RobustMinIpIndex:
             delta=delta,
         )
         self.b = self.ensemble.b
-        self.kappa = self.config.replica_count(n, self.b, self.lam, self.delta)
 
-        self._points = {}
-        self._next_id = 0
-        self._replicas = []  # one list of AfnStructures per ensemble member
-        ids = list(range(n))
+        self._points = PointStore(pts)
         self._next_id = n
-        for i, p in enumerate(pts):
-            self._points[i] = p
-        replica_seeds = np.random.SeedSequence(self.seed + 1).spawn(len(self.ensemble))
+        self._stores = []  # sketched points, one store per ensemble member
+        self._replicas = []  # AfnStructures over each store
+        replica_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
         for j, sketch in enumerate(self.ensemble.sketches):
-            sketched = [(pid, sketch.apply_flat(self._points[pid])) for pid in ids]
+            store = PointStore([sketch.apply_flat(p) for p in pts])
             seeds = replica_seeds[j].spawn(self.kappa)
+            self._stores.append(store)
             self._replicas.append(
                 [
-                    AfnStructure(
-                        sketched, self.cbar, self.delta, seeds[r], self.config.afn
-                    )
+                    AfnStructure(store, self.cbar, self.delta, seeds[r], self.config.afn)
                     for r in range(self.kappa)
                 ]
             )
@@ -238,29 +254,26 @@ class RobustMinIpIndex:
     def count(self) -> int:
         return len(self._points)
 
-    def insert(self, p, pid=None):
+    def insert(self, p) -> int:
+        """Store a unit vector; returns its id, larger than every earlier one."""
         p = np.asarray(p, dtype=float)
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:
             raise ValueError("inserted points must be unit vectors")
-        if pid is None:
-            pid = self._next_id
-            self._next_id += 1
-        if pid in self._points:
-            raise ValueError(f"point id {pid!r} already stored")
-        self._points[pid] = p
-        for sketch, replicas in zip(self.ensemble.sketches, self._replicas):
-            sp = sketch.apply_flat(p)
+        pid = self._next_id
+        self._next_id += 1
+        self._points.add(pid, p)
+        for sketch, store, replicas in zip(self.ensemble.sketches, self._stores, self._replicas):
+            store.add(pid, sketch.apply_flat(p))
             for afn in replicas:
-                afn.insert(pid, sp)
+                afn.insert(pid)
         return pid
 
     def delete(self, pid) -> None:
-        if pid not in self._points:
-            raise NotFound(f"point id {pid!r} not stored")
-        del self._points[pid]
-        for replicas in self._replicas:
+        self._points.remove(pid)  # NotFound for an unknown id, before any change
+        for store, replicas in zip(self._stores, self._replicas):
             for afn in replicas:
                 afn.delete(pid)
+            store.remove(pid)
 
     def _quantize(self, v: np.ndarray) -> np.ndarray:
         step = self.lam / self.b
@@ -282,9 +295,10 @@ class RobustMinIpIndex:
                 if hit is None:
                     continue
                 pid = hit[0]
-                ip = float(self._points[pid] @ x)
+                p = self._points[pid]
+                ip = float(p @ x)
                 if best is None or ip < best[2]:
-                    best = (pid, self._points[pid], ip)
+                    best = (pid, p, ip)
         if best is None:
             return None
         if best[2] > self.tau / self.c + self.lambda_tilde:

@@ -31,6 +31,7 @@ __all__ = [
     "SketchEnsemble",
     "sketch_dim_default",
     "sparsity_default",
+    "sketch_rows",
     "ensemble_size_default",
 ]
 
@@ -248,14 +249,22 @@ class TensorSparseSketch(_TensorSketchBase):
         }
 
 
+def sketch_rows(kind: str, b: int, s=None) -> int:
+    """Rows of a sketch asked for b: a sparse one rounds b up to a multiple of s."""
+    if kind != "sparse":
+        return b
+    if s is None:
+        s = sparsity_default(0.5, b)
+    return -(-b // s) * s
+
+
 def _make_sketch(kind: str, side: int, b: int, s, seed: int, delta: float):
     if kind == "srht":
         return TensorSrhtSketch(side, b, seed)
     if kind == "sparse":
         if s is None:
             s = sparsity_default(0.5, b)
-        b_adj = -(-b // s) * s
-        return TensorSparseSketch(side, b_adj, s, seed, delta)
+        return TensorSparseSketch(side, sketch_rows(kind, b, s), s, seed, delta)
     raise ConfigError(f"unknown sketch kind {kind!r}")
 
 

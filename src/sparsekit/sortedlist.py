@@ -1,4 +1,4 @@
-"""Ordered multiset of (key, payload id) pairs with order-statistic queries.
+"""Ordered multiset of (key, payload id) pairs with threshold range queries.
 
 Backed by sortedcontainers.SortedList, whose add/remove/bisect run in
 O(log n) comparisons.  Payloads disambiguate equal keys, so deleting a point
@@ -42,16 +42,6 @@ class SortedKeyList:
         """Entries with key >= threshold, ascending key order."""
         start = self._items.bisect_left((threshold, _NEG_INF_PAYLOAD))
         return self._items.islice(start, len(self._items))
-
-    def max(self):
-        if not self._items:
-            raise NotFound("empty list has no max")
-        return self._items[-1]
-
-    def min(self):
-        if not self._items:
-            raise NotFound("empty list has no min")
-        return self._items[0]
 
 
 class _AlwaysGreater:

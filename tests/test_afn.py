@@ -1,18 +1,25 @@
-"""Sorted lists, the fixed-radius projection structure, and furthest neighbor."""
+"""Sorted lists, the shared point store, the fixed-radius projection structure,
+and furthest neighbor."""
 
 import numpy as np
 import pytest
 
 from sparsekit.afn import AfnConfig, AfnStructure, DfnStructure, gaussian_matrix, solve_threshold
 from sparsekit.errors import NotFound
+from sparsekit.pointstore import PointStore
 from sparsekit.sortedlist import SortedKeyList
+
+
+def store_of(pairs):
+    """A PointStore of (pid, point) pairs whose pids are 0..n-1 in order."""
+    assert [pid for pid, _ in pairs] == list(range(len(pairs)))
+    return PointStore(np.stack([p for _, p in pairs]))
 
 
 class TestSortedKeyList:
     def test_init_and_max(self):
         lst = SortedKeyList([(1.0, "a"), (3.0, "b")])
-        assert lst.max() == (3.0, "b")
-        assert lst.min() == (1.0, "a")
+        assert list(lst) == [(1.0, "a"), (3.0, "b")]  # the max is last
 
     def test_search_leq(self):
         lst = SortedKeyList([(1.0, "a"), (3.0, "b")])
@@ -43,8 +50,6 @@ class TestSortedKeyList:
                 assert list(lst.search_leq(t)) == [p for p in reference if p[0] <= t]
                 assert list(lst.search_geq(t)) == [p for p in reference if p[0] >= t]
         if reference:
-            assert lst.max() == reference[-1]
-            assert lst.min() == reference[0]
             assert len(lst) == len(reference)
 
 
@@ -74,13 +79,13 @@ class TestGaussianMatrix:
 
 class TestDfn:
     def test_single_point_in_every_list(self):
-        dfn = DfnStructure([(0, np.array([1.0, 2.0]))], cbar=2.0, seed=3)
+        dfn = DfnStructure(PointStore([[1.0, 2.0]]), cbar=2.0, seed=3)
         for i in range(dfn.ell):
             assert len(dfn.projection_list(i)) == 1
 
     def test_projection_fidelity(self, rng):
         pts = [(i, rng.standard_normal(6)) for i in range(40)]
-        dfn = DfnStructure(pts, cbar=2.0, seed=5)
+        dfn = DfnStructure(store_of(pts), cbar=2.0, seed=5)
         for i in range(dfn.ell):
             stored = sorted(dfn.projection_list(i))
             expected = sorted(
@@ -91,17 +96,20 @@ class TestDfn:
 
     def test_projection_fidelity_after_updates(self, rng):
         pts = [(i, rng.standard_normal(4)) for i in range(20)]
-        dfn = DfnStructure(pts, cbar=2.0, seed=8)
+        store = store_of(pts)
+        dfn = DfnStructure(store, cbar=2.0, seed=8)
         live = dict(pts)
         for step in range(200):
             if rng.random() < 0.5 and live:
                 pid = int(rng.choice(list(live)))
                 dfn.delete(pid)
+                store.remove(pid)
                 del live[pid]
             else:
                 pid = 1000 + step
                 p = rng.standard_normal(4)
-                dfn.insert(pid, p)
+                store.add(pid, p)
+                dfn.insert(pid)
                 live[pid] = p
         for i in range(dfn.ell):
             stored = sorted(dfn.projection_list(i))
@@ -114,7 +122,7 @@ class TestDfn:
         pts = [(0, np.array([0.0, 0.0])), (1, np.array([10.0, 0.0]))]
         hits = 0
         for seed in range(100):
-            dfn = DfnStructure(pts, cbar=2.0, seed=seed)
+            dfn = DfnStructure(store_of(pts), cbar=2.0, seed=seed)
             hit = dfn.query(np.array([0.0, 0.0]), r=5.0)
             if hit is not None:
                 assert hit[0] == 1  # only (10, 0) is at distance >= 2.5
@@ -123,13 +131,13 @@ class TestDfn:
 
     def test_all_points_too_close_always_fail(self, rng):
         pts = [(i, 0.01 * rng.standard_normal(3)) for i in range(20)]
-        dfn = DfnStructure(pts, cbar=2.0, seed=4)
+        dfn = DfnStructure(store_of(pts), cbar=2.0, seed=4)
         q = np.zeros(3)
         assert dfn.query(q, r=10.0) is None
 
     def test_soundness_postcheck(self, rng):
         pts = [(i, rng.standard_normal(5)) for i in range(50)]
-        dfn = DfnStructure(pts, cbar=1.5, seed=9)
+        dfn = DfnStructure(store_of(pts), cbar=1.5, seed=9)
         for _ in range(50):
             q = rng.standard_normal(5)
             r = float(rng.uniform(0.5, 4.0))
@@ -139,54 +147,70 @@ class TestDfn:
 
     def test_insert_then_delete_restores_lists(self, rng):
         pts = [(i, rng.standard_normal(3)) for i in range(10)]
-        dfn = DfnStructure(pts, cbar=2.0, seed=2)
+        store = store_of(pts)
+        dfn = DfnStructure(store, cbar=2.0, seed=2)
         before = [list(dfn.projection_list(i)) for i in range(dfn.ell)]
-        p_new = rng.standard_normal(3)
-        dfn.insert(99, p_new)
+        store.add(99, rng.standard_normal(3))
+        dfn.insert(99)
         dfn.delete(99)
+        store.remove(99)
         after = [list(dfn.projection_list(i)) for i in range(dfn.ell)]
         assert before == after
 
     def test_delete_only_point_empties_lists(self):
-        dfn = DfnStructure([(0, np.array([1.0, 1.0]))], cbar=2.0, seed=1)
+        dfn = DfnStructure(PointStore([[1.0, 1.0]]), cbar=2.0, seed=1)
         dfn.delete(0)
         assert all(len(dfn.projection_list(i)) == 0 for i in range(dfn.ell))
 
     def test_delete_absent_raises(self):
-        dfn = DfnStructure([(0, np.array([1.0, 1.0]))], cbar=2.0, seed=1)
+        dfn = DfnStructure(PointStore([[1.0, 1.0]]), cbar=2.0, seed=1)
         with pytest.raises(NotFound):
             dfn.delete(7)
 
 
-class TestAfn:
+class TestPointStore:
     def test_boxwidth_simple(self):
-        afn = AfnStructure([(0, np.array([0.0, 0.0])), (1, np.array([1.0, 2.0]))], 2.0, 0.1, seed=0)
-        assert afn.boxwidth == pytest.approx(2.0)
+        store = PointStore([[0.0, 0.0], [1.0, 2.0]])
+        assert store.boxwidth == pytest.approx(2.0)
 
     def test_boxwidth_single_point(self):
-        afn = AfnStructure([(0, np.array([3.0, 4.0]))], 2.0, 0.1, seed=0)
-        assert afn.boxwidth == 0.0
-        pid, p = afn.query(np.array([0.0, 0.0]))
+        store = PointStore([[3.0, 4.0]])
+        assert store.boxwidth == 0.0
+        pid, p = AfnStructure(store, 2.0, 0.1, seed=0).query(np.array([0.0, 0.0]))
         assert pid == 0
 
     def test_boxwidth_random_against_scan(self, rng):
         pts = [(i, rng.standard_normal(5)) for i in range(60)]
-        afn = AfnStructure(pts, 2.0, 0.1, seed=3)
+        store = store_of(pts)
         arr = np.stack([p for _, p in pts])
-        assert afn.boxwidth == pytest.approx(
+        assert store.boxwidth == pytest.approx(
             float((arr.max(axis=0) - arr.min(axis=0)).max()), abs=1e-12
         )
-        afn.delete(0)
+        store.remove(0)
         arr = arr[1:]
-        assert afn.boxwidth == pytest.approx(
+        assert store.boxwidth == pytest.approx(
             float((arr.max(axis=0) - arr.min(axis=0)).max()), abs=1e-12
         )
 
+    def test_reads_copy_and_survive_swap_remove(self):
+        store = PointStore([[0.0], [1.0], [2.0]])
+        p = store[2]
+        store.remove(0)  # the last row moves into slot 0
+        store.add(7, [5.0])
+        assert p[0] == 2.0 and store[2][0] == 2.0 and store[7][0] == 5.0
+        assert sorted(store.ids.tolist()) == [1, 2, 7] and store.lowest_id() == 1
+        with pytest.raises(NotFound):
+            store[0]
+        with pytest.raises(ValueError):
+            store.add(7, [6.0])
+
+
+class TestAfn:
     def test_forced_two_point_instance(self):
         pts = [(0, np.zeros(4)), (1, np.array([1.0, 0.0, 0.0, 0.0]))]
         successes = 0
         for seed in range(40):
-            afn = AfnStructure(pts, cbar=2.0, delta=0.1, seed=seed)
+            afn = AfnStructure(store_of(pts), cbar=2.0, delta=0.1, seed=seed)
             hit = afn.query(np.zeros(4))
             if hit is not None:
                 assert hit[0] == 1
@@ -202,7 +226,7 @@ class TestAfn:
         for seed in range(10):
             pts_arr = rng.standard_normal((n, d))
             pts_arr /= np.linalg.norm(pts_arr, axis=1)[:, None]
-            afn = AfnStructure(list(enumerate(pts_arr)), cbar, delta, seed=seed, config=config)
+            afn = AfnStructure(PointStore(pts_arr), cbar, delta, seed=seed, config=config)
             for _ in range(20):
                 q = rng.standard_normal(d)
                 q /= np.linalg.norm(q)
@@ -220,7 +244,7 @@ class TestAfn:
 
     def test_far_query_any_point_fine(self, rng):
         pts_arr = rng.standard_normal((50, 4))
-        afn = AfnStructure(list(enumerate(pts_arr)), 2.0, 0.1, seed=6)
+        afn = AfnStructure(PointStore(pts_arr), 2.0, 0.1, seed=6)
         center = pts_arr.mean(axis=0)
         q = center + 1000.0 * np.ones(4)
         hit = afn.query(q)
@@ -238,9 +262,7 @@ class TestAfn:
             hits = 0
             trials = 0
             for seed in range(15):
-                afn = AfnStructure(
-                    list(enumerate(pts_arr)), 1.8, 0.1, seed=seed, config=config
-                )
+                afn = AfnStructure(PointStore(pts_arr), 1.8, 0.1, seed=seed, config=config)
                 for _ in range(5):
                     q = rng.standard_normal(d)
                     trials += 1

@@ -1,6 +1,7 @@
 """The command line: exit codes of the error taxonomy, and replayable reports."""
 
 import json
+import time
 
 import numpy as np
 
@@ -77,6 +78,23 @@ def test_oracle_without_backend_runs_the_minip_suite(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["config"]["backend"] == "minip"
     assert report["successes"] > 0 and report["verdict"] == "pass"
+
+
+def test_oracle_desk_profile_refuses_too_many_structures(capsys):
+    # n=2, eps=0.05: b=4794 sketch rows, so 8 sketches x kappa=17339 replicas
+    start = time.perf_counter()
+    assert cli.main(["oracle", "--profile", "desk", "--n", "2"]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "k=8 sketches x kappa=17339 replicas = 138712 AFN structures" in err
+
+
+def test_ks_afn_full_profile_refuses_too_many_structures(tmp_path, rng, capsys):
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "afn"]
+    assert cli.main(argv + ["--c", "0.505", "--tau", "0.5"]) == cli.EXIT_CONFIG
+    assert "AFN structures exceeds the limit of 10000" in capsys.readouterr().err
 
 
 def test_oracle_n_zero_checks_nothing(tmp_path, monkeypatch):

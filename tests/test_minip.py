@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsekit.errors import ConfigError, NotFound
 from sparsekit.minip import (
@@ -226,3 +228,52 @@ class TestRobustIndex:
         assert (ra is None) == (rb is None)
         if ra is not None:
             assert ra[0] == rb[0]
+
+
+# two unit vectors in R^4: drawing points from them makes coincident sets common
+POOL = np.array([[0.5, 0.5, 0.5, 0.5], [0.6, 0.0, 0.8, 0.0]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    initial=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=10),
+)
+@example(initial=[0, 0, 0, 1], ops=[(False, 3), (False, 0), (True, 0)])  # rows end [2, 1, 4]
+def test_shared_store_tracks_live_points(initial, ops):
+    """Random inserts and deletes: each sketch's one store holds exactly the
+    live points, every replica indexes exactly the live ids, and no query
+    answers with a deleted id; coincident points answer with the lowest id."""
+    idx = RobustMinIpIndex(
+        POOL[initial], c=0.505, tau=0.5, lam=0.05, delta=0.1, eps=0.05,
+        seed=4, config=desk_config(),
+    )
+    live = {pid: POOL[i] for pid, i in enumerate(initial)}
+    rng = np.random.default_rng(0)
+    for insert, k in ops:
+        if insert or len(live) == 1:
+            pid = idx.insert(POOL[k % 2])
+            assert pid > max(live)
+            live[pid] = POOL[k % 2]
+        else:
+            victim = sorted(live)[k % len(live)]
+            idx.delete(victim)
+            del live[victim]
+        x = rng.standard_normal(4)
+        x /= np.linalg.norm(x)
+        hit = idx.query(x, rng)
+        assert hit is None or hit[0] in live
+        for sketch, store, replicas in zip(idx.ensemble.sketches, idx._stores, idx._replicas):
+            P = np.stack([sketch.apply_flat(p) for p in live.values()])
+            assert store.boxwidth == float((P.max(axis=0) - P.min(axis=0)).max())
+            xq = sketch.apply_flat(x)
+            for afn in replicas:
+                assert afn.store is store
+                for dfn in afn._dfns:
+                    assert dfn.store is store
+                    for i in range(dfn.ell):
+                        assert sorted(pid for _, pid in dfn.projection_list(i)) == sorted(live)
+                hit = afn.query(xq)
+                assert hit is None or hit[0] in live
+                if store.boxwidth == 0.0:
+                    assert hit[0] == min(live)
