@@ -83,9 +83,7 @@ class AfnConfig:
     (scale=0.25) keeps CI runs fast while preserving the formulas.
     """
 
-    directions_mult: float = 1.0  # ell = ceil(mult * n^{1/cbar^2} log^{(1-1/cbar^2)/2} n)
     copies_mult: float = 1.0  # s = ceil(mult * log log(d / (eps delta)))
-    search_rounds_mult: float = 1.0  # rounds = ceil(mult * log(d / (eps delta)))
     scale: float = 1.0
 
     @classmethod
@@ -96,7 +94,7 @@ class AfnConfig:
         expo = 1.0 / cbar**2
         logn = max(math.log(max(n, 2)), 1.0)
         raw = n**expo * logn ** ((1.0 - expo) / 2.0)
-        return max(1, math.ceil(self.scale * self.directions_mult * raw))
+        return max(1, math.ceil(self.scale * raw))
 
     def copies(self, d: int, eps: float, delta: float) -> int:
         raw = math.log(max(math.log(max(d / (eps * delta), 3.0)), 1.5))
@@ -104,7 +102,7 @@ class AfnConfig:
 
     def search_rounds(self, d: int, eps: float, delta: float) -> int:
         raw = math.log(max(d / (eps * delta), 2.0))
-        return max(1, math.ceil(self.scale * self.search_rounds_mult * raw))
+        return max(1, math.ceil(self.scale * raw))
 
 
 class DfnStructure:

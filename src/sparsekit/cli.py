@@ -1,9 +1,12 @@
-"""Command dispatch, seeded reproducible runs, and JSON report emission.
+"""Command-line front end for the three solvers: sparsify, ks and expdesign.
 
-Commands: sparsify, ks, expdesign, bench, oracle.  Reports are JSON and
-replayable: two runs with the same config and seed produce byte-identical
-reports once the "timings" block is removed.  Exit codes distinguish the
-error classes:
+Each command accepts only the flags its runner reads (see ``FLAGS``);
+argparse rejects any other flag, and any other command, with exit code 2.
+Reports are JSON.  A report's "config" block holds exactly the command's
+flags, unset ones as null.  Without --seed, ks and expdesign take their seed
+from $SPARSEKIT_SEED (0 when unset).  Reports are replayable: two runs with
+the same flags and seed produce byte-identical reports once the "timings"
+block is removed.  Exit codes distinguish the error classes:
 
     0 success          3 precondition violation
     2 config error     4 numerical-warning escalation
@@ -14,11 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+import warnings
 
 import numpy as np
 
@@ -35,9 +37,7 @@ from .errors import (
 )
 from .io import parse_matrix_file
 from .linalg import VectorFamily, whiten
-from .minip import MinIpConfig, RobustMinIpIndex, exact_min_ip, minip_transform_query
-from .psearch import BatchedVectorSearchTree, MatrixSearchTree
-from .sketch import SketchEnsemble
+from .minip import MinIpConfig
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -46,26 +46,43 @@ EXIT_EXHAUSTED = 5
 
 ENV_SEED = "SPARSEKIT_SEED"
 
+#: the flags each command's runner reads; argparse refuses all others
+FLAGS = {
+    "sparsify": ("input", "format", "epsilon", "whiten", "output"),
+    "ks": (
+        "input", "format", "whiten", "N", "n", "backend",
+        "c", "tau", "delta", "seed", "profile", "output",
+    ),
+    "expdesign": (
+        "input", "format", "whiten", "n", "epsilon", "gamma",
+        "c", "tau", "backend", "seed", "profile", "output",
+    ),
+}
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str = None
-    format: str = None
-    epsilon: float = 0.25
-    c: float = None
-    tau: float = None
-    lam: float = 0.05
-    delta: float = 0.1
-    gamma: float = xd.DEFAULT_GAMMA
-    n: int = None
-    N: float = None
-    seed: int = 0
-    profile: str = "full"
-    omega: float = 3.0
-    backend: str = "exact"
-    whiten: bool = False
-    output: str = None
+ARGUMENTS = {
+    "input": {},
+    "format": {"choices": ["matrix-market", "csv"]},
+    "epsilon": {"type": float, "default": 0.25},
+    "whiten": {"action": "store_true"},
+    "N": {"type": float},
+    "n": {"type": int},
+    "backend": {"default": "exact"},
+    "c": {"type": float},
+    "tau": {"type": float},
+    "delta": {"type": float, "default": 0.1},
+    "gamma": {"type": float, "default": xd.DEFAULT_GAMMA},
+    "seed": {"type": int},
+    "profile": {"choices": ["full", "desk"], "default": "full"},
+    "output": {},
+}
+
+# expdesign's epsilon is the benchmark's: at gamma=4 the default 0.25 would
+# make its verdict threshold 1 - gamma*epsilon exactly 0
+COMMAND_DEFAULTS = {"expdesign": {"epsilon": 0.2, "c": xd.DEFAULT_C}}
+
+
+class RunConfig(argparse.Namespace):
+    """One command's parsed flags: exactly the names in FLAGS[command]."""
 
     def minip_config(self) -> MinIpConfig:
         return MinIpConfig.desk() if self.profile == "desk" else MinIpConfig()
@@ -77,7 +94,7 @@ class RunConfig:
 def _report_skeleton(config: RunConfig) -> dict:
     return {
         "command": config.command,
-        "config": {k: v for k, v in asdict(config).items() if v is not None},
+        "config": {flag: getattr(config, flag) for flag in FLAGS[config.command]},
         "timings": {},
     }
 
@@ -97,7 +114,7 @@ def run_sparsify(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     sel_ref, A_ref, trace_ref = sp.bss_reference(family, config.epsilon)
     t1 = time.perf_counter()
-    sel_fast, A_fast, trace_fast = sp.sparsify_fast(family, config.epsilon, config.omega)
+    sel_fast, A_fast, trace_fast = sp.sparsify_fast(family, config.epsilon)
     t2 = time.perf_counter()
     verdict_ref = sp.verify_sparsifier(family, sel_ref, config.epsilon)
     verdict_fast = sp.verify_sparsifier(family, sel_fast, config.epsilon)
@@ -167,7 +184,7 @@ def run_expdesign(config: RunConfig) -> dict:
         config.n,
         config.epsilon,
         gamma=config.gamma,
-        c=config.c if config.c is not None else xd.DEFAULT_C,
+        c=config.c,
         tau=config.tau,
         backend=config.backend,
         seed=config.seed,
@@ -182,166 +199,29 @@ def run_expdesign(config: RunConfig) -> dict:
     return report
 
 
-def run_bench(config: RunConfig) -> dict:
-    """Per-iteration search-time comparison: tree vs linear scan."""
-    report = _report_skeleton(config)
-    rng = np.random.default_rng(config.seed)
-    m, d = (4096, 16) if config.n is None else (config.n, 16)
-    raw = rng.standard_normal((m, d))
-    family = whiten(VectorFamily(raw))
-    V = family.vectors
-    queries = [rng.standard_normal((d, d)) for _ in range(32)]
-    queries = [Q + Q.T + 2 * d * np.eye(d) for Q in queries]  # positive totals
-    tree = BatchedVectorSearchTree(family)
-    mtree = MatrixSearchTree([np.outer(v, v) for v in V])
-
-    t0 = time.perf_counter()
-    for Q in queries:
-        tree.query_positive(Q)
-    tree_time = (time.perf_counter() - t0) / len(queries)
-    t0 = time.perf_counter()
-    for Q in queries:
-        mtree.query_positive(Q)
-    mtree_time = (time.perf_counter() - t0) / len(queries)
-    t0 = time.perf_counter()
-    for Q in queries:
-        vals = sp._row_quadratic_forms(V, Q)  # the reference solver's scan
-        int(np.flatnonzero(vals > 0)[0])
-    scan_time = (time.perf_counter() - t0) / len(queries)
-
-    iterations = math.ceil(d / config.epsilon**2)
-    rows = [
-        ("vector-tree", tree_time, iterations),
-        ("matrix-tree", mtree_time, iterations),
-        ("linear-scan", scan_time, iterations),
-    ]
-    report["timings"] = {"per_query_s": dict((r[0], r[1]) for r in rows)}
-    report["csv"] = "variant,per_iteration_search_s,iterations\n" + "\n".join(
-        f"{name},{t:.9f},{it}" for name, t, it in rows
-    )
-    report["tree_faster"] = bool(min(tree_time, mtree_time) < scan_time)
-    report["verdict"] = "pass" if report["tree_faster"] else "fail"
-    return report
-
-
-def run_oracle(config: RunConfig) -> dict:
-    """Agreement statistics between fast structures and exhaustive oracles."""
-    report = _report_skeleton(config)
-    rng = np.random.default_rng(config.seed)
-    which = config.backend
-    if which == "sketch":
-        ens = SketchEnsemble(kind="sparse", side=8, b=32, s=4, k=4, master_seed=config.seed)
-        worst = 0.0
-        for sk in ens.sketches:
-            R = sk.materialize()
-            for _ in range(8):
-                u = rng.standard_normal(8)
-                v = rng.standard_normal(8)
-                fast = sk.apply_pair(u, v)
-                dense = R @ np.outer(u, v).ravel()
-                worst = max(worst, float(np.abs(fast - dense).max()))
-        report["max_abs_error"] = worst
-        report["verdict"] = "pass" if worst <= 1e-9 else "fail"
-        return report
-    if which == "minip":
-        n = 64 if config.n is None else config.n
-        if n < 0:
-            raise ConfigError(f"n={n} violates n >= 0")
-        if n == 0:
-            report["checked"] = 0
-            report["verdict"] = "nothing to check"
-            return report
-        pts = rng.standard_normal((n, 8))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        index = RobustMinIpIndex(
-            pts,
-            c=config.c if config.c is not None else 0.505,
-            tau=config.tau if config.tau is not None else 0.5,
-            lam=config.lam,
-            delta=config.delta,
-            eps=0.05,
-            seed=config.seed,
-            config=config.minip_config(),
-        )
-        agreements = 0
-        successes = 0
-        queries = 20
-        for _ in range(queries):
-            q = rng.standard_normal(8)
-            q /= np.linalg.norm(q)
-            _, best = exact_min_ip(pts, q)
-            if best > index.tau:
-                continue
-            hit = index.query(q, rng)
-            if hit is None:
-                continue
-            successes += 1
-            if hit[2] <= index.tau / index.c + index.lambda_tilde:
-                agreements += 1
-        report["successes"] = successes
-        report["bound_agreement"] = agreements
-        report["verdict"] = "pass" if agreements == successes else "fail"
-        return report
-    raise ConfigError(f"unknown oracle suite {which!r}")
-
-
 COMMANDS = {
     "sparsify": run_sparsify,
     "ks": run_ks,
     "expdesign": run_expdesign,
-    "bench": run_bench,
-    "oracle": run_oracle,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsekit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, flags in FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input")
-        p.add_argument("--format", choices=["matrix-market", "csv"])
-        p.add_argument("--epsilon", type=float, default=0.25)
-        p.add_argument("--c", type=float, dest="c")
-        p.add_argument("--tau", type=float)
-        p.add_argument("--lambda", type=float, dest="lam", default=0.05)
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--gamma", type=float, default=xd.DEFAULT_GAMMA)
-        p.add_argument("--n", type=int)
-        p.add_argument("--N", type=float, dest="N")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--profile", choices=["full", "desk"], default="full")
-        p.add_argument("--omega", type=float, default=3.0)
-        # oracle's --backend names the suite to check
-        p.add_argument("--backend", default="minip" if name == "oracle" else "exact")
-        p.add_argument("--whiten", action="store_true")
-        p.add_argument("--output")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **ARGUMENTS[flag])
+        p.set_defaults(**COMMAND_DEFAULTS.get(name, {}))
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        format=args.format,
-        epsilon=args.epsilon,
-        c=args.c,
-        tau=args.tau,
-        lam=args.lam,
-        delta=args.delta,
-        gamma=args.gamma,
-        n=args.n,
-        N=args.N,
-        seed=seed,
-        profile=args.profile,
-        omega=args.omega,
-        backend=args.backend,
-        whiten=args.whiten,
-        output=args.output,
-    )
+    config = RunConfig(**vars(args))
+    if "seed" in FLAGS[config.command] and config.seed is None:
+        config.seed = int(os.environ.get(ENV_SEED, "0"))
+    return config
 
 
 def emit(report: dict, config: RunConfig) -> None:
@@ -356,11 +236,9 @@ def emit(report: dict, config: RunConfig) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    import warnings as _warnings
-
     try:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", NumericalWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericalWarning)
             report = COMMANDS[config.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -110,7 +110,6 @@ class MinIpConfig:
     """
 
     scale: float = 1.0
-    sketch_kind: str = "sparse"
     sketch_dim: int = None  # type: ignore[assignment]
     sketch_sparsity: int = None  # type: ignore[assignment]
     afn: AfnConfig = None  # type: ignore[assignment]
@@ -126,8 +125,8 @@ class MinIpConfig:
     def ensemble_size(self, n: int, d: int, delta: float) -> int:
         return ensemble_size_default(d, n, delta, scale=self.scale)
 
-    def replica_count(self, n: int, s_dim: int, lam: float, delta: float) -> int:
-        raw = s_dim * math.log(n * s_dim / (lam * delta))
+    def replica_count(self, n: int, s_dim: int, lambda_: float, delta: float) -> int:
+        raw = s_dim * math.log(n * s_dim / (lambda_ * delta))
         return max(1, math.ceil(self.scale * raw))
 
     def sample_count(self, b: int, k: int) -> int:
@@ -151,7 +150,7 @@ class RobustMinIpIndex:
         points,
         c: float,
         tau: float,
-        lam: float,
+        lambda_: float,
         delta: float,
         eps: float,
         seed: int,
@@ -172,7 +171,7 @@ class RobustMinIpIndex:
         self.D_X = D_X
         self.tau = float(tau)
         self.c = float(c)
-        self.lam = float(lam)
+        self.lambda_ = float(lambda_)
         self.delta = float(delta)
         self.eps = float(eps)
         self.seed = int(seed)
@@ -183,7 +182,7 @@ class RobustMinIpIndex:
         self.lambda_tilde = (
             self.LAMBDA_CONST
             * math.sqrt((self.c - self.tau) / (self.c * (1.0 - self.tau)))
-            * (self.lam + self.alpha)
+            * (self.lambda_ + self.alpha)
         )
 
         side = max(1, math.ceil(math.sqrt(d)))
@@ -191,8 +190,8 @@ class RobustMinIpIndex:
         if b is None:
             b = max(8, math.ceil(4.0 / max(eps, 0.05) ** 2 * math.log(n / delta)))
         k = self.config.ensemble_size(n, d, delta)
-        rows = sketch_rows(self.config.sketch_kind, b, self.config.sketch_sparsity)
-        self.kappa = self.config.replica_count(n, rows, self.lam, self.delta)
+        rows = sketch_rows(b, self.config.sketch_sparsity)
+        self.kappa = self.config.replica_count(n, rows, self.lambda_, self.delta)
         structures = k * self.kappa
         if structures > MAX_STRUCTURES:
             raise ConfigError(
@@ -200,7 +199,7 @@ class RobustMinIpIndex:
                 f"structures exceeds the limit of {MAX_STRUCTURES}"
             )
         self.ensemble = SketchEnsemble(
-            kind=self.config.sketch_kind,
+            kind="sparse",
             side=side,
             b=b,
             k=k,
@@ -276,7 +275,7 @@ class RobustMinIpIndex:
             store.remove(pid)
 
     def _quantize(self, v: np.ndarray) -> np.ndarray:
-        step = self.lam / self.b
+        step = self.lambda_ / self.b
         return np.round(v / step) * step
 
     def query(self, x, rng: np.random.Generator):
@@ -310,7 +309,7 @@ class RobustMinIpIndex:
         return {
             "c": self.c,
             "tau": self.tau,
-            "lambda": self.lam,
+            "lambda": self.lambda_,
             "delta": self.delta,
             "eps": self.eps,
             "seed": self.seed,

@@ -73,7 +73,7 @@ class MinIpBackend:
                 points,
                 c=c,
                 tau=tau,
-                lam=0.05,
+                lambda_=0.05,
                 delta=delta,
                 eps=0.05,
                 seed=seed,

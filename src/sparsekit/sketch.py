@@ -249,10 +249,8 @@ class TensorSparseSketch(_TensorSketchBase):
         }
 
 
-def sketch_rows(kind: str, b: int, s=None) -> int:
-    """Rows of a sketch asked for b: a sparse one rounds b up to a multiple of s."""
-    if kind != "sparse":
-        return b
+def sketch_rows(b: int, s=None) -> int:
+    """Rows of a sparse sketch asked for b: b rounded up to a multiple of s."""
     if s is None:
         s = sparsity_default(0.5, b)
     return -(-b // s) * s
@@ -264,7 +262,7 @@ def _make_sketch(kind: str, side: int, b: int, s, seed: int, delta: float):
     if kind == "sparse":
         if s is None:
             s = sparsity_default(0.5, b)
-        return TensorSparseSketch(side, sketch_rows(kind, b, s), s, seed, delta)
+        return TensorSparseSketch(side, sketch_rows(b, s), s, seed, delta)
     raise ConfigError(f"unknown sketch kind {kind!r}")
 
 

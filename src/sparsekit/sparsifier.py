@@ -164,13 +164,17 @@ def _physical_memory_bytes():
         return None
 
 
-def choose_tree(family: VectorFamily, omega: float = 3.0) -> str:
-    """Cost-model branch: "vector" iff m d^(omega-1) <= sum_i nnz(v_i)^2."""
+def choose_tree(family: VectorFamily) -> str:
+    """Cost-model branch: "vector" iff m d^2 <= sum_i nnz(v_i)^2.
+
+    d^2 is d^(w-1) at the cubic matrix-multiplication exponent w = 3, the
+    only one numpy offers.
+    """
     m, d = family.count, family.dim
-    return "vector" if m * d ** (omega - 1.0) <= family.nnz_outer_total() else "matrix"
+    return "vector" if m * d**2 <= family.nnz_outer_total() else "matrix"
 
 
-def sparsify_fast(family: VectorFamily, epsilon: float, omega: float = 3.0):
+def sparsify_fast(family: VectorFamily, epsilon: float):
     """Tree-accelerated variant; same spectral contract as the reference.
 
     Each iteration asks the tree only: one root-to-leaf descent of
@@ -183,7 +187,7 @@ def sparsify_fast(family: VectorFamily, epsilon: float, omega: float = 3.0):
     """
     _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 3.0 * epsilon)
-    kind = choose_tree(family, omega)
+    kind = choose_tree(family)
     if kind == "vector":
         tree = BatchedVectorSearchTree(family)
     else:

@@ -3,6 +3,8 @@ and furthest neighbor."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekit.afn import AfnConfig, AfnStructure, DfnStructure, gaussian_matrix, solve_threshold
 from sparsekit.errors import NotFound
@@ -51,6 +53,34 @@ class TestSortedKeyList:
                 assert list(lst.search_geq(t)) == [p for p in reference if p[0] >= t]
         if reference:
             assert len(lst) == len(reference)
+
+    # few distinct keys, so equal keys with different payloads are common, and
+    # thresholds fall both on keys and between them
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "leq", "geq"]),
+                st.integers(-4, 4).map(lambda k: k / 2.0),
+                st.integers(0, 50),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_sorted_python_list(self, ops):
+        lst, reference = SortedKeyList(), []
+        for payload, (op, key, pick) in enumerate(ops):
+            if op == "insert":
+                lst.insert(key, payload)
+                reference.append((key, payload))
+                reference.sort()
+            elif op == "delete" and reference:
+                lst.delete(*reference.pop(pick % len(reference)))
+            elif op == "leq":
+                assert list(lst.search_leq(key)) == [p for p in reference if p[0] <= key]
+            elif op == "geq":
+                assert list(lst.search_geq(key)) == [p for p in reference if p[0] >= key]
+            assert list(lst) == reference and len(lst) == len(reference)
 
 
 class TestThresholdSolver:

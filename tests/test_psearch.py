@@ -1,9 +1,14 @@
 """Positive-search trees against linear-scan and rebuild oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sparsekit.errors import NoPositiveEntry
+from sparsekit.errors import NoPositiveEntry, NumericalWarning
 from sparsekit.linalg import VectorFamily
 from sparsekit.psearch import BatchedVectorSearchTree, MatrixSearchTree
 
@@ -171,3 +176,54 @@ class TestSoundnessProperty:
                     A = -A
                 tree.query_positive(A)
                 assert tree.last_query_ip_count <= 2 * int(np.ceil(np.log2(m))) + 1
+
+
+# Small integer entries keep every node sum and inner product exact in
+# float64, so a positive total always has a witness and no descent may need
+# the roundoff fallback.
+SMALL_INTS = st.integers(-3, 3).map(float)
+
+
+def int_arrays(shape):
+    return arrays(np.float64, shape, elements=SMALL_INTS)
+
+
+@st.composite
+def vector_family_and_query(draw):
+    m, d = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    return draw(int_arrays((m, d))), draw(int_arrays((d, d)))
+
+
+@st.composite
+def matrices_and_query(draw):
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    return list(draw(int_arrays((m, d, d)))), draw(int_arrays((d, d)))
+
+
+class TestWitnessProperty:
+    """Whenever the total <sum_i M_i, A> is positive, query_positive returns a
+    witness i with <M_i, A> > 0, and never warns of roundoff."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(vector_family_and_query())
+    def test_vector_tree(self, case):
+        V, A = case
+        total = float(np.vdot(V.T @ V, A))
+        assume(total != 0.0)
+        A = A if total > 0.0 else -A
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericalWarning)
+            idx = BatchedVectorSearchTree(VectorFamily(V)).query_positive(A)
+        assert 0 <= idx < len(V) and float(V[idx] @ A @ V[idx]) > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices_and_query())
+    def test_matrix_tree(self, case):
+        mats, A = case
+        total = float(np.vdot(sum(mats), A))
+        assume(total != 0.0)
+        A = A if total > 0.0 else -A
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericalWarning)
+            idx = MatrixSearchTree(mats).query_positive(A)
+        assert 0 <= idx < len(mats) and float(np.vdot(mats[idx], A)) > 0.0
