@@ -29,7 +29,6 @@ from .afn import AfnConfig, AfnStructure, DfnStructure
 from .minip import (
     MinIpConfig,
     RobustMinIpIndex,
-    exact_min_ip,
     minip_transform_dataset,
     minip_transform_query,
 )

@@ -1,15 +1,19 @@
 """Random-projection furthest-neighbor structures over a shared PointStore.
 
 Neither structure holds points.  Both read coordinates from a PointStore
-that their owner fills and empties; `insert(pid)` and `delete(pid)` keep a
-structure in step with it, so a point must be in the store while it is
-inserted into or deleted from a structure.  Many structures may share one
-store.
+that their owner fills and empties; `insert(pid)` keeps a structure in step
+with it, so a point must be in the store when it is inserted into a
+structure.  `delete(pid)` reads only the structure's own cached keys, so it
+works whether or not the store still holds the point.  Many structures may
+share one store.
 
 DfnStructure answers fixed-radius decision queries: given (q, r), either
 return a point at distance >= r / cbar (post-checked before returning) or
 Fail (None).  It keeps one sorted list of projections per Gaussian
-direction; points far from q in some direction are candidates.
+direction; points far from q in some direction are candidates.  A build
+projects the whole store with one GEMM and sorts each list once; each
+point's keys are kept, so a delete removes exactly the pairs its build or
+insert added.
 
 AfnStructure wraps several independent DFN copies and binary-searches the
 radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import NotFound
 from .pointstore import PointStore
 from .sortedlist import SortedKeyList
 
@@ -52,11 +58,13 @@ def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
     return g.reshape(rows, cols)
 
 
+@lru_cache(maxsize=None)
 def solve_threshold(n: int, tol: float = 1e-10) -> float:
     """The t >= 1 solving e^{t^2/2} / t = 2n, by bisection.
 
     The map is increasing on [1, inf) and e^{1/2} < 2 <= 2n, so the root
-    exists and is unique on that branch.
+    exists and is unique on that branch.  Pure, so memoised: every structure
+    built over n points asks for the same root.
     """
     target = 2.0 * n
 
@@ -122,21 +130,25 @@ class DfnStructure:
         self.t = solve_threshold(self.n0)
         self.seed = seed
         self.directions = gaussian_matrix(self.ell, self.dim, seed)
-        self._lists = [SortedKeyList() for _ in range(self.ell)]
-        for pid in store.ids.tolist():
-            self.insert(pid)
+        ids = store.ids.tolist()
+        keys = (self.directions @ store.points.T).tolist()  # (ell, n)
+        self._lists = [SortedKeyList(zip(row, ids)) for row in keys]
+        self._keys = dict(zip(ids, zip(*keys)))  # pid -> its ell keys
 
     def insert(self, pid) -> None:
         """Index the stored point `pid`."""
-        keys = self.directions @ self.store[pid]
-        for i in range(self.ell):
-            self._lists[i].insert(float(keys[i]), pid)
+        keys = (self.directions @ self.store[pid]).tolist()
+        self._keys[pid] = keys
+        for key, lst in zip(keys, self._lists):
+            lst.insert(key, pid)
 
     def delete(self, pid) -> None:
-        """Unindex `pid`; call before the store removes it."""
-        keys = self.directions @ self.store[pid]
-        for i in range(self.ell):
-            self._lists[i].delete(float(keys[i]), pid)
+        """Unindex `pid`, removing the keys its build or insert added."""
+        keys = self._keys.pop(pid, None)
+        if keys is None:
+            raise NotFound(f"point id {pid!r} not indexed")
+        for key, lst in zip(keys, self._lists):
+            lst.delete(key, pid)
 
     def projection_list(self, i: int) -> SortedKeyList:
         return self._lists[i]
@@ -156,7 +168,7 @@ class DfnStructure:
         seen = {}
         proj_q = self.directions @ q
         for i in range(self.ell):
-            if len(seen) > cap:
+            if len(seen) >= cap:
                 break
             center = float(proj_q[i])
             for key, pid in self._lists[i].search_leq(center - T):
@@ -201,7 +213,7 @@ class AfnStructure:
             dfn.insert(pid)
 
     def delete(self, pid) -> None:
-        """Unindex `pid` from every DFN copy; call before the store removes it."""
+        """Unindex `pid` from every DFN copy."""
         for dfn in self._dfns:
             dfn.delete(pid)
 

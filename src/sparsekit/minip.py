@@ -10,11 +10,12 @@ far points, and converts distance back to inner product through
 tau/c + lambda_tilde are discarded, so a returned point never violates it.
 
 The index owns one PointStore of raw points and one of sketched points per
-ensemble member; every replica of a sketch reads that sketch's store and
-holds only its directions and projection lists.  The index alone changes
-the stores and issues point ids in increasing order.  Configurations that
-ask for more than MAX_STRUCTURES replicas in all are refused before any is
-built.
+ensemble member; a build applies each sketch to the whole point stack in
+one call.  Every replica of a sketch reads that sketch's store and holds
+only its directions, projection lists and each point's keys.  The index
+alone changes the stores and issues point ids in increasing order.
+Configurations that ask for more than MAX_STRUCTURES replicas in all are
+refused before any is built.
 
 Build and update need exclusive access; queries are read-only between
 mutations (apart from the stores' boxwidth caches) and draw all randomness
@@ -37,7 +38,6 @@ from .sketch import SketchEnsemble, ensemble_size_default, sketch_rows
 __all__ = [
     "minip_transform_dataset",
     "minip_transform_query",
-    "exact_min_ip",
     "MinIpConfig",
     "minip_window",
     "RobustMinIpIndex",
@@ -82,17 +82,6 @@ def minip_transform_query(y, D_Y: float = None):
         raise ValueError("query norm exceeds the stated D_Y")
     tail = math.sqrt(max(1.0 - (norm / D_Y) ** 2, 0.0))
     return np.concatenate([y / D_Y, [tail], [0.0]]), D_Y
-
-
-def exact_min_ip(Y, q) -> tuple[int, float]:
-    """Exhaustive argmin of <y_i, q>; ties broken by smallest index."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[0] == 0:
-        raise ValueError("empty dataset")
-    q = np.asarray(q, dtype=float)
-    ips = Y @ q
-    idx = int(np.argmin(ips))
-    return idx, float(ips[idx])
 
 
 def minip_window(tau: float, eps: float) -> tuple[float, float]:
@@ -215,7 +204,7 @@ class RobustMinIpIndex:
         self._replicas = []  # AfnStructures over each store
         replica_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
         for j, sketch in enumerate(self.ensemble.sketches):
-            store = PointStore([sketch.apply_flat(p) for p in pts])
+            store = PointStore(sketch.apply_flat(pts))
             seeds = replica_seeds[j].spawn(self.kappa)
             self._stores.append(store)
             self._replicas.append(

@@ -97,25 +97,28 @@ class _TensorSketchBase:
         return up, vp
 
     def _pad_flat(self, x) -> np.ndarray:
-        """Embed a flat input into the side x side tensor grid.
+        """Embed flat inputs into the side x side tensor grid.
 
-        A length-side^2 input is read as a row-major side x side matrix; any
-        shorter input is zero-extended first, so plain (non-tensor) points
-        share one fixed norm-preserving embedding.
+        `x` is one vector (L,) or a stack of rows (n, L); the result has
+        shape (side, side) or (n, side, side).  A length-side^2 row is read
+        as a row-major side x side matrix; any shorter row is zero-extended
+        first, so plain (non-tensor) points share one fixed norm-preserving
+        embedding.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] > self.side**2:
+        if x.ndim not in (1, 2) or x.shape[-1] > self.side**2:
             raise DimensionMismatch(
-                f"flat input of length {x.shape} exceeds sketch capacity {self.side ** 2}"
+                f"flat input of shape {x.shape} exceeds sketch capacity {self.side ** 2}"
             )
-        xp = np.zeros(self.side**2)
-        xp[: x.shape[0]] = x
-        return xp
+        xp = np.zeros(x.shape[:-1] + (self.side**2,))
+        xp[..., : x.shape[-1]] = x
+        return xp.reshape(x.shape[:-1] + (self.side, self.side))
 
     def apply_pair(self, u, v) -> np.ndarray:
         raise NotImplementedError
 
     def apply_flat(self, x) -> np.ndarray:
+        """Sketch one flat vector (L,) to (b,), or each row of (n, L) to (n, b)."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -153,11 +156,11 @@ class TensorSrhtSketch(_TensorSketchBase):
         return a[self._row_i] * c[self._row_j] / math.sqrt(self.b)
 
     def apply_flat(self, x) -> np.ndarray:
-        X = self._pad_flat(x).reshape(self.side, self.side)
+        X = self._pad_flat(x)
         # (H D1) X (H D2)^T through column then row Hadamard passes
-        Z = fwht((self.d1[:, None] * X).T).T
+        Z = fwht((self.d1[:, None] * X).swapaxes(-1, -2)).swapaxes(-1, -2)
         Z = fwht(self.d2 * Z)
-        return Z[self._row_i, self._row_j] / math.sqrt(self.b)
+        return Z[..., self._row_i, self._row_j] / math.sqrt(self.b)
 
     def materialize(self) -> np.ndarray:
         """Explicit b x side^2 matrix; for small-d verification only."""
@@ -218,14 +221,20 @@ class TensorSparseSketch(_TensorSketchBase):
         return out
 
     def apply_flat(self, x) -> np.ndarray:
-        X = self._pad_flat(x).reshape(self.side, self.side)
-        out = np.zeros(self.b)
+        X = self._pad_flat(x)
+        stack = X.reshape((-1,) + X.shape[-2:])  # (n, side, side)
+        n = stack.shape[0]
         scale = 1.0 / math.sqrt(self.s)
-        for k in range(self.s):
-            rows = (self.h1[:, k][:, None] + self.h2[:, k][None, :]) % self.block
-            vals = self.sg1[:, k][:, None] * self.sg2[:, k][None, :] * X
-            np.add.at(out, rows.ravel() + k * self.block, vals.ravel() * scale)
-        return out
+        # output slot of entry (i, j) in block k; stack row r owns slots [r b, (r+1) b)
+        buckets = (self.h1.T[:, :, None] + self.h2.T[:, None, :]) % self.block
+        buckets = buckets + (np.arange(self.s) * self.block)[:, None, None]
+        signs = self.sg1.T[:, :, None] * self.sg2.T[:, None, :]
+        index = buckets[None] + (np.arange(n) * self.b)[:, None, None, None]
+        vals = signs[None] * stack[:, None] * scale
+        # bincount adds each bucket's entries in (i, j) order, as one row's
+        # scatter-add would, so a row's sketch does not depend on the stack
+        out = np.bincount(index.ravel(), vals.ravel(), minlength=n * self.b)
+        return out.reshape(X.shape[:-2] + (self.b,))
 
     def materialize(self) -> np.ndarray:
         """Explicit b x side^2 matrix; for small-d verification only."""

@@ -16,7 +16,8 @@ __all__ = ["SortedKeyList"]
 
 class SortedKeyList:
     def __init__(self, pairs=()):
-        self._items = SortedList(tuple(p) for p in pairs)
+        """Hold the (key, payload) tuples of `pairs`, sorted once."""
+        self._items = SortedList(pairs)
 
     def __len__(self) -> int:
         return len(self._items)

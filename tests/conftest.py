@@ -30,6 +30,16 @@ def random_ks_family(d, N, rng):
     return VectorFamily(np.vstack(blocks))
 
 
+def exact_min_ip(Y, q):
+    """Exhaustive argmin of <y_i, q>: (index, value), ties to the smallest index."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.shape[0] == 0:
+        raise ValueError("empty dataset")
+    ips = Y @ np.asarray(q, dtype=float)
+    idx = int(np.argmin(ips))
+    return idx, float(ips[idx])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

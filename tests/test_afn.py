@@ -187,6 +187,17 @@ class TestDfn:
         after = [list(dfn.projection_list(i)) for i in range(dfn.ell)]
         assert before == after
 
+    def test_bulk_build_then_delete_every_id(self, rng):
+        # GEMM-built keys may differ in their last bits from a per-point
+        # projection, so a delete must remove the keys the build stored
+        pts = [(i, rng.standard_normal(6)) for i in range(40)]
+        dfn = DfnStructure(store_of(pts), cbar=1.2, seed=12)
+        assert dfn.ell > 1
+        for pid in rng.permutation(40).tolist():
+            dfn.delete(pid)
+        assert all(len(dfn.projection_list(i)) == 0 for i in range(dfn.ell))
+        assert dfn._keys == {}
+
     def test_delete_only_point_empties_lists(self):
         dfn = DfnStructure(PointStore([[1.0, 1.0]]), cbar=2.0, seed=1)
         dfn.delete(0)

@@ -1,4 +1,4 @@
-"""Asymmetric transform, exact oracle, and the robust Min-IP index."""
+"""Asymmetric transform, the tests' exact oracle, and the robust Min-IP index."""
 
 import math
 
@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_min_ip
 from sparsekit.errors import ConfigError, NotFound
 from sparsekit.minip import (
     MinIpConfig,
     RobustMinIpIndex,
-    exact_min_ip,
     minip_transform_dataset,
     minip_transform_query,
 )
@@ -242,8 +242,9 @@ POOL = np.array([[0.5, 0.5, 0.5, 0.5], [0.6, 0.0, 0.8, 0.0]])
 @example(initial=[0, 0, 0, 1], ops=[(False, 3), (False, 0), (True, 0)])  # rows end [2, 1, 4]
 def test_shared_store_tracks_live_points(initial, ops):
     """Random inserts and deletes: each sketch's one store holds exactly the
-    live points, every replica indexes exactly the live ids, and no query
-    answers with a deleted id; coincident points answer with the lowest id."""
+    live points, every replica indexes and caches keys for exactly the live
+    ids, and no query answers with a deleted id; coincident points answer
+    with the lowest id."""
     idx = RobustMinIpIndex(
         POOL[initial], c=0.505, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
         seed=4, config=desk_config(),
@@ -271,6 +272,7 @@ def test_shared_store_tracks_live_points(initial, ops):
                 assert afn.store is store
                 for dfn in afn._dfns:
                     assert dfn.store is store
+                    assert sorted(dfn._keys) == sorted(live)
                     for i in range(dfn.ell):
                         assert sorted(pid for _, pid in dfn.projection_list(i)) == sorted(live)
                 hit = afn.query(xq)

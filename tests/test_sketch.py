@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsekit.errors import ConfigError
+from sparsekit.errors import ConfigError, DimensionMismatch
 from sparsekit.hashing import PolyHash
 from sparsekit.sketch import (
     SketchEnsemble,
@@ -108,6 +108,40 @@ class TestTensorSparse:
         assert np.allclose(R.apply_flat(x), dense @ x, atol=1e-9)
         e12 = np.outer(np.eye(4)[0], np.eye(4)[1]).ravel()
         assert np.allclose(R.apply_flat(e12), R.apply_pair(np.eye(4)[0], np.eye(4)[1]), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: TensorSparseSketch(5, 12, 3, seed=4), lambda: TensorSrhtSketch(5, 12, seed=4)],
+        ids=["sparse", "srht"],
+    )
+    def test_stacked_flat_equals_row_by_row(self, make, rng):
+        R = make()
+        full = R.side**2
+        for length in (full, 7, 1):  # full rows, then zero-padded short rows
+            X = rng.standard_normal((9, length))
+            rows = np.stack([R.apply_flat(x) for x in X])
+            assert np.array_equal(R.apply_flat(X), rows)
+        assert R.apply_flat(np.zeros((0, full))).shape == (0, 12)
+
+    def test_stacked_flat_sums_in_scatter_add_order(self, rng):
+        # the row-at-a-time scatter-add the index's goldens were recorded with
+        R = TensorSparseSketch(4, 8, 2, seed=6)
+        X = rng.standard_normal((5, 16))
+        expected = np.zeros((5, R.b))
+        for x, out in zip(X, expected):
+            grid = x.reshape(4, 4)
+            for k in range(R.s):
+                rows = (R.h1[:, k][:, None] + R.h2[:, k][None, :]) % R.block
+                vals = R.sg1[:, k][:, None] * R.sg2[:, k][None, :] * grid
+                np.add.at(out, rows.ravel() + k * R.block, vals.ravel() * (1.0 / math.sqrt(R.s)))
+        assert np.array_equal(R.apply_flat(X), expected)
+
+    def test_flat_row_longer_than_capacity_rejected(self, rng):
+        R = TensorSparseSketch(3, 6, 2, seed=0)
+        with pytest.raises(DimensionMismatch):
+            R.apply_flat(rng.standard_normal((4, 10)))
+        with pytest.raises(DimensionMismatch):
+            R.apply_flat(rng.standard_normal(10))
 
     def test_column_support_exactly_s_one_per_block(self):
         R = TensorSparseSketch(4, 12, 3, seed=1)
