@@ -1,19 +1,18 @@
 """Random-projection furthest-neighbor structures over a shared PointStore.
 
 Neither structure holds points.  Both read coordinates from a PointStore
-that their owner fills and empties; `insert(pid)` keeps a structure in step
-with it, so a point must be in the store when it is inserted into a
-structure.  `delete(pid)` reads only the structure's own cached keys, so it
-works whether or not the store still holds the point.  Many structures may
-share one store.
+that their owner fills and empties; `insert(pid)` indexes a point the owner
+has added, so a point must be in the store when it is inserted into a
+structure.  The store alone records which ids are live: removing an id from
+it retires the point from every structure reading that store, and queries
+skip the (key, id) pairs it leaves behind.  So an owner must never reuse an
+id, and the lists grow only by inserts.  Many structures may share one store.
 
 DfnStructure answers fixed-radius decision queries: given (q, r), either
 return a point at distance >= r / cbar (post-checked before returning) or
 Fail (None).  It keeps one sorted list of projections per Gaussian
 direction; points far from q in some direction are candidates.  A build
-projects the whole store with one GEMM and sorts each list once; each
-point's keys are kept, so a delete removes exactly the pairs its build or
-insert added.
+projects the whole store with one GEMM and sorts each list once.
 
 AfnStructure wraps several independent DFN copies and binary-searches the
 radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
@@ -31,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotFound
 from .pointstore import PointStore
 from .sortedlist import SortedKeyList
 
@@ -133,22 +131,12 @@ class DfnStructure:
         ids = store.ids.tolist()
         keys = (self.directions @ store.points.T).tolist()  # (ell, n)
         self._lists = [SortedKeyList(zip(row, ids)) for row in keys]
-        self._keys = dict(zip(ids, zip(*keys)))  # pid -> its ell keys
 
     def insert(self, pid) -> None:
         """Index the stored point `pid`."""
         keys = (self.directions @ self.store[pid]).tolist()
-        self._keys[pid] = keys
         for key, lst in zip(keys, self._lists):
             lst.insert(key, pid)
-
-    def delete(self, pid) -> None:
-        """Unindex `pid`, removing the keys its build or insert added."""
-        keys = self._keys.pop(pid, None)
-        if keys is None:
-            raise NotFound(f"point id {pid!r} not indexed")
-        for key, lst in zip(keys, self._lists):
-            lst.delete(key, pid)
 
     def projection_list(self, i: int) -> SortedKeyList:
         return self._lists[i]
@@ -156,15 +144,17 @@ class DfnStructure:
     def query(self, q, r: float):
         """A (pid, point) at distance >= r/cbar from q, or None.
 
-        Collects at most 2*ell + 1 candidates whose projection gap exceeds
-        r t / cbar across the directions, then returns the farthest
-        candidate passing the distance post-check.
+        Collects at most 2*ell + 1 live candidates whose projection gap
+        exceeds r t / cbar across the directions, then returns the farthest
+        candidate passing the distance post-check.  Pairs of ids the store
+        no longer holds are skipped before they count toward the cap.
         """
         if r <= 0.0:
             raise ValueError("radius must be positive")
         q = np.asarray(q, dtype=float)
         T = r * self.t / self.cbar
         cap = 2 * self.ell + 1
+        store = self.store
         seen = {}
         proj_q = self.directions @ q
         for i in range(self.ell):
@@ -174,15 +164,17 @@ class DfnStructure:
             for key, pid in self._lists[i].search_leq(center - T):
                 if len(seen) >= cap:
                     break
-                seen.setdefault(pid, key)
+                if pid in store:
+                    seen.setdefault(pid, key)
             for key, pid in self._lists[i].search_geq(center + T):
                 if len(seen) >= cap:
                     break
-                seen.setdefault(pid, key)
+                if pid in store:
+                    seen.setdefault(pid, key)
         best = None
         best_dist = r / self.cbar
         for pid in seen:
-            p = self.store[pid]
+            p = store[pid]
             dist = float(np.linalg.norm(p - q))
             if dist >= best_dist:
                 best_dist = dist
@@ -211,11 +203,6 @@ class AfnStructure:
         """Index the stored point `pid` in every DFN copy."""
         for dfn in self._dfns:
             dfn.insert(pid)
-
-    def delete(self, pid) -> None:
-        """Unindex `pid` from every DFN copy."""
-        for dfn in self._dfns:
-            dfn.delete(pid)
 
     def _query_all_copies(self, q, r: float):
         for dfn in self._dfns:

@@ -35,7 +35,7 @@ def parse_matrix_file(path: str, fmt: str = None) -> VectorFamily:
     if fmt == "csv":
         try:
             arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise PreconditionViolation(f"cannot parse {path}: {exc}") from exc
         return VectorFamily(arr)
     raise PreconditionViolation(f"unknown format {fmt!r}")

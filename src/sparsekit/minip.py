@@ -12,8 +12,11 @@ tau/c + lambda_tilde are discarded, so a returned point never violates it.
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
 one call.  Every replica of a sketch reads that sketch's store and holds
-only its directions, projection lists and each point's keys.  The index
-alone changes the stores and issues point ids in increasing order.
+only its directions and projection lists.  The index alone changes the
+stores and issues point ids in increasing order, never reusing one.  A
+delete removes the id from the 1 + k stores and from nothing else: the
+replicas skip pairs of ids their store no longer holds, so their lists grow
+only by inserts (none in a KS selection, at most T_cap in a swap_round solve).
 Configurations that ask for more than MAX_STRUCTURES replicas in all are
 refused before any is built.
 
@@ -24,7 +27,6 @@ from an explicit caller RNG.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -133,15 +135,17 @@ class RobustMinIpIndex:
 
     #: constant in front of the lambda_tilde additive-error formula
     LAMBDA_CONST = 2.0
+    #: additive-error parameter lambda: sets the query grid and kappa
+    LAMBDA = 0.05
+    #: slack eps of the (c, tau) window and of the sketch dimension
+    EPS = 0.05
 
     def __init__(
         self,
         points,
         c: float,
         tau: float,
-        lambda_: float,
         delta: float,
-        eps: float,
         seed: int,
         config: MinIpConfig = None,
         transform: bool = False,
@@ -160,9 +164,7 @@ class RobustMinIpIndex:
         self.D_X = D_X
         self.tau = float(tau)
         self.c = float(c)
-        self.lambda_ = float(lambda_)
         self.delta = float(delta)
-        self.eps = float(eps)
         self.seed = int(seed)
         self._validate_window()
 
@@ -171,16 +173,16 @@ class RobustMinIpIndex:
         self.lambda_tilde = (
             self.LAMBDA_CONST
             * math.sqrt((self.c - self.tau) / (self.c * (1.0 - self.tau)))
-            * (self.lambda_ + self.alpha)
+            * (self.LAMBDA + self.alpha)
         )
 
         side = max(1, math.ceil(math.sqrt(d)))
         b = self.config.sketch_dim
         if b is None:
-            b = max(8, math.ceil(4.0 / max(eps, 0.05) ** 2 * math.log(n / delta)))
+            b = max(8, math.ceil(4.0 / self.EPS**2 * math.log(n / delta)))
         k = self.config.ensemble_size(n, d, delta)
         rows = sketch_rows(b, self.config.sketch_sparsity)
-        self.kappa = self.config.replica_count(n, rows, self.lambda_, self.delta)
+        self.kappa = self.config.replica_count(n, rows, self.LAMBDA, self.delta)
         structures = k * self.kappa
         if structures > MAX_STRUCTURES:
             raise ConfigError(
@@ -215,7 +217,7 @@ class RobustMinIpIndex:
             )
 
     def _validate_window(self):
-        c, tau, eps = self.c, self.tau, self.eps
+        c, tau, eps = self.c, self.tau, self.EPS
         if not 0.0 < tau < 1.0:
             raise ConfigError(f"tau={tau} violates 0 < tau < 1")
         if not 0.0 < c < 1.0:
@@ -258,13 +260,11 @@ class RobustMinIpIndex:
 
     def delete(self, pid) -> None:
         self._points.remove(pid)  # NotFound for an unknown id, before any change
-        for store, replicas in zip(self._stores, self._replicas):
-            for afn in replicas:
-                afn.delete(pid)
+        for store in self._stores:
             store.remove(pid)
 
     def _quantize(self, v: np.ndarray) -> np.ndarray:
-        step = self.lambda_ / self.b
+        step = self.LAMBDA / self.b
         return np.round(v / step) * step
 
     def query(self, x, rng: np.random.Generator):
@@ -298,9 +298,9 @@ class RobustMinIpIndex:
         return {
             "c": self.c,
             "tau": self.tau,
-            "lambda": self.lambda_,
+            "lambda": self.LAMBDA,
             "delta": self.delta,
-            "eps": self.eps,
+            "eps": self.EPS,
             "seed": self.seed,
             "regime": self.regime,
             "cbar_sq": self.cbar_sq,
@@ -309,6 +309,3 @@ class RobustMinIpIndex:
             "D_X": self.D_X,
             "ensemble": self.ensemble.descriptor(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)

@@ -73,9 +73,7 @@ class MinIpBackend:
                 points,
                 c=c,
                 tau=tau,
-                lambda_=0.05,
                 delta=delta,
-                eps=0.05,
                 seed=seed,
                 config=minip_config or MinIpConfig(),
                 transform=True,

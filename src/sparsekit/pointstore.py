@@ -34,6 +34,9 @@ class PointStore:
     def __len__(self) -> int:
         return self._n
 
+    def __contains__(self, pid) -> bool:
+        return pid in self._slot
+
     def __getitem__(self, pid) -> np.ndarray:
         slot = self._slot.get(pid)
         if slot is None:

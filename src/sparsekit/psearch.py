@@ -44,7 +44,50 @@ def _descend(ip_left: float, ip_right: float) -> int:
     return -1
 
 
-class MatrixSearchTree:
+class _PartialSumTree:
+    """Heap of d x d partial sums (node k over 2k and 2k+1, root at 1) with
+    the descent both trees share; subclasses fill `_nodes`."""
+
+    dim: int
+    _capacity: int
+    _nodes: np.ndarray
+
+    @property
+    def root_sum(self) -> np.ndarray:
+        return self._nodes[1]
+
+    def _descend_to_leaf(self, A):
+        """One root-to-leaf walk toward positive inner products with A.
+
+        Returns (A as a float array, the leaf's node index, the root's inner
+        product, whether a step had to break a roundoff tie), and leaves the
+        number of inner products taken in last_query_ip_count.
+        """
+        A = np.asarray(A, dtype=float)
+        if A.shape != (self.dim, self.dim):
+            raise DimensionMismatch("query matrix has wrong shape")
+        self.last_query_ip_count = 0
+        root_ip = float(np.vdot(self._nodes[1], A))
+        suspicious = False
+        k = 1
+        while k < self._capacity:
+            p1 = float(np.vdot(self._nodes[2 * k], A))
+            p2 = float(np.vdot(self._nodes[2 * k + 1], A))
+            self.last_query_ip_count += 2
+            branch = _descend(p1, p2)
+            if branch < 0:
+                if root_ip <= 0.0:
+                    raise NoPositiveEntry(
+                        "promise violated: no subtree has positive inner product"
+                    )
+                # roundoff: parent positive but both children <= 0
+                branch = 0 if p1 >= p2 else 1
+                suspicious = True
+            k = 2 * k + branch
+        return A, k, root_ip, suspicious
+
+
+class MatrixSearchTree(_PartialSumTree):
     """Complete binary tree of partial sums over a sequence of d x d matrices.
 
     The heap layout follows the classic array segment tree: node k has
@@ -75,10 +118,6 @@ class MatrixSearchTree:
         """Bytes of the float64 node array a tree over m d x d matrices holds."""
         return 16 * _next_pow2(m) * d * d
 
-    @property
-    def root_sum(self) -> np.ndarray:
-        return self._nodes[1]
-
     def leaf(self, i: int) -> np.ndarray:
         if not 0 <= i < self.m:
             raise IndexError(f"leaf index {i} out of range for m={self.m}")
@@ -89,27 +128,7 @@ class MatrixSearchTree:
 
     def query_positive(self, A) -> int:
         """Index i with <M_i, A> > 0, under the promise that the total is > 0."""
-        A = np.asarray(A, dtype=float)
-        if A.shape != (self.dim, self.dim):
-            raise DimensionMismatch("query matrix has wrong shape")
-        self.last_query_ip_count = 0
-        root_ip = float(np.vdot(self._nodes[1], A))
-        suspicious = False
-        k = 1
-        while k < self._capacity:
-            p1 = float(np.vdot(self._nodes[2 * k], A))
-            p2 = float(np.vdot(self._nodes[2 * k + 1], A))
-            self.last_query_ip_count += 2
-            branch = _descend(p1, p2)
-            if branch < 0:
-                if root_ip <= 0.0:
-                    raise NoPositiveEntry(
-                        "promise violated: no subtree has positive inner product"
-                    )
-                # roundoff: parent positive but both children <= 0
-                branch = 0 if p1 >= p2 else 1
-                suspicious = True
-            k = 2 * k + branch
+        A, k, root_ip, suspicious = self._descend_to_leaf(A)
         leaf_index = k - self._capacity
         if leaf_index < self.m and float(np.vdot(self._nodes[k], A)) > 0.0:
             return leaf_index
@@ -129,7 +148,7 @@ class MatrixSearchTree:
         )
 
 
-class BatchedVectorSearchTree:
+class BatchedVectorSearchTree(_PartialSumTree):
     """Positive-search tree whose leaves each batch d input vectors.
 
     Leaf block j stores the d x d matrix V_j of columns
@@ -162,10 +181,6 @@ class BatchedVectorSearchTree:
             self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
         self.last_query_ip_count = 0
 
-    @property
-    def root_sum(self) -> np.ndarray:
-        return self._nodes[1]
-
     def level_sum(self, level: int, j: int) -> np.ndarray:
         """Node sum at the given level (0 = leaf blocks), block offset j."""
         depth = self._capacity.bit_length() - 1
@@ -175,26 +190,7 @@ class BatchedVectorSearchTree:
 
     def query_positive(self, A) -> int:
         """Original vector index i with v_i^T A v_i > 0, under the sum promise."""
-        A = np.asarray(A, dtype=float)
-        if A.shape != (self.dim, self.dim):
-            raise DimensionMismatch("query matrix has wrong shape")
-        self.last_query_ip_count = 0
-        root_ip = float(np.vdot(self._nodes[1], A))
-        suspicious = False
-        k = 1
-        while k < self._capacity:
-            p1 = float(np.vdot(self._nodes[2 * k], A))
-            p2 = float(np.vdot(self._nodes[2 * k + 1], A))
-            self.last_query_ip_count += 2
-            branch = _descend(p1, p2)
-            if branch < 0:
-                if root_ip <= 0.0:
-                    raise NoPositiveEntry(
-                        "promise violated: no subtree has positive inner product"
-                    )
-                branch = 0 if p1 >= p2 else 1
-                suspicious = True
-            k = 2 * k + branch
+        A, k, _, suspicious = self._descend_to_leaf(A)
         idx = self._leaf_scan(k - self._capacity, A)
         if idx is not None:
             return idx

@@ -1,12 +1,14 @@
 """Johnson-Lindenstrauss transforms for tensor products of vectors.
 
-Two seeded linear maps R^{d^2} -> R^b with fast application to u (x) v
-(= vec(u v^T), row-major):
+Two seeded linear maps R^{d^2} -> R^b, each applied by `apply_flat` to a
+flat vector x = vec(X) or to a stack of them; the tensor u (x) v is
+np.outer(u, v).ravel():
 
-* TensorSrhtSketch: subsample b coordinates of (H D1 (x) H D2), applied via
-  fast Walsh-Hadamard transforms in O(d log d + b).
-* TensorSparseSketch: s stacked count-sketch blocks of size b/s, applied via
-  block FFT convolutions in O(s (nnz(u) + nnz(v)) + b log(b/s)).
+* TensorSrhtSketch: subsample b coordinates of (H D1 (x) H D2), applied as
+  (H D1) X (H D2)^T through fast Walsh-Hadamard transforms in
+  O(d^2 log d + b).
+* TensorSparseSketch: s stacked count-sketch blocks of size b/s; each entry
+  of X is added to one bucket per block, in O(s d^2).
 
 Plus the adaptive-robust ensemble: many independent small sketches, of which
 queries sample a few and keep the best.  Sketches are immutable after
@@ -16,7 +18,6 @@ sampling takes an explicit RNG.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,21 +82,6 @@ class _TensorSketchBase:
     b: int
     seed: int
 
-    def _pad_pair(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-            raise DimensionMismatch("u and v must be equal-length vectors")
-        if u.shape[0] > self.side:
-            raise DimensionMismatch(
-                f"vectors of dim {u.shape[0]} exceed sketch side {self.side}"
-            )
-        up = np.zeros(self.side)
-        vp = np.zeros(self.side)
-        up[: u.shape[0]] = u
-        vp[: v.shape[0]] = v
-        return up, vp
-
     def _pad_flat(self, x) -> np.ndarray:
         """Embed flat inputs into the side x side tensor grid.
 
@@ -113,9 +99,6 @@ class _TensorSketchBase:
         xp = np.zeros(x.shape[:-1] + (self.side**2,))
         xp[..., : x.shape[-1]] = x
         return xp.reshape(x.shape[:-1] + (self.side, self.side))
-
-    def apply_pair(self, u, v) -> np.ndarray:
-        raise NotImplementedError
 
     def apply_flat(self, x) -> np.ndarray:
         """Sketch one flat vector (L,) to (b,), or each row of (n, L) to (n, b)."""
@@ -148,12 +131,6 @@ class TensorSrhtSketch(_TensorSketchBase):
         self.d2 = rng.integers(0, 2, size=self.side) * 2 - 1
         self.rows = rng.integers(0, self.side**2, size=b)
         self._row_i, self._row_j = np.divmod(self.rows, self.side)
-
-    def apply_pair(self, u, v) -> np.ndarray:
-        up, vp = self._pad_pair(u, v)
-        a = fwht(self.d1 * up)
-        c = fwht(self.d2 * vp)
-        return a[self._row_i] * c[self._row_j] / math.sqrt(self.b)
 
     def apply_flat(self, x) -> np.ndarray:
         X = self._pad_flat(x)
@@ -206,19 +183,6 @@ class TensorSparseSketch(_TensorSketchBase):
         self.h2 = PolyHash(degree, self.block, ss[1]).grid(self.side, s)
         self.sg1 = SignHash(degree, ss[2]).grid(self.side, s).astype(float)
         self.sg2 = SignHash(degree, ss[3]).grid(self.side, s).astype(float)
-
-    def apply_pair(self, u, v) -> np.ndarray:
-        up, vp = self._pad_pair(u, v)
-        out = np.empty(self.b)
-        scale = 1.0 / math.sqrt(self.s)
-        for k in range(self.s):
-            c1 = np.zeros(self.block)
-            c2 = np.zeros(self.block)
-            np.add.at(c1, self.h1[:, k], self.sg1[:, k] * up)
-            np.add.at(c2, self.h2[:, k], self.sg2[:, k] * vp)
-            conv = np.fft.irfft(np.fft.rfft(c1) * np.fft.rfft(c2), n=self.block)
-            out[k * self.block : (k + 1) * self.block] = conv * scale
-        return out
 
     def apply_flat(self, x) -> np.ndarray:
         X = self._pad_flat(x)
@@ -329,20 +293,3 @@ class SketchEnsemble:
             "delta": self.delta,
             "alpha": self.alpha,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SketchEnsemble":
-        spec = json.loads(text)
-        return cls(
-            kind=spec["kind"],
-            side=spec["side"],
-            b=spec["b"],
-            k=spec["k"],
-            master_seed=spec["master_seed"],
-            s=spec.get("s"),
-            delta=spec.get("delta", 0.01),
-            alpha=spec.get("alpha", 1e-6),
-        )

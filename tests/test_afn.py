@@ -1,6 +1,8 @@
 """Sorted lists, the shared point store, the fixed-radius projection structure,
 and furthest neighbor."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,7 +134,6 @@ class TestDfn:
         for step in range(200):
             if rng.random() < 0.5 and live:
                 pid = int(rng.choice(list(live)))
-                dfn.delete(pid)
                 store.remove(pid)
                 del live[pid]
             else:
@@ -142,7 +143,8 @@ class TestDfn:
                 dfn.insert(pid)
                 live[pid] = p
         for i in range(dfn.ell):
-            stored = sorted(dfn.projection_list(i))
+            # every live id is listed with its key; retired ids may remain
+            stored = sorted(pair for pair in dfn.projection_list(i) if pair[1] in store)
             expected = sorted((float(dfn.directions[i] @ p), pid) for pid, p in live.items())
             assert len(stored) == len(expected)
             for (k1, p1), (k2, p2) in zip(stored, expected):
@@ -175,38 +177,38 @@ class TestDfn:
             if hit is not None:
                 assert np.linalg.norm(hit[1] - q) >= r / dfn.cbar
 
-    def test_insert_then_delete_restores_lists(self, rng):
-        pts = [(i, rng.standard_normal(3)) for i in range(10)]
-        store = store_of(pts)
-        dfn = DfnStructure(store, cbar=2.0, seed=2)
-        before = [list(dfn.projection_list(i)) for i in range(dfn.ell)]
-        store.add(99, rng.standard_normal(3))
-        dfn.insert(99)
-        dfn.delete(99)
-        store.remove(99)
-        after = [list(dfn.projection_list(i)) for i in range(dfn.ell)]
-        assert before == after
-
-    def test_bulk_build_then_delete_every_id(self, rng):
-        # GEMM-built keys may differ in their last bits from a per-point
-        # projection, so a delete must remove the keys the build stored
-        pts = [(i, rng.standard_normal(6)) for i in range(40)]
-        dfn = DfnStructure(store_of(pts), cbar=1.2, seed=12)
-        assert dfn.ell > 1
-        for pid in rng.permutation(40).tolist():
-            dfn.delete(pid)
-        assert all(len(dfn.projection_list(i)) == 0 for i in range(dfn.ell))
-        assert dfn._keys == {}
-
-    def test_delete_only_point_empties_lists(self):
-        dfn = DfnStructure(PointStore([[1.0, 1.0]]), cbar=2.0, seed=1)
-        dfn.delete(0)
-        assert all(len(dfn.projection_list(i)) == 0 for i in range(dfn.ell))
-
-    def test_delete_absent_raises(self):
-        dfn = DfnStructure(PointStore([[1.0, 1.0]]), cbar=2.0, seed=1)
-        with pytest.raises(NotFound):
-            dfn.delete(7)
+    # few points and a small radius, so the 2 ell + 1 candidate cap binds
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n0=st.integers(1, 12),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63)), max_size=30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_query_skips_removed_ids_like_lists_of_live_pairs(self, n0, ops, seed):
+        rng = np.random.default_rng(seed)
+        store = PointStore(rng.standard_normal((n0, 3)))
+        dfn = DfnStructure(store, cbar=2.0, seed=seed)
+        removed, next_id = set(), n0
+        for remove, pick in ops:
+            if remove and len(store):
+                pid = int(store.ids[pick % len(store)])
+                store.remove(pid)
+                removed.add(pid)
+            else:
+                store.add(next_id, rng.standard_normal(3))
+                dfn.insert(next_id)
+                next_id += 1
+            live_only = copy.copy(dfn)
+            live_only._lists = [
+                SortedKeyList(pair for pair in lst if pair[1] in store) for lst in dfn._lists
+            ]
+            q = rng.standard_normal(3)
+            for r in (0.05, 0.5, 2.0):
+                hit, expected = dfn.query(q, r), live_only.query(q, r)
+                assert (hit is None) == (expected is None)
+                if hit is not None:
+                    assert hit[0] == expected[0] and hit[0] not in removed
+                    assert np.array_equal(hit[1], expected[1])
 
 
 class TestPointStore:
@@ -240,6 +242,7 @@ class TestPointStore:
         store.add(7, [5.0])
         assert p[0] == 2.0 and store[2][0] == 2.0 and store[7][0] == 5.0
         assert sorted(store.ids.tolist()) == [1, 2, 7] and store.lowest_id() == 1
+        assert 7 in store and 0 not in store
         with pytest.raises(NotFound):
             store[0]
         with pytest.raises(ValueError):

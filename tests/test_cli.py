@@ -74,6 +74,13 @@ def test_sparsify_non_finite_input_is_precondition_violation(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["absent.csv", ""], ids=["missing-file", "directory"])
+def test_unreadable_csv_input_is_precondition_violation(tmp_path, capsys, name):
+    path = str(tmp_path / name)  # "" names the directory itself
+    assert cli.main(["sparsify", "--input", path]) == cli.EXIT_PRECONDITION
+    assert f"cannot parse {path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -96,16 +96,14 @@ class TestExactOracle:
 class TestWindowAlgebra:
     def test_high_regime_selected(self):
         idx = RobustMinIpIndex(
-            np.eye(4), c=0.50005, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-            seed=0, config=desk_config(),
+            np.eye(4), c=0.50005, tau=0.5, delta=0.1, seed=0, config=desk_config(),
         )
         assert idx.cbar_sq > 100.0
         assert idx.regime == "n^0.01"
 
     def test_sqrt2_regime_selected(self):
         idx = RobustMinIpIndex(
-            np.eye(4), c=0.52, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-            seed=0, config=desk_config(),
+            np.eye(4), c=0.52, tau=0.5, delta=0.1, seed=0, config=desk_config(),
         )
         assert 2.0 < idx.cbar_sq < 100.0
         assert idx.regime == "n^0.5"
@@ -113,15 +111,13 @@ class TestWindowAlgebra:
     def test_c_equal_tau_rejected(self):
         with pytest.raises(ConfigError):
             RobustMinIpIndex(
-                np.eye(4), c=0.5, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-                seed=0, config=desk_config(),
+                np.eye(4), c=0.5, tau=0.5, delta=0.1, seed=0, config=desk_config(),
             )
 
     def test_out_of_window_rejected(self):
         with pytest.raises(ConfigError) as err:
             RobustMinIpIndex(
-                np.eye(4), c=0.9, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-                seed=0, config=desk_config(),
+                np.eye(4), c=0.9, tau=0.5, delta=0.1, seed=0, config=desk_config(),
             )
         assert "8*tau" in str(err.value)
 
@@ -141,8 +137,7 @@ class TestRobustIndex:
     def test_two_point_forcing(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
         idx = RobustMinIpIndex(
-            pts, c=0.90005, tau=0.9, lambda_=0.05, delta=0.1, eps=0.05,
-            seed=3, config=desk_config(),
+            pts, c=0.90005, tau=0.9, delta=0.1, seed=3, config=desk_config(),
         )
         rng = np.random.default_rng(0)
         found = 0
@@ -158,8 +153,7 @@ class TestRobustIndex:
         pts = rng.standard_normal((n, d))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-            seed=11, config=desk_config(),
+            pts, c=0.505, tau=0.5, delta=0.1, seed=11, config=desk_config(),
         )
         bound = idx.tau / idx.c + idx.lambda_tilde
         for _ in range(30):
@@ -176,8 +170,7 @@ class TestRobustIndex:
         half /= np.linalg.norm(half, axis=1)[:, None]
         pts = np.vstack([half, -half])  # antipodal pairs keep the promise easy
         idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-            seed=5, config=desk_config(),
+            pts, c=0.505, tau=0.5, delta=0.1, seed=5, config=desk_config(),
         )
         rng_q = np.random.default_rng(77)
         q = rng.standard_normal(d)
@@ -202,8 +195,7 @@ class TestRobustIndex:
         pts = rng.standard_normal((10, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-            seed=2, config=desk_config(),
+            pts, c=0.505, tau=0.5, delta=0.1, seed=2, config=desk_config(),
         )
         z = rng.standard_normal(4)
         z /= np.linalg.norm(z)
@@ -217,10 +209,10 @@ class TestRobustIndex:
     def test_descriptor_replay(self, rng):
         pts = rng.standard_normal((12, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        kwargs = dict(c=0.505, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05, seed=9)
+        kwargs = dict(c=0.505, tau=0.5, delta=0.1, seed=9)
         a = RobustMinIpIndex(pts, config=desk_config(), **kwargs)
         b = RobustMinIpIndex(pts, config=desk_config(), **kwargs)
-        assert a.to_json() == b.to_json()
+        assert a.descriptor() == b.descriptor()
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
         ra = a.query(q, np.random.default_rng(1))
@@ -242,14 +234,14 @@ POOL = np.array([[0.5, 0.5, 0.5, 0.5], [0.6, 0.0, 0.8, 0.0]])
 @example(initial=[0, 0, 0, 1], ops=[(False, 3), (False, 0), (True, 0)])  # rows end [2, 1, 4]
 def test_shared_store_tracks_live_points(initial, ops):
     """Random inserts and deletes: each sketch's one store holds exactly the
-    live points, every replica indexes and caches keys for exactly the live
-    ids, and no query answers with a deleted id; coincident points answer
-    with the lowest id."""
+    live points, every replica lists each live id once with its key (retired
+    ids may remain), and no query answers with a deleted id; coincident
+    points answer with the lowest id."""
     idx = RobustMinIpIndex(
-        POOL[initial], c=0.505, tau=0.5, lambda_=0.05, delta=0.1, eps=0.05,
-        seed=4, config=desk_config(),
+        POOL[initial], c=0.505, tau=0.5, delta=0.1, seed=4, config=desk_config(),
     )
     live = {pid: POOL[i] for pid, i in enumerate(initial)}
+    retired = set()
     rng = np.random.default_rng(0)
     for insert, k in ops:
         if insert or len(live) == 1:
@@ -260,11 +252,13 @@ def test_shared_store_tracks_live_points(initial, ops):
             victim = sorted(live)[k % len(live)]
             idx.delete(victim)
             del live[victim]
+            retired.add(victim)
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
         hit = idx.query(x, rng)
         assert hit is None or hit[0] in live
         for sketch, store, replicas in zip(idx.ensemble.sketches, idx._stores, idx._replicas):
+            assert sorted(store.ids.tolist()) == sorted(live)
             P = np.stack([sketch.apply_flat(p) for p in live.values()])
             assert store.boxwidth == float((P.max(axis=0) - P.min(axis=0)).max())
             xq = sketch.apply_flat(x)
@@ -272,9 +266,13 @@ def test_shared_store_tracks_live_points(initial, ops):
                 assert afn.store is store
                 for dfn in afn._dfns:
                     assert dfn.store is store
-                    assert sorted(dfn._keys) == sorted(live)
                     for i in range(dfn.ell):
-                        assert sorted(pid for _, pid in dfn.projection_list(i)) == sorted(live)
+                        pairs = list(dfn.projection_list(i))
+                        listed = [(pid, key) for key, pid in pairs if pid in live]
+                        assert sorted(pid for pid, _ in listed) == sorted(live)
+                        for pid, key in listed:
+                            assert abs(key - dfn.directions[i] @ store[pid]) <= 1e-12
+                        assert {pid for _, pid in pairs} - live.keys() <= retired
                 hit = afn.query(xq)
                 assert hit is None or hit[0] in live
                 if store.boxwidth == 0.0:

@@ -29,7 +29,7 @@ class TestFwht:
 class TestSrht:
     def test_zero_maps_to_zero(self):
         S = TensorSrhtSketch(4, 8, seed=7)
-        assert np.allclose(S.apply_pair(np.zeros(4), np.zeros(4)), 0.0)
+        assert np.allclose(S.apply_flat(np.zeros(16)), 0.0)
 
     def test_pair_matches_materialized(self, rng):
         S = TensorSrhtSketch(4, 8, seed=7)
@@ -38,18 +38,14 @@ class TestSrht:
         v = np.zeros(4)
         u[0] = 1.0
         v[1] = 1.0
-        expected = dense @ np.outer(u, v).ravel()
-        assert np.allclose(S.apply_pair(u, v), expected, atol=1e-9)
+        uv = np.outer(u, v).ravel()
+        assert np.allclose(S.apply_flat(uv), dense @ uv, atol=1e-9)
         for _ in range(10):
-            u, v = rng.standard_normal(4), rng.standard_normal(4)
-            expected = dense @ np.outer(u, v).ravel()
-            assert np.allclose(S.apply_pair(u, v), expected, atol=1e-9)
+            uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
+            assert np.allclose(S.apply_flat(uv), dense @ uv, atol=1e-9)
 
     def test_flat_consistency(self, rng):
         S = TensorSrhtSketch(8, 16, seed=3)
-        e1 = np.zeros(8)
-        e1[0] = 1.0
-        assert np.allclose(S.apply_flat(np.outer(e1, e1).ravel()), S.apply_pair(e1, e1), atol=1e-9)
         assert np.allclose(S.apply_flat(np.zeros(64)), 0.0)
         dense = S.materialize()
         x = rng.standard_normal(64)
@@ -70,7 +66,7 @@ class TestSrht:
             v = rng.standard_normal(d)
             u /= np.linalg.norm(u)
             v /= np.linalg.norm(v)
-            out = S.apply_pair(u, v)
+            out = S.apply_flat(np.outer(u, v).ravel())
             if abs(out @ out - 1.0) <= 0.5:
                 good += 1
         assert good >= 0.99 * trials
@@ -81,33 +77,31 @@ class TestSrht:
         assert S.side == 4
         u = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        out = S.apply_pair(u, v)
+        out = S.apply_flat(np.outer(u, v).ravel())
         assert out.shape == (64,)
 
 
 class TestTensorSparse:
     def test_zero_maps_to_zero(self):
         R = TensorSparseSketch(4, 8, 2, seed=3)
-        assert np.allclose(R.apply_pair(np.zeros(4), np.zeros(4)), 0.0)
+        assert np.allclose(R.apply_flat(np.zeros(16)), 0.0)
 
     def test_pair_matches_materialized(self, rng):
         R = TensorSparseSketch(4, 8, 2, seed=3)
         dense = R.materialize()
         e1 = np.zeros(4)
         e1[0] = 1.0
-        assert np.allclose(R.apply_pair(e1, e1), dense @ np.outer(e1, e1).ravel(), atol=1e-9)
+        e11 = np.outer(e1, e1).ravel()
+        assert np.allclose(R.apply_flat(e11), dense @ e11, atol=1e-9)
         for _ in range(10):
-            u, v = rng.standard_normal(4), rng.standard_normal(4)
-            expected = dense @ np.outer(u, v).ravel()
-            assert np.allclose(R.apply_pair(u, v), expected, atol=1e-9)
+            uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
+            assert np.allclose(R.apply_flat(uv), dense @ uv, atol=1e-9)
 
     def test_flat_matches_materialized(self, rng):
         R = TensorSparseSketch(4, 12, 3, seed=9)
         dense = R.materialize()
         x = rng.standard_normal(16)
         assert np.allclose(R.apply_flat(x), dense @ x, atol=1e-9)
-        e12 = np.outer(np.eye(4)[0], np.eye(4)[1]).ravel()
-        assert np.allclose(R.apply_flat(e12), R.apply_pair(np.eye(4)[0], np.eye(4)[1]), atol=1e-9)
 
     @pytest.mark.parametrize(
         "make",
@@ -170,7 +164,7 @@ class TestTensorSparse:
         for _ in range(trials):
             u = rng.standard_normal(d)
             u /= np.linalg.norm(u)
-            out = R.apply_pair(u, u)
+            out = R.apply_flat(np.outer(u, u).ravel())
             if abs(out @ out - 1.0) > 0.5:
                 bad += 1
         assert bad <= 0.05 * trials
@@ -193,7 +187,7 @@ class TestDistortionTailVsBound:
             v = rng.standard_normal(16)
             u /= np.linalg.norm(u)
             v /= np.linalg.norm(v)
-            out = sketch.apply_pair(u, v)
+            out = sketch.apply_flat(np.outer(u, v).ravel())
             if abs(out @ out - 1.0) > eps:
                 bad += 1
         return bad / trials
@@ -220,16 +214,16 @@ class TestDistortionTailVsBound:
 class TestEnsemble:
     def test_single_member_behaves_like_sketch(self, rng):
         ens = SketchEnsemble(kind="srht", side=4, b=16, k=1, master_seed=5)
-        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
         single = ens.sketches[0]
-        assert np.allclose(ens[0].apply_pair(u, v), single.apply_pair(u, v))
+        assert np.allclose(ens[0].apply_flat(uv), single.apply_flat(uv))
 
     def test_master_seed_determinism(self, rng):
         a = SketchEnsemble(kind="sparse", side=4, b=16, s=4, k=5, master_seed=42)
         b = SketchEnsemble(kind="sparse", side=4, b=16, s=4, k=5, master_seed=42)
-        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
         for sa, sb in zip(a.sketches, b.sketches):
-            assert np.array_equal(sa.apply_pair(u, v), sb.apply_pair(u, v))
+            assert np.array_equal(sa.apply_flat(uv), sb.apply_flat(uv))
 
     def test_distinct_member_seeds(self):
         ens = SketchEnsemble(kind="srht", side=4, b=16, k=20, master_seed=1)
@@ -279,12 +273,12 @@ class TestEnsemble:
                         ok += 1
                 assert ok >= 0.95 * k
 
-    def test_json_round_trip(self, rng):
+    def test_descriptor_rebuilds_the_same_sketches(self, rng):
         ens = SketchEnsemble(kind="sparse", side=4, b=16, s=4, k=3, master_seed=11)
-        clone = SketchEnsemble.from_json(ens.to_json())
-        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        clone = SketchEnsemble(**ens.descriptor())
+        uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
         for sa, sb in zip(ens.sketches, clone.sketches):
-            assert np.array_equal(sa.apply_pair(u, v), sb.apply_pair(u, v))
+            assert np.array_equal(sa.apply_flat(uv), sb.apply_flat(uv))
 
 
 class TestPolyHash:
