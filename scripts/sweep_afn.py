@@ -5,7 +5,7 @@
 For each n, a Kadison-Singer family of n rows is drawn from --seed as the
 ks-afn workload draws it (n/2 random orthonormal frames in d=2, scaled by
 sqrt(2/n)), and the afn backend is built over all n rows exactly as
-ks_select builds it: c=0.505, tau=0.5, delta=0.1,
+ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1),
 MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4).  With BLAS pinned to
 one thread:
 
@@ -47,7 +47,7 @@ from sparsekit.errors import ConfigError  # noqa: E402
 from sparsekit.minip import MAX_STRUCTURES, MinIpConfig  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
 
-D, C, TAU, DELTA = 2, 0.505, 0.5, 0.1
+D, C, TAU = 2, 0.505, 0.5
 
 #: (owner, attribute, phase) of every timed call
 PHASES = [
@@ -71,7 +71,7 @@ def ks_family(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def build(X: np.ndarray, seed: int) -> MinIpBackend:
     config = MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4)
-    return MinIpBackend("afn", X, range(len(X)), C, TAU, DELTA, seed, minip_config=config)
+    return MinIpBackend("afn", X, range(len(X)), c=C, tau=TAU, seed=seed, minip_config=config)
 
 
 class SelfTimer:
@@ -149,7 +149,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     report = {
         "settings": {
-            "d": D, "c": C, "tau": TAU, "delta": DELTA,
+            "d": D, "c": C, "tau": TAU, "delta": afn.DELTA,
             "config": "MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4)",
             "max_structures": MAX_STRUCTURES,
         },

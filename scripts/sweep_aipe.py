@@ -67,7 +67,9 @@ def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
     build, cold, warm, scan = [], [], [], []
     for r in range(repeats):
         t, backend = timed(
-            lambda: MinIpBackend("aipe", X, rows, C, TAU, 0.1, seed + r, AipeConfig.desk())
+            lambda: MinIpBackend(
+                "aipe", X, rows, c=C, tau=TAU, seed=seed + r, aipe_config=AipeConfig.desk()
+            )
         )
         build.append(t)
         cold.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])

@@ -25,7 +25,7 @@ from .linalg import (
 )
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 from .sketch import SketchEnsemble, TensorSparseSketch, TensorSrhtSketch
-from .afn import AfnConfig, AfnStructure, DfnStructure
+from .afn import AfnStructure, DfnStructure
 from .minip import (
     MinIpConfig,
     RobustMinIpIndex,

@@ -18,6 +18,11 @@ AfnStructure wraps several independent DFN copies and binary-searches the
 radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
 the longest side of the live points' bounding box.
 
+Directions, copies and search rounds follow the Theta(.) sizes with leading
+constant 1, multiplied by the owner's `scale` before the ceiling (the desk
+profile uses 0.25).  DELTA is the one failure probability that these sizes,
+the AIPE pool and the Min-IP index all read.
+
 Builds and updates need exclusive access; queries change nothing but the
 store's boxwidth cache and are safe to run concurrently between mutations.
 """
@@ -25,7 +30,6 @@ store's boxwidth cache and are safe to run concurrently between mutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +37,10 @@ import numpy as np
 from .pointstore import PointStore
 from .sortedlist import SortedKeyList
 
-__all__ = ["AfnConfig", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
+__all__ = ["DELTA", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
+
+#: failure probability of every search structure: AFN, AIPE and the Min-IP index
+DELTA = 0.1
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -57,7 +64,7 @@ def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def solve_threshold(n: int, tol: float = 1e-10) -> float:
+def solve_threshold(n: int) -> float:
     """The t >= 1 solving e^{t^2/2} / t = 2n, by bisection.
 
     The map is increasing on [1, inf) and e^{1/2} < 2 <= 2n, so the root
@@ -72,7 +79,7 @@ def solve_threshold(n: int, tol: float = 1e-10) -> float:
     lo, hi = 1.0, 2.0
     while f(hi) < 0.0:
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
@@ -81,50 +88,39 @@ def solve_threshold(n: int, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass
-class AfnConfig:
-    """Leading constants behind the Theta(.) sizes, with a desk-scale profile.
+def _direction_count(n: int, cbar: float, scale: float) -> int:
+    """Gaussian directions of one DFN structure over n points, scaled."""
+    expo = 1.0 / cbar**2
+    logn = max(math.log(max(n, 2)), 1.0)
+    raw = n**expo * logn ** ((1.0 - expo) / 2.0)
+    return max(1, math.ceil(scale * raw))
 
-    scale multiplies every count before the ceiling; the desk profile
-    (scale=0.25) keeps CI runs fast while preserving the formulas.
-    """
 
-    copies_mult: float = 1.0  # s = ceil(mult * log log(d / (eps delta)))
-    scale: float = 1.0
+def _copy_count(d: int, eps: float, scale: float) -> int:
+    """DFN copies of one AFN structure: ceil(log log(d / (eps DELTA))), scaled."""
+    raw = math.log(max(math.log(max(d / (eps * DELTA), 3.0)), 1.5))
+    return max(1, math.ceil(scale * max(raw, 1.0)))
 
-    @classmethod
-    def desk(cls) -> "AfnConfig":
-        return cls(scale=0.25)
 
-    def directions(self, n: int, cbar: float) -> int:
-        expo = 1.0 / cbar**2
-        logn = max(math.log(max(n, 2)), 1.0)
-        raw = n**expo * logn ** ((1.0 - expo) / 2.0)
-        return max(1, math.ceil(self.scale * raw))
-
-    def copies(self, d: int, eps: float, delta: float) -> int:
-        raw = math.log(max(math.log(max(d / (eps * delta), 3.0)), 1.5))
-        return max(1, math.ceil(self.scale * self.copies_mult * max(raw, 1.0)))
-
-    def search_rounds(self, d: int, eps: float, delta: float) -> int:
-        raw = math.log(max(d / (eps * delta), 2.0))
-        return max(1, math.ceil(self.scale * raw))
+def _search_rounds(d: int, eps: float, scale: float) -> int:
+    """Radius bisection rounds of one AFN query: ceil(log(d / (eps DELTA))), scaled."""
+    raw = math.log(max(d / (eps * DELTA), 2.0))
+    return max(1, math.ceil(scale * raw))
 
 
 class DfnStructure:
     """Fixed-radius decision version of approximate furthest neighbor."""
 
-    def __init__(self, store: PointStore, cbar: float, seed, config: AfnConfig = None):
+    def __init__(self, store: PointStore, cbar: float, seed, scale: float = 1.0):
         if cbar <= 1.0:
             raise ValueError("cbar must exceed 1")
         if not len(store):
             raise ValueError("need at least one point")
-        self.config = config or AfnConfig()
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
         self.n0 = len(store)
-        self.ell = self.config.directions(self.n0, self.cbar)
+        self.ell = _direction_count(self.n0, self.cbar, scale)
         self.t = solve_threshold(self.n0)
         self.seed = seed
         self.directions = gaussian_matrix(self.ell, self.dim, seed)
@@ -185,19 +181,15 @@ class DfnStructure:
 class AfnStructure:
     """Amplified furthest-neighbor search over independent DFN copies."""
 
-    def __init__(self, store: PointStore, cbar: float, delta: float, seed, config: AfnConfig = None):
-        self.config = config or AfnConfig()
+    def __init__(self, store: PointStore, cbar: float, seed, scale: float = 1.0):
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
-        self.delta = float(delta)
         self.eps = max(self.cbar - 1.0, 1e-9)
-        self.copies = self.config.copies(self.dim, self.eps, self.delta)
-        self.rounds = self.config.search_rounds(self.dim, self.eps, self.delta)
+        self.copies = _copy_count(self.dim, self.eps, scale)
+        self.rounds = _search_rounds(self.dim, self.eps, scale)
         seeds = _seed_sequence(seed).spawn(self.copies)
-        self._dfns = [
-            DfnStructure(store, cbar, seeds[i], self.config) for i in range(self.copies)
-        ]
+        self._dfns = [DfnStructure(store, cbar, seeds[i], scale) for i in range(self.copies)]
 
     def insert(self, pid) -> None:
         """Index the stored point `pid` in every DFN copy."""

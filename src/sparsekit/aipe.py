@@ -1,11 +1,11 @@
 """Adaptive inner-product estimation through robust distance estimation.
 
 The estimator stores the dataset under the unit-sphere transform and keeps a
-pool of seeded Gaussian JL sketches.  Each query samples a few pool members
-(caller-supplied RNG), estimates every point's distance to the query under
-each sampled sketch, and reports per-point medians; medians over
-independently sampled sketches are what make the estimates stable under
-adaptively chosen queries.  Inner-product estimates follow from
+pool of seeded Gaussian JL sketches, sized for the failure probability
+afn.DELTA.  Each query samples a few pool members (caller-supplied RNG),
+estimates every point's distance to the query under each sampled sketch, and
+reports per-point medians; medians over independently sampled sketches are
+what make the estimates stable under adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
 Pool member j is the s_dim x (D+2) Gaussian S_j drawn from the j-th child of
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .afn import DELTA
 from .errors import DimensionMismatch, PreconditionViolation
 from .minip import minip_transform_dataset, minip_transform_query
 from .pointstore import PointStore
@@ -45,8 +46,8 @@ class AipeConfig:
         # accuracy-critical: never reduced by the profile
         return math.ceil(8.0 / eps**2)
 
-    def pool_size(self, s_dim: int, m: int, delta: float) -> int:
-        raw = (s_dim + math.log(1.0 / delta)) * math.log(max(m, 2))
+    def pool_size(self, s_dim: int, m: int) -> int:
+        raw = (s_dim + math.log(1.0 / DELTA)) * math.log(max(m, 2))
         return max(3, math.ceil(self.scale * raw))
 
     def sample_count(self, pool: int) -> int:
@@ -57,19 +58,18 @@ class AipeConfig:
 class InnerProductEstimator:
     """All-points inner-product estimates that stay valid under adaptivity."""
 
-    def __init__(self, points, eps: float, delta: float, seed, config: AipeConfig = None):
+    def __init__(self, points, eps: float, seed, config: AipeConfig = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 1:
             raise PreconditionViolation("need at least one point")
         self.config = config or AipeConfig()
         self.eps = float(eps)
-        self.delta = float(delta)
         self.dim = pts.shape[1]
         self.radius = float(np.linalg.norm(pts, axis=1).max())
         if self.radius <= 0.0:
             self.radius = 1.0
         self.s_dim = self.config.sketch_dim(self.eps)
-        self.pool = self.config.pool_size(self.s_dim, pts.shape[0], self.delta)
+        self.pool = self.config.pool_size(self.s_dim, pts.shape[0])
         self._root_seed = np.random.SeedSequence(seed)
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)

@@ -51,7 +51,7 @@ FLAGS = {
     "sparsify": ("input", "format", "epsilon", "whiten", "output"),
     "ks": (
         "input", "format", "whiten", "N", "n", "backend",
-        "c", "tau", "delta", "seed", "profile", "output",
+        "c", "tau", "seed", "profile", "output",
     ),
     "expdesign": (
         "input", "format", "whiten", "n", "epsilon", "gamma",
@@ -69,7 +69,6 @@ ARGUMENTS = {
     "backend": {"default": "exact"},
     "c": {"type": float},
     "tau": {"type": float},
-    "delta": {"type": float, "default": 0.1},
     "gamma": {"type": float, "default": xd.DEFAULT_GAMMA},
     "seed": {"type": int},
     "profile": {"choices": ["full", "desk"], "default": "full"},
@@ -147,7 +146,6 @@ def run_ks(config: RunConfig) -> dict:
         backend=config.backend,
         c=config.c,
         tau=config.tau,
-        delta=config.delta,
         seed=config.seed,
         aipe_config=config.aipe_config(),
         minip_config=config.minip_config(),

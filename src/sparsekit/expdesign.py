@@ -44,13 +44,13 @@ DEFAULT_GAMMA = 4.0
 DEFAULT_C = 0.9
 
 
-def find_ct(eigenvalues: np.ndarray, alpha: float, tol: float = 1e-10) -> float:
+def find_ct(eigenvalues: np.ndarray, alpha: float) -> float:
     """The constant c with sum_i (c + alpha lambda_i)^{-2} = 1.
 
     `eigenvalues` are the ascending eigenvalues lambda_i of Z.  Monotone
     bisection on the scalar map; each evaluation is O(d).  The map decreases
     from +inf to 0 on (-alpha lambda_min, inf), so the root exists and is
-    unique.
+    unique.  Stops once the trace is within 1e-10 of 1.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     scaled = alpha * vals
@@ -75,7 +75,7 @@ def find_ct(eigenvalues: np.ndarray, alpha: float, tol: float = 1e-10) -> float:
             lo = mid
         else:
             hi = mid
-        if abs(trace_at(0.5 * (lo + hi)) - 1.0) <= tol:
+        if abs(trace_at(0.5 * (lo + hi)) - 1.0) <= 1e-10:
             break
     return 0.5 * (lo + hi)
 
@@ -87,8 +87,6 @@ def b_scores(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, bet
     b_plus = num / (beta + 2.0 * alpha * half)
     denom_minus = beta - 2.0 * alpha * half
     if denom_minus <= 0.0:
-        if num == 0.0 and half == 0.0:
-            return 0.0, 0.0
         return b_plus, INELIGIBLE
     return b_plus, num / denom_minus
 
@@ -199,7 +197,14 @@ def swap_round(
     index = None
     if backend != "exact":
         index = MinIpBackend(
-            backend, X, members, c, tau, 0.1, seed, aipe_config, minip_config
+            backend,
+            X,
+            members,
+            c=c,
+            tau=tau,
+            seed=seed,
+            aipe_config=aipe_config,
+            minip_config=minip_config,
         )
 
     member_mask = np.zeros(m, dtype=bool)

@@ -109,9 +109,9 @@ def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
 
     Proposed indices are verified against the witness inequality
     c_i <= beta; failures fall back to the exact argmin scan over the
-    remaining set (counted), so every accepted step preserves the barrier
-    invariants.  The chosen index is retired from the backend before the
-    next step.
+    remaining set, so every accepted step preserves the barrier invariants.
+    A scan counts as a fallback only when a backend was asked first.  The
+    chosen index is retired from the backend before the next step.
     """
     d = family.dim
     m = family.count
@@ -133,7 +133,8 @@ def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
         else:
             i_star = None
         if i_star is None:
-            result.fallbacks += 1
+            if backend is not None:
+                result.fallbacks += 1
             candidates = np.flatnonzero(remaining)
             rows = V[candidates]
             scores = np.einsum("ij,jk,ik->i", rows, Qmat, rows)
@@ -164,9 +165,7 @@ def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
 def ks_greedy_exact(family: VectorFamily, N: float, n: int) -> KsRunResult:
     """Exact greedy (beta = 1): final norm < a_n."""
     _check_family(family, N)
-    result = _greedy_loop(family, N, n, 1.0)
-    result.fallbacks = 0  # the scan is the primary path here, not a fallback
-    return result
+    return _greedy_loop(family, N, n, 1.0)
 
 
 def ks_select(
@@ -176,7 +175,6 @@ def ks_select(
     backend: str = "exact",
     c: float = None,
     tau: float = None,
-    delta: float = 0.1,
     seed: int = 0,
     aipe_config: AipeConfig = None,
     minip_config: MinIpConfig = None,
@@ -190,7 +188,14 @@ def ks_select(
     if backend == "exact":
         return ks_greedy_exact(family, N, n)
     index = MinIpBackend(
-        backend, family.vectors, range(family.count), c, tau, delta, seed, aipe_config, minip_config
+        backend,
+        family.vectors,
+        range(family.count),
+        c=c,
+        tau=tau,
+        seed=seed,
+        aipe_config=aipe_config,
+        minip_config=minip_config,
     )
     result = _greedy_loop(family, N, n, 1.0 / c, index, np.random.default_rng(seed))
     result.backend = backend

@@ -8,6 +8,10 @@ success generalizes over a net of possible queries), asks the replicas for
 far points, and converts distance back to inner product through
 <p, x> = 1 - ||p - x||^2 / 2.  Candidates violating the advertised bound
 tau/c + lambda_tilde are discarded, so a returned point never violates it.
+The index takes unit vectors only: a caller maps raw rows with
+minip_transform_dataset first, under one D_X for every row it will store.
+Sizes read the package's failure probability afn.DELTA; the sketch
+dimension defaults to max(8, sketch_dim_default(EPS, n, DELTA)).
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
@@ -32,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afn import AfnConfig, AfnStructure
+from .afn import DELTA, AfnStructure
 from .errors import ConfigError, DimensionMismatch
 from .pointstore import PointStore
-from .sketch import SketchEnsemble, ensemble_size_default, sketch_rows
+from .sketch import SketchEnsemble, ensemble_size_default, sketch_dim_default, sketch_rows
 
 __all__ = [
     "minip_transform_dataset",
@@ -103,21 +107,16 @@ class MinIpConfig:
     scale: float = 1.0
     sketch_dim: int = None  # type: ignore[assignment]
     sketch_sparsity: int = None  # type: ignore[assignment]
-    afn: AfnConfig = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.afn is None:
-            self.afn = AfnConfig(scale=self.scale)
 
     @classmethod
     def desk(cls, **kw) -> "MinIpConfig":
         return cls(scale=0.25, **kw)
 
-    def ensemble_size(self, n: int, d: int, delta: float) -> int:
-        return ensemble_size_default(d, n, delta, scale=self.scale)
+    def ensemble_size(self, n: int, d: int) -> int:
+        return ensemble_size_default(d, n, DELTA, scale=self.scale)
 
-    def replica_count(self, n: int, s_dim: int, lambda_: float, delta: float) -> int:
-        raw = s_dim * math.log(n * s_dim / (lambda_ * delta))
+    def replica_count(self, n: int, s_dim: int, lambda_: float) -> int:
+        raw = s_dim * math.log(n * s_dim / (lambda_ * DELTA))
         return max(1, math.ceil(self.scale * raw))
 
     def sample_count(self, b: int, k: int) -> int:
@@ -145,26 +144,16 @@ class RobustMinIpIndex:
         points,
         c: float,
         tau: float,
-        delta: float,
         seed: int,
         config: MinIpConfig = None,
-        transform: bool = False,
-        D_X: float = None,
     ):
-        """Index `points` (unit rows, or raw rows with transform=True)."""
+        """Index `points`, one unit vector per row."""
         self.config = config or MinIpConfig()
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if transform:
-            pts, D_X = minip_transform_dataset(pts, D_X)
-        else:
-            D_X = 1.0
-            norms = np.linalg.norm(pts, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("points must be unit vectors (or pass transform=True)")
-        self.D_X = D_X
+        if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
+            raise ValueError("points must be unit vectors (see minip_transform_dataset)")
         self.tau = float(tau)
         self.c = float(c)
-        self.delta = float(delta)
         self.seed = int(seed)
         self._validate_window()
 
@@ -179,10 +168,10 @@ class RobustMinIpIndex:
         side = max(1, math.ceil(math.sqrt(d)))
         b = self.config.sketch_dim
         if b is None:
-            b = max(8, math.ceil(4.0 / self.EPS**2 * math.log(n / delta)))
-        k = self.config.ensemble_size(n, d, delta)
+            b = max(8, sketch_dim_default(self.EPS, n, DELTA))
+        k = self.config.ensemble_size(n, d)
         rows = sketch_rows(b, self.config.sketch_sparsity)
-        self.kappa = self.config.replica_count(n, rows, self.LAMBDA, self.delta)
+        self.kappa = self.config.replica_count(n, rows, self.LAMBDA)
         structures = k * self.kappa
         if structures > MAX_STRUCTURES:
             raise ConfigError(
@@ -190,13 +179,7 @@ class RobustMinIpIndex:
                 f"structures exceeds the limit of {MAX_STRUCTURES}"
             )
         self.ensemble = SketchEnsemble(
-            kind="sparse",
-            side=side,
-            b=b,
-            k=k,
-            master_seed=self.seed,
-            s=self.config.sketch_sparsity,
-            delta=delta,
+            side=side, b=b, k=k, master_seed=self.seed, s=self.config.sketch_sparsity, delta=DELTA
         )
         self.b = self.ensemble.b
 
@@ -208,13 +191,9 @@ class RobustMinIpIndex:
         for j, sketch in enumerate(self.ensemble.sketches):
             store = PointStore(sketch.apply_flat(pts))
             seeds = replica_seeds[j].spawn(self.kappa)
+            scale = self.config.scale
             self._stores.append(store)
-            self._replicas.append(
-                [
-                    AfnStructure(store, self.cbar, self.delta, seeds[r], self.config.afn)
-                    for r in range(self.kappa)
-                ]
-            )
+            self._replicas.append([AfnStructure(store, self.cbar, child, scale) for child in seeds])
 
     def _validate_window(self):
         c, tau, eps = self.c, self.tau, self.EPS
@@ -299,13 +278,12 @@ class RobustMinIpIndex:
             "c": self.c,
             "tau": self.tau,
             "lambda": self.LAMBDA,
-            "delta": self.delta,
+            "delta": DELTA,
             "eps": self.EPS,
             "seed": self.seed,
             "regime": self.regime,
             "cbar_sq": self.cbar_sq,
             "kappa": self.kappa,
             "lambda_tilde": self.lambda_tilde,
-            "D_X": self.D_X,
             "ensemble": self.ensemble.descriptor(),
         }

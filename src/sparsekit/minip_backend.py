@@ -10,9 +10,13 @@ chosen queries:
     "afn"   RobustMinIpIndex (sketched approximate furthest neighbour)
 
 It owns the (c, tau) window checks, the scaling of the query by tau, the
-transform each structure expects, and the map between the structure's point
-ids and the family's row indices.  Proposals are only suggestions: callers
-verify the returned row against their own witness inequality.
+map between the structure's point ids and the family's row indices, and,
+for "afn", the unit-sphere transform of every stored point: one D_X, the
+largest |vec(x x^T)| = |x|^2 over all of X, serves the build and every later
+insert, so a row is the same unit point whenever it is stored.  Both
+structures size themselves for the failure probability afn.DELTA.
+Proposals are only suggestions: callers verify the returned row against
+their own witness inequality.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ class MinIpBackend:
         rows,
         c: float,
         tau: float,
-        delta: float,
         seed: int,
         aipe_config: AipeConfig = None,
         minip_config: MinIpConfig = None,
@@ -46,7 +49,7 @@ class MinIpBackend:
         """Store the rows `rows` of the (m, d) family `X`.
 
         Rows inserted later may be any row of X: the afn transform's
-        diameter is taken over all of them.
+        diameter D_X is taken over all of them.
         """
         if kind not in ("aipe", "afn"):
             raise ConfigError(f"unknown backend {kind!r}")
@@ -65,19 +68,15 @@ class MinIpBackend:
         if kind == "aipe":
             # distance ratio this (c, tau) demands: (1+eps)^2 = c(1-tau)/(c-tau)
             eps = math.sqrt(c * (1.0 - tau) / (c - tau)) - 1.0
-            self._index = InnerProductEstimator(
-                points, eps, delta, seed, aipe_config or AipeConfig()
-            )
+            self._index = InnerProductEstimator(points, eps, seed, aipe_config or AipeConfig())
         else:
+            self._D_X = float(np.max(np.linalg.norm(X, axis=1) ** 2))
             self._index = RobustMinIpIndex(
-                points,
+                minip_transform_dataset(points, self._D_X)[0],
                 c=c,
                 tau=tau,
-                delta=delta,
                 seed=seed,
                 config=minip_config or MinIpConfig(),
-                transform=True,
-                D_X=float(np.max(np.linalg.norm(X, axis=1) ** 2)),
             )
         # both structures number their initial points 0..len(rows)-1
         self._row_of = dict(enumerate(rows))
@@ -111,7 +110,7 @@ class MinIpBackend:
         """Store another row of X; it must not be stored already."""
         point = self._points([row])[0]
         if self.kind == "afn":
-            point = minip_transform_dataset(point, self._index.D_X)[0][0]
+            point = minip_transform_dataset(point, self._D_X)[0][0]
         pid = self._index.insert(point)
         self._row_of[pid] = row
         self._pid_of[row] = pid

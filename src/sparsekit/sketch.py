@@ -10,10 +10,10 @@ np.outer(u, v).ravel():
 * TensorSparseSketch: s stacked count-sketch blocks of size b/s; each entry
   of X is added to one bucket per block, in O(s d^2).
 
-Plus the adaptive-robust ensemble: many independent small sketches, of which
-queries sample a few and keep the best.  Sketches are immutable after
-construction and application is pure, so concurrent use is safe; ensemble
-sampling takes an explicit RNG.
+Plus the adaptive-robust ensemble the Min-IP index uses: many independent
+small TensorSparseSketches, of which queries sample a few and keep the best.
+Sketches are immutable after construction and application is pure, so
+concurrent use is safe; ensemble sampling takes an explicit RNG.
 """
 
 from __future__ import annotations
@@ -229,46 +229,34 @@ def sketch_rows(b: int, s=None) -> int:
     return -(-b // s) * s
 
 
-def _make_sketch(kind: str, side: int, b: int, s, seed: int, delta: float):
-    if kind == "srht":
-        return TensorSrhtSketch(side, b, seed)
-    if kind == "sparse":
-        if s is None:
-            s = sparsity_default(0.5, b)
-        return TensorSparseSketch(side, sketch_rows(b, s), s, seed, delta)
-    raise ConfigError(f"unknown sketch kind {kind!r}")
-
-
 @dataclass
 class SketchEnsemble:
-    """k independent sketches with seeds derived from one master seed.
+    """k independent TensorSparseSketches with seeds derived from one master seed.
+
+    b is rounded up to a multiple of s (default sparsity_default(0.5, b)).
 
     During an adaptive query sequence a caller samples a few members per
     query and keeps the best answer; a 0.95 fraction of members preserves
     any fixed distance, so sampled subsets are good with high probability.
     """
 
-    kind: str
     side: int
     b: int
     k: int
     master_seed: int
     s: int = None  # type: ignore[assignment]
     delta: float = 0.01
-    alpha: float = 1e-6  # additive distortion floor at desk scale
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("ensemble size k must be >= 1")
+        if self.s is None:
+            self.s = sparsity_default(0.5, self.b)
+        self.b = sketch_rows(self.b, self.s)
         seeds = np.random.SeedSequence(self.master_seed).generate_state(self.k)
         self.sketches = [
-            _make_sketch(self.kind, self.side, self.b, self.s, int(seed), self.delta)
-            for seed in seeds
+            TensorSparseSketch(self.side, self.b, self.s, int(seed), self.delta) for seed in seeds
         ]
-        self.side = self.sketches[0].side
-        self.b = self.sketches[0].b
-        if self.kind == "sparse":
-            self.s = self.sketches[0].s
 
     def __len__(self) -> int:
         return self.k
@@ -284,12 +272,10 @@ class SketchEnsemble:
 
     def descriptor(self) -> dict:
         return {
-            "kind": self.kind,
             "side": self.side,
             "b": self.b,
             "s": self.s,
             "k": self.k,
             "master_seed": self.master_seed,
             "delta": self.delta,
-            "alpha": self.alpha,
         }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.afn import AfnConfig, AfnStructure, DfnStructure, gaussian_matrix, solve_threshold
+from sparsekit.afn import AfnStructure, DfnStructure, gaussian_matrix, solve_threshold
 from sparsekit.errors import NotFound
 from sparsekit.pointstore import PointStore
 from sparsekit.sortedlist import SortedKeyList
@@ -219,7 +219,7 @@ class TestPointStore:
     def test_boxwidth_single_point(self):
         store = PointStore([[3.0, 4.0]])
         assert store.boxwidth == 0.0
-        pid, p = AfnStructure(store, 2.0, 0.1, seed=0).query(np.array([0.0, 0.0]))
+        pid, p = AfnStructure(store, 2.0, seed=0).query(np.array([0.0, 0.0]))
         assert pid == 0
 
     def test_boxwidth_random_against_scan(self, rng):
@@ -254,7 +254,7 @@ class TestAfn:
         pts = [(0, np.zeros(4)), (1, np.array([1.0, 0.0, 0.0, 0.0]))]
         successes = 0
         for seed in range(40):
-            afn = AfnStructure(store_of(pts), cbar=2.0, delta=0.1, seed=seed)
+            afn = AfnStructure(store_of(pts), cbar=2.0, seed=seed)
             hit = afn.query(np.zeros(4))
             if hit is not None:
                 assert hit[0] == 1
@@ -265,12 +265,11 @@ class TestAfn:
         # 200 points on S^7, approximation factor cbar + delta
         n, d = 200, 8
         cbar, delta = 2.0, 0.1
-        config = AfnConfig(copies_mult=2.0)
         total, ok, within = 0, 0, 0
         for seed in range(10):
             pts_arr = rng.standard_normal((n, d))
             pts_arr /= np.linalg.norm(pts_arr, axis=1)[:, None]
-            afn = AfnStructure(PointStore(pts_arr), cbar, delta, seed=seed, config=config)
+            afn = AfnStructure(PointStore(pts_arr), cbar, seed=seed, scale=2.0)
             for _ in range(20):
                 q = rng.standard_normal(d)
                 q /= np.linalg.norm(q)
@@ -288,7 +287,7 @@ class TestAfn:
 
     def test_far_query_any_point_fine(self, rng):
         pts_arr = rng.standard_normal((50, 4))
-        afn = AfnStructure(PointStore(pts_arr), 2.0, 0.1, seed=6)
+        afn = AfnStructure(PointStore(pts_arr), 2.0, seed=6)
         center = pts_arr.mean(axis=0)
         q = center + 1000.0 * np.ones(4)
         hit = afn.query(q)
@@ -297,16 +296,15 @@ class TestAfn:
         assert np.linalg.norm(hit[1] - q) >= exact / 1.1  # (1 + eps) regime
 
     def test_amplification_monotone(self, rng):
-        # success rate grows with the number of DFN copies
+        # success rate grows with the scale of the DFN sizes
         n, d = 100, 6
         pts_arr = rng.standard_normal((n, d))
         rates = []
-        for mult in (0.25, 1.0, 3.0):
-            config = AfnConfig(copies_mult=mult)
+        for scale in (0.25, 1.0, 3.0):
             hits = 0
             trials = 0
             for seed in range(15):
-                afn = AfnStructure(PointStore(pts_arr), 1.8, 0.1, seed=seed, config=config)
+                afn = AfnStructure(PointStore(pts_arr), 1.8, seed=seed, scale=scale)
                 for _ in range(5):
                     q = rng.standard_normal(d)
                     trials += 1

@@ -19,7 +19,7 @@ from sparsekit.aipe import AipeConfig, InnerProductEstimator
 from sparsekit.errors import DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.minip import minip_transform_dataset, minip_transform_query
 
-DIM, DELTA, SEED = 6, 0.1, 11
+DIM, SEED = 6, 11
 
 
 class Oracle:
@@ -62,7 +62,7 @@ def unit(v):
 def test_estimates_match_full_sketch_oracle(eps):
     rng = np.random.default_rng(1)
     points = rng.standard_normal((40, DIM))
-    est = InnerProductEstimator(points, eps, DELTA, SEED, AipeConfig.desk())
+    est = InnerProductEstimator(points, eps, SEED, AipeConfig.desk())
     oracle = Oracle(points, est)
     for t in range(5):
         q = unit(rng.standard_normal(DIM)) * (0.5 if t % 2 else 1.0)
@@ -85,7 +85,7 @@ def test_insert_delete_sequence_against_oracle(ops):
     answer is the oracle's, and a deleted id is never returned."""
     rng = np.random.default_rng(2)
     points = rng.standard_normal((6, DIM))
-    est = InnerProductEstimator(points, 0.5, DELTA, SEED, AipeConfig.desk())
+    est = InnerProductEstimator(points, 0.5, SEED, AipeConfig.desk())
     oracle = Oracle(points, est)
     deleted = set()
     for kind, k in ops:
@@ -114,7 +114,7 @@ def test_tie_returns_lowest_id():
     p = unit(np.arange(1.0, DIM + 1))
     # ids 1 and 3 are the same point, the furthest from the query p
     points = np.array([0.5 * p, -p, 0.1 * p, -p])
-    est = InnerProductEstimator(points, 0.5, DELTA, SEED, AipeConfig.desk())
+    est = InnerProductEstimator(points, 0.5, SEED, AipeConfig.desk())
     assert est.query_min(p, np.random.default_rng(0)) == 1
     est.delete(0)  # id 3 moves into the freed slot, ahead of id 1
     assert est.query_min(p, np.random.default_rng(0)) == 1
@@ -124,7 +124,7 @@ def test_tie_returns_lowest_id():
 
 
 def test_double_delete_raises_not_found():
-    est = InnerProductEstimator(np.eye(DIM), 0.5, DELTA, SEED)
+    est = InnerProductEstimator(np.eye(DIM), 0.5, SEED)
     est.delete(2)
     with pytest.raises(NotFound):
         est.delete(2)
@@ -135,7 +135,7 @@ def test_double_delete_raises_not_found():
 def test_same_seed_same_answers():
     rng = np.random.default_rng(3)
     points = rng.standard_normal((30, DIM))
-    a, b = (InnerProductEstimator(points, 0.5, DELTA, SEED, AipeConfig.desk()) for _ in range(2))
+    a, b = (InnerProductEstimator(points, 0.5, SEED, AipeConfig.desk()) for _ in range(2))
     for t in range(10):
         q = unit(rng.standard_normal(DIM))
         assert a.query_min(q, np.random.default_rng(t)) == b.query_min(q, np.random.default_rng(t))
@@ -147,8 +147,8 @@ def test_same_seed_same_answers():
 
 def test_errors_are_taxonomy_errors():
     with pytest.raises(PreconditionViolation, match="at least one point"):
-        InnerProductEstimator(np.zeros((0, DIM)), 0.5, DELTA, SEED)
-    est = InnerProductEstimator(np.eye(DIM), 0.5, DELTA, SEED)
+        InnerProductEstimator(np.zeros((0, DIM)), 0.5, SEED)
+    est = InnerProductEstimator(np.eye(DIM), 0.5, SEED)
     with pytest.raises(DimensionMismatch):
         est.insert(np.ones(DIM + 1))
     with pytest.raises(DimensionMismatch):

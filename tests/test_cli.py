@@ -91,6 +91,7 @@ def test_unreadable_csv_input_is_precondition_violation(tmp_path, capsys, name):
         ["ks", "--lambda", "0.05"],
         ["bench"],
         ["oracle"],
+        ["ks", "--delta", "0.1"],
     ],
 )
 def test_flag_the_command_does_not_read_or_unknown_command_exits_2(argv):
@@ -103,7 +104,7 @@ COMMAND_FLAGS = {
     "sparsify": {"input", "format", "epsilon", "whiten", "output"},
     "ks": {
         "input", "format", "whiten", "N", "n", "backend",
-        "c", "tau", "delta", "seed", "profile", "output",
+        "c", "tau", "seed", "profile", "output",
     },
     "expdesign": {
         "input", "format", "whiten", "n", "epsilon", "gamma",

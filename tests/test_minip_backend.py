@@ -25,7 +25,6 @@ def make_backend(kind: str) -> MinIpBackend:
         range(START),
         c=0.505,
         tau=0.5,
-        delta=0.1,
         seed=0,
         aipe_config=AipeConfig.desk(),
         minip_config=MinIpConfig.desk(sketch_dim=8, sketch_sparsity=4),
@@ -73,4 +72,28 @@ def test_retire_insert_keep_maps_a_bijection(kind, ops, query_seed):
 )
 def test_window_rejected(kind, c, tau, message):
     with pytest.raises(ConfigError, match=message):
-        MinIpBackend(kind, family_rows(), range(START), c, tau, 0.1, 0)
+        MinIpBackend(kind, family_rows(), range(START), c, tau, 0)
+
+
+def test_afn_row_reinserted_is_the_same_unit_point():
+    """Build and insert share one D_X taken over all of X: a row retired and
+    stored again is the same unit point, even when a row outside the initial
+    set is the longest."""
+    X = family_rows()
+    X[START] *= 1.5
+    backend = MinIpBackend(
+        "afn",
+        X,
+        range(START),
+        c=0.505,
+        tau=0.5,
+        seed=0,
+        minip_config=MinIpConfig.desk(sketch_dim=8, sketch_sparsity=4),
+    )
+    points = backend._index._points
+    before = points[backend._pid_of[0]].copy()
+    backend.retire(0)
+    backend.insert(0)
+    assert np.array_equal(points[backend._pid_of[0]], before)
+    backend.insert(START)
+    assert np.linalg.norm(points[backend._pid_of[START]]) == pytest.approx(1.0)
