@@ -64,8 +64,8 @@ def ks_family(n: int, rng: np.random.Generator) -> np.ndarray:
     frames = n // D
     blocks = []
     for _ in range(frames):
-        Q, R = np.linalg.qr(rng.standard_normal((D, D)))
-        blocks.append(Q * np.sign(np.diag(R)) / math.sqrt(frames))
+        frame, R = np.linalg.qr(rng.standard_normal((D, D)))
+        blocks.append(frame * np.sign(np.diag(R)) / math.sqrt(frames))
     return np.vstack(blocks)
 
 

@@ -34,7 +34,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sparsekit import expdesign, linalg  # noqa: E402
+from sparsekit import expdesign  # noqa: E402
 from sparsekit.aipe import AipeConfig  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
 
@@ -52,11 +52,7 @@ def swap_matrices(X: np.ndarray):
     m, d = X.shape
     beta = 1.0 / C
     alpha = math.sqrt(d) * beta / EPSILON
-    eig = linalg.eigendecompose(X.T @ X)
-    c_t = expdesign.find_ct(eig.eigenvalues, alpha)
-    inv_gaps = 1.0 / (c_t + alpha * eig.eigenvalues)
-    A_half = (eig.eigenvectors * inv_gaps) @ eig.eigenvectors.T
-    A = (eig.eigenvectors * inv_gaps**2) @ eig.eigenvectors.T
+    A_half, A = expdesign.swap_matrices(X.T @ X, alpha)
     Q = expdesign.swap_query_matrix(A, A_half, m, EPSILON, alpha)
     return A, A_half, alpha, beta, Q
 

@@ -34,7 +34,7 @@ from .minip import (
 )
 from .aipe import AipeConfig, InnerProductEstimator
 from .sparsifier import bss_reference, sparsify_fast, verify_sparsifier
-from .kadison_singer import ks_barrier_sequence, ks_greedy_exact, ks_query_matrix, ks_select
+from .kadison_singer import ks_barrier_sequence, ks_query_matrix, ks_select
 from .expdesign import b_scores, find_ct, swap_query_matrix, swap_round
 
 __version__ = "0.1.0"

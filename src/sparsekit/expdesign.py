@@ -24,13 +24,14 @@ from .errors import (
     NoEligibleRemoval,
     PreconditionViolation,
 )
-from .linalg import VectorFamily, WeightedSelection, eigendecompose
+from .linalg import VectorFamily, WeightedSelection, check_symmetric, eigendecompose
 from .minip import MinIpConfig
 from .minip_backend import MinIpBackend
 
 __all__ = [
     "find_ct",
     "b_scores",
+    "swap_matrices",
     "swap_query_matrix",
     "swap_round",
     "SwapRunResult",
@@ -91,6 +92,18 @@ def b_scores(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, bet
     return b_plus, num / denom_minus
 
 
+def swap_matrices(Z: np.ndarray, alpha: float):
+    """(A_half, A) of one swap iteration from the selected Gram matrix Z.
+
+    A_half = (c_t I + alpha Z)^{-1} and A = A_half^2, with c_t = find_ct(.)
+    chosen so that tr[A] = 1; all three come from one eigendecomposition of Z.
+    """
+    eig = eigendecompose(Z)
+    c_t = find_ct(eig.eigenvalues, alpha)
+    inv_gaps = 1.0 / (c_t + alpha * eig.eigenvalues)
+    return eig.weighted(inv_gaps), eig.weighted(inv_gaps**2)
+
+
 def swap_query_matrix(A: np.ndarray, A_half: np.ndarray, n: int, epsilon: float, alpha: float) -> np.ndarray:
     """Matrix q with <q, x x^T> <= beta  <=>  B^-(x) <= (1-eps)/(beta n) for eligible x."""
     return A / ((1.0 - epsilon) / n) + 2.0 * alpha * A_half
@@ -120,10 +133,16 @@ class SwapRunResult:
         }
 
 
-def _removal_scan(rows, A, A_half, alpha, beta):
-    """Index (into rows) minimizing B^- among eligible members."""
+def _score_terms(rows, A, A_half):
+    """(x^T A x, x^T A_half x) for every row x: the terms of B^+ and B^-."""
     nums = np.einsum("ij,jk,ik->i", rows, A, rows)
     halves = np.einsum("ij,jk,ik->i", rows, A_half, rows)
+    return nums, halves
+
+
+def _removal_scan(rows, A, A_half, alpha, beta):
+    """Index (into rows) minimizing B^- among eligible members."""
+    nums, halves = _score_terms(rows, A, A_half)
     denoms = beta - 2.0 * alpha * halves
     eligible = denoms > 0.0
     if not np.any(eligible):
@@ -156,7 +175,7 @@ def swap_round(
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (m,):
         raise PreconditionViolation("pi must assign one weight to every vector")
-    if np.any(pi < 0.0) or np.any(pi > 1.0):
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):  # False on NaN, so NaN is refused too
         raise PreconditionViolation("pi must lie in [0, 1]^m")
     if pi.sum() > n + 1e-9:
         raise PreconditionViolation(f"||pi||_1={pi.sum()} violates ||pi||_1 <= n={n}")
@@ -212,6 +231,8 @@ def swap_round(
     removal_bound = (1.0 - epsilon) / (beta * n)
 
     def current_lambda_min():
+        # an eigensolve of its own: taking lambda_min from swap_matrices' eigh
+        # of the same Z would change the last bits of lambda_trace
         Z = X[member_mask].T @ X[member_mask]
         return float(np.linalg.eigvalsh(Z)[0]), Z
 
@@ -219,11 +240,7 @@ def swap_round(
     result.lambda_trace.append(lam_min)
     t = 1
     while t <= T_cap and lam_min <= 1.0 - gamma * epsilon:
-        eig = eigendecompose(Z)
-        c_t = find_ct(eig.eigenvalues, alpha)
-        inv_gaps = 1.0 / (c_t + alpha * eig.eigenvalues)
-        A_half = (eig.eigenvectors * inv_gaps) @ eig.eigenvectors.T
-        A = (eig.eigenvectors * inv_gaps**2) @ eig.eigenvectors.T
+        A_half, A = swap_matrices(Z, alpha)
         result.trace_norm.append(float(np.trace(A)))
 
         i_t = None
@@ -243,9 +260,7 @@ def swap_round(
             b_minus_val = float(scores[local])
 
         comp_list = np.flatnonzero(~member_mask)
-        comp_rows = X[comp_list]
-        nums = np.einsum("ij,jk,ik->i", comp_rows, A, comp_rows)
-        halves = np.einsum("ij,jk,ik->i", comp_rows, A_half, comp_rows)
+        nums, halves = _score_terms(X[comp_list], A, A_half)
         plus_scores = nums / (beta + 2.0 * alpha * halves)
         j_t = int(comp_list[int(np.argmax(plus_scores))])
         b_plus_val = float(plus_scores.max())
@@ -263,6 +278,7 @@ def swap_round(
         result.lambda_trace.append(lam_min)
         t += 1
 
+    check_symmetric(Z)
     members_final = np.flatnonzero(member_mask)
     result.selection = WeightedSelection(members_final, np.ones(len(members_final)))
     result.lambda_min = lam_min

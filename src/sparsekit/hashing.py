@@ -53,8 +53,5 @@ class SignHash:
     def __init__(self, k: int, seed):
         self._h = PolyHash(k, 2, seed)
 
-    def __call__(self, key: int) -> int:
-        return 2 * self._h(key) - 1
-
     def grid(self, rows: int, cols: int) -> np.ndarray:
         return 2 * self._h.grid(rows, cols) - 1

@@ -13,7 +13,9 @@ approximate backends ask the shared Min-IP backend (minip_backend) for a
 candidate, verify the witness inequality directly, and fall back to the
 scan (counted) whenever the backend fails or its answer does not verify.
 Chosen indices are retired from the backend immediately, so they are never
-proposed again.
+proposed again.  Each step takes one eigendecomposition of T, after its
+update; it serves the barrier check, the potential trace and the next
+step's query matrix.  T is checked for symmetry once, after the last step.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import numpy as np
 
 from .aipe import AipeConfig
 from .errors import BarrierCollapse, ConfigError, PreconditionViolation
-from .linalg import VectorFamily, WeightedSelection, check_isotropy, eigendecompose
+from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, eigendecompose
+from .linalg import check_isotropy, check_symmetric
 from .minip import MinIpConfig
 from .minip_backend import MinIpBackend
 
 __all__ = [
     "ks_barrier_sequence",
     "ks_query_matrix",
-    "ks_greedy_exact",
     "ks_select",
     "KsRunResult",
 ]
@@ -52,18 +54,15 @@ def ks_barrier_sequence(N: float, m: int, n: int) -> np.ndarray:
     return 1.0 / root + (1.0 + 1.0 / (root - 1.0)) * i / m
 
 
-def ks_query_matrix(T: np.ndarray, a_prev: float, a_cur: float) -> np.ndarray:
-    """The d x d matrix whose inner product with v v^T is the greedy score."""
-    eig = eigendecompose(T)
-    vals, Q = eig.eigenvalues, eig.eigenvectors
+def ks_query_matrix(eig: EigenDecomposition, a_prev: float, a_cur: float) -> np.ndarray:
+    """The d x d matrix whose inner product with v v^T is the score against T = eig."""
+    vals = eig.eigenvalues
     if a_cur <= vals[-1]:
         raise BarrierCollapse(f"barrier a={a_cur} does not clear ||T||={vals[-1]}")
-    inv_cur = 1.0 / (a_cur - vals)
-    inv_prev = 1.0 / (a_prev - vals)
-    phi_gap = float(inv_prev.sum() - inv_cur.sum())
+    phi_gap = eig.potential(a_prev) - eig.potential(a_cur)
     if phi_gap <= 0.0:
         raise BarrierCollapse("potential gap is nonpositive")
-    M = (Q * inv_cur) @ Q.T
+    M = eig.weighted(1.0 / (a_cur - vals))
     return M @ M / phi_gap + M
 
 
@@ -118,13 +117,14 @@ def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
     V = family.vectors
     a = ks_barrier_sequence(N, m, n)
     T = np.zeros((d, d))
+    eig = eigendecompose(T)
     remaining = np.ones(m, dtype=bool)
     chosen: list[int] = []
     result = KsRunResult(selection=None, final_norm=math.nan, barrier_sequence=a, beta=beta)
     result.potential_trace.append(d / a[0])  # Phi^{a_0}(0)
     witness_tol = 1.0 + 1e-9
     for j in range(n):
-        Qmat = ks_query_matrix(T, a[j], a[j + 1])
+        Qmat = ks_query_matrix(eig, a[j], a[j + 1])
         i_star = None if backend is None else backend.propose(Qmat, rng)
         if i_star is not None and remaining[i_star]:
             witness = float(V[i_star] @ Qmat @ V[i_star])
@@ -150,22 +150,16 @@ def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
         remaining[i_star] = False
         if backend is not None:
             backend.retire(i_star)
-        vals = np.linalg.eigvalsh(T)
-        if vals[-1] >= a[j + 1]:
-            raise BarrierCollapse(
-                f"accumulator norm {vals[-1]} crossed barrier {a[j + 1]}"
-            )
-        result.potential_trace.append(float(np.sum(1.0 / (a[j + 1] - vals))))
+        eig = eigendecompose(T)
+        norm = eig.eigenvalues[-1]
+        if norm >= a[j + 1]:
+            raise BarrierCollapse(f"accumulator norm {norm} crossed barrier {a[j + 1]}")
+        result.potential_trace.append(eig.potential(a[j + 1]))
+    check_symmetric(T)
     selection = WeightedSelection(np.array(chosen), np.ones(len(chosen)))
     result.selection = selection
     result.final_norm = float(np.linalg.eigvalsh(selection.reconstruct(family))[-1])
     return result
-
-
-def ks_greedy_exact(family: VectorFamily, N: float, n: int) -> KsRunResult:
-    """Exact greedy (beta = 1): final norm < a_n."""
-    _check_family(family, N)
-    return _greedy_loop(family, N, n, 1.0)
 
 
 def ks_select(
@@ -186,7 +180,7 @@ def ks_select(
     """
     _check_family(family, N)
     if backend == "exact":
-        return ks_greedy_exact(family, N, n)
+        return _greedy_loop(family, N, n, 1.0)
     index = MinIpBackend(
         backend,
         family.vectors,

@@ -1,8 +1,13 @@
 """Vector families, weighted selections, and the dense kernels the solvers share.
 
-The one spectral primitive is ``eigendecompose`` (``numpy.linalg.eigh``);
-each solver derives its barrier potentials and inverse powers from it
-inline.  There is deliberately no fast-matrix-multiplication path.  All
+The one spectral step is ``eigendecompose`` (``numpy.linalg.eigh``), whose
+``EigenDecomposition`` gives every spectral quantity the three solvers
+use: matrix functions Q diag(w) Q^T (``weighted``: barrier matrices,
+inverse powers, whitening) and barrier potentials sum_i 1/(b - lambda_i)
+(``potential``).  ``eigendecompose`` checks nothing: eigh reads one
+triangle, and the solvers' accumulators are symmetric by construction, so
+each solver runs ``check_symmetric`` on its final accumulator once per
+solve.  There is deliberately no fast-matrix-multiplication path.  All
 functions are pure: they never mutate their inputs and hold no state, so
 concurrent invocation is safe.
 """
@@ -20,18 +25,10 @@ __all__ = [
     "WeightedSelection",
     "EigenDecomposition",
     "eigendecompose",
+    "check_symmetric",
     "whiten",
     "check_isotropy",
 ]
-
-
-def _as_square(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-    return A
 
 
 @dataclass
@@ -67,9 +64,6 @@ class VectorFamily:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.vectors[i]
 
     def nnz_outer_total(self) -> int:
         """Total stored nonzeros of all outer products: sum of nnz(v_i)^2."""
@@ -126,23 +120,29 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
+    def weighted(self, w) -> np.ndarray:
+        """Q diag(w) Q^T: the matrix with these eigenvectors and eigenvalues w."""
         Q = self.eigenvectors
-        return (Q * self.eigenvalues) @ Q.T
+        return (Q * w) @ Q.T
+
+    def potential(self, b: float) -> float:
+        """sum_i 1/(b - lambda_i) = tr (bI - A)^{-1}; -potential(l) is the lower potential."""
+        return float(np.sum(1.0 / (b - self.eigenvalues)))
 
 
-def _check_symmetric(A: np.ndarray) -> np.ndarray:
+def eigendecompose(A: np.ndarray) -> EigenDecomposition:
+    """eigh of A, unchecked: it reads only A's lower triangle (see check_symmetric)."""
+    vals, vecs = np.linalg.eigh(A)
+    return EigenDecomposition(vals, vecs)
+
+
+def check_symmetric(A: np.ndarray) -> None:
+    """Raise unless A is finite and symmetric within 1e-12 relative tolerance."""
+    if not np.all(np.isfinite(A)):
+        raise PreconditionViolation("matrix contains non-finite entries")
     scale = np.maximum(1.0, np.abs(A))
     if np.any(np.abs(A - A.T) > 1e-12 * scale):
         raise DimensionMismatch("matrix is not symmetric within 1e-12 relative tolerance")
-    return A
-
-
-def eigendecompose(A) -> EigenDecomposition:
-    """One symmetric eigendecomposition; the single primitive everything shares."""
-    A = _check_symmetric(_as_square(A))
-    vals, vecs = np.linalg.eigh(A)
-    return EigenDecomposition(vals, vecs)
 
 
 def whiten(family: VectorFamily, pi=None) -> VectorFamily:
@@ -157,6 +157,8 @@ def whiten(family: VectorFamily, pi=None) -> VectorFamily:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (family.count,):
         raise DimensionMismatch("pi must have one weight per vector")
+    if not np.all(np.isfinite(pi) & (pi >= 0.0)):
+        raise PreconditionViolation("pi must be finite and nonnegative")
     G = X.T @ (pi[:, None] * X)
     eig = eigendecompose(G)
     vals = eig.eigenvalues
@@ -164,9 +166,7 @@ def whiten(family: VectorFamily, pi=None) -> VectorFamily:
         raise SingularGram(
             f"weighted Gram matrix is numerically singular: lambda_min={vals[0]}"
         )
-    Q = eig.eigenvectors
-    inv_sqrt = (Q * vals**-0.5) @ Q.T
-    return VectorFamily(X @ inv_sqrt)
+    return VectorFamily(X @ eig.weighted(vals**-0.5))
 
 
 def check_isotropy(family: VectorFamily, tol: float) -> bool:

@@ -11,7 +11,7 @@ tau/c + lambda_tilde are discarded, so a returned point never violates it.
 The index takes unit vectors only: a caller maps raw rows with
 minip_transform_dataset first, under one D_X for every row it will store.
 Sizes read the package's failure probability afn.DELTA; the sketch
-dimension defaults to max(8, sketch_dim_default(EPS, n, DELTA)).
+dimension defaults to max(8, sketch_dim_default(EPS, n)).
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
@@ -100,8 +100,9 @@ def minip_window(tau: float, eps: float) -> tuple[float, float]:
 class MinIpConfig:
     """Replica/ensemble counts; formulas at scale=1.0, desk profile at 0.25.
 
-    sketch_dim overrides the ensemble target dimension when set, which desk
-    runs use to keep the sketched dimension commensurate with the input.
+    sketch_dim overrides the ensemble target dimension when set.  The desk
+    profile sets it to 16 rows in 4 blocks, keeping the sketched dimension
+    commensurate with small inputs and k*kappa under MAX_STRUCTURES.
     """
 
     scale: float = 1.0
@@ -110,10 +111,12 @@ class MinIpConfig:
 
     @classmethod
     def desk(cls, **kw) -> "MinIpConfig":
+        kw.setdefault("sketch_dim", 16)
+        kw.setdefault("sketch_sparsity", 4)
         return cls(scale=0.25, **kw)
 
     def ensemble_size(self, n: int, d: int) -> int:
-        return ensemble_size_default(d, n, DELTA, scale=self.scale)
+        return ensemble_size_default(d, n, scale=self.scale)
 
     def replica_count(self, n: int, s_dim: int, lambda_: float) -> int:
         raw = s_dim * math.log(n * s_dim / (lambda_ * DELTA))
@@ -168,7 +171,7 @@ class RobustMinIpIndex:
         side = max(1, math.ceil(math.sqrt(d)))
         b = self.config.sketch_dim
         if b is None:
-            b = max(8, sketch_dim_default(self.EPS, n, DELTA))
+            b = max(8, sketch_dim_default(self.EPS, n))
         k = self.config.ensemble_size(n, d)
         rows = sketch_rows(b, self.config.sketch_sparsity)
         self.kappa = self.config.replica_count(n, rows, self.LAMBDA)
@@ -179,7 +182,7 @@ class RobustMinIpIndex:
                 f"structures exceeds the limit of {MAX_STRUCTURES}"
             )
         self.ensemble = SketchEnsemble(
-            side=side, b=b, k=k, master_seed=self.seed, s=self.config.sketch_sparsity, delta=DELTA
+            side=side, b=b, k=k, master_seed=self.seed, s=self.config.sketch_sparsity
         )
         self.b = self.ensemble.b
 

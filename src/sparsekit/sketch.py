@@ -12,6 +12,7 @@ np.outer(u, v).ravel():
 
 Plus the adaptive-robust ensemble the Min-IP index uses: many independent
 small TensorSparseSketches, of which queries sample a few and keep the best.
+Sizes and hash independence read the package's failure probability afn.DELTA.
 Sketches are immutable after construction and application is pure, so
 concurrent use is safe; ensemble sampling takes an explicit RNG.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .afn import DELTA
 from .errors import ConfigError, DimensionMismatch
 from .hashing import PolyHash, SignHash
 
@@ -62,9 +64,9 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sketch_dim_default(eps: float, m: int, delta: float) -> int:
-    """Default target dimension: ceil(4 eps^-2 log(m/delta))."""
-    return math.ceil(4.0 / eps**2 * math.log(m / delta))
+def sketch_dim_default(eps: float, m: int) -> int:
+    """Default target dimension: ceil(4 eps^-2 log(m/DELTA))."""
+    return math.ceil(4.0 / eps**2 * math.log(m / DELTA))
 
 
 def sparsity_default(eps: float, b: int) -> int:
@@ -72,9 +74,9 @@ def sparsity_default(eps: float, b: int) -> int:
     return math.ceil(eps * b)
 
 
-def ensemble_size_default(d: int, m: int, delta: float, scale: float = 1.0) -> int:
-    """Default ensemble size: ceil((d + log(1/delta)) * log(m d)), scaled."""
-    return max(1, math.ceil(scale * (d + math.log(1.0 / delta)) * math.log(m * d)))
+def ensemble_size_default(d: int, m: int, scale: float = 1.0) -> int:
+    """Default ensemble size: ceil((d + log(1/DELTA)) * log(m d)), scaled."""
+    return max(1, math.ceil(scale * (d + math.log(1.0 / DELTA)) * math.log(m * d)))
 
 
 class _TensorSketchBase:
@@ -104,9 +106,6 @@ class _TensorSketchBase:
         """Sketch one flat vector (L,) to (b,), or each row of (n, L) to (n, b)."""
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
 
 class TensorSrhtSketch(_TensorSketchBase):
     """Subsampled randomized Hadamard transform for degree-two tensors.
@@ -117,8 +116,6 @@ class TensorSrhtSketch(_TensorSketchBase):
     d^2-dimensional product are sampled with replacement and scaled by
     1/sqrt(b).
     """
-
-    kind = "srht"
 
     def __init__(self, side: int, b: int, seed: int):
         if side < 1 or b < 1:
@@ -151,9 +148,6 @@ class TensorSrhtSketch(_TensorSketchBase):
             S[k] = np.kron(HD1[self._row_i[k]], HD2[self._row_j[k]])
         return S / math.sqrt(self.b)
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "side": self.side, "b": self.b, "seed": self.seed}
-
 
 class TensorSparseSketch(_TensorSketchBase):
     """Sparse degree-two tensor embedding: s count-sketch blocks of size b/s.
@@ -161,12 +155,10 @@ class TensorSparseSketch(_TensorSketchBase):
     Entry (r, (i, j)) is sigma1(i,k) sigma2(j,k)/sqrt(s) when
     ((h1(i,k) + h2(j,k)) mod b/s) + k*(b/s) = r for the block k, giving every
     implicit column exactly s nonzeros, one per block.  Hash and sign
-    functions are Theta(log 1/delta)-wise independent polynomials.
+    functions are Theta(log 1/DELTA)-wise independent polynomials.
     """
 
-    kind = "sparse"
-
-    def __init__(self, side: int, b: int, s: int, seed: int, delta: float = 0.01):
+    def __init__(self, side: int, b: int, s: int, seed: int):
         if side < 1:
             raise ConfigError("side must be positive")
         if s < 1 or b < s or b % s != 0:
@@ -176,8 +168,7 @@ class TensorSparseSketch(_TensorSketchBase):
         self.s = s
         self.block = b // s
         self.seed = int(seed)
-        self.delta = delta
-        degree = max(2, math.ceil(math.log(1.0 / delta)))
+        degree = max(2, math.ceil(math.log(1.0 / DELTA)))
         ss = np.random.SeedSequence(self.seed).spawn(4)
         self.h1 = PolyHash(degree, self.block, ss[0]).grid(self.side, s)
         self.h2 = PolyHash(degree, self.block, ss[1]).grid(self.side, s)
@@ -211,16 +202,6 @@ class TensorSparseSketch(_TensorSketchBase):
                     R[r, col] += self.sg1[i, k] * self.sg2[j, k] / math.sqrt(self.s)
         return R
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "side": self.side,
-            "b": self.b,
-            "s": self.s,
-            "seed": self.seed,
-            "delta": self.delta,
-        }
-
 
 def sketch_rows(b: int, s=None) -> int:
     """Rows of a sparse sketch asked for b: b rounded up to a multiple of s."""
@@ -245,7 +226,6 @@ class SketchEnsemble:
     k: int
     master_seed: int
     s: int = None  # type: ignore[assignment]
-    delta: float = 0.01
 
     def __post_init__(self):
         if self.k < 1:
@@ -255,7 +235,7 @@ class SketchEnsemble:
         self.b = sketch_rows(self.b, self.s)
         seeds = np.random.SeedSequence(self.master_seed).generate_state(self.k)
         self.sketches = [
-            TensorSparseSketch(self.side, self.b, self.s, int(seed), self.delta) for seed in seeds
+            TensorSparseSketch(self.side, self.b, self.s, int(seed)) for seed in seeds
         ]
 
     def __len__(self) -> int:
@@ -277,5 +257,4 @@ class SketchEnsemble:
             "s": self.s,
             "k": self.k,
             "master_seed": self.master_seed,
-            "delta": self.delta,
         }

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoWitness, NumericalWarning
-from .linalg import VectorFamily, WeightedSelection, check_isotropy, eigendecompose
+from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symmetric, eigendecompose
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
@@ -55,17 +55,17 @@ def _barrier_matrices(A: np.ndarray, u_prev, u_cur, l_prev, l_cur):
     iteration.
     """
     eig = eigendecompose(A)
-    vals, Q = eig.eigenvalues, eig.eigenvectors
-    phi_u_prev = float(np.sum(1.0 / (u_prev - vals)))
-    phi_u_cur = float(np.sum(1.0 / (u_cur - vals)))
-    phi_l_prev = float(np.sum(1.0 / (vals - l_prev)))
-    phi_l_cur = float(np.sum(1.0 / (vals - l_cur)))
+    vals = eig.eigenvalues
+    phi_u_prev = eig.potential(u_prev)
+    phi_u_cur = eig.potential(u_cur)
+    phi_l_prev = -eig.potential(l_prev)
+    phi_l_cur = -eig.potential(l_cur)
     lower_gaps = vals - l_cur
     upper_gaps = u_cur - vals
     if lower_gaps[0] <= 0.0 or upper_gaps[-1] <= 0.0:
         raise BarrierViolation("accumulator spectrum escaped the barrier corridor")
-    L = (Q * (lower_gaps**-2.0 / (phi_l_cur - phi_l_prev) - lower_gaps**-1.0)) @ Q.T
-    U = (Q * (upper_gaps**-2.0 / (phi_u_prev - phi_u_cur) + upper_gaps**-1.0)) @ Q.T
+    L = eig.weighted(lower_gaps**-2.0 / (phi_l_cur - phi_l_prev) - lower_gaps**-1.0)
+    U = eig.weighted(upper_gaps**-2.0 / (phi_u_prev - phi_u_cur) + upper_gaps**-1.0)
     return L, U, phi_u_prev, phi_l_prev
 
 
@@ -123,12 +123,10 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
         weights[j] += 1.0 / (c * d)
         u, ell = u_next, ell_next
         trace.record(phi_u, phi_l, gap_sum)
-    final_vals = eigendecompose(A).eigenvalues
-    trace.record(
-        float(np.sum(1.0 / (u - final_vals))),
-        float(np.sum(1.0 / (final_vals - ell))),
-        math.nan,
-    )
+    check_symmetric(A)
+    final = eigendecompose(A)
+    final_vals = final.eigenvalues
+    trace.record(final.potential(u), -final.potential(ell), math.nan)
     trace.barrier_contained = bool(ell < final_vals[0] and final_vals[-1] < u)
     chosen = np.flatnonzero(weights > 0.0)
     selection = WeightedSelection(chosen, weights[chosen])

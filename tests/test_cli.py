@@ -67,6 +67,19 @@ def test_ks_afn_full_profile_refuses_too_many_structures(tmp_path, rng, capsys):
     assert "AFN structures exceeds the limit of 10000" in capsys.readouterr().err
 
 
+def test_ks_afn_desk_profile_runs(tmp_path, rng):
+    # the desk profile's 16-row sketch keeps k*kappa under the structure limit
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "afn"]
+    out = tmp_path / "report.json"
+    argv += ["--c", "0.505", "--tau", "0.5", "--profile", "desk", "--output", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass"
+    assert report["result"]["backend"] == "afn"
+
+
 def test_sparsify_non_finite_input_is_precondition_violation(tmp_path, capsys):
     path = tmp_path / "family.csv"
     path.write_text("1,0\n0,nan\n")

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from sparsekit.errors import PreconditionViolation, SingularGram
+from sparsekit.errors import DimensionMismatch, PreconditionViolation, SingularGram
 from sparsekit.linalg import (
     VectorFamily,
     WeightedSelection,
     check_isotropy,
+    check_symmetric,
     eigendecompose,
     whiten,
 )
@@ -44,6 +45,13 @@ class TestWhiten:
         with pytest.raises(SingularGram):
             whiten(fam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_pi_is_precondition_violation(self, rng, bad):
+        pi = np.full(30, 0.5)
+        pi[3] = bad
+        with pytest.raises(PreconditionViolation, match="finite and nonnegative"):
+            whiten(VectorFamily(rng.standard_normal((30, 3))), pi)
+
 
 class TestCheckIsotropy:
     def test_basis_true(self):
@@ -62,10 +70,37 @@ class TestEigenDecomposition:
     def test_reconstruction_and_orthogonality(self, rng):
         A = random_symmetric(6, rng)
         eig = eigendecompose(A)
-        assert np.linalg.norm(eig.reconstruct() - A) <= 1e-8 * np.linalg.norm(A)
+        assert np.linalg.norm(eig.weighted(eig.eigenvalues) - A) <= 1e-8 * np.linalg.norm(A)
         QtQ = eig.eigenvectors.T @ eig.eigenvectors
         assert np.linalg.norm(QtQ - np.eye(6)) <= 1e-8
         assert np.all(np.diff(eig.eigenvalues) >= 0)
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_potential_and_inverse_match_the_resolvent(self, rng, side):
+        # a barrier above the spectrum (upper) or below it (lower)
+        A = random_symmetric(5, rng)
+        eig = eigendecompose(A)
+        vals = eig.eigenvalues
+        b = vals[-1] + 0.7 if side == "upper" else vals[0] - 0.7
+        resolvent = np.linalg.inv(b * np.eye(5) - A)
+        assert eig.potential(b) == pytest.approx(np.trace(resolvent), rel=1e-10)
+        assert np.allclose(eig.weighted(1.0 / (b - vals)), resolvent, rtol=0, atol=1e-10)
+        assert np.allclose(eig.weighted((b - vals) ** -2.0), resolvent @ resolvent, atol=1e-10)
+
+    def test_lower_potential_is_the_negated_potential_bit_for_bit(self, rng):
+        eig = eigendecompose(random_symmetric(7, rng))
+        ell = eig.eigenvalues[0] - 0.3
+        assert -eig.potential(ell) == float(np.sum(1.0 / (eig.eigenvalues - ell)))
+
+    def test_check_symmetric(self, rng):
+        A = random_symmetric(4, rng)
+        check_symmetric(A)
+        A[0, 3] += 1e-6
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            check_symmetric(A)
+        A[0, 3] = np.nan
+        with pytest.raises(PreconditionViolation, match="non-finite"):
+            check_symmetric(A)
 
 
 class TestWeightedSelection:

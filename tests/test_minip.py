@@ -17,12 +17,6 @@ from sparsekit.minip import (
 )
 
 
-def desk_config(**kw):
-    kw.setdefault("sketch_dim", 16)
-    kw.setdefault("sketch_sparsity", 4)
-    return MinIpConfig.desk(**kw)
-
-
 class TestTransform:
     def test_dataset_formula(self):
         out, dx = minip_transform_dataset(np.array([[1.0, 0.0]]), D_X=2.0)
@@ -96,14 +90,14 @@ class TestExactOracle:
 class TestWindowAlgebra:
     def test_high_regime_selected(self):
         idx = RobustMinIpIndex(
-            np.eye(4), c=0.50005, tau=0.5, seed=0, config=desk_config(),
+            np.eye(4), c=0.50005, tau=0.5, seed=0, config=MinIpConfig.desk(),
         )
         assert idx.cbar_sq > 100.0
         assert idx.regime == "n^0.01"
 
     def test_sqrt2_regime_selected(self):
         idx = RobustMinIpIndex(
-            np.eye(4), c=0.52, tau=0.5, seed=0, config=desk_config(),
+            np.eye(4), c=0.52, tau=0.5, seed=0, config=MinIpConfig.desk(),
         )
         assert 2.0 < idx.cbar_sq < 100.0
         assert idx.regime == "n^0.5"
@@ -111,13 +105,13 @@ class TestWindowAlgebra:
     def test_c_equal_tau_rejected(self):
         with pytest.raises(ConfigError):
             RobustMinIpIndex(
-                np.eye(4), c=0.5, tau=0.5, seed=0, config=desk_config(),
+                np.eye(4), c=0.5, tau=0.5, seed=0, config=MinIpConfig.desk(),
             )
 
     def test_out_of_window_rejected(self):
         with pytest.raises(ConfigError) as err:
             RobustMinIpIndex(
-                np.eye(4), c=0.9, tau=0.5, seed=0, config=desk_config(),
+                np.eye(4), c=0.9, tau=0.5, seed=0, config=MinIpConfig.desk(),
             )
         assert "8*tau" in str(err.value)
 
@@ -137,7 +131,7 @@ class TestRobustIndex:
     def test_two_point_forcing(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
         idx = RobustMinIpIndex(
-            pts, c=0.90005, tau=0.9, seed=3, config=desk_config(),
+            pts, c=0.90005, tau=0.9, seed=3, config=MinIpConfig.desk(),
         )
         rng = np.random.default_rng(0)
         found = 0
@@ -153,7 +147,7 @@ class TestRobustIndex:
         pts = rng.standard_normal((n, d))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, seed=11, config=desk_config(),
+            pts, c=0.505, tau=0.5, seed=11, config=MinIpConfig.desk(),
         )
         bound = idx.tau / idx.c + idx.lambda_tilde
         for _ in range(30):
@@ -170,7 +164,7 @@ class TestRobustIndex:
         half /= np.linalg.norm(half, axis=1)[:, None]
         pts = np.vstack([half, -half])  # antipodal pairs keep the promise easy
         idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, seed=5, config=desk_config(),
+            pts, c=0.505, tau=0.5, seed=5, config=MinIpConfig.desk(),
         )
         rng_q = np.random.default_rng(77)
         q = rng.standard_normal(d)
@@ -195,7 +189,7 @@ class TestRobustIndex:
         pts = rng.standard_normal((10, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, seed=2, config=desk_config(),
+            pts, c=0.505, tau=0.5, seed=2, config=MinIpConfig.desk(),
         )
         z = rng.standard_normal(4)
         z /= np.linalg.norm(z)
@@ -210,8 +204,8 @@ class TestRobustIndex:
         pts = rng.standard_normal((12, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         kwargs = dict(c=0.505, tau=0.5, seed=9)
-        a = RobustMinIpIndex(pts, config=desk_config(), **kwargs)
-        b = RobustMinIpIndex(pts, config=desk_config(), **kwargs)
+        a = RobustMinIpIndex(pts, config=MinIpConfig.desk(), **kwargs)
+        b = RobustMinIpIndex(pts, config=MinIpConfig.desk(), **kwargs)
         assert a.descriptor() == b.descriptor()
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
@@ -238,7 +232,7 @@ def test_shared_store_tracks_live_points(initial, ops):
     ids may remain), and no query answers with a deleted id; coincident
     points answer with the lowest id."""
     idx = RobustMinIpIndex(
-        POOL[initial], c=0.505, tau=0.5, seed=4, config=desk_config(),
+        POOL[initial], c=0.505, tau=0.5, seed=4, config=MinIpConfig.desk(),
     )
     live = {pid: POOL[i] for pid, i in enumerate(initial)}
     retired = set()

@@ -197,14 +197,14 @@ class TestDistortionTailVsBound:
         return math.exp(-(eps**2) * b / 8.0)
 
     def test_srht_tail(self, rng):
-        eps, delta = 0.5, 0.05
-        b = sketch_dim_default(eps, 1, delta)
+        eps = 0.5
+        b = sketch_dim_default(eps, 1)
         tail = self._tail(TensorSrhtSketch(16, b, seed=23), rng, eps=eps)
         assert tail <= 2.0 * self.implied_tail_bound(eps, b)
 
     def test_sparse_tail(self, rng):
-        eps, delta = 0.5, 0.05
-        b = sketch_dim_default(eps, 1, delta)
+        eps = 0.5
+        b = sketch_dim_default(eps, 1)
         s = sparsity_default(eps, b)
         b = -(-b // s) * s
         tail = self._tail(TensorSparseSketch(16, b, s, seed=29), rng, eps=eps)
