@@ -5,9 +5,9 @@
 For each n, a Kadison-Singer family of n rows is drawn from --seed as the
 ks-afn workload draws it (n/2 random orthonormal frames in d=2, scaled by
 sqrt(2/n)), and the afn backend is built over all n rows exactly as
-ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1),
-MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4).  With BLAS pinned to
-one thread:
+ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), MinIpConfig()
+(16 sketch rows in 4 blocks, counts scaled by minip.SCALE = 0.25).  With
+BLAS pinned to one thread:
 
     build_s     median wall time of --repeats untraced builds
     phases      one more build, with the calls below timed by self time:
@@ -44,7 +44,7 @@ import numpy as np  # noqa: E402
 
 from sparsekit import afn, sketch, sortedlist  # noqa: E402
 from sparsekit.errors import ConfigError  # noqa: E402
-from sparsekit.minip import MAX_STRUCTURES, MinIpConfig  # noqa: E402
+from sparsekit.minip import MAX_STRUCTURES  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
 
 D, C, TAU = 2, 0.505, 0.5
@@ -70,8 +70,7 @@ def ks_family(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def build(X: np.ndarray, seed: int) -> MinIpBackend:
-    config = MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4)
-    return MinIpBackend("afn", X, range(len(X)), c=C, tau=TAU, seed=seed, minip_config=config)
+    return MinIpBackend("afn", X, range(len(X)), c=C, tau=TAU, seed=seed)
 
 
 class SelfTimer:
@@ -150,7 +149,7 @@ def main(argv=None) -> None:
     report = {
         "settings": {
             "d": D, "c": C, "tau": TAU, "delta": afn.DELTA,
-            "config": "MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4)",
+            "config": "MinIpConfig()",
             "max_structures": MAX_STRUCTURES,
         },
         "repeats": args.repeats,

@@ -19,9 +19,9 @@ radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
 the longest side of the live points' bounding box.
 
 Directions, copies and search rounds follow the Theta(.) sizes with leading
-constant 1, multiplied by the owner's `scale` before the ceiling (the desk
-profile uses 0.25).  DELTA is the one failure probability that these sizes,
-the AIPE pool and the Min-IP index all read.
+constant 1, multiplied by the owner's `scale` before the ceiling (the Min-IP
+index passes minip.SCALE = 0.25).  DELTA is the one failure probability that
+these sizes, the AIPE pool and the Min-IP index all read.
 
 Builds and updates need exclusive access; queries change nothing but the
 store's boxwidth cache and are safe to run concurrently between mutations.

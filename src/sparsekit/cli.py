@@ -6,7 +6,9 @@ Reports are JSON.  A report's "config" block holds exactly the command's
 flags, unset ones as null.  Without --seed, ks and expdesign take their seed
 from $SPARSEKIT_SEED (0 when unset).  Reports are replayable: two runs with
 the same flags and seed produce byte-identical reports once the "timings"
-block is removed.  Exit codes distinguish the error classes:
+block is removed.  --profile (full or desk) sizes the aipe backend's pools
+only; the afn backend's Min-IP index has one size.  Exit codes distinguish
+the error classes:
 
     0 success          3 precondition violation
     2 config error     4 numerical-warning escalation
@@ -37,7 +39,6 @@ from .errors import (
 )
 from .io import parse_matrix_file
 from .linalg import VectorFamily, whiten
-from .minip import MinIpConfig
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -71,7 +72,7 @@ ARGUMENTS = {
     "tau": {"type": float},
     "gamma": {"type": float, "default": xd.DEFAULT_GAMMA},
     "seed": {"type": int},
-    "profile": {"choices": ["full", "desk"], "default": "full"},
+    "profile": {"choices": ["full", "desk"], "default": "full", "help": "sizes aipe only"},
     "output": {},
 }
 
@@ -82,9 +83,6 @@ COMMAND_DEFAULTS = {"expdesign": {"epsilon": 0.2, "c": xd.DEFAULT_C}}
 
 class RunConfig(argparse.Namespace):
     """One command's parsed flags: exactly the names in FLAGS[command]."""
-
-    def minip_config(self) -> MinIpConfig:
-        return MinIpConfig.desk() if self.profile == "desk" else MinIpConfig()
 
     def aipe_config(self) -> AipeConfig:
         return AipeConfig.desk() if self.profile == "desk" else AipeConfig()
@@ -148,7 +146,6 @@ def run_ks(config: RunConfig) -> dict:
         tau=config.tau,
         seed=config.seed,
         aipe_config=config.aipe_config(),
-        minip_config=config.minip_config(),
     )
     report["timings"] = {"select_s": time.perf_counter() - t0}
     a_n = result.barrier_sequence[-1]
@@ -170,6 +167,8 @@ def run_expdesign(config: RunConfig) -> dict:
         raise ConfigError("--input is required for this command")
     if config.n is None:
         raise ConfigError("--n is required for expdesign")
+    if config.n < 1:
+        raise ConfigError(f"n={config.n} violates n >= 1")
     family = parse_matrix_file(config.input, config.format)
     pi = np.full(family.count, min(1.0, config.n / family.count))
     if config.whiten:
@@ -187,7 +186,6 @@ def run_expdesign(config: RunConfig) -> dict:
         backend=config.backend,
         seed=config.seed,
         aipe_config=config.aipe_config(),
-        minip_config=config.minip_config(),
     )
     report["timings"] = {"swap_s": time.perf_counter() - t0}
     report["result"] = result.as_dict()

@@ -45,7 +45,7 @@ ISOTROPY_TOL = 1e-6
 
 def ks_barrier_sequence(N: float, m: int, n: int) -> np.ndarray:
     """a_i = 1/sqrt(N) + (1 + 1/(sqrt(N)-1)) i/m for i = 0..n."""
-    if N < 2:
+    if not N >= 2:  # False on NaN, so NaN is refused too
         raise ConfigError(f"N={N} violates N >= 2 (1/(sqrt(N)-1) must be finite)")
     if not 0 <= n < m:
         raise ConfigError(f"n={n} violates 0 <= n < m={m}")
@@ -103,8 +103,8 @@ class KsRunResult:
         }
 
 
-def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
-    """Core loop; `backend` (a MinIpBackend, or None) proposes candidates.
+def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
+    """Core loop over barriers `a`; `backend` (a MinIpBackend or None) proposes candidates.
 
     Proposed indices are verified against the witness inequality
     c_i <= beta; failures fall back to the exact argmin scan over the
@@ -113,12 +113,11 @@ def _greedy_loop(family, N, n, beta, backend=None, rng=None) -> KsRunResult:
     chosen index is retired from the backend before the next step.
     """
     d = family.dim
-    m = family.count
     V = family.vectors
-    a = ks_barrier_sequence(N, m, n)
+    n = len(a) - 1
     T = np.zeros((d, d))
     eig = eigendecompose(T)
-    remaining = np.ones(m, dtype=bool)
+    remaining = np.ones(family.count, dtype=bool)
     chosen: list[int] = []
     result = KsRunResult(selection=None, final_norm=math.nan, barrier_sequence=a, beta=beta)
     result.potential_trace.append(d / a[0])  # Phi^{a_0}(0)
@@ -178,9 +177,10 @@ def ks_select(
     Output-norm guarantees: exact backend < a_n; aipe backend <= (1/c) a_n;
     afn backend <= (2/c) a_n.
     """
+    a = ks_barrier_sequence(N, family.count, n)  # refuses bad N and n first
     _check_family(family, N)
     if backend == "exact":
-        return _greedy_loop(family, N, n, 1.0)
+        return _greedy_loop(family, a, 1.0)
     index = MinIpBackend(
         backend,
         family.vectors,
@@ -191,6 +191,6 @@ def ks_select(
         aipe_config=aipe_config,
         minip_config=minip_config,
     )
-    result = _greedy_loop(family, N, n, 1.0 / c, index, np.random.default_rng(seed))
+    result = _greedy_loop(family, a, 1.0 / c, index, np.random.default_rng(seed))
     result.backend = backend
     return result

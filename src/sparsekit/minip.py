@@ -10,8 +10,9 @@ far points, and converts distance back to inner product through
 tau/c + lambda_tilde are discarded, so a returned point never violates it.
 The index takes unit vectors only: a caller maps raw rows with
 minip_transform_dataset first, under one D_X for every row it will store.
-Sizes read the package's failure probability afn.DELTA; the sketch
-dimension defaults to max(8, sketch_dim_default(EPS, n)).
+Sizes read the package's failure probability afn.DELTA.  The index has one
+size: the sketch dimension defaults to 16 rows in 4 blocks, and the replica,
+ensemble, sample and AFN counts are their formulas times SCALE = 0.25.
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
@@ -39,7 +40,7 @@ import numpy as np
 from .afn import DELTA, AfnStructure
 from .errors import ConfigError, DimensionMismatch
 from .pointstore import PointStore
-from .sketch import SketchEnsemble, ensemble_size_default, sketch_dim_default, sketch_rows
+from .sketch import SketchEnsemble, ensemble_size_default, sketch_rows
 
 __all__ = [
     "minip_transform_dataset",
@@ -52,6 +53,8 @@ __all__ = [
 
 #: most AFN replicas (ensemble size x replicas per sketch) one index may build
 MAX_STRUCTURES = 10_000
+#: multiplier of every Theta(.) count: replicas, ensemble, samples, AFN sizes
+SCALE = 0.25
 
 
 def minip_transform_dataset(X, D_X: float = None):
@@ -98,33 +101,31 @@ def minip_window(tau: float, eps: float) -> tuple[float, float]:
 
 @dataclass
 class MinIpConfig:
-    """Replica/ensemble counts; formulas at scale=1.0, desk profile at 0.25.
+    """Sketch size of the Min-IP index, which has one size.
 
-    sketch_dim overrides the ensemble target dimension when set.  The desk
-    profile sets it to 16 rows in 4 blocks, keeping the sketched dimension
-    commensurate with small inputs and k*kappa under MAX_STRUCTURES.
+    Each sketch maps to sketch_dim = 16 rows in sketch_sparsity = 4 blocks,
+    which keeps the sketched dimension commensurate with small inputs and
+    k*kappa under MAX_STRUCTURES.  The replica, ensemble and sample counts
+    are their formulas times SCALE.
     """
 
-    scale: float = 1.0
-    sketch_dim: int = None  # type: ignore[assignment]
-    sketch_sparsity: int = None  # type: ignore[assignment]
+    sketch_dim: int = 16
+    sketch_sparsity: int = 4
 
     @classmethod
     def desk(cls, **kw) -> "MinIpConfig":
-        kw.setdefault("sketch_dim", 16)
-        kw.setdefault("sketch_sparsity", 4)
-        return cls(scale=0.25, **kw)
+        """Alias of MinIpConfig(**kw): perfbench/workloads.py still calls it."""
+        return cls(**kw)
 
-    def ensemble_size(self, n: int, d: int) -> int:
-        return ensemble_size_default(d, n, scale=self.scale)
 
-    def replica_count(self, n: int, s_dim: int, lambda_: float) -> int:
-        raw = s_dim * math.log(n * s_dim / (lambda_ * DELTA))
-        return max(1, math.ceil(self.scale * raw))
+def _replica_count(n: int, s_dim: int, lambda_: float) -> int:
+    raw = s_dim * math.log(n * s_dim / (lambda_ * DELTA))
+    return max(1, math.ceil(SCALE * raw))
 
-    def sample_count(self, b: int, k: int) -> int:
-        raw = math.log(max(b, 2))
-        return min(k, max(1, math.ceil(self.scale * raw)))
+
+def _sample_count(b: int, k: int) -> int:
+    raw = math.log(max(b, 2))
+    return min(k, max(1, math.ceil(SCALE * raw)))
 
 
 class RobustMinIpIndex:
@@ -139,7 +140,7 @@ class RobustMinIpIndex:
     LAMBDA_CONST = 2.0
     #: additive-error parameter lambda: sets the query grid and kappa
     LAMBDA = 0.05
-    #: slack eps of the (c, tau) window and of the sketch dimension
+    #: slack eps of the (c, tau) window
     EPS = 0.05
 
     def __init__(
@@ -170,11 +171,9 @@ class RobustMinIpIndex:
 
         side = max(1, math.ceil(math.sqrt(d)))
         b = self.config.sketch_dim
-        if b is None:
-            b = max(8, sketch_dim_default(self.EPS, n))
-        k = self.config.ensemble_size(n, d)
+        k = ensemble_size_default(d, n, scale=SCALE)
         rows = sketch_rows(b, self.config.sketch_sparsity)
-        self.kappa = self.config.replica_count(n, rows, self.LAMBDA)
+        self.kappa = _replica_count(n, rows, self.LAMBDA)
         structures = k * self.kappa
         if structures > MAX_STRUCTURES:
             raise ConfigError(
@@ -194,9 +193,8 @@ class RobustMinIpIndex:
         for j, sketch in enumerate(self.ensemble.sketches):
             store = PointStore(sketch.apply_flat(pts))
             seeds = replica_seeds[j].spawn(self.kappa)
-            scale = self.config.scale
             self._stores.append(store)
-            self._replicas.append([AfnStructure(store, self.cbar, child, scale) for child in seeds])
+            self._replicas.append([AfnStructure(store, self.cbar, child, SCALE) for child in seeds])
 
     def _validate_window(self):
         c, tau, eps = self.c, self.tau, self.EPS
@@ -254,7 +252,7 @@ class RobustMinIpIndex:
         x = np.asarray(x, dtype=float)
         if abs(np.linalg.norm(x) - 1.0) > 1e-9:
             raise DimensionMismatch("query must be a unit vector")
-        count = self.config.sample_count(self.b, len(self.ensemble))
+        count = _sample_count(self.b, len(self.ensemble))
         sampled = self.ensemble.sample(count, rng)
         best = None
         for j in sampled:

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from sparsekit import cli
+from sparsekit import cli, minip
+from sparsekit.errors import ConfigError
 from sparsekit.io import write_matrix_file
+from sparsekit.kadison_singer import ks_select
 from sparsekit.linalg import VectorFamily, whiten
 
 from conftest import random_isotropic_family, random_ks_family
@@ -59,25 +61,66 @@ def test_ks_aipe_replay_identical_apart_from_timings(tmp_path, rng):
     assert texts[0] == texts[1]
 
 
-def test_ks_afn_full_profile_refuses_too_many_structures(tmp_path, rng, capsys):
+def test_ks_afn_refuses_too_many_structures_before_building_one(
+    tmp_path, rng, capsys, monkeypatch
+):
+    # m=24 points of dimension D=146: k=303 sketches x kappa=45 replicas = 13,635
+    def no_build(*args, **kwargs):
+        raise AssertionError("an AFN structure was built")
+
+    monkeypatch.setattr(minip, "AfnStructure", no_build)
     path = str(tmp_path / "ks.mtx")
-    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "afn"]
+    write_matrix_file(path, random_ks_family(12, 2, rng).vectors)
+    argv = ["ks", "--input", path, "--N", "2", "--n", "12", "--backend", "afn"]
     assert cli.main(argv + ["--c", "0.505", "--tau", "0.5"]) == cli.EXIT_CONFIG
     assert "AFN structures exceeds the limit of 10000" in capsys.readouterr().err
 
 
-def test_ks_afn_desk_profile_runs(tmp_path, rng):
-    # the desk profile's 16-row sketch keeps k*kappa under the structure limit
+def test_ks_afn_runs_without_profile_and_ignores_it(tmp_path, rng):
+    # the one Min-IP index size keeps k*kappa under the structure limit
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
     argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "afn"]
-    out = tmp_path / "report.json"
-    argv += ["--c", "0.505", "--tau", "0.5", "--profile", "desk", "--output", str(out)]
-    assert cli.main(argv) == 0
-    report = json.loads(out.read_text())
-    assert report["verdict"] == "pass"
-    assert report["result"]["backend"] == "afn"
+    argv += ["--c", "0.505", "--tau", "0.5", "--seed", "3"]
+    results = []
+    for profile in ([], ["--profile", "desk"], ["--profile", "full"]):
+        out = tmp_path / "report.json"
+        assert cli.main(argv + profile + ["--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "pass"
+        assert report["result"]["backend"] == "afn"
+        results.append(report["result"])
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ks", "--N", "0", "--n", "8"],
+        ["ks", "--N", "-1", "--n", "8"],
+        ["ks", "--N", "1", "--n", "8"],
+        ["ks", "--N", "nan", "--n", "8"],
+        ["expdesign", "--n", "0", "--whiten"],
+        ["expdesign", "--n", "-3", "--whiten"],
+    ],
+    ids=["ks-N0", "ks-N-1", "ks-N1", "ks-Nnan", "expdesign-n0", "expdesign-n-3"],
+)
+def test_bad_sizes_are_config_errors(tmp_path, rng, capsys, argv):
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    assert cli.main(argv + ["--input", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_ks_afn_refuses_n_out_of_range_before_building_the_index(rng, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the Min-IP index was built")
+
+    monkeypatch.setattr(minip.RobustMinIpIndex, "__init__", no_build)
+    family = random_ks_family(2, 8, rng)
+    for n in (family.count, family.count + 1, -1):
+        with pytest.raises(ConfigError, match="violates 0 <= n < m=16"):
+            ks_select(family, 8, n, backend="afn", c=0.505, tau=0.5)
 
 
 def test_sparsify_non_finite_input_is_precondition_violation(tmp_path, capsys):

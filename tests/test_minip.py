@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import exact_min_ip
 from sparsekit.errors import ConfigError, NotFound
 from sparsekit.minip import (
-    MinIpConfig,
     RobustMinIpIndex,
     minip_transform_dataset,
     minip_transform_query,
@@ -89,30 +88,22 @@ class TestExactOracle:
 
 class TestWindowAlgebra:
     def test_high_regime_selected(self):
-        idx = RobustMinIpIndex(
-            np.eye(4), c=0.50005, tau=0.5, seed=0, config=MinIpConfig.desk(),
-        )
+        idx = RobustMinIpIndex(np.eye(4), c=0.50005, tau=0.5, seed=0)
         assert idx.cbar_sq > 100.0
         assert idx.regime == "n^0.01"
 
     def test_sqrt2_regime_selected(self):
-        idx = RobustMinIpIndex(
-            np.eye(4), c=0.52, tau=0.5, seed=0, config=MinIpConfig.desk(),
-        )
+        idx = RobustMinIpIndex(np.eye(4), c=0.52, tau=0.5, seed=0)
         assert 2.0 < idx.cbar_sq < 100.0
         assert idx.regime == "n^0.5"
 
     def test_c_equal_tau_rejected(self):
         with pytest.raises(ConfigError):
-            RobustMinIpIndex(
-                np.eye(4), c=0.5, tau=0.5, seed=0, config=MinIpConfig.desk(),
-            )
+            RobustMinIpIndex(np.eye(4), c=0.5, tau=0.5, seed=0)
 
     def test_out_of_window_rejected(self):
         with pytest.raises(ConfigError) as err:
-            RobustMinIpIndex(
-                np.eye(4), c=0.9, tau=0.5, seed=0, config=MinIpConfig.desk(),
-            )
+            RobustMinIpIndex(np.eye(4), c=0.9, tau=0.5, seed=0)
         assert "8*tau" in str(err.value)
 
     def test_window_map_monotone(self):
@@ -130,9 +121,7 @@ class TestWindowAlgebra:
 class TestRobustIndex:
     def test_two_point_forcing(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        idx = RobustMinIpIndex(
-            pts, c=0.90005, tau=0.9, seed=3, config=MinIpConfig.desk(),
-        )
+        idx = RobustMinIpIndex(pts, c=0.90005, tau=0.9, seed=3)
         rng = np.random.default_rng(0)
         found = 0
         for _ in range(20):
@@ -146,9 +135,7 @@ class TestRobustIndex:
         n, d = 60, 8
         pts = rng.standard_normal((n, d))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, seed=11, config=MinIpConfig.desk(),
-        )
+        idx = RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=11)
         bound = idx.tau / idx.c + idx.lambda_tilde
         for _ in range(30):
             q = rng.standard_normal(d)
@@ -163,9 +150,7 @@ class TestRobustIndex:
         half = rng.standard_normal((n // 2, d))
         half /= np.linalg.norm(half, axis=1)[:, None]
         pts = np.vstack([half, -half])  # antipodal pairs keep the promise easy
-        idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, seed=5, config=MinIpConfig.desk(),
-        )
+        idx = RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=5)
         rng_q = np.random.default_rng(77)
         q = rng.standard_normal(d)
         q /= np.linalg.norm(q)
@@ -188,9 +173,7 @@ class TestRobustIndex:
     def test_insert_delete_roundtrip(self, rng):
         pts = rng.standard_normal((10, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        idx = RobustMinIpIndex(
-            pts, c=0.505, tau=0.5, seed=2, config=MinIpConfig.desk(),
-        )
+        idx = RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=2)
         z = rng.standard_normal(4)
         z /= np.linalg.norm(z)
         pid = idx.insert(z)
@@ -204,8 +187,8 @@ class TestRobustIndex:
         pts = rng.standard_normal((12, 4))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         kwargs = dict(c=0.505, tau=0.5, seed=9)
-        a = RobustMinIpIndex(pts, config=MinIpConfig.desk(), **kwargs)
-        b = RobustMinIpIndex(pts, config=MinIpConfig.desk(), **kwargs)
+        a = RobustMinIpIndex(pts, **kwargs)
+        b = RobustMinIpIndex(pts, **kwargs)
         assert a.descriptor() == b.descriptor()
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
@@ -231,9 +214,7 @@ def test_shared_store_tracks_live_points(initial, ops):
     live points, every replica lists each live id once with its key (retired
     ids may remain), and no query answers with a deleted id; coincident
     points answer with the lowest id."""
-    idx = RobustMinIpIndex(
-        POOL[initial], c=0.505, tau=0.5, seed=4, config=MinIpConfig.desk(),
-    )
+    idx = RobustMinIpIndex(POOL[initial], c=0.505, tau=0.5, seed=4)
     live = {pid: POOL[i] for pid, i in enumerate(initial)}
     retired = set()
     rng = np.random.default_rng(0)

@@ -27,7 +27,7 @@ def make_backend(kind: str) -> MinIpBackend:
         tau=0.5,
         seed=0,
         aipe_config=AipeConfig.desk(),
-        minip_config=MinIpConfig.desk(sketch_dim=8, sketch_sparsity=4),
+        minip_config=MinIpConfig(sketch_dim=8),
     )
 
 
@@ -88,7 +88,7 @@ def test_afn_row_reinserted_is_the_same_unit_point():
         c=0.505,
         tau=0.5,
         seed=0,
-        minip_config=MinIpConfig.desk(sketch_dim=8, sketch_sparsity=4),
+        minip_config=MinIpConfig(sketch_dim=8),
     )
     points = backend._index._points
     before = points[backend._pid_of[0]].copy()

@@ -19,7 +19,6 @@ import pytest
 from sparsekit import expdesign, kadison_singer, sparsifier
 from sparsekit.aipe import AipeConfig
 from sparsekit.linalg import VectorFamily, whiten
-from sparsekit.minip import MinIpConfig
 
 from conftest import random_isotropic_family, random_ks_family
 
@@ -48,7 +47,6 @@ def ks_outcome(backend: str):
         backend=backend,
         seed=0,
         aipe_config=AipeConfig.desk(),
-        minip_config=MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4),
         **kwargs,
     )
     return family, result
@@ -106,7 +104,6 @@ def swap_outcome(case: str):
         backend=backend,
         seed=seed,
         aipe_config=AipeConfig.desk(),
-        minip_config=MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4),
     )
     return family, result
 
