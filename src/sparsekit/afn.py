@@ -5,8 +5,9 @@ that their owner fills and empties; `insert(pid)` indexes a point the owner
 has added, so a point must be in the store when it is inserted into a
 structure.  The store alone records which ids are live: removing an id from
 it retires the point from every structure reading that store, and queries
-skip the (key, id) pairs it leaves behind.  So an owner must never reuse an
-id, and the lists grow only by inserts.  Many structures may share one store.
+skip the (key, id) pairs it leaves behind.  That is sound because the store
+never reissues an id, and the lists grow only by inserts.  Many structures
+may share one store.
 
 DfnStructure answers fixed-radius decision queries: given (q, r), either
 return a point at distance >= r / cbar (post-checked before returning) or

@@ -73,7 +73,6 @@ class InnerProductEstimator:
         self._root_seed = np.random.SeedSequence(seed)
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)
-        self._next_id = pts.shape[0]
 
     @property
     def count(self) -> int:
@@ -85,10 +84,7 @@ class InnerProductEstimator:
         if z.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of dim {self.dim}, got shape {z.shape}")
         self.radius = max(self.radius, float(np.linalg.norm(z)))
-        pid = self._next_id
-        self._next_id += 1
-        self._store.add(pid, z)
-        return pid
+        return self._store.add(z)
 
     def delete(self, pid: int) -> None:
         self._store.remove(pid)

@@ -24,21 +24,17 @@ from .errors import (
     NoEligibleRemoval,
     PreconditionViolation,
 )
-from .linalg import VectorFamily, WeightedSelection, check_symmetric, eigendecompose
+from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symmetric, eigendecompose
 from .minip import MinIpConfig
 from .minip_backend import MinIpBackend
 
 __all__ = [
     "find_ct",
-    "b_scores",
     "swap_matrices",
     "swap_query_matrix",
     "swap_round",
     "SwapRunResult",
-    "INELIGIBLE",
 ]
-
-INELIGIBLE = None  # sentinel returned for b_minus when the denominator is <= 0
 
 # gamma=3 would need c > 2/(gamma-1) = 1, which 0 < c < 1 forbids
 DEFAULT_GAMMA = 4.0
@@ -81,15 +77,14 @@ def find_ct(eigenvalues: np.ndarray, alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def b_scores(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, beta: float):
-    """(B^+, B^-) for one vector; B^- is INELIGIBLE when its denominator <= 0."""
+def _b_minus(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> float:
+    """B^-(x) for one vector; inf, so never a removal, when its denominator is <= 0."""
     num = float(x @ A @ x)
     half = float(x @ A_half @ x)
-    b_plus = num / (beta + 2.0 * alpha * half)
     denom_minus = beta - 2.0 * alpha * half
     if denom_minus <= 0.0:
-        return b_plus, INELIGIBLE
-    return b_plus, num / denom_minus
+        return math.inf
+    return num / denom_minus
 
 
 def swap_matrices(Z: np.ndarray, alpha: float):
@@ -179,8 +174,7 @@ def swap_round(
         raise PreconditionViolation("pi must lie in [0, 1]^m")
     if pi.sum() > n + 1e-9:
         raise PreconditionViolation(f"||pi||_1={pi.sum()} violates ||pi||_1 <= n={n}")
-    iso = X.T @ (pi[:, None] * X)
-    if np.linalg.norm(iso - np.eye(d)) > 1e-6:
+    if not check_isotropy(family, pi=pi):
         raise PreconditionViolation(
             "sum_i pi_i x_i x_i^T != I; whiten the family first"
         )
@@ -247,8 +241,8 @@ def swap_round(
         if index is not None:
             cand = index.propose(swap_query_matrix(A, A_half, n, epsilon, alpha), rng)
             if cand is not None and member_mask[cand]:
-                _, bm = b_scores(A, A_half, X[cand], alpha, beta)
-                if bm is not INELIGIBLE and bm <= removal_bound * (1.0 + 1e-9):
+                bm = _b_minus(A, A_half, X[cand], alpha, beta)
+                if bm <= removal_bound * (1.0 + 1e-9):
                     i_t = cand
                     b_minus_val = bm
             if i_t is None:

@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
-ISOTROPY_TOL = 1e-6
 
 
 def ks_barrier_sequence(N: float, m: int, n: int) -> np.ndarray:
@@ -71,7 +70,7 @@ def _check_family(family: VectorFamily, N: float) -> None:
     target = 1.0 / math.sqrt(N)
     if np.any(np.abs(norms - target) > NORM_TOL):
         raise PreconditionViolation(f"every vector must have norm 1/sqrt(N)={target}")
-    if not check_isotropy(family, ISOTROPY_TOL):
+    if not check_isotropy(family):
         raise PreconditionViolation("family is not isotropic")
     if family.count != family.dim * N:
         raise PreconditionViolation(

@@ -30,6 +30,9 @@ __all__ = [
     "check_isotropy",
 ]
 
+#: Frobenius distance from I within which a family counts as isotropic
+ISOTROPY_TOL = 1e-6
+
 
 @dataclass
 class VectorFamily:
@@ -169,7 +172,9 @@ def whiten(family: VectorFamily, pi=None) -> VectorFamily:
     return VectorFamily(X @ eig.weighted(vals**-0.5))
 
 
-def check_isotropy(family: VectorFamily, tol: float) -> bool:
-    """True iff the family's Gram matrix is the identity within Frobenius tol."""
-    G = family.gram()
+def check_isotropy(family: VectorFamily, tol: float = ISOTROPY_TOL, pi=None) -> bool:
+    """True iff sum_i pi_i v_i v_i^T (pi_i = 1 when pi is None) is the
+    identity within Frobenius tol."""
+    X = family.vectors
+    G = family.gram() if pi is None else X.T @ (pi[:, None] * X)
     return bool(np.linalg.norm(G - np.eye(family.dim)) <= tol)

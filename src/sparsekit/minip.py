@@ -18,7 +18,7 @@ The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
 one call.  Every replica of a sketch reads that sketch's store and holds
 only its directions and projection lists.  The index alone changes the
-stores and issues point ids in increasing order, never reusing one.  A
+stores, always all 1 + k together, so the ids they issue agree.  A
 delete removes the id from the 1 + k stores and from nothing else: the
 replicas skip pairs of ids their store no longer holds, so their lists grow
 only by inserts (none in a KS selection, at most T_cap in a swap_round solve).
@@ -186,7 +186,6 @@ class RobustMinIpIndex:
         self.b = self.ensemble.b
 
         self._points = PointStore(pts)
-        self._next_id = n
         self._stores = []  # sketched points, one store per ensemble member
         self._replicas = []  # AfnStructures over each store
         replica_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
@@ -229,11 +228,9 @@ class RobustMinIpIndex:
         p = np.asarray(p, dtype=float)
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:
             raise ValueError("inserted points must be unit vectors")
-        pid = self._next_id
-        self._next_id += 1
-        self._points.add(pid, p)
+        pid = self._points.add(p)
         for sketch, store, replicas in zip(self.ensemble.sketches, self._stores, self._replicas):
-            store.add(pid, sketch.apply_flat(p))
+            store.add(sketch.apply_flat(p))  # issues pid too: the stores add in lockstep
             for afn in replicas:
                 afn.insert(pid)
         return pid

@@ -3,6 +3,8 @@
 A PointStore is the single copy of a point set that several search
 structures read.  Rows sit in insertion order until a delete swap-removes
 one (the last row fills the hole), so row order carries no meaning; ids do.
+The store issues the ids, in increasing order and never reusing one, so two
+stores built over the same n points and given the same adds agree on ids.
 Reads copy, so a returned point never changes under a later mutation.
 Mutations need exclusive access.
 """
@@ -25,6 +27,7 @@ class PointStore:
         self._ids = np.arange(n)
         self._slot = dict(zip(range(n), range(n)))
         self._n = n
+        self._next_id = n
         self._boxwidth = None
 
     @property
@@ -53,9 +56,10 @@ class PointStore:
         """The id of each row of `points`."""
         return self._ids[: self._n]
 
-    def add(self, pid: int, p) -> None:
-        if pid in self._slot:
-            raise ValueError(f"point id {pid!r} already stored")
+    def add(self, p) -> int:
+        """Store p under a new id, larger than every earlier one; return the id."""
+        pid = self._next_id
+        self._next_id += 1
         if self._n == len(self._rows):  # full: double the capacity
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
             self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
@@ -64,6 +68,7 @@ class PointStore:
         self._slot[pid] = self._n
         self._n += 1
         self._boxwidth = None
+        return pid
 
     def remove(self, pid) -> None:
         slot = self._slot.pop(pid, None)

@@ -1,10 +1,12 @@
 """Deterministic positive inner-product search trees.
 
-Two variants over a family of d x d summands M_i (or outer products
-v_i v_i^T): a per-item matrix tree, and a batched tree whose leaves each
-pack d consecutive vectors into a single d x d block.  Both answer the same
-query: given A with sum_i <M_i, A> > 0, return an index i with
-<M_i, A> > 0, touching one root-to-leaf path.
+One tree over a vector family: each leaf packs `block` consecutive vectors
+v_i as the columns of a d x block matrix V_j and holds the d x d sum
+V_j V_j^T; internal nodes sum pairs of children.  Given A with
+sum_i v_i^T A v_i > 0, a query returns an index i with v_i^T A v_i > 0,
+touching one root-to-leaf path.  The two kinds differ only in the block:
+the batched tree packs d vectors per leaf, the matrix tree one, so its
+leaves are the outer products v_i v_i^T.
 
 Queries are read-only and safe to run concurrently; updates require
 exclusive access (single-writer, multi-reader).
@@ -30,7 +32,7 @@ def _next_pow2(n: int) -> int:
 
 
 def _descend(ip_left: float, ip_right: float) -> int:
-    """Child choice shared by both trees.
+    """Child choice at one level of the descent.
 
     Ties (both positive) go left for reproducible traces.  A child at
     exactly 0 with a positive sibling goes to the sibling.  Both
@@ -45,29 +47,61 @@ def _descend(ip_left: float, ip_right: float) -> int:
 
 
 class _PartialSumTree:
-    """Heap of d x d partial sums (node k over 2k and 2k+1, root at 1) with
-    the descent both trees share; subclasses fill `_nodes`."""
+    """Heap of d x d partial sums (node k over 2k and 2k+1, root at 1) whose
+    leaf j holds the `block` vectors j*block, ..., j*block + block - 1.
 
-    dim: int
-    _capacity: int
-    _nodes: np.ndarray
+    The leaf count is a power of two, so the family is padded with zero
+    vectors up to capacity * block; their quadratic forms are exactly 0, so
+    a query never returns them.
+    """
+
+    def __init__(self, family: VectorFamily, block: int):
+        if family.count == 0:
+            raise ValueError("empty vector family")
+        m, d = family.count, family.dim
+        n_blocks = -(-m // block)
+        self.m = m
+        self.dim = d
+        self.block = block
+        self._capacity = _next_pow2(n_blocks)
+        padded = np.zeros((self._capacity * block, d))
+        padded[:m] = family.vectors
+        # leaf j as a d x block matrix with its vectors as columns
+        self._blocks = np.ascontiguousarray(
+            padded.reshape(self._capacity, block, d).transpose(0, 2, 1)
+        )
+        self._nodes = np.zeros((2 * self._capacity, d, d))
+        np.matmul(
+            self._blocks, self._blocks.transpose(0, 2, 1), out=self._nodes[self._capacity :]
+        )
+        for k in range(self._capacity - 1, 0, -1):
+            self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
+        self.last_query_ip_count = 0
 
     @property
     def root_sum(self) -> np.ndarray:
         return self._nodes[1]
 
-    def _descend_to_leaf(self, A):
-        """One root-to-leaf walk toward positive inner products with A.
+    def level_sum(self, level: int, j: int) -> np.ndarray:
+        """Node sum at the given level (0 = leaves), offset j within it."""
+        depth = self._capacity.bit_length() - 1
+        if not 0 <= level <= depth:
+            raise IndexError("level out of range")
+        return self._nodes[(self._capacity >> level) + j]
 
-        Returns (A as a float array, the leaf's node index, the root's inner
-        product, whether a step had to break a roundoff tie), and leaves the
-        number of inner products taken in last_query_ip_count.
+    def query_positive(self, A) -> int:
+        """Index i with v_i^T A v_i > 0, under the promise that the sum is > 0.
+
+        One root-to-leaf walk toward positive inner products with A; the
+        number of inner products taken is left in last_query_ip_count.  If
+        the leaf it reaches holds no witness, which roundoff alone can cause,
+        every leaf is scanned in order.
         """
         A = np.asarray(A, dtype=float)
         if A.shape != (self.dim, self.dim):
             raise DimensionMismatch("query matrix has wrong shape")
         self.last_query_ip_count = 0
-        root_ip = float(np.vdot(self._nodes[1], A))
+        root_ip = ip = float(np.vdot(self._nodes[1], A))
         suspicious = False
         k = 1
         while k < self._capacity:
@@ -84,113 +118,11 @@ class _PartialSumTree:
                 branch = 0 if p1 >= p2 else 1
                 suspicious = True
             k = 2 * k + branch
-        return A, k, root_ip, suspicious
-
-
-class MatrixSearchTree(_PartialSumTree):
-    """Complete binary tree of partial sums over a sequence of d x d matrices.
-
-    The heap layout follows the classic array segment tree: node k has
-    children 2k and 2k+1, leaves live at [capacity, capacity + m).  Unused
-    padding leaves hold zero matrices and can never be returned by a query
-    (their inner products are exactly 0, never strictly positive).
-    """
-
-    def __init__(self, matrices):
-        mats = [np.asarray(M, dtype=float) for M in matrices]
-        if not mats:
-            raise ValueError("need at least one matrix")
-        d = mats[0].shape[0]
-        for M in mats:
-            if M.shape != (d, d):
-                raise DimensionMismatch(f"all matrices must be {d}x{d}, got {M.shape}")
-        self.m = len(mats)
-        self.dim = d
-        self._capacity = _next_pow2(self.m)
-        self._nodes = np.zeros((2 * self._capacity, d, d))
-        self._nodes[self._capacity : self._capacity + self.m] = np.stack(mats)
-        for k in range(self._capacity - 1, 0, -1):
-            self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
-        self.last_query_ip_count = 0
-
-    @staticmethod
-    def node_bytes(m: int, d: int) -> int:
-        """Bytes of the float64 node array a tree over m d x d matrices holds."""
-        return 16 * _next_pow2(m) * d * d
-
-    def leaf(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.m:
-            raise IndexError(f"leaf index {i} out of range for m={self.m}")
-        return self._nodes[self._capacity + i]
-
-    def node_matrix(self, k: int) -> np.ndarray:
-        return self._nodes[k]
-
-    def query_positive(self, A) -> int:
-        """Index i with <M_i, A> > 0, under the promise that the total is > 0."""
-        A, k, root_ip, suspicious = self._descend_to_leaf(A)
-        leaf_index = k - self._capacity
-        if leaf_index < self.m and float(np.vdot(self._nodes[k], A)) > 0.0:
-            return leaf_index
-        if suspicious:
-            warnings.warn(
-                "positive-search descent hit roundoff; falling back to scan",
-                NumericalWarning,
-            )
-        return self._scan_fallback(A, root_ip)
-
-    def _scan_fallback(self, A, root_ip: float) -> int:
-        for i in range(self.m):
-            if float(np.vdot(self._nodes[self._capacity + i], A)) > 0.0:
-                return i
-        raise NoPositiveEntry(
-            f"promise violated: no leaf has positive inner product (root ip={root_ip})"
-        )
-
-
-class BatchedVectorSearchTree(_PartialSumTree):
-    """Positive-search tree whose leaves each batch d input vectors.
-
-    Leaf block j stores the d x d matrix V_j of columns
-    v_{jd}, ..., v_{jd+d-1}; its node sum is V_j V_j^T.  Internal levels sum
-    pairs of blocks.  When m is not a multiple of d the family is padded
-    with zero vectors, which are unreturnable (their diagonal entries in the
-    leaf product are 0).
-    """
-
-    def __init__(self, family: VectorFamily):
-        if family.count == 0:
-            raise ValueError("empty vector family")
-        d = family.dim
-        m = family.count
-        n_blocks = -(-m // d)
-        padded = np.zeros((n_blocks * d, d))
-        padded[:m] = family.vectors
-        self.m = m
-        self.dim = d
-        self._capacity = _next_pow2(n_blocks)
-        # block j as a d x d matrix with vectors as columns
-        self._blocks = np.zeros((self._capacity, d, d))
-        for j in range(n_blocks):
-            self._blocks[j] = padded[j * d : (j + 1) * d].T
-        self._nodes = np.zeros((2 * self._capacity, d, d))
-        self._nodes[self._capacity :] = self._blocks @ np.transpose(
-            self._blocks, (0, 2, 1)
-        )
-        for k in range(self._capacity - 1, 0, -1):
-            self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
-        self.last_query_ip_count = 0
-
-    def level_sum(self, level: int, j: int) -> np.ndarray:
-        """Node sum at the given level (0 = leaf blocks), block offset j."""
-        depth = self._capacity.bit_length() - 1
-        if not 0 <= level <= depth:
-            raise IndexError("level out of range")
-        return self._nodes[(self._capacity >> level) + j]
-
-    def query_positive(self, A) -> int:
-        """Original vector index i with v_i^T A v_i > 0, under the sum promise."""
-        A, k, _, suspicious = self._descend_to_leaf(A)
+            ip = p2 if branch else p1
+        if self.block == 1 and ip > 0.0:
+            # a one-vector leaf holds v v^T: the walk's last inner product
+            # is already its quadratic form (a padding leaf's is exactly 0)
+            return k - self._capacity
         idx = self._leaf_scan(k - self._capacity, A)
         if idx is not None:
             return idx
@@ -203,13 +135,46 @@ class BatchedVectorSearchTree(_PartialSumTree):
             idx = self._leaf_scan(j, A)
             if idx is not None:
                 return idx
-        raise NoPositiveEntry("promise violated: no vector has positive quadratic form")
+        raise NoPositiveEntry(
+            f"promise violated: no vector has positive quadratic form (root ip={root_ip})"
+        )
 
     def _leaf_scan(self, j: int, A: np.ndarray):
+        """First index in leaf j with a positive quadratic form, or None."""
         V = self._blocks[j]
         diag = np.einsum("ji,jk,ki->i", V, A, V)
-        for col in range(self.dim):
-            i = j * self.dim + col
+        for col in range(self.block):
+            i = j * self.block + col
             if i < self.m and diag[col] > 0.0:
                 return i
         return None
+
+
+# Each kind keeps its own query_positive, delegating to the base, because
+# the benchmark's tracer wraps every class's own __init__ and query_positive
+# and its name check asserts they are entries of the class's own __dict__.
+
+
+class MatrixSearchTree(_PartialSumTree):
+    """Positive-search tree with one vector per leaf: leaf i is v_i v_i^T."""
+
+    def __init__(self, family: VectorFamily):
+        super().__init__(family, 1)
+
+    @staticmethod
+    def node_bytes(m: int, d: int) -> int:
+        """Bytes of the float64 node array a tree over m vectors in R^d holds."""
+        return 16 * _next_pow2(m) * d * d
+
+    def query_positive(self, A) -> int:
+        return super().query_positive(A)
+
+
+class BatchedVectorSearchTree(_PartialSumTree):
+    """Positive-search tree whose leaves each batch d input vectors."""
+
+    def __init__(self, family: VectorFamily):
+        super().__init__(family, family.dim)
+
+    def query_positive(self, A) -> int:
+        return super().query_positive(A)

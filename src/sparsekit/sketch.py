@@ -32,8 +32,6 @@ __all__ = [
     "TensorSrhtSketch",
     "TensorSparseSketch",
     "SketchEnsemble",
-    "sketch_dim_default",
-    "sparsity_default",
     "sketch_rows",
     "ensemble_size_default",
 ]
@@ -64,17 +62,7 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sketch_dim_default(eps: float, m: int) -> int:
-    """Default target dimension: ceil(4 eps^-2 log(m/DELTA))."""
-    return math.ceil(4.0 / eps**2 * math.log(m / DELTA))
-
-
-def sparsity_default(eps: float, b: int) -> int:
-    """Default column sparsity: ceil(eps * b)."""
-    return math.ceil(eps * b)
-
-
-def ensemble_size_default(d: int, m: int, scale: float = 1.0) -> int:
+def ensemble_size_default(d: int, m: int, scale: float) -> int:
     """Default ensemble size: ceil((d + log(1/DELTA)) * log(m d)), scaled."""
     return max(1, math.ceil(scale * (d + math.log(1.0 / DELTA)) * math.log(m * d)))
 
@@ -203,10 +191,8 @@ class TensorSparseSketch(_TensorSketchBase):
         return R
 
 
-def sketch_rows(b: int, s=None) -> int:
+def sketch_rows(b: int, s: int) -> int:
     """Rows of a sparse sketch asked for b: b rounded up to a multiple of s."""
-    if s is None:
-        s = sparsity_default(0.5, b)
     return -(-b // s) * s
 
 
@@ -214,7 +200,7 @@ def sketch_rows(b: int, s=None) -> int:
 class SketchEnsemble:
     """k independent TensorSparseSketches with seeds derived from one master seed.
 
-    b is rounded up to a multiple of s (default sparsity_default(0.5, b)).
+    b is rounded up to a multiple of s.
 
     During an adaptive query sequence a caller samples a few members per
     query and keeps the best answer; a 0.95 fraction of members preserves
@@ -225,13 +211,11 @@ class SketchEnsemble:
     b: int
     k: int
     master_seed: int
-    s: int = None  # type: ignore[assignment]
+    s: int
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("ensemble size k must be >= 1")
-        if self.s is None:
-            self.s = sparsity_default(0.5, self.b)
         self.b = sketch_rows(self.b, self.s)
         seeds = np.random.SeedSequence(self.master_seed).generate_state(self.k)
         self.sketches = [

@@ -7,8 +7,9 @@ selected and added with weight 1/(c_t d).  The loop itself does O(d^3)
 work per iteration and never touches all m rows: the trace's gap sum is
 <G, Q> with G the family's Gram matrix, computed once.  The reference
 variant finds the index by a linear scan, one m x d by d x d product per
-iteration; the fast variant asks a positive-search tree chosen by an
-nnz-based cost model, at O(d^2 log m) per iteration.  Everything is
+iteration; the fast variant asks a positive-search tree, at O(d^2 log m)
+per iteration.  An nnz-based cost model picks the tree's leaf size: d
+vectors per leaf (the vector tree) or one (the matrix tree).  Everything is
 deterministic: reruns on equal input produce identical selections.
 """
 
@@ -26,8 +27,6 @@ from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symme
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
-
-ISOTROPY_TOL = 1e-6
 
 
 @dataclass
@@ -72,7 +71,7 @@ def _barrier_matrices(A: np.ndarray, u_prev, u_cur, l_prev, l_cur):
 def _check_input(family: VectorFamily, epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon={epsilon} violates 0 < epsilon < 1")
-    if not check_isotropy(family, ISOTROPY_TOL):
+    if not check_isotropy(family):
         raise IsotropyViolation(
             "family is not isotropic: sum of outer products differs from I"
         )
@@ -180,8 +179,8 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
     slightly smaller lower-barrier step 1/(1+3 eps) funds the strict
     averaging margin that keeps positive search sound under roundoff.
 
-    Raises ConfigError, before allocating anything, when the matrix tree
-    and its m outer products would not fit in physical memory.
+    Raises ConfigError, before allocating anything, when the matrix tree's
+    nodes would not fit in physical memory.
     """
     _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 3.0 * epsilon)
@@ -190,15 +189,15 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
         tree = BatchedVectorSearchTree(family)
     else:
         m, d = family.count, family.dim
-        needed = MatrixSearchTree.node_bytes(m, d) + 8 * m * d * d
+        needed = MatrixSearchTree.node_bytes(m, d)
         physical = _physical_memory_bytes()
         if physical is not None and needed > physical:
             raise ConfigError(
                 f"the matrix search tree over m={m}, d={d} needs {needed} bytes "
-                f"(16*capacity*d^2 for its nodes plus 8*m*d^2 for the outer products), "
-                f"more than the {physical} bytes of physical memory"
+                f"(16*capacity*d^2 for its nodes), more than the {physical} bytes "
+                f"of physical memory"
             )
-        tree = MatrixSearchTree([np.outer(v, v) for v in family.vectors])
+        tree = MatrixSearchTree(family)
     V = family.vectors
 
     def pick(Qgap):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def exact_min_ip(Y, q):
     ips = Y @ np.asarray(q, dtype=float)
     idx = int(np.argmin(ips))
     return idx, float(ips[idx])
+
+
+def paired_angle_family(d: int, angles: int, phase: float = 0.3) -> VectorFamily:
+    """Coordinates (0,1), (2,3), ... each carry `angles` rows at evenly spaced angles.
+
+    Over angles phase + pi k / K, sum cos^2 = sum sin^2 = K/2 and
+    sum cos*sin = 0, so the family sums exactly to the identity.  Rows have
+    two nonzeros, which sends sparsify_fast to the matrix tree.
+    """
+    theta = phase + np.pi * np.arange(angles) / angles
+    rows = []
+    for a in range(0, d, 2):
+        block = np.zeros((angles, d))
+        block[:, a] = np.cos(theta)
+        block[:, a + 1] = np.sin(theta)
+        rows.append(block * math.sqrt(2.0 / angles))
+    return VectorFamily(np.vstack(rows))
 
 
 @pytest.fixture

@@ -131,15 +131,14 @@ class TestDfn:
         store = store_of(pts)
         dfn = DfnStructure(store, cbar=2.0, seed=8)
         live = dict(pts)
-        for step in range(200):
+        for _ in range(200):
             if rng.random() < 0.5 and live:
                 pid = int(rng.choice(list(live)))
                 store.remove(pid)
                 del live[pid]
             else:
-                pid = 1000 + step
                 p = rng.standard_normal(4)
-                store.add(pid, p)
+                pid = store.add(p)
                 dfn.insert(pid)
                 live[pid] = p
         for i in range(dfn.ell):
@@ -188,16 +187,14 @@ class TestDfn:
         rng = np.random.default_rng(seed)
         store = PointStore(rng.standard_normal((n0, 3)))
         dfn = DfnStructure(store, cbar=2.0, seed=seed)
-        removed, next_id = set(), n0
+        removed = set()
         for remove, pick in ops:
             if remove and len(store):
                 pid = int(store.ids[pick % len(store)])
                 store.remove(pid)
                 removed.add(pid)
             else:
-                store.add(next_id, rng.standard_normal(3))
-                dfn.insert(next_id)
-                next_id += 1
+                dfn.insert(store.add(rng.standard_normal(3)))
             live_only = copy.copy(dfn)
             live_only._lists = [
                 SortedKeyList(pair for pair in lst if pair[1] in store) for lst in dfn._lists
@@ -239,14 +236,13 @@ class TestPointStore:
         store = PointStore([[0.0], [1.0], [2.0]])
         p = store[2]
         store.remove(0)  # the last row moves into slot 0
-        store.add(7, [5.0])
-        assert p[0] == 2.0 and store[2][0] == 2.0 and store[7][0] == 5.0
-        assert sorted(store.ids.tolist()) == [1, 2, 7] and store.lowest_id() == 1
-        assert 7 in store and 0 not in store
+        assert store.add([5.0]) == 3
+        assert p[0] == 2.0 and store[2][0] == 2.0 and store[3][0] == 5.0
+        assert sorted(store.ids.tolist()) == [1, 2, 3] and store.lowest_id() == 1
+        assert 3 in store and 0 not in store
         with pytest.raises(NotFound):
             store[0]
-        with pytest.raises(ValueError):
-            store.add(7, [6.0])
+        assert store.add([6.0]) == 4  # the removed id 0 is never reissued
 
 
 class TestAfn:

@@ -1,4 +1,4 @@
-"""Swap rounding's input checks on the fractional design pi."""
+"""Swap rounding's input checks on the fractional design pi and the family."""
 
 import numpy as np
 import pytest
@@ -17,4 +17,12 @@ def test_pi_outside_the_unit_interval_is_precondition_violation(rng, bad):
     family = whiten(VectorFamily(rng.standard_normal((m, 2))), pi)
     pi[0] = bad
     with pytest.raises(PreconditionViolation, match=r"pi must lie in \[0, 1\]\^m"):
+        expdesign.swap_round(family, pi, n, 0.2)
+
+
+def test_family_not_whitened_for_pi_is_precondition_violation(rng):
+    m, n = 800, 400
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rng.standard_normal((m, 2))))  # isotropic, not for pi
+    with pytest.raises(PreconditionViolation, match="whiten the family first"):
         expdesign.swap_round(family, pi, n, 0.2)

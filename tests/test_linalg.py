@@ -65,6 +65,12 @@ class TestCheckIsotropy:
         fam = whiten(VectorFamily(rng.standard_normal((100, 5))))
         assert check_isotropy(fam, 1e-8)
 
+    def test_weighted_by_pi(self, rng):
+        pi = rng.uniform(0.1, 0.9, 100)
+        fam = whiten(VectorFamily(rng.standard_normal((100, 5))), pi)
+        assert check_isotropy(fam, pi=pi)
+        assert not check_isotropy(fam)
+
 
 class TestEigenDecomposition:
     def test_reconstruction_and_orthogonality(self, rng):

@@ -12,8 +12,6 @@ from sparsekit.sketch import (
     TensorSparseSketch,
     TensorSrhtSketch,
     fwht,
-    sketch_dim_default,
-    sparsity_default,
 )
 
 
@@ -173,8 +171,10 @@ class TestTensorSparse:
 class TestDistortionTailVsBound:
     """Empirical tail at most twice the bound the target dimension implies.
 
-    The tail model exp(-eps^2 b / 8) uses exponent constant 8 rather than
-    the 4 of the dimension default: applying a sketch to u (x) v multiplies
+    Both sketches have the JL dimension b = ceil(4 eps^-2 log(1/0.1)) = 37
+    at eps = 0.5 (the sparse one rounded up to 38, a multiple of its
+    s = ceil(eps b) = 19).  The tail model exp(-eps^2 b / 8) uses exponent
+    constant 8 rather than that 4: applying a sketch to u (x) v multiplies
     fourth moments, which costs one factor of two in the exponent.  Measured
     tails at (eps=0.5, b=48) sit near exp(-eps^2 b / 5.7), so the model is
     conservative yet still catches gross variance or normalization bugs.
@@ -197,23 +197,19 @@ class TestDistortionTailVsBound:
         return math.exp(-(eps**2) * b / 8.0)
 
     def test_srht_tail(self, rng):
-        eps = 0.5
-        b = sketch_dim_default(eps, 1)
+        eps, b = 0.5, 37
         tail = self._tail(TensorSrhtSketch(16, b, seed=23), rng, eps=eps)
         assert tail <= 2.0 * self.implied_tail_bound(eps, b)
 
     def test_sparse_tail(self, rng):
-        eps = 0.5
-        b = sketch_dim_default(eps, 1)
-        s = sparsity_default(eps, b)
-        b = -(-b // s) * s
+        eps, b, s = 0.5, 38, 19
         tail = self._tail(TensorSparseSketch(16, b, s, seed=29), rng, eps=eps)
         assert tail <= 2.0 * self.implied_tail_bound(eps, b)
 
 
 class TestEnsemble:
     def test_single_member_behaves_like_sketch(self, rng):
-        ens = SketchEnsemble(side=4, b=16, k=1, master_seed=5)
+        ens = SketchEnsemble(side=4, b=16, s=8, k=1, master_seed=5)
         uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
         single = ens.sketches[0]
         assert np.allclose(ens[0].apply_flat(uv), single.apply_flat(uv))
@@ -226,12 +222,12 @@ class TestEnsemble:
             assert np.array_equal(sa.apply_flat(uv), sb.apply_flat(uv))
 
     def test_distinct_member_seeds(self):
-        ens = SketchEnsemble(side=4, b=16, k=20, master_seed=1)
+        ens = SketchEnsemble(side=4, b=16, s=8, k=20, master_seed=1)
         seeds = {s.seed for s in ens.sketches}
         assert len(seeds) == 20
 
     def test_sample_full_and_singleton(self):
-        ens = SketchEnsemble(side=4, b=16, k=6, master_seed=3)
+        ens = SketchEnsemble(side=4, b=16, s=8, k=6, master_seed=3)
         all_idx = ens.sample(6, np.random.default_rng(0))
         assert sorted(all_idx.tolist()) == list(range(6))
         one = ens.sample(1, np.random.default_rng(12))
@@ -239,12 +235,12 @@ class TestEnsemble:
         assert one == again
 
     def test_sample_count_validated(self):
-        ens = SketchEnsemble(side=4, b=16, k=6, master_seed=3)
+        ens = SketchEnsemble(side=4, b=16, s=8, k=6, master_seed=3)
         with pytest.raises(ConfigError):
             ens.sample(7, np.random.default_rng(0))
 
     def test_sampling_uniformity(self):
-        ens = SketchEnsemble(side=2, b=4, k=8, master_seed=3)
+        ens = SketchEnsemble(side=2, b=4, s=2, k=8, master_seed=3)
         rng = np.random.default_rng(99)
         counts = np.zeros(8)
         draws = 10**5
@@ -258,7 +254,7 @@ class TestEnsemble:
     def test_majority_preserves_distances(self, rng):
         # most members preserve each tested distance within the JL window
         k = 60
-        ens = SketchEnsemble(side=4, b=128, k=k, master_seed=7)
+        ens = SketchEnsemble(side=4, b=128, s=64, k=k, master_seed=7)
         pts = rng.standard_normal((20, 16))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         queries = rng.standard_normal((10, 16))

@@ -20,7 +20,7 @@ from sparsekit import expdesign, kadison_singer, sparsifier
 from sparsekit.aipe import AipeConfig
 from sparsekit.linalg import VectorFamily, whiten
 
-from conftest import random_isotropic_family, random_ks_family
+from conftest import paired_angle_family, random_isotropic_family, random_ks_family
 
 
 def digest(indices) -> str:
@@ -124,11 +124,21 @@ def swap_record(result) -> dict:
 # -- spectral sparsification ---------------------------------------------------
 
 BSS_M, BSS_D, BSS_EPS = 40, 4, 0.5
+# rows with two nonzeros, which choose_tree sends to the matrix tree
+BSS_PAIRED_D, BSS_PAIRED_ANGLES = 8, 6
+
+
+def bss_family(variant: str) -> VectorFamily:
+    rng = np.random.default_rng(7)
+    if variant != "fast-matrix":
+        return random_isotropic_family(BSS_M, BSS_D, rng)
+    family = paired_angle_family(BSS_PAIRED_D, BSS_PAIRED_ANGLES, phase=rng.uniform(0.0, np.pi))
+    return VectorFamily(family.vectors[rng.permutation(family.count)])
 
 
 def bss_outcome(variant: str):
-    family = random_isotropic_family(BSS_M, BSS_D, np.random.default_rng(7))
-    solver = sparsifier.sparsify_fast if variant == "fast" else sparsifier.bss_reference
+    family = bss_family(variant)
+    solver = sparsifier.bss_reference if variant == "reference" else sparsifier.sparsify_fast
     return solver(family, BSS_EPS)
 
 
@@ -236,6 +246,14 @@ GOLDEN = {
         'fallbacks': 0,
         'tree_kind': 'vector',
     },
+    'bss-fast-matrix': {
+        'indices': [0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 12],
+        'weights': [6.7471143406536065, 4.070813623651304, 3.6873387271125493, 4.002177076915839, 7.002544776658821, 7.890498053238174, 4.399097123541365, 3.7748983814408117, 5.597245853901729, 5.343566224009413, 2.8435556992136464],
+        'upper_potentials': [0.5, 0.49254151421334097, 0.48271709369053983, 0.4712258675980947, 0.4622526964613732, 0.4515968879844512, 0.43727471395342654, 0.4229602882206138, 0.41910408762920626, 0.41071044272055524, 0.4032670838280751, 0.3983714010482368, 0.3982547358937385, 0.39087743051420004, 0.3907225117921812, 0.38320867040030177, 0.36970625740768337, 0.36662322491254457, 0.3560919367166688, 0.3533558212551171, 0.34311967602855487, 0.3411027436468669, 0.3329571721025159, 0.3276725764312275, 0.32330009441957097, 0.31589636193963794, 0.3154539257307358, 0.30871526167749785, 0.3007424396572764, 0.3003637460036062, 0.2961905194155584, 0.2900866665236659, 0.2864809697662413],
+        'lower_potentials': [0.5, 0.49817342156051836, 0.495687521445361, 0.4926253444495767, 0.49014634803782353, 0.4870609159719425, 0.4825346518042266, 0.47764529729873434, 0.4764157862486911, 0.4735620574267551, 0.47098836478969364, 0.469259937818638, 0.4692197027665754, 0.46653254334721833, 0.4664783527750421, 0.46352152242807, 0.456988590690857, 0.45578639969113416, 0.4506554973007778, 0.44951428980891084, 0.4443667702700922, 0.4434352774988428, 0.4391631989360352, 0.43653052751960536, 0.4342336479133698, 0.43020149719286155, 0.4299822365348866, 0.4260309152200354, 0.4210873096259543, 0.42088045240929745, 0.41838252625895667, 0.41457515017677404, 0.41226930097856707],
+        'fallbacks': 0,
+        'tree_kind': 'matrix',
+    },
 }
 
 
@@ -262,9 +280,15 @@ def test_swap_round_golden(case):
     assert np.linalg.eigvalsh(rows.T @ rows)[0] > 1.0 - gamma * eps
 
 
-@pytest.mark.parametrize("variant", ["reference", "fast"])
+BSS_VARIANTS = ["reference", "fast", "fast-matrix"]
+
+
+@pytest.mark.parametrize("variant", BSS_VARIANTS)
 def test_sparsifier_golden(variant):
-    assert bss_record(bss_outcome(variant)) == GOLDEN["bss-" + variant]
+    record = bss_record(bss_outcome(variant))
+    assert record == GOLDEN["bss-" + variant]
+    if variant == "fast-matrix":
+        assert record["tree_kind"] == "matrix"
 
 
 def _regenerate():
@@ -274,7 +298,7 @@ def _regenerate():
         golden["ks-" + backend] = ks_record(ks_outcome(backend)[1])
     for case in SWAP_CASES:
         golden["swap-" + case] = swap_record(swap_outcome(case)[1])
-    for variant in ["reference", "fast"]:
+    for variant in BSS_VARIANTS:
         golden["bss-" + variant] = bss_record(bss_outcome(variant))
     print("GOLDEN = {")
     for key, record in golden.items():

@@ -7,29 +7,11 @@ import pytest
 
 from sparsekit import sparsifier
 from sparsekit.errors import ConfigError, NumericalWarning
-from sparsekit.linalg import VectorFamily
 from sparsekit.psearch import MatrixSearchTree
 
-from conftest import random_isotropic_family
+from conftest import paired_angle_family, random_isotropic_family
 
 SOLVERS = {"reference": sparsifier.bss_reference, "fast": sparsifier.sparsify_fast}
-
-
-def paired_angle_family(d: int, angles: int, phase: float = 0.3) -> VectorFamily:
-    """Coordinates (0,1), (2,3), ... each carry `angles` rows at evenly spaced angles.
-
-    Over angles phase + pi k / K, sum cos^2 = sum sin^2 = K/2 and
-    sum cos*sin = 0, so the family sums exactly to the identity.  Rows have
-    two nonzeros, which sends sparsify_fast to the matrix tree.
-    """
-    theta = phase + np.pi * np.arange(angles) / angles
-    rows = []
-    for a in range(0, d, 2):
-        block = np.zeros((angles, d))
-        block[:, a] = np.cos(theta)
-        block[:, a + 1] = np.sin(theta)
-        rows.append(block * math.sqrt(2.0 / angles))
-    return VectorFamily(np.vstack(rows))
 
 
 def record_barrier_calls(monkeypatch, change=None):
@@ -122,14 +104,14 @@ def test_nonpositive_step_scale_is_rescued_with_the_first_good_witness(monkeypat
 
 def test_matrix_tree_that_cannot_fit_is_refused_before_allocation(monkeypatch):
     family = paired_angle_family(8, 12)
-    m, d = family.count, family.dim
-    assert sparsifier.choose_tree(family) == "matrix"
+    d = family.dim
+    assert family.count == 48 and sparsifier.choose_tree(family) == "matrix"
 
-    def no_build(self, matrices):
+    def no_build(self, family):
         raise AssertionError("the tree was built")
 
     monkeypatch.setattr(MatrixSearchTree, "__init__", no_build)
     monkeypatch.setattr(sparsifier, "_physical_memory_bytes", lambda: 1 << 10)
-    needed = 16 * 64 * d * d + 8 * m * d * d  # capacity 64 for m = 48
+    needed = 16 * 64 * d * d  # the nodes alone: capacity 64 for m = 48
     with pytest.raises(ConfigError, match=f"needs {needed} bytes"):
         sparsifier.sparsify_fast(family, 0.5)
