@@ -1,0 +1,139 @@
+"""One sha256 over many afn-backend solves, to check that two trees agree.
+
+    PYTHONPATH=src python3 scripts/replay_afn.py [--ks 256] [--swap 18]
+
+Runs --ks Kadison-Singer selections and --swap experimental-design swap
+roundings on the afn Min-IP backend and hashes what each returns:
+
+    ks_select   (d, N) in (2, 8), (2, 12), (3, 6), (3, 8), n = dN/2, with
+                c=0.505, tau=0.5 and a sketch of 16 or 8 rows; solve i takes
+                the (i mod 8)-th of these 8 settings and seed i // 8, and a
+                family of N random orthonormal d-frames scaled by 1/sqrt(N)
+                drawn from that seed, as the ks-afn workload draws it
+    swap_round  the golden afn case's settings (d=2, m=310, n=155,
+                eps=1/6, gamma=6, c=0.905, tau=0.9) over rare-direction rows;
+                solve i takes rows seed i // 3 and solver seed i mod 3
+
+Each solve adds its selected indices and fallbacks to the hash, with every
+float of score_trace and final_norm (KS) or lambda_trace (swap rounding) as
+float.hex, so equal hashes mean bit-identical outputs.  A solve that raises
+adds the exception's class name instead.  Prints one JSON object; the
+PYTHONPATH decides which source tree is replayed.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from sparsekit import expdesign, kadison_singer  # noqa: E402
+from sparsekit.errors import SparsekitError  # noqa: E402
+from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
+from sparsekit.minip import MinIpConfig  # noqa: E402
+
+KS_SHAPES = [(2, 8), (2, 12), (3, 6), (3, 8)]
+KS_SKETCH_DIMS = [16, 8]
+KS_C, KS_TAU = 0.505, 0.5
+# the afn case of tests/test_solvers_golden.py: (d, eps, gamma, c, tau, n, m)
+SWAP = (2, 1.0 / 6.0, 6.0, 0.905, 0.9, 155, 310)
+SWAP_SOLVER_SEEDS = 3
+
+
+def ks_family(d: int, N: int, seed: int) -> VectorFamily:
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(N):
+        Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+        blocks.append(Q * np.sign(np.diag(R)) / math.sqrt(N))
+    return VectorFamily(np.vstack(blocks))
+
+
+def rare_direction_rows(seed: int, m: int, d: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    half = d // 2
+    X = rng.standard_normal((m, d))
+    X[:, half:] = 0.0
+    rare = rng.choice(m, size=d - half, replace=False)
+    X[rare, np.arange(half, d)] = 1.0
+    return X
+
+
+def hexes(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def ks_record(i: int) -> list:
+    settings = [(shape, b) for shape in KS_SHAPES for b in KS_SKETCH_DIMS]
+    (d, N), b = settings[i % len(settings)]
+    seed = i // len(settings)
+    out = kadison_singer.ks_select(
+        ks_family(d, N, seed),
+        N,
+        d * N // 2,
+        backend="afn",
+        c=KS_C,
+        tau=KS_TAU,
+        seed=seed,
+        minip_config=MinIpConfig(sketch_dim=b),
+    )
+    return [
+        out.selection.indices.tolist(),
+        out.fallbacks,
+        hexes(out.score_trace),
+        float(out.final_norm).hex(),
+    ]
+
+
+def swap_record(i: int) -> list:
+    d, eps, gamma, c, tau, n, m = SWAP
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(i // SWAP_SOLVER_SEEDS, m, d)), pi)
+    out = expdesign.swap_round(
+        family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="afn",
+        seed=i % SWAP_SOLVER_SEEDS,
+    )
+    return [out.selection.indices.tolist(), out.fallbacks, hexes(out.lambda_trace)]
+
+
+def replay(record, count: int, digest) -> float:
+    """Hash `count` solves' records into `digest`; returns the wall time."""
+    start = time.perf_counter()
+    for i in range(count):
+        try:
+            rec = record(i)
+        except SparsekitError as err:
+            rec = type(err).__name__
+        digest.update(json.dumps(rec).encode())
+    return time.perf_counter() - start
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ks", type=int, default=256, help="ks_select solves")
+    parser.add_argument("--swap", type=int, default=18, help="swap_round solves")
+    args = parser.parse_args(argv)
+    digest = hashlib.sha256()
+    ks_s = replay(ks_record, args.ks, digest)
+    swap_s = replay(swap_record, args.swap, digest)
+    report = {
+        "ks_solves": args.ks,
+        "swap_solves": args.swap,
+        "sha256": digest.hexdigest(),
+        "ks_s": round(ks_s, 6),
+        "swap_s": round(swap_s, 6),
+    }
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,28 +1,38 @@
-"""Wall time of one RobustMinIpIndex build on the ks-afn settings, by phase.
+"""Wall time of the ks-afn RobustMinIpIndex by stage and phase: build, battery, insert.
 
-    PYTHONPATH=src python3 scripts/sweep_afn.py [--n 16 256 2048] [--repeats 3]
+    PYTHONPATH=src python3 scripts/sweep_afn.py [--n 16 256 2048] [--repeats 3] [--inserts 8]
 
 For each n, a Kadison-Singer family of n rows is drawn from --seed as the
 ks-afn workload draws it (n/2 random orthonormal frames in d=2, scaled by
 sqrt(2/n)), and the afn backend is built over all n rows exactly as
 ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), MinIpConfig()
-(16 sketch rows in 4 blocks, counts scaled by minip.SCALE = 0.25).  With
-BLAS pinned to one thread:
+(16 sketch rows in 4 blocks, counts scaled by minip.SCALE = 0.25).  The
+index builds the kappa AFN replicas of a sketch (its battery) only when a
+query first samples that sketch, so the stages are timed apart.  With BLAS
+pinned to one thread, each stage's median wall time over --repeats runs:
 
-    build_s     median wall time of --repeats untraced builds
-    phases      one more build, with the calls below timed by self time:
+    build_s    the eager part: MinIpBackend construction, which sketches the
+               rows into the 1 + k point stores and builds no replica
+    battery_s  one battery, RobustMinIpIndex.battery(0), on a fresh index
+    insert_s   one MinIpBackend.insert (the row's transform and
+               RobustMinIpIndex.insert) into an index whose k batteries are
+               all built, as swap_round inserts each swapped-in row after
+               retiring the swapped-out one; --inserts rows per run
+
+    phases_s   one more run of each stage (the insert stage with the retire
+               before each insert), with the calls below timed by self time:
       sketch      TensorSparseSketch.apply_flat
       directions  afn.gaussian_matrix (each DFN copy's Gaussian directions)
       projection  DfnStructure.__init__ and .insert, less the calls inside
                   them (the projections and the Python around them)
       sort        SortedKeyList.__init__ and .insert
-      other       the rest of the traced build: seeds, configs, stores
+      other       the rest of the traced stage: seeds, configs, stores
 
-The traced build pays a wrapper per timed call, so its phases add up to
-more than build_s when a build makes many calls.  A size whose index would
-exceed minip.MAX_STRUCTURES is reported as refused, with the reason.
-Prints one JSON object.  The PYTHONPATH decides which source tree is
-measured.
+The traced stage pays a wrapper per timed call, so its phases add up to
+more than the untraced time when a stage makes many calls.  A size whose
+index would exceed minip.MAX_STRUCTURES is reported as refused, with the
+reason.  Prints one JSON object.  The PYTHONPATH decides which source tree
+is measured.
 """
 
 from __future__ import annotations
@@ -104,39 +114,71 @@ class SelfTimer:
         self._saved.clear()
 
 
-def phases(X: np.ndarray, seed: int) -> dict:
+def timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def traced(fn) -> dict:
+    """Self time of fn() by phase, with its traced total."""
     timer = SelfTimer()
     for owner, name, phase in PHASES:
         timer.wrap(owner, name, phase)
     try:
-        start = time.perf_counter()
-        build(X, seed)
-        total = time.perf_counter() - start
+        total = timed(fn)
     finally:
         timer.restore()
     out = {phase: timer.self_s[phase] for _, _, phase in PHASES}
     out["other"] = total - sum(out.values())
     out["traced_total"] = total
-    return out
+    return {key: round(value, 6) for key, value in out.items()}
 
 
-def measure(n: int, repeats: int, seed: int) -> dict:
+def all_batteries(X: np.ndarray, seed: int) -> MinIpBackend:
+    backend = build(X, seed)
+    for j in range(len(backend._index.ensemble)):
+        backend._index.battery(j)
+    return backend
+
+
+def insert_times(backend: MinIpBackend, rows) -> list:
+    """Wall time of each re-insert, after retiring the row."""
+    walls = []
+    for row in rows:
+        backend.retire(row)
+        walls.append(timed(lambda: backend.insert(row)))
+    return walls
+
+
+def measure(n: int, repeats: int, inserts: int, seed: int) -> dict:
     X = ks_family(n, np.random.default_rng(seed))
     try:
         first = build(X, seed)
     except ConfigError as err:
         return {"n": n, "refused": str(err)}
     index = first._index
-    walls = []
+    rows = range(min(inserts, n))
+    build_walls, battery_walls, insert_walls = [], [], []
     for r in range(repeats):
-        start = time.perf_counter()
-        build(X, seed + r)
-        walls.append(time.perf_counter() - start)
+        build_walls.append(timed(lambda: build(X, seed + r)))
+        fresh = build(X, seed + r)._index
+        battery_walls.append(timed(lambda: fresh.battery(0)))
+        insert_walls += insert_times(all_batteries(X, seed + r), rows)
+    fresh = build(X, seed)._index
+    full = all_batteries(X, seed)
     return {
         "n": n,
         "structures": len(index.ensemble) * index.kappa,
-        "build_s": round(statistics.median(walls), 6),
-        "phases_s": {k: round(v, 6) for k, v in phases(X, seed).items()},
+        "kappa": index.kappa,
+        "build_s": round(statistics.median(build_walls), 6),
+        "battery_s": round(statistics.median(battery_walls), 6),
+        "insert_s": round(statistics.median(insert_walls), 6),
+        "phases_s": {
+            "build": traced(lambda: build(X, seed)),
+            "battery": traced(lambda: fresh.battery(0)),
+            "insert": traced(lambda: insert_times(full, rows)),
+        },
     }
 
 
@@ -144,6 +186,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[16, 256, 2048])
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--inserts", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     report = {
@@ -153,11 +196,12 @@ def main(argv=None) -> None:
             "max_structures": MAX_STRUCTURES,
         },
         "repeats": args.repeats,
+        "inserts": args.inserts,
         "seed": args.seed,
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, BLAS 1 thread",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "sizes": [measure(n, args.repeats, args.seed) for n in args.n],
+        "sizes": [measure(n, args.repeats, args.inserts, args.seed) for n in args.n],
     }
     print(json.dumps(report, indent=2))
 

@@ -13,7 +13,13 @@ DfnStructure answers fixed-radius decision queries: given (q, r), either
 return a point at distance >= r / cbar (post-checked before returning) or
 Fail (None).  It keeps one sorted list of projections per Gaussian
 direction; points far from q in some direction are candidates.  A build
-projects the whole store with one GEMM and sorts each list once.
+projects the store's initial points with one GEMM, sorts each list once,
+and then inserts every live point the store has added since, in id order.
+So a structure may be built long after its store: it holds the pairs one
+built with the store would hold, less those of ids added and removed in
+between, sizes itself from the store's initial count, and answers alike.
+Its distance post-check reads a pid -> distance table that the caller may
+share across queries about one point, so each distance is computed once.
 
 AfnStructure wraps several independent DFN copies and binary-searches the
 radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
@@ -25,7 +31,10 @@ index passes minip.SCALE = 0.25).  DELTA is the one failure probability that
 these sizes, the AIPE pool and the Min-IP index all read.
 
 Builds and updates need exclusive access; queries change nothing but the
-store's boxwidth cache and are safe to run concurrently between mutations.
+store's boxwidth cache and the distance table passed in, and are safe to run
+concurrently between mutations when each has a table of its own.  The
+Min-IP index builds its structures on demand, inside its queries, so its
+queries need exclusive access (see minip).
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ def solve_threshold(n: int) -> float:
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=None)
 def _direction_count(n: int, cbar: float, scale: float) -> int:
     """Gaussian directions of one DFN structure over n points, scaled."""
     expo = 1.0 / cbar**2
@@ -97,12 +107,14 @@ def _direction_count(n: int, cbar: float, scale: float) -> int:
     return max(1, math.ceil(scale * raw))
 
 
+@lru_cache(maxsize=None)
 def _copy_count(d: int, eps: float, scale: float) -> int:
     """DFN copies of one AFN structure: ceil(log log(d / (eps DELTA))), scaled."""
     raw = math.log(max(math.log(max(d / (eps * DELTA), 3.0)), 1.5))
     return max(1, math.ceil(scale * max(raw, 1.0)))
 
 
+@lru_cache(maxsize=None)
 def _search_rounds(d: int, eps: float, scale: float) -> int:
     """Radius bisection rounds of one AFN query: ceil(log(d / (eps DELTA))), scaled."""
     raw = math.log(max(d / (eps * DELTA), 2.0))
@@ -115,19 +127,22 @@ class DfnStructure:
     def __init__(self, store: PointStore, cbar: float, seed, scale: float = 1.0):
         if cbar <= 1.0:
             raise ValueError("cbar must exceed 1")
-        if not len(store):
+        base = store.initial_points
+        if not len(base):
             raise ValueError("need at least one point")
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
-        self.n0 = len(store)
+        self.n0 = len(base)
         self.ell = _direction_count(self.n0, self.cbar, scale)
         self.t = solve_threshold(self.n0)
         self.seed = seed
         self.directions = gaussian_matrix(self.ell, self.dim, seed)
-        ids = store.ids.tolist()
-        keys = (self.directions @ store.points.T).tolist()  # (ell, n)
-        self._lists = [SortedKeyList(zip(row, ids)) for row in keys]
+        keys = (self.directions @ base.T).tolist()  # (ell, n0)
+        self._lists = [SortedKeyList(zip(row, range(self.n0))) for row in keys]
+        ids = store.ids
+        for pid in sorted(ids[ids >= self.n0].tolist()):  # live points added since
+            self.insert(pid)
 
     def insert(self, pid) -> None:
         """Index the stored point `pid`."""
@@ -138,45 +153,46 @@ class DfnStructure:
     def projection_list(self, i: int) -> SortedKeyList:
         return self._lists[i]
 
-    def query(self, q, r: float):
+    def query(self, q, r: float, dist: dict = None):
         """A (pid, point) at distance >= r/cbar from q, or None.
 
         Collects at most 2*ell + 1 live candidates whose projection gap
         exceeds r t / cbar across the directions, then returns the farthest
         candidate passing the distance post-check.  Pairs of ids the store
         no longer holds are skipped before they count toward the cap.
+        `dist` maps pid to its distance from this q; the post-check reads
+        it and fills in what is missing, so callers asking about one q
+        several times may share one dict.
         """
         if r <= 0.0:
             raise ValueError("radius must be positive")
         q = np.asarray(q, dtype=float)
+        if dist is None:
+            dist = {}
         T = r * self.t / self.cbar
         cap = 2 * self.ell + 1
         store = self.store
         seen = {}
-        proj_q = self.directions @ q
-        for i in range(self.ell):
+        proj_q = (self.directions @ q).tolist()
+        for lst, center in zip(self._lists, proj_q):
+            for pairs in (lst.search_leq(center - T), lst.search_geq(center + T)):
+                for key, pid in pairs:
+                    if len(seen) >= cap:
+                        break
+                    if pid in store:
+                        seen.setdefault(pid, key)
             if len(seen) >= cap:
                 break
-            center = float(proj_q[i])
-            for key, pid in self._lists[i].search_leq(center - T):
-                if len(seen) >= cap:
-                    break
-                if pid in store:
-                    seen.setdefault(pid, key)
-            for key, pid in self._lists[i].search_geq(center + T):
-                if len(seen) >= cap:
-                    break
-                if pid in store:
-                    seen.setdefault(pid, key)
         best = None
         best_dist = r / self.cbar
         for pid in seen:
-            p = store[pid]
-            dist = float(np.linalg.norm(p - q))
-            if dist >= best_dist:
-                best_dist = dist
-                best = (pid, p)
-        return best
+            d = dist.get(pid)
+            if d is None:
+                d = dist[pid] = float(np.linalg.norm(store[pid] - q))
+            if d >= best_dist:
+                best_dist = d
+                best = pid
+        return None if best is None else (best, store[best])
 
 
 class AfnStructure:
@@ -197,32 +213,36 @@ class AfnStructure:
         for dfn in self._dfns:
             dfn.insert(pid)
 
-    def _query_all_copies(self, q, r: float):
+    def _query_all_copies(self, q, r: float, dist: dict):
         for dfn in self._dfns:
-            hit = dfn.query(q, r)
+            hit = dfn.query(q, r, dist)
             if hit is not None:
                 return hit
         return None
 
-    def query(self, q):
+    def query(self, q, dist: dict = None):
         """An approximate furthest neighbor (pid, point) of q, or None.
 
         Binary search brackets the largest radius at which some DFN copy
         still answers; the witness from the highest successful radius is
         returned.  A zero boxwidth means all points coincide, so any stored
-        point is exact: the lowest id is returned.
+        point is exact: the lowest id is returned.  `dist` is the pid ->
+        distance-from-q table every DFN post-check reads and fills (see
+        DfnStructure.query); structures over one store may share it for one q.
         """
         q = np.asarray(q, dtype=float)
+        if dist is None:
+            dist = {}
         bw = self.store.boxwidth
         if bw == 0.0:
             pid = self.store.lowest_id()
             return pid, self.store[pid]
         lo = bw / 2.0
         hi = math.sqrt(self.dim) / self.eps * bw
-        best = self._query_all_copies(q, lo)
+        best = self._query_all_copies(q, lo, dist)
         for _ in range(self.rounds):
             mid = 0.5 * (lo + hi)
-            hit = self._query_all_copies(q, mid)
+            hit = self._query_all_copies(q, mid, dist)
             if hit is not None:
                 best = hit
                 lo = mid

@@ -16,18 +16,24 @@ ensemble, sample and AFN counts are their formulas times SCALE = 0.25.
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
-one call.  Every replica of a sketch reads that sketch's store and holds
-only its directions and projection lists.  The index alone changes the
-stores, always all 1 + k together, so the ids they issue agree.  A
-delete removes the id from the 1 + k stores and from nothing else: the
-replicas skip pairs of ids their store no longer holds, so their lists grow
-only by inserts (none in a KS selection, at most T_cap in a swap_round solve).
+one call.  The kappa replicas of one sketch form its battery.  A battery is
+built on demand, the first time a query samples its sketch (battery(j)),
+with the seeds and sizes an eager build would give it, so a KS solve that
+samples half the sketches builds half the replicas and answers the same.
+Every replica of a sketch reads that sketch's store and holds only its
+directions and projection lists.  The index alone changes the stores,
+always all 1 + k together, so the ids they issue agree.  A delete removes
+the id from the 1 + k stores and from nothing else: the replicas skip pairs
+of ids their store no longer holds, so their lists grow only by inserts
+(none in a KS selection, at most T_cap in a swap_round solve), and an
+insert reaches only the batteries already built.  Within one query each
+sampled battery shares one table of distances from the sketched query, and
+the query one table of inner products, so each is computed once per point.
 Configurations that ask for more than MAX_STRUCTURES replicas in all are
 refused before any is built.
 
-Build and update need exclusive access; queries are read-only between
-mutations (apart from the stores' boxwidth caches) and draw all randomness
-from an explicit caller RNG.
+Build, update and query all need exclusive access: a query may build a
+battery.  Queries draw all randomness from an explicit caller RNG.
 """
 
 from __future__ import annotations
@@ -186,14 +192,25 @@ class RobustMinIpIndex:
         self.b = self.ensemble.b
 
         self._points = PointStore(pts)
-        self._stores = []  # sketched points, one store per ensemble member
-        self._replicas = []  # AfnStructures over each store
-        replica_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
-        for j, sketch in enumerate(self.ensemble.sketches):
-            store = PointStore(sketch.apply_flat(pts))
-            seeds = replica_seeds[j].spawn(self.kappa)
-            self._stores.append(store)
-            self._replicas.append([AfnStructure(store, self.cbar, child, SCALE) for child in seeds])
+        # sketched points, one store per ensemble member, each in one call
+        self._stores = [PointStore(sketch.apply_flat(pts)) for sketch in self.ensemble.sketches]
+        self._battery_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
+        self._batteries = [None] * k  # built by battery(j) on first use
+
+    def battery(self, j: int) -> list:
+        """The kappa AFN replicas over sketch j's store, built on first use.
+
+        Each is seeded from the j-th child of SeedSequence(seed + 1), spawned
+        here once, and sized from the store's initial count, so a battery
+        built after deletes and inserts is the one an eager build would hold.
+        """
+        replicas = self._batteries[j]
+        if replicas is None:
+            seeds = self._battery_seeds[j].spawn(self.kappa)
+            store = self._stores[j]
+            replicas = [AfnStructure(store, self.cbar, child, SCALE) for child in seeds]
+            self._batteries[j] = replicas
+        return replicas
 
     def _validate_window(self):
         c, tau, eps = self.c, self.tau, self.EPS
@@ -229,9 +246,9 @@ class RobustMinIpIndex:
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:
             raise ValueError("inserted points must be unit vectors")
         pid = self._points.add(p)
-        for sketch, store, replicas in zip(self.ensemble.sketches, self._stores, self._replicas):
+        for sketch, store, replicas in zip(self.ensemble.sketches, self._stores, self._batteries):
             store.add(sketch.apply_flat(p))  # issues pid too: the stores add in lockstep
-            for afn in replicas:
+            for afn in replicas or ():  # a battery built later reads pid from the store
                 afn.insert(pid)
         return pid
 
@@ -251,24 +268,26 @@ class RobustMinIpIndex:
             raise DimensionMismatch("query must be a unit vector")
         count = _sample_count(self.b, len(self.ensemble))
         sampled = self.ensemble.sample(count, rng)
+        ips = {}  # pid -> <point, x>, for every hit of this query
         best = None
         for j in sampled:
             sketch = self.ensemble.sketches[j]
             xq = self._quantize(sketch.apply_flat(x))
-            for afn in self._replicas[j]:
-                hit = afn.query(xq)
+            dist = {}  # pid -> |sketched point - xq|, shared by the battery
+            for afn in self.battery(j):
+                hit = afn.query(xq, dist)
                 if hit is None:
                     continue
                 pid = hit[0]
-                p = self._points[pid]
-                ip = float(p @ x)
-                if best is None or ip < best[2]:
-                    best = (pid, p, ip)
-        if best is None:
+                ip = ips.get(pid)
+                if ip is None:
+                    ip = ips[pid] = float(self._points[pid] @ x)
+                if best is None or ip < best[1]:
+                    best = (pid, ip)
+        if best is None or best[1] > self.tau / self.c + self.lambda_tilde:
             return None
-        if best[2] > self.tau / self.c + self.lambda_tilde:
-            return None
-        return best
+        pid, ip = best
+        return pid, self._points[pid], ip
 
     def descriptor(self) -> dict:
         """Replayable parameters and seeds (contents excluded)."""

@@ -5,6 +5,8 @@ structures read.  Rows sit in insertion order until a delete swap-removes
 one (the last row fills the hole), so row order carries no meaning; ids do.
 The store issues the ids, in increasing order and never reusing one, so two
 stores built over the same n points and given the same adds agree on ids.
+It also keeps the n rows it was built with, unchanged, so a structure built
+over it later can index them exactly as one built with the store would.
 Reads copy, so a returned point never changes under a later mutation.
 Mutations need exclusive access.
 """
@@ -23,6 +25,8 @@ class PointStore:
         """Store the rows of the (n, dim) array `points`, n >= 1, under ids 0..n-1."""
         rows = np.array(points, dtype=float, ndmin=2)
         n = rows.shape[0]
+        self._initial = rows.copy()
+        self._initial.flags.writeable = False
         self._rows = rows
         self._ids = np.arange(n)
         self._slot = dict(zip(range(n), range(n)))
@@ -50,6 +54,11 @@ class PointStore:
     def points(self) -> np.ndarray:
         """The live rows, in slot order (a view: valid until the next mutation)."""
         return self._rows[: self._n]
+
+    @property
+    def initial_points(self) -> np.ndarray:
+        """The rows the store was built with, under ids 0..n-1, deleted or not (read-only)."""
+        return self._initial
 
     @property
     def ids(self) -> np.ndarray:

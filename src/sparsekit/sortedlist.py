@@ -1,23 +1,29 @@
 """Ordered multiset of (key, payload id) pairs with threshold range queries.
 
-Backed by sortedcontainers.SortedList, whose add/remove/bisect run in
-O(log n) comparisons.  Payloads disambiguate equal keys, so deleting a point
-whose key collides with another removes exactly one matching pair.
+A plain Python list kept sorted: a build sorts once, a threshold search is
+an O(log n) bisect plus the slice it returns, and an insert is an O(n)
+insort.  That suits the projection lists, which are built in bulk and grow
+only by the few points inserted afterwards.  Payloads disambiguate equal
+keys, so deleting a point whose key collides with another removes exactly
+one matching pair.
 """
 
 from __future__ import annotations
 
-from sortedcontainers import SortedList
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 
 from .errors import NotFound
 
 __all__ = ["SortedKeyList"]
 
+_KEY = itemgetter(0)
+
 
 class SortedKeyList:
     def __init__(self, pairs=()):
         """Hold the (key, payload) tuples of `pairs`, sorted once."""
-        self._items = SortedList(pairs)
+        self._items = sorted(pairs)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -26,42 +32,19 @@ class SortedKeyList:
         return iter(self._items)
 
     def insert(self, key: float, payload) -> None:
-        self._items.add((key, payload))
+        insort(self._items, (key, payload))
 
     def delete(self, key: float, payload) -> None:
-        try:
-            self._items.remove((key, payload))
-        except ValueError:
-            raise NotFound(f"pair ({key}, {payload}) not stored") from None
+        pair = (key, payload)
+        i = bisect_left(self._items, pair)
+        if i == len(self._items) or self._items[i] != pair:
+            raise NotFound(f"pair ({key}, {payload}) not stored")
+        del self._items[i]
 
-    def search_leq(self, threshold: float):
+    def search_leq(self, threshold: float) -> list:
         """Entries with key <= threshold, ascending key order."""
-        stop = self._items.bisect_right((threshold, _INF_PAYLOAD))
-        return self._items.islice(0, stop)
+        return self._items[: bisect_right(self._items, threshold, key=_KEY)]
 
-    def search_geq(self, threshold: float):
+    def search_geq(self, threshold: float) -> list:
         """Entries with key >= threshold, ascending key order."""
-        start = self._items.bisect_left((threshold, _NEG_INF_PAYLOAD))
-        return self._items.islice(start, len(self._items))
-
-
-class _AlwaysGreater:
-    """Sorts after every payload, making (t, _INF_PAYLOAD) an upper sentinel."""
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return True
-
-
-class _AlwaysSmaller:
-    def __lt__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-
-_INF_PAYLOAD = _AlwaysGreater()
-_NEG_INF_PAYLOAD = _AlwaysSmaller()
+        return self._items[bisect_left(self._items, threshold, key=_KEY) :]

@@ -207,6 +207,49 @@ class TestDfn:
                     assert hit[0] == expected[0] and hit[0] not in removed
                     assert np.array_equal(hit[1], expected[1])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n0=st.integers(1, 12),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63)), max_size=20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_late_build_lists_the_pairs_of_an_early_one(self, n0, ops, seed):
+        rng = np.random.default_rng(seed)
+        store = PointStore(rng.standard_normal((n0, 3)))
+        early = DfnStructure(store, cbar=2.0, seed=seed)
+        for remove, pick in ops:
+            if remove and len(store) > 1:
+                store.remove(int(store.ids[pick % len(store)]))
+            else:
+                early.insert(store.add(rng.standard_normal(3)))
+        late = DfnStructure(store, cbar=2.0, seed=seed)
+        assert (late.n0, late.ell, late.t) == (early.n0, early.ell, early.t)
+        for i in range(early.ell):
+            # bit-equal keys; the early list may also hold ids added and removed since
+            live_early = [pair for pair in early.projection_list(i) if pair[1] in store]
+            live_late = [pair for pair in late.projection_list(i) if pair[1] in store]
+            assert live_late == live_early
+        q = rng.standard_normal(3)
+        for r in (0.05, 0.5, 2.0):
+            a, b = early.query(q, r), late.query(q, r)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a[0] == b[0] and np.array_equal(a[1], b[1])
+
+    def test_shared_distance_table_matches_fresh_queries(self, rng):
+        pts = [(i, rng.standard_normal(4)) for i in range(30)]
+        dfn = DfnStructure(store_of(pts), cbar=1.5, seed=2)
+        q = rng.standard_normal(4)
+        dist = {}
+        for r in (0.1, 1.0, 3.0):
+            hit, fresh = dfn.query(q, r, dist), dfn.query(q, r)
+            assert (hit is None) == (fresh is None)
+            if hit is not None:
+                assert hit[0] == fresh[0] and np.array_equal(hit[1], fresh[1])
+        assert dist
+        for pid, d in dist.items():
+            assert d == float(np.linalg.norm(dict(pts)[pid] - q))
+
 
 class TestPointStore:
     def test_boxwidth_simple(self):

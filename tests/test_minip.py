@@ -1,5 +1,6 @@
 """Asymmetric transform, the tests' exact oracle, and the robust Min-IP index."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_min_ip
+from sparsekit import minip
+from sparsekit.afn import solve_threshold
 from sparsekit.errors import ConfigError, NotFound
 from sparsekit.minip import (
     RobustMinIpIndex,
@@ -232,7 +235,8 @@ def test_shared_store_tracks_live_points(initial, ops):
         x /= np.linalg.norm(x)
         hit = idx.query(x, rng)
         assert hit is None or hit[0] in live
-        for sketch, store, replicas in zip(idx.ensemble.sketches, idx._stores, idx._replicas):
+        for j, (sketch, store) in enumerate(zip(idx.ensemble.sketches, idx._stores)):
+            replicas = idx.battery(j)  # builds it if no query has sampled sketch j yet
             assert sorted(store.ids.tolist()) == sorted(live)
             P = np.stack([sketch.apply_flat(p) for p in live.values()])
             assert store.boxwidth == float((P.max(axis=0) - P.min(axis=0)).max())
@@ -252,3 +256,92 @@ def test_shared_store_tracks_live_points(initial, ops):
                 assert hit is None or hit[0] in live
                 if store.boxwidth == 0.0:
                     assert hit[0] == min(live)
+
+
+def unit_rows(rng, n, d):
+    pts = rng.standard_normal((n, d))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def same_answer(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
+
+# POOL's coincident rows give equal keys, so pid order decides ties
+@settings(max_examples=25, deadline=None)
+@given(
+    initial=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["insert", "delete", "query"]), st.integers(0, 7)),
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_lazy_batteries_answer_like_forced_ones(initial, ops, seed):
+    """An index that builds each battery on its first query answers every
+    query bit for bit like one whose batteries were all built at once."""
+    rng = np.random.default_rng(seed)
+    pool = np.vstack([POOL, unit_rows(rng, 6, 4)])
+    lazy = RobustMinIpIndex(pool[initial], c=0.505, tau=0.5, seed=seed)
+    forced = RobustMinIpIndex(pool[initial], c=0.505, tau=0.5, seed=seed)
+    for j in range(len(forced.ensemble)):
+        forced.battery(j)
+    live = list(range(len(initial)))
+    rng_lazy, rng_forced = np.random.default_rng(seed), np.random.default_rng(seed)
+    for op, k in ops:
+        if op == "insert" or (op == "delete" and len(live) == 1):
+            pid = lazy.insert(pool[k])
+            assert forced.insert(pool[k]) == pid
+            live.append(pid)
+        elif op == "delete":
+            pid = live.pop(k % len(live))
+            lazy.delete(pid)
+            forced.delete(pid)
+        else:
+            x = unit_rows(rng, 1, 4)[0]
+            assert same_answer(lazy.query(x, rng_lazy), forced.query(x, rng_forced))
+    x = unit_rows(rng, 1, 4)[0]
+    assert same_answer(lazy.query(x, rng_lazy), forced.query(x, rng_forced))
+
+
+def test_a_query_builds_kappa_replicas_per_new_sketch(monkeypatch, rng):
+    built = []
+
+    def counting(store, *args, **kwargs):
+        built.append(store)
+        return afn_structure(store, *args, **kwargs)
+
+    afn_structure = minip.AfnStructure
+    monkeypatch.setattr(minip, "AfnStructure", counting)
+    idx = RobustMinIpIndex(unit_rows(rng, 12, 4), c=0.505, tau=0.5, seed=3)
+    assert built == []
+    k, count = len(idx.ensemble), minip._sample_count(idx.b, len(idx.ensemble))
+    qrng = np.random.default_rng(1)
+    seen = set()
+    for _ in range(60):
+        sampled = set(idx.ensemble.sample(count, copy.deepcopy(qrng)).tolist())
+        new = sorted(sampled - seen)
+        before = len(built)
+        idx.query(unit_rows(rng, 1, 4)[0], qrng)
+        assert built[before:] == [idx._stores[j] for j in new for _ in range(idx.kappa)]
+        seen |= sampled
+    assert seen == set(range(k)) and len(built) == k * idx.kappa
+
+
+def test_battery_built_after_deletes_keeps_build_time_sizes(rng):
+    pts = unit_rows(rng, 40, 4)
+    late = RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=6)
+    early = RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=6)
+    early_battery = early.battery(0)
+    for pid in range(30):
+        late.delete(pid)
+        early.delete(pid)
+    assert len(late._stores[0]) == 10
+    for a, b in zip(late.battery(0), early_battery, strict=True):
+        for da, db in zip(a._dfns, b._dfns, strict=True):
+            assert da.n0 == db.n0 == 40
+            assert da.ell == db.ell
+            assert da.t == db.t == solve_threshold(40) != solve_threshold(10)
+            assert np.array_equal(da.directions, db.directions)
