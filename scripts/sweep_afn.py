@@ -6,7 +6,7 @@ For each n, a Kadison-Singer family of n rows is drawn from --seed as the
 ks-afn workload draws it (n/2 random orthonormal frames in d=2, scaled by
 sqrt(2/n)), and the afn backend is built over all n rows exactly as
 ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), MinIpConfig()
-(16 sketch rows in 4 blocks, counts scaled by minip.SCALE = 0.25).  The
+(16 sketch rows in 4 blocks, counts scaled by afn.SCALE = 0.25).  The
 index builds the kappa AFN replicas of a sketch (its battery) only when a
 query first samples that sketch, so the stages are timed apart.  With BLAS
 pinned to one thread, each stage's median wall time over --repeats runs:
@@ -22,7 +22,7 @@ pinned to one thread, each stage's median wall time over --repeats runs:
     phases_s   one more run of each stage (the insert stage with the retire
                before each insert), with the calls below timed by self time:
       sketch      TensorSparseSketch.apply_flat
-      directions  afn.gaussian_matrix (each DFN copy's Gaussian directions)
+      directions  afn.gaussian_matrix (each DFN's Gaussian directions)
       projection  DfnStructure.__init__ and .insert, less the calls inside
                   them (the projections and the Python around them)
       sort        SortedKeyList.__init__ and .insert

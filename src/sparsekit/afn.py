@@ -21,14 +21,15 @@ between, sizes itself from the store's initial count, and answers alike.
 Its distance post-check reads a pid -> distance table that the caller may
 share across queries about one point, so each distance is computed once.
 
-AfnStructure wraps several independent DFN copies and binary-searches the
-radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
-the longest side of the live points' bounding box.
+AfnStructure holds one DFN structure and binary-searches the radius between
+bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth, the longest
+side of the live points' bounding box.
 
-Directions, copies and search rounds follow the Theta(.) sizes with leading
-constant 1, multiplied by the owner's `scale` before the ceiling (the Min-IP
-index passes minip.SCALE = 0.25).  DELTA is the one failure probability that
-these sizes, the AIPE pool and the Min-IP index all read.
+Directions and search rounds follow the Theta(.) sizes with leading
+constant 1, multiplied by SCALE = 0.25 before the ceiling; the Min-IP
+index and the sketch ensemble read the same SCALE.  DELTA is the one
+failure probability that these sizes, the AIPE pool and the Min-IP index
+all read.
 
 Builds and updates need exclusive access; queries change nothing but the
 store's boxwidth cache and the distance table passed in, and are safe to run
@@ -47,10 +48,12 @@ import numpy as np
 from .pointstore import PointStore
 from .sortedlist import SortedKeyList
 
-__all__ = ["DELTA", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
+__all__ = ["DELTA", "SCALE", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
 
 #: failure probability of every search structure: AFN, AIPE and the Min-IP index
 DELTA = 0.1
+#: multiplier of every Theta(.) count: AFN sizes, Min-IP replicas, ensemble, samples
+SCALE = 0.25
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -99,32 +102,25 @@ def solve_threshold(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _direction_count(n: int, cbar: float, scale: float) -> int:
-    """Gaussian directions of one DFN structure over n points, scaled."""
+def _direction_count(n: int, cbar: float) -> int:
+    """Gaussian directions of one DFN structure over n points, times SCALE."""
     expo = 1.0 / cbar**2
     logn = max(math.log(max(n, 2)), 1.0)
     raw = n**expo * logn ** ((1.0 - expo) / 2.0)
-    return max(1, math.ceil(scale * raw))
+    return max(1, math.ceil(SCALE * raw))
 
 
 @lru_cache(maxsize=None)
-def _copy_count(d: int, eps: float, scale: float) -> int:
-    """DFN copies of one AFN structure: ceil(log log(d / (eps DELTA))), scaled."""
-    raw = math.log(max(math.log(max(d / (eps * DELTA), 3.0)), 1.5))
-    return max(1, math.ceil(scale * max(raw, 1.0)))
-
-
-@lru_cache(maxsize=None)
-def _search_rounds(d: int, eps: float, scale: float) -> int:
-    """Radius bisection rounds of one AFN query: ceil(log(d / (eps DELTA))), scaled."""
+def _search_rounds(d: int, eps: float) -> int:
+    """Radius bisection rounds of one AFN query: ceil(log(d / (eps DELTA))), times SCALE."""
     raw = math.log(max(d / (eps * DELTA), 2.0))
-    return max(1, math.ceil(scale * raw))
+    return max(1, math.ceil(SCALE * raw))
 
 
 class DfnStructure:
     """Fixed-radius decision version of approximate furthest neighbor."""
 
-    def __init__(self, store: PointStore, cbar: float, seed, scale: float = 1.0):
+    def __init__(self, store: PointStore, cbar: float, seed):
         if cbar <= 1.0:
             raise ValueError("cbar must exceed 1")
         base = store.initial_points
@@ -134,7 +130,7 @@ class DfnStructure:
         self.dim = store.dim
         self.cbar = float(cbar)
         self.n0 = len(base)
-        self.ell = _direction_count(self.n0, self.cbar, scale)
+        self.ell = _direction_count(self.n0, self.cbar)
         self.t = solve_threshold(self.n0)
         self.seed = seed
         self.directions = gaussian_matrix(self.ell, self.dim, seed)
@@ -196,38 +192,36 @@ class DfnStructure:
 
 
 class AfnStructure:
-    """Amplified furthest-neighbor search over independent DFN copies."""
+    """Furthest-neighbor search by radius bisection over one DFN structure.
 
-    def __init__(self, store: PointStore, cbar: float, seed, scale: float = 1.0):
+    AFN amplifies success with ceil(SCALE * max(ln ln(d / (eps DELTA)), 1))
+    independent DFN copies.  At SCALE = 0.25 that count is 2 or more only
+    when ln(d / (0.1 eps)) > e^4, that is d / eps > 5.1e22, and eps is kept
+    at 1e-9 or more, so it is 1 for every input this package can hold.
+    The one DFN is seeded as the first copy was, from the first child of
+    the seed's SeedSequence.
+    """
+
+    def __init__(self, store: PointStore, cbar: float, seed):
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
         self.eps = max(self.cbar - 1.0, 1e-9)
-        self.copies = _copy_count(self.dim, self.eps, scale)
-        self.rounds = _search_rounds(self.dim, self.eps, scale)
-        seeds = _seed_sequence(seed).spawn(self.copies)
-        self._dfns = [DfnStructure(store, cbar, seeds[i], scale) for i in range(self.copies)]
+        self.rounds = _search_rounds(self.dim, self.eps)
+        self._dfn = DfnStructure(store, cbar, _seed_sequence(seed).spawn(1)[0])
 
     def insert(self, pid) -> None:
-        """Index the stored point `pid` in every DFN copy."""
-        for dfn in self._dfns:
-            dfn.insert(pid)
-
-    def _query_all_copies(self, q, r: float, dist: dict):
-        for dfn in self._dfns:
-            hit = dfn.query(q, r, dist)
-            if hit is not None:
-                return hit
-        return None
+        """Index the stored point `pid`."""
+        self._dfn.insert(pid)
 
     def query(self, q, dist: dict = None):
         """An approximate furthest neighbor (pid, point) of q, or None.
 
-        Binary search brackets the largest radius at which some DFN copy
-        still answers; the witness from the highest successful radius is
+        Binary search brackets the largest radius at which the DFN still
+        answers; the witness from the highest successful radius is
         returned.  A zero boxwidth means all points coincide, so any stored
         point is exact: the lowest id is returned.  `dist` is the pid ->
-        distance-from-q table every DFN post-check reads and fills (see
+        distance-from-q table the DFN post-check reads and fills (see
         DfnStructure.query); structures over one store may share it for one q.
         """
         q = np.asarray(q, dtype=float)
@@ -239,10 +233,10 @@ class AfnStructure:
             return pid, self.store[pid]
         lo = bw / 2.0
         hi = math.sqrt(self.dim) / self.eps * bw
-        best = self._query_all_copies(q, lo, dist)
+        best = self._dfn.query(q, lo, dist)
         for _ in range(self.rounds):
             mid = 0.5 * (lo + hi)
-            hit = self._query_all_copies(q, mid, dist)
+            hit = self._dfn.query(q, mid, dist)
             if hit is not None:
                 best = hit
                 lo = mid

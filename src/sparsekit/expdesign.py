@@ -25,7 +25,6 @@ from .errors import (
     PreconditionViolation,
 )
 from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symmetric, eigendecompose
-from .minip import MinIpConfig
 from .minip_backend import MinIpBackend
 
 __all__ = [
@@ -158,7 +157,6 @@ def swap_round(
     backend: str = "exact",
     seed: int = 0,
     aipe_config: AipeConfig = None,
-    minip_config: MinIpConfig = None,
 ) -> SwapRunResult:
     """Round the fractional design pi to an n-subset with lambda_min >= 1 - gamma eps.
 
@@ -217,7 +215,6 @@ def swap_round(
             tau=tau,
             seed=seed,
             aipe_config=aipe_config,
-            minip_config=minip_config,
         )
 
     member_mask = np.zeros(m, dtype=bool)

@@ -1,9 +1,9 @@
 """Matrix ingestion: Matrix Market (canonical, sparse-friendly) and CSV.
 
-Rows of the parsed matrix become the vectors of a VectorFamily.
-Coordinate-format Matrix Market inputs keep their stored-entry counts as
-the per-row nnz, so nnz-based cost models see the sparse structure even
-though vectors are held densely afterwards.
+Rows of the parsed matrix become the vectors of a VectorFamily, which holds
+them densely whatever the file's format.  Its per-row nnz, which the
+tree-choice cost model reads, counts the nonzero values, so an entry a
+coordinate file stores explicitly as zero counts as a zero.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ def parse_matrix_file(path: str, fmt: str = None) -> VectorFamily:
         except Exception as exc:
             raise PreconditionViolation(f"cannot parse {path}: {exc}") from exc
         if scipy.sparse.issparse(mat):
-            csr = mat.tocsr()
-            nnz = np.diff(csr.indptr)
-            return VectorFamily(csr.toarray(), nnz_per_row=nnz)
+            return VectorFamily(mat.toarray())
         return VectorFamily(np.atleast_2d(np.asarray(mat, dtype=float)))
     if fmt == "csv":
         try:

@@ -14,7 +14,7 @@ concurrent invocation is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,14 @@ ISOTROPY_TOL = 1e-6
 
 @dataclass
 class VectorFamily:
-    """m vectors in R^d, stored densely with a parallel per-row nonzero count.
+    """m vectors in R^d, stored densely.
 
-    The nonzero counts drive the nnz-based cost estimates used when choosing
-    between the two positive-search trees, so they are recorded once at
-    construction (from the sparse structure of the source when available)
-    rather than re-derived from the dense array.
+    The per-row nonzero counts, which drive the nnz-based cost estimate used
+    when choosing between the two positive-search trees, are read from the
+    vectors themselves: a stored zero counts as a zero.
     """
 
     vectors: np.ndarray
-    nnz_per_row: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -53,12 +51,11 @@ class VectorFamily:
             raise DimensionMismatch("vectors must be a 2-D (m, d) array")
         if not np.all(np.isfinite(self.vectors)):
             raise PreconditionViolation("vector family contains non-finite entries")
-        if self.nnz_per_row is None:
-            self.nnz_per_row = np.count_nonzero(self.vectors, axis=1)
-        else:
-            self.nnz_per_row = np.asarray(self.nnz_per_row, dtype=int)
-            if self.nnz_per_row.shape != (self.vectors.shape[0],):
-                raise DimensionMismatch("nnz_per_row must have one entry per vector")
+
+    @property
+    def nnz_per_row(self) -> np.ndarray:
+        """Nonzero entries of each vector."""
+        return np.count_nonzero(self.vectors, axis=1)
 
     @property
     def count(self) -> int:
@@ -151,8 +148,8 @@ def check_symmetric(A: np.ndarray) -> None:
 def whiten(family: VectorFamily, pi=None) -> VectorFamily:
     """Right-multiply the family by (X^T diag(pi) X)^{-1/2}.
 
-    The returned family X' satisfies sum_i pi_i x'_i x'_i^T = I.  nnz counts
-    are recomputed since whitening destroys sparsity.
+    The returned family X' satisfies sum_i pi_i x'_i x'_i^T = I.  Whitening
+    mixes coordinates, so X' is dense in general, and its nnz counts say so.
     """
     X = family.vectors
     if pi is None:
@@ -172,9 +169,9 @@ def whiten(family: VectorFamily, pi=None) -> VectorFamily:
     return VectorFamily(X @ eig.weighted(vals**-0.5))
 
 
-def check_isotropy(family: VectorFamily, tol: float = ISOTROPY_TOL, pi=None) -> bool:
+def check_isotropy(family: VectorFamily, pi=None) -> bool:
     """True iff sum_i pi_i v_i v_i^T (pi_i = 1 when pi is None) is the
-    identity within Frobenius tol."""
+    identity within Frobenius distance ISOTROPY_TOL."""
     X = family.vectors
     G = family.gram() if pi is None else X.T @ (pi[:, None] * X)
-    return bool(np.linalg.norm(G - np.eye(family.dim)) <= tol)
+    return bool(np.linalg.norm(G - np.eye(family.dim)) <= ISOTROPY_TOL)

@@ -12,7 +12,7 @@ The index takes unit vectors only: a caller maps raw rows with
 minip_transform_dataset first, under one D_X for every row it will store.
 Sizes read the package's failure probability afn.DELTA.  The index has one
 size: the sketch dimension defaults to 16 rows in 4 blocks, and the replica,
-ensemble, sample and AFN counts are their formulas times SCALE = 0.25.
+ensemble, sample and AFN counts are their formulas times afn.SCALE = 0.25.
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afn import DELTA, AfnStructure
+from .afn import DELTA, SCALE, AfnStructure
 from .errors import ConfigError, DimensionMismatch
 from .pointstore import PointStore
 from .sketch import SketchEnsemble, ensemble_size_default, sketch_rows
@@ -59,8 +59,6 @@ __all__ = [
 
 #: most AFN replicas (ensemble size x replicas per sketch) one index may build
 MAX_STRUCTURES = 10_000
-#: multiplier of every Theta(.) count: replicas, ensemble, samples, AFN sizes
-SCALE = 0.25
 
 
 def minip_transform_dataset(X, D_X: float = None):
@@ -112,7 +110,7 @@ class MinIpConfig:
     Each sketch maps to sketch_dim = 16 rows in sketch_sparsity = 4 blocks,
     which keeps the sketched dimension commensurate with small inputs and
     k*kappa under MAX_STRUCTURES.  The replica, ensemble and sample counts
-    are their formulas times SCALE.
+    are their formulas times afn.SCALE.
     """
 
     sketch_dim: int = 16
@@ -177,7 +175,7 @@ class RobustMinIpIndex:
 
         side = max(1, math.ceil(math.sqrt(d)))
         b = self.config.sketch_dim
-        k = ensemble_size_default(d, n, scale=SCALE)
+        k = ensemble_size_default(d, n)
         rows = sketch_rows(b, self.config.sketch_sparsity)
         self.kappa = _replica_count(n, rows, self.LAMBDA)
         structures = k * self.kappa
@@ -208,7 +206,7 @@ class RobustMinIpIndex:
         if replicas is None:
             seeds = self._battery_seeds[j].spawn(self.kappa)
             store = self._stores[j]
-            replicas = [AfnStructure(store, self.cbar, child, SCALE) for child in seeds]
+            replicas = [AfnStructure(store, self.cbar, child) for child in seeds]
             self._batteries[j] = replicas
         return replicas
 

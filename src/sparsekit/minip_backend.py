@@ -9,14 +9,14 @@ chosen queries:
     "aipe"  InnerProductEstimator (adaptive inner-product estimation)
     "afn"   RobustMinIpIndex (sketched approximate furthest neighbour)
 
-It owns the (c, tau) window checks, the scaling of the query by tau, the
-map between the structure's point ids and the family's row indices, and,
-for "afn", the unit-sphere transform of every stored point: one D_X, the
-largest |vec(x x^T)| = |x|^2 over all of X, serves the build and every later
-insert, so a row is the same unit point whenever it is stored.  Both
-structures size themselves for the failure probability afn.DELTA.
-Proposals are only suggestions: callers verify the returned row against
-their own witness inequality.
+It owns the (c, tau) window checks (0 < tau < c < 1 for both kinds), the
+scaling of the query by tau, the map between the structure's point ids and
+the family's row indices, and, for "afn", the unit-sphere transform of
+every stored point: one D_X, the largest |vec(x x^T)| = |x|^2 over all of
+X, serves the build and every later insert, so a row is the same unit
+point whenever it is stored.  Both structures size themselves for the
+failure probability afn.DELTA.  Proposals are only suggestions: callers
+verify the returned row against their own witness inequality.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class MinIpBackend:
             raise ConfigError(f"unknown backend {kind!r}")
         if c is None or tau is None:
             raise ConfigError(f"{kind} backend needs both c and tau")
+        if not 0.0 < tau < 1.0:
+            raise ConfigError(f"tau={tau} violates 0 < tau < 1")
+        if not 0.0 < c < 1.0:
+            raise ConfigError(f"c={c} violates 0 < c < 1")
         if not tau < c:
             raise ConfigError(f"c={c} violates c > tau={tau}")
         hi = 1.01 * tau / (0.01 + tau)

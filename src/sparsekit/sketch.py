@@ -12,7 +12,8 @@ np.outer(u, v).ravel():
 
 Plus the adaptive-robust ensemble the Min-IP index uses: many independent
 small TensorSparseSketches, of which queries sample a few and keep the best.
-Sizes and hash independence read the package's failure probability afn.DELTA.
+Sizes and hash independence read the package's failure probability afn.DELTA,
+and the ensemble size the package's size multiplier afn.SCALE.
 Sketches are immutable after construction and application is pure, so
 concurrent use is safe; ensemble sampling takes an explicit RNG.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .afn import DELTA
+from .afn import DELTA, SCALE
 from .errors import ConfigError, DimensionMismatch
 from .hashing import PolyHash, SignHash
 
@@ -62,9 +63,9 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def ensemble_size_default(d: int, m: int, scale: float) -> int:
-    """Default ensemble size: ceil((d + log(1/DELTA)) * log(m d)), scaled."""
-    return max(1, math.ceil(scale * (d + math.log(1.0 / DELTA)) * math.log(m * d)))
+def ensemble_size_default(d: int, m: int) -> int:
+    """Default ensemble size: ceil((d + log(1/DELTA)) * log(m d)), times afn.SCALE."""
+    return max(1, math.ceil(SCALE * (d + math.log(1.0 / DELTA)) * math.log(m * d)))
 
 
 class _TensorSketchBase:

@@ -236,6 +236,37 @@ class TestDfn:
             if a is not None:
                 assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
+    def test_candidate_cap_spans_directions(self, rng):
+        # 200 points at cbar 2 give ell = 2, so 2 ell + 1 = 5 candidates are
+        # collected across both directions' lists, live ids only, in list order
+        store = PointStore(rng.standard_normal((200, 3)))
+        for pid in range(0, 60, 3):
+            store.remove(pid)
+        dfn = DfnStructure(store, cbar=2.0, seed=11)
+        assert dfn.ell == 2
+        cap = 2 * dfn.ell + 1
+        spanned = False
+        for _ in range(40):
+            q = rng.standard_normal(3)
+            r = float(rng.uniform(0.5, 5.0))
+            T = r * dfn.t / dfn.cbar
+            per_direction = []
+            for i, center in enumerate(dfn.directions @ q):
+                lst = dfn.projection_list(i)
+                pairs = [*lst.search_leq(center - T), *lst.search_geq(center + T)]
+                per_direction.append([pid for _, pid in pairs if pid in store])
+            expected = list(dict.fromkeys(per_direction[0] + per_direction[1]))[:cap]
+            spanned |= len(expected) == cap and len(set(per_direction[0])) < cap
+            dist = {}
+            hit = dfn.query(q, r, dist)
+            assert list(dist) == expected
+            far = [pid for pid in expected if dist[pid] >= r / dfn.cbar]
+            if far:
+                assert dist[hit[0]] == max(dist[pid] for pid in far)
+            else:
+                assert hit is None
+        assert spanned  # some query filled the cap from both directions
+
     def test_shared_distance_table_matches_fresh_queries(self, rng):
         pts = [(i, rng.standard_normal(4)) for i in range(30)]
         dfn = DfnStructure(store_of(pts), cbar=1.5, seed=2)
@@ -308,7 +339,7 @@ class TestAfn:
         for seed in range(10):
             pts_arr = rng.standard_normal((n, d))
             pts_arr /= np.linalg.norm(pts_arr, axis=1)[:, None]
-            afn = AfnStructure(PointStore(pts_arr), cbar, seed=seed, scale=2.0)
+            afn = AfnStructure(PointStore(pts_arr), cbar, seed=seed)
             for _ in range(20):
                 q = rng.standard_normal(d)
                 q /= np.linalg.norm(q)
@@ -333,20 +364,3 @@ class TestAfn:
         assert hit is not None
         exact = np.linalg.norm(pts_arr - q, axis=1).max()
         assert np.linalg.norm(hit[1] - q) >= exact / 1.1  # (1 + eps) regime
-
-    def test_amplification_monotone(self, rng):
-        # success rate grows with the scale of the DFN sizes
-        n, d = 100, 6
-        pts_arr = rng.standard_normal((n, d))
-        rates = []
-        for scale in (0.25, 1.0, 3.0):
-            hits = 0
-            trials = 0
-            for seed in range(15):
-                afn = AfnStructure(PointStore(pts_arr), 1.8, seed=seed, scale=scale)
-                for _ in range(5):
-                    q = rng.standard_normal(d)
-                    trials += 1
-                    hits += afn.query(q) is not None
-            rates.append(hits / trials)
-        assert rates[0] <= rates[1] <= rates[2] or rates[2] >= 0.99

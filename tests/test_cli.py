@@ -112,6 +112,16 @@ def test_bad_sizes_are_config_errors(tmp_path, rng, capsys, argv):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("c, tau", [("0", "-0.02"), ("0.5", "-0.5")])
+def test_ks_aipe_refuses_nonpositive_tau_or_c(tmp_path, rng, capsys, c, tau):
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "aipe"]
+    argv += ["--profile", "desk", "--c", c, "--tau", tau]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "violates 0 < tau < 1" in capsys.readouterr().err
+
+
 def test_ks_afn_refuses_n_out_of_range_before_building_the_index(rng, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("the Min-IP index was built")

@@ -5,6 +5,7 @@ import pytest
 
 from sparsekit.errors import DimensionMismatch, PreconditionViolation, SingularGram
 from sparsekit.linalg import (
+    ISOTROPY_TOL,
     VectorFamily,
     WeightedSelection,
     check_isotropy,
@@ -55,21 +56,31 @@ class TestWhiten:
 
 class TestCheckIsotropy:
     def test_basis_true(self):
-        assert check_isotropy(VectorFamily(np.eye(2)), 1e-12)
+        fam = VectorFamily(np.eye(2))
+        assert check_isotropy(fam)
+        assert np.linalg.norm(fam.gram() - np.eye(2)) <= 1e-12
 
     def test_repeated_vector_false(self):
         fam = VectorFamily(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert not check_isotropy(fam, 1e-8)
+        assert not check_isotropy(fam)
 
     def test_whitened_family_true(self, rng):
         fam = whiten(VectorFamily(rng.standard_normal((100, 5))))
-        assert check_isotropy(fam, 1e-8)
+        assert check_isotropy(fam)
+        assert np.linalg.norm(fam.gram() - np.eye(5)) <= 1e-8
 
     def test_weighted_by_pi(self, rng):
         pi = rng.uniform(0.1, 0.9, 100)
         fam = whiten(VectorFamily(rng.standard_normal((100, 5))), pi)
         assert check_isotropy(fam, pi=pi)
         assert not check_isotropy(fam)
+
+    @pytest.mark.parametrize("factor, isotropic", [(0.5, True), (2.0, False)])
+    def test_tolerance_boundary(self, factor, isotropic):
+        # gram = diag(1 + a, 1), at Frobenius distance a from I
+        a = factor * ISOTROPY_TOL
+        fam = VectorFamily(np.diag([np.sqrt(1.0 + a), 1.0]))
+        assert check_isotropy(fam) is isotropic
 
 
 class TestEigenDecomposition:

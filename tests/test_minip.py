@@ -243,15 +243,15 @@ def test_shared_store_tracks_live_points(initial, ops):
             xq = sketch.apply_flat(x)
             for afn in replicas:
                 assert afn.store is store
-                for dfn in afn._dfns:
-                    assert dfn.store is store
-                    for i in range(dfn.ell):
-                        pairs = list(dfn.projection_list(i))
-                        listed = [(pid, key) for key, pid in pairs if pid in live]
-                        assert sorted(pid for pid, _ in listed) == sorted(live)
-                        for pid, key in listed:
-                            assert abs(key - dfn.directions[i] @ store[pid]) <= 1e-12
-                        assert {pid for _, pid in pairs} - live.keys() <= retired
+                dfn = afn._dfn
+                assert dfn.store is store
+                for i in range(dfn.ell):
+                    pairs = list(dfn.projection_list(i))
+                    listed = [(pid, key) for key, pid in pairs if pid in live]
+                    assert sorted(pid for pid, _ in listed) == sorted(live)
+                    for pid, key in listed:
+                        assert abs(key - dfn.directions[i] @ store[pid]) <= 1e-12
+                    assert {pid for _, pid in pairs} - live.keys() <= retired
                 hit = afn.query(xq)
                 assert hit is None or hit[0] in live
                 if store.boxwidth == 0.0:
@@ -340,8 +340,8 @@ def test_battery_built_after_deletes_keeps_build_time_sizes(rng):
         early.delete(pid)
     assert len(late._stores[0]) == 10
     for a, b in zip(late.battery(0), early_battery, strict=True):
-        for da, db in zip(a._dfns, b._dfns, strict=True):
-            assert da.n0 == db.n0 == 40
-            assert da.ell == db.ell
-            assert da.t == db.t == solve_threshold(40) != solve_threshold(10)
-            assert np.array_equal(da.directions, db.directions)
+        da, db = a._dfn, b._dfn
+        assert da.n0 == db.n0 == 40
+        assert da.ell == db.ell
+        assert da.t == db.t == solve_threshold(40) != solve_threshold(10)
+        assert np.array_equal(da.directions, db.directions)

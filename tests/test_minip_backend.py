@@ -68,6 +68,12 @@ def test_retire_insert_keep_maps_a_bijection(kind, ops, query_seed):
         ("aipe", None, 0.5, "needs both c and tau"),
         ("afn", 0.5, 0.505, "c > tau"),
         ("aipe", 0.995, 0.5, r"c < 1.01\*tau/\(0.01\+tau\)"),
+        ("aipe", 0.0, -0.02, "tau=-0.02 violates 0 < tau < 1"),
+        ("aipe", 0.5, -0.5, "tau=-0.5 violates 0 < tau < 1"),
+        ("afn", 0.5, -0.5, "tau=-0.5 violates 0 < tau < 1"),
+        ("aipe", 0.5, 1.0, "tau=1.0 violates 0 < tau < 1"),
+        ("aipe", 0.0, 0.5, "c=0.0 violates 0 < c < 1"),
+        ("afn", 1.2, 0.5, "c=1.2 violates 0 < c < 1"),
     ],
 )
 def test_window_rejected(kind, c, tau, message):
