@@ -7,8 +7,9 @@ ks-afn workload draws it (n/2 random orthonormal frames in d=2, scaled by
 sqrt(2/n)), and the afn backend is built over all n rows exactly as
 ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), MinIpConfig()
 (16 sketch rows in 4 blocks, counts scaled by afn.SCALE = 0.25).  The
-index builds the kappa AFN replicas of a sketch (its battery) only when a
-query first samples that sketch, so the stages are timed apart.  With BLAS
+index builds the kappa AFN replicas of a sketch (its battery, one
+AfnStructure over kappa seeds) only when a query first samples that
+sketch, so the stages are timed apart.  With BLAS
 pinned to one thread, each stage's median wall time over --repeats runs:
 
     build_s    the eager part: MinIpBackend construction, which sketches the
@@ -22,10 +23,12 @@ pinned to one thread, each stage's median wall time over --repeats runs:
     phases_s   one more run of each stage (the insert stage with the retire
                before each insert), with the calls below timed by self time:
       sketch      TensorSparseSketch.apply_flat
-      directions  afn.gaussian_matrix (each DFN's Gaussian directions)
-      projection  DfnStructure.__init__ and .insert, less the calls inside
-                  them (the projections and the Python around them)
-      sort        SortedKeyList.__init__ and .insert
+      directions  afn.gaussian_matrix (every replica's Gaussian directions,
+                  one Philox stream per replica)
+      keys        DfnStructure.__init__ less the calls inside it: the
+                  batched projection GEMM and the one lexsort of all rows
+      inserts     DfnStructure.insert (a late build's inserts, and each
+                  insert into a built battery)
       other       the rest of the traced stage: seeds, configs, stores
 
 The traced stage pays a wrapper per timed call, so its phases add up to
@@ -52,7 +55,7 @@ from collections import defaultdict  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sparsekit import afn, sketch, sortedlist  # noqa: E402
+from sparsekit import afn, sketch  # noqa: E402
 from sparsekit.errors import ConfigError  # noqa: E402
 from sparsekit.minip import MAX_STRUCTURES  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
@@ -63,10 +66,8 @@ D, C, TAU = 2, 0.505, 0.5
 PHASES = [
     (sketch.TensorSparseSketch, "apply_flat", "sketch"),
     (afn, "gaussian_matrix", "directions"),
-    (afn.DfnStructure, "__init__", "projection"),
-    (afn.DfnStructure, "insert", "projection"),
-    (sortedlist.SortedKeyList, "__init__", "sort"),
-    (sortedlist.SortedKeyList, "insert", "sort"),
+    (afn.DfnStructure, "__init__", "keys"),
+    (afn.DfnStructure, "insert", "inserts"),
 ]
 
 

@@ -1,4 +1,7 @@
-"""Random-projection furthest-neighbor structures over a shared PointStore.
+"""Random-projection furthest-neighbor batteries over a shared PointStore.
+
+A battery is R independent replicas of one structure, held in arrays and
+queried in lockstep: one seed per replica, and R = 1 is one structure.
 
 Neither structure holds points.  Both read coordinates from a PointStore
 that their owner fills and empties; `insert(pid)` indexes a point the owner
@@ -9,21 +12,24 @@ skip the (key, id) pairs it leaves behind.  That is sound because the store
 never reissues an id, and the lists grow only by inserts.  Many structures
 may share one store.
 
-DfnStructure answers fixed-radius decision queries: given (q, r), either
-return a point at distance >= r / cbar (post-checked before returning) or
-Fail (None).  It keeps one sorted list of projections per Gaussian
-direction; points far from q in some direction are candidates.  A build
-projects the store's initial points with one GEMM, sorts each list once,
-and then inserts every live point the store has added since, in id order.
-So a structure may be built long after its store: it holds the pairs one
-built with the store would hold, less those of ids added and removed in
-between, sizes itself from the store's initial count, and answers alike.
-Its distance post-check reads a pid -> distance table that the caller may
-share across queries about one point, so each distance is computed once.
+DfnStructure answers fixed-radius decision queries: given (q, r), each
+replica either names a point at distance >= r / cbar (post-checked) or
+fails (-1).  A replica keeps ell Gaussian directions and, per direction,
+the (key, id) pairs of the projections sorted by key, then id: the keys and
+ids of all R replicas are two (R * ell, n) arrays.  Points far from q in
+some direction are candidates.  A build draws every replica's directions
+in one pass, projects the store's initial points with one batched GEMM and
+sorts all rows with one lexsort; then it inserts every live point the store
+has added since, in id order.  So a structure may be built long after its
+store: it holds the pairs one built with the store would hold, less those
+of ids added and removed in between, sizes itself from the store's initial
+count, and answers alike.  The post-check reads each live point's distance
+from q, computed once per probe of q and shared by every radius asked.
 
-AfnStructure holds one DFN structure and binary-searches the radius between
-bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth, the longest
-side of the live points' bounding box.
+AfnStructure holds one DFN battery and binary-searches each replica's
+radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
+the longest side of the live points' bounding box; the R bisections run in
+lockstep.
 
 Directions and search rounds follow the Theta(.) sizes with leading
 constant 1, multiplied by SCALE = 0.25 before the ceiling; the Min-IP
@@ -32,9 +38,8 @@ failure probability that these sizes, the AIPE pool and the Min-IP index
 all read.
 
 Builds and updates need exclusive access; queries change nothing but the
-store's boxwidth cache and the distance table passed in, and are safe to run
-concurrently between mutations when each has a table of its own.  The
-Min-IP index builds its structures on demand, inside its queries, so its
+store's boxwidth cache, and are safe to run concurrently between mutations.
+The Min-IP index builds its batteries on demand, inside its queries, so its
 queries need exclusive access (see minip).
 """
 
@@ -46,7 +51,6 @@ from functools import lru_cache
 import numpy as np
 
 from .pointstore import PointStore
-from .sortedlist import SortedKeyList
 
 __all__ = ["DELTA", "SCALE", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
 
@@ -62,18 +66,22 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
-    """Standard normals via Box-Muller over counter-based Philox streams.
+def gaussian_matrix(rows: int, cols: int, seeds) -> np.ndarray:
+    """(len(seeds), rows, cols) standard normals: Box-Muller over one
+    counter-based Philox stream per seed.
 
     Philox keyed by the seed makes structures bit-reproducible across runs
-    and platforms regardless of draw order elsewhere.
+    and platforms regardless of draw order elsewhere.  Each stream's first
+    rows * cols uniforms (raw >> 11) * 2^-53 feed the logarithm and the next
+    rows * cols the cosine, as two Generator.random calls would draw them.
     """
-    gen = np.random.Generator(np.random.Philox(seed))
     n = rows * cols
-    u1 = 1.0 - gen.random(n)  # (0, 1], keeps log finite
-    u2 = gen.random(n)
+    u = np.stack([np.random.Philox(seed).random_raw(2 * n) for seed in seeds]) >> 11
+    u = u * 2.0**-53
+    u1 = 1.0 - u[:, :n]  # (0, 1], keeps log finite
+    u2 = u[:, n:]
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return g.reshape(rows, cols)
+    return g.reshape(len(seeds), rows, cols)
 
 
 @lru_cache(maxsize=None)
@@ -117,10 +125,19 @@ def _search_rounds(d: int, eps: float) -> int:
     return max(1, math.ceil(SCALE * raw))
 
 
-class DfnStructure:
-    """Fixed-radius decision version of approximate furthest neighbor."""
+def _spliced(rows: np.ndarray, slot: np.ndarray, value) -> np.ndarray:
+    """`rows` with `value` put in at the one True column of each row of `slot`."""
+    out = np.empty(slot.shape, dtype=rows.dtype)
+    out[~slot] = rows.ravel()
+    out[slot] = value
+    return out
 
-    def __init__(self, store: PointStore, cbar: float, seed):
+
+class DfnStructure:
+    """Fixed-radius decision version of approximate furthest neighbor, one
+    replica per seed."""
+
+    def __init__(self, store: PointStore, cbar: float, seeds):
         if cbar <= 1.0:
             raise ValueError("cbar must exceed 1")
         base = store.initial_points
@@ -132,114 +149,120 @@ class DfnStructure:
         self.n0 = len(base)
         self.ell = _direction_count(self.n0, self.cbar)
         self.t = solve_threshold(self.n0)
-        self.seed = seed
-        self.directions = gaussian_matrix(self.ell, self.dim, seed)
-        keys = (self.directions @ base.T).tolist()  # (ell, n0)
-        self._lists = [SortedKeyList(zip(row, range(self.n0))) for row in keys]
+        self.replicas = len(seeds)
+        self.directions = gaussian_matrix(self.ell, self.dim, seeds)  # (R, ell, dim)
+        rows = self.replicas * self.ell
+        keys = (self.directions @ base.T).reshape(rows, self.n0)
+        ids = np.broadcast_to(np.arange(self.n0), (rows, self.n0))
+        order = np.lexsort((ids, keys), axis=-1)  # each row by key, then id
+        self.keys = np.take_along_axis(keys, order, axis=-1)
+        self.ids = np.take_along_axis(ids, order, axis=-1)
         ids = store.ids
         for pid in sorted(ids[ids >= self.n0].tolist()):  # live points added since
             self.insert(pid)
 
     def insert(self, pid) -> None:
-        """Index the stored point `pid`."""
-        keys = (self.directions @ self.store[pid]).tolist()
-        for key, lst in zip(keys, self._lists):
-            lst.insert(key, pid)
+        """Index the stored point `pid` in every replica: one pair per row,
+        spliced in at its (key, id) rank."""
+        key = (self.directions @ self.store[pid]).reshape(-1, 1)
+        below = (self.keys < key) | ((self.keys == key) & (self.ids < pid))
+        rows, n = self.keys.shape
+        slot = np.arange(n + 1) == below.sum(axis=1, keepdims=True)
+        self.keys = _spliced(self.keys, slot, key.ravel())
+        self.ids = _spliced(self.ids, slot, pid)
 
-    def projection_list(self, i: int) -> SortedKeyList:
-        return self._lists[i]
-
-    def query(self, q, r: float, dist: dict = None):
-        """A (pid, point) at distance >= r/cbar from q, or None.
-
-        Collects at most 2*ell + 1 live candidates whose projection gap
-        exceeds r t / cbar across the directions, then returns the farthest
-        candidate passing the distance post-check.  Pairs of ids the store
-        no longer holds are skipped before they count toward the cap.
-        `dist` maps pid to its distance from this q; the post-check reads
-        it and fills in what is missing, so callers asking about one q
-        several times may share one dict.
-        """
-        if r <= 0.0:
-            raise ValueError("radius must be positive")
-        q = np.asarray(q, dtype=float)
-        if dist is None:
-            dist = {}
-        T = r * self.t / self.cbar
-        cap = 2 * self.ell + 1
+    def probe(self, q):
+        """What a query about q reads at any radius: the (R * ell, 1) projections
+        of q, and for each listed pair whether its id is live and its
+        distance from q (NaN for a retired id)."""
         store = self.store
-        seen = {}
-        proj_q = (self.directions @ q).tolist()
-        for lst, center in zip(self._lists, proj_q):
-            for pairs in (lst.search_leq(center - T), lst.search_geq(center + T)):
-                for key, pid in pairs:
-                    if len(seen) >= cap:
-                        break
-                    if pid in store:
-                        seen.setdefault(pid, key)
-            if len(seen) >= cap:
-                break
-        best = None
-        best_dist = r / self.cbar
-        for pid in seen:
-            d = dist.get(pid)
-            if d is None:
-                d = dist[pid] = float(np.linalg.norm(store[pid] - q))
-            if d >= best_dist:
-                best_dist = d
-                best = pid
-        return None if best is None else (best, store[best])
+        diff = store.points - q
+        dist = np.full(store.next_id, np.nan)
+        dist[store.ids] = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+        dist = dist[self.ids]
+        return (self.directions @ q).reshape(-1, 1), ~np.isnan(dist), dist
+
+    def query(self, q, r, probe=None) -> np.ndarray:
+        """Per replica, the id of a point at distance >= r/cbar from q, or -1.
+
+        `r` is one radius or one per replica.  A replica collects the first
+        2*ell + 1 distinct live ids whose projection gap exceeds r t / cbar,
+        direction by direction and, within one, keys <= center - gap then
+        keys >= center + gap in ascending order; ids the store no longer
+        holds are skipped before they count.  It answers the farthest
+        candidate passing the distance post-check, the later one on a tie.
+        `probe` is self.probe(q), which queries about one q may share.
+        """
+        r = np.full(self.replicas, r, dtype=float)
+        if (r <= 0.0).any():
+            raise ValueError("radius must be positive")
+        centers, live, dist = self.probe(np.asarray(q, dtype=float)) if probe is None else probe
+        R, ell, n = self.replicas, self.ell, self.keys.shape[1]
+        gap = np.repeat(r * self.t / self.cbar, ell)[:, None]
+        far = (self.keys <= centers - gap) | (self.keys >= centers + gap)
+        take = (far & live).reshape(R, ell, n)
+        ids = self.ids.reshape(R, ell, n)
+        rep = np.arange(R)[:, None]
+        seen = np.zeros((R, self.store.next_id), dtype=bool)
+        for i in range(1, ell):  # an id counts once, in its first listing direction
+            seen[rep, ids[:, i - 1]] |= take[:, i - 1]
+            take[:, i] &= ~seen[rep, ids[:, i]]
+        take = take.reshape(R, ell * n)
+        take &= take.cumsum(axis=1) <= 2 * ell + 1
+        dist = dist.reshape(R, ell * n)
+        post = np.where(take & (dist >= (r / self.cbar)[:, None]), dist, -np.inf)
+        last = ell * n - 1 - post[:, ::-1].argmax(axis=1)  # the later one on a tie
+        rep = rep.ravel()
+        return np.where(post[rep, last] > -np.inf, ids.reshape(R, -1)[rep, last], -1)
 
 
 class AfnStructure:
-    """Furthest-neighbor search by radius bisection over one DFN structure.
+    """Furthest-neighbor search by radius bisection, one replica per seed.
 
     AFN amplifies success with ceil(SCALE * max(ln ln(d / (eps DELTA)), 1))
     independent DFN copies.  At SCALE = 0.25 that count is 2 or more only
     when ln(d / (0.1 eps)) > e^4, that is d / eps > 5.1e22, and eps is kept
     at 1e-9 or more, so it is 1 for every input this package can hold.
-    The one DFN is seeded as the first copy was, from the first child of
-    the seed's SeedSequence.
+    Each replica's one DFN is seeded as the first copy was, from the first
+    child of the replica seed's SeedSequence.
     """
 
-    def __init__(self, store: PointStore, cbar: float, seed):
+    def __init__(self, store: PointStore, cbar: float, seeds):
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
         self.eps = max(self.cbar - 1.0, 1e-9)
         self.rounds = _search_rounds(self.dim, self.eps)
-        self._dfn = DfnStructure(store, cbar, _seed_sequence(seed).spawn(1)[0])
+        self._dfn = DfnStructure(store, cbar, [_seed_sequence(s).spawn(1)[0] for s in seeds])
 
     def insert(self, pid) -> None:
         """Index the stored point `pid`."""
         self._dfn.insert(pid)
 
-    def query(self, q, dist: dict = None):
-        """An approximate furthest neighbor (pid, point) of q, or None.
+    def query(self, q):
+        """The answering replicas' approximate furthest neighbors of q, as
+        ids in replica order, or None when no replica answers.
 
-        Binary search brackets the largest radius at which the DFN still
-        answers; the witness from the highest successful radius is
-        returned.  A zero boxwidth means all points coincide, so any stored
-        point is exact: the lowest id is returned.  `dist` is the pid ->
-        distance-from-q table the DFN post-check reads and fills (see
-        DfnStructure.query); structures over one store may share it for one q.
+        Each replica's binary search brackets the largest radius at which
+        its DFN still answers; the witness from the highest successful
+        radius is its answer.  A zero boxwidth means all points coincide,
+        so any stored point is exact: every replica answers the lowest id.
         """
         q = np.asarray(q, dtype=float)
-        if dist is None:
-            dist = {}
+        R = self._dfn.replicas
         bw = self.store.boxwidth
         if bw == 0.0:
-            pid = self.store.lowest_id()
-            return pid, self.store[pid]
-        lo = bw / 2.0
-        hi = math.sqrt(self.dim) / self.eps * bw
-        best = self._dfn.query(q, lo, dist)
+            return np.full(R, self.store.lowest_id())
+        probe = self._dfn.probe(q)
+        lo = np.full(R, bw / 2.0)
+        hi = np.full(R, math.sqrt(self.dim) / self.eps * bw)
+        best = self._dfn.query(q, lo, probe)
         for _ in range(self.rounds):
             mid = 0.5 * (lo + hi)
-            hit = self._dfn.query(q, mid, dist)
-            if hit is not None:
-                best = hit
-                lo = mid
-            else:
-                hi = mid
-        return best
+            hit = self._dfn.query(q, mid, probe)
+            found = hit >= 0
+            best = np.where(found, hit, best)
+            lo = np.where(found, mid, lo)
+            hi = np.where(found, hi, mid)
+        best = best[best >= 0]
+        return best if len(best) else None

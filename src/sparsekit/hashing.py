@@ -4,7 +4,7 @@ Coefficients are drawn uniformly from GF(2^61 - 1); a degree-(k-1)
 polynomial evaluated at distinct keys gives a k-wise independent family
 (Carter-Wegman).  Python integers handle the 122-bit intermediate products,
 and the evaluation grids we need (at most a few thousand keys) are small
-enough that a plain Horner loop is fine.
+enough that Horner's rule over a Python list of keys is fine.
 """
 
 from __future__ import annotations
@@ -38,13 +38,15 @@ class PolyHash:
         return acc % self.range_size
 
     def grid(self, rows: int, cols: int) -> np.ndarray:
-        """Evaluate on keys row*cols + col for the full (rows, cols) grid."""
-        out = np.empty((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            base = r * cols
-            for c in range(cols):
-                out[r, c] = self(base + c)
-        return out
+        """Evaluate on keys row*cols + col for the full (rows, cols) grid.
+
+        Horner's rule steps every key at once, one coefficient at a time.
+        """
+        keys = range(rows * cols)  # all below MERSENNE_P
+        acc = [0] * len(keys)
+        for c in reversed(self._coeffs):
+            acc = [(a * x + c) % MERSENNE_P for a, x in zip(acc, keys)]
+        return np.array(acc, dtype=np.int64).reshape(rows, cols) % self.range_size
 
 
 class SignHash:

@@ -173,5 +173,5 @@ def check_isotropy(family: VectorFamily, pi=None) -> bool:
     """True iff sum_i pi_i v_i v_i^T (pi_i = 1 when pi is None) is the
     identity within Frobenius distance ISOTROPY_TOL."""
     X = family.vectors
-    G = family.gram() if pi is None else X.T @ (pi[:, None] * X)
+    G = family.gram() if pi is None else X.T @ (np.asarray(pi, dtype=float)[:, None] * X)
     return bool(np.linalg.norm(G - np.eye(family.dim)) <= ISOTROPY_TOL)

@@ -16,19 +16,22 @@ ensemble, sample and AFN counts are their formulas times afn.SCALE = 0.25.
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
-one call.  The kappa replicas of one sketch form its battery.  A battery is
-built on demand, the first time a query samples its sketch (battery(j)),
-with the seeds and sizes an eager build would give it, so a KS solve that
-samples half the sketches builds half the replicas and answers the same.
-Every replica of a sketch reads that sketch's store and holds only its
-directions and projection lists.  The index alone changes the stores,
-always all 1 + k together, so the ids they issue agree.  A delete removes
-the id from the 1 + k stores and from nothing else: the replicas skip pairs
-of ids their store no longer holds, so their lists grow only by inserts
-(none in a KS selection, at most T_cap in a swap_round solve), and an
-insert reaches only the batteries already built.  Within one query each
-sampled battery shares one table of distances from the sketched query, and
-the query one table of inner products, so each is computed once per point.
+one call.  The kappa replicas of one sketch form its battery: one
+AfnStructure over kappa seeds, whose replicas are drawn, sorted and
+searched in lockstep as arrays (see afn).  A battery is built on demand,
+the first time a query samples its sketch (battery(j)), with the seeds and
+sizes an eager build would give it, so a KS solve that samples half the
+sketches builds half the batteries and answers the same.  A battery reads
+its sketch's store and holds only its replicas' directions and sorted
+(key, id) rows.  The index alone changes the stores, always all 1 + k
+together, so the ids they issue agree.  A delete removes the id from the
+1 + k stores and from nothing else: a battery skips pairs of ids its store
+no longer holds, so its rows grow only by inserts (none in a KS
+selection, at most T_cap in a swap_round solve), and an insert reaches
+only the batteries already built.  A battery query computes each sketched
+point's distance from the sketched query once for all its replicas and
+radii, and the index query walks the replicas' hits in replica order with
+one table of inner products, so each is computed once per point.
 Configurations that ask for more than MAX_STRUCTURES replicas in all are
 refused before any is built.
 
@@ -195,20 +198,19 @@ class RobustMinIpIndex:
         self._battery_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
         self._batteries = [None] * k  # built by battery(j) on first use
 
-    def battery(self, j: int) -> list:
-        """The kappa AFN replicas over sketch j's store, built on first use.
+    def battery(self, j: int) -> AfnStructure:
+        """The AFN battery of kappa replicas over sketch j's store, built on first use.
 
-        Each is seeded from the j-th child of SeedSequence(seed + 1), spawned
-        here once, and sized from the store's initial count, so a battery
-        built after deletes and inserts is the one an eager build would hold.
+        Its replicas are seeded from the kappa children of the j-th child of
+        SeedSequence(seed + 1), spawned here once, and sized from the store's
+        initial count, so a battery built after deletes and inserts is the
+        one an eager build would hold.
         """
-        replicas = self._batteries[j]
-        if replicas is None:
+        battery = self._batteries[j]
+        if battery is None:
             seeds = self._battery_seeds[j].spawn(self.kappa)
-            store = self._stores[j]
-            replicas = [AfnStructure(store, self.cbar, child) for child in seeds]
-            self._batteries[j] = replicas
-        return replicas
+            battery = self._batteries[j] = AfnStructure(self._stores[j], self.cbar, seeds)
+        return battery
 
     def _validate_window(self):
         c, tau, eps = self.c, self.tau, self.EPS
@@ -244,10 +246,10 @@ class RobustMinIpIndex:
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:
             raise ValueError("inserted points must be unit vectors")
         pid = self._points.add(p)
-        for sketch, store, replicas in zip(self.ensemble.sketches, self._stores, self._batteries):
+        for sketch, store, battery in zip(self.ensemble.sketches, self._stores, self._batteries):
             store.add(sketch.apply_flat(p))  # issues pid too: the stores add in lockstep
-            for afn in replicas or ():  # a battery built later reads pid from the store
-                afn.insert(pid)
+            if battery is not None:  # a battery built later reads pid from the store
+                battery.insert(pid)
         return pid
 
     def delete(self, pid) -> None:
@@ -269,14 +271,11 @@ class RobustMinIpIndex:
         ips = {}  # pid -> <point, x>, for every hit of this query
         best = None
         for j in sampled:
-            sketch = self.ensemble.sketches[j]
-            xq = self._quantize(sketch.apply_flat(x))
-            dist = {}  # pid -> |sketched point - xq|, shared by the battery
-            for afn in self.battery(j):
-                hit = afn.query(xq, dist)
-                if hit is None:
-                    continue
-                pid = hit[0]
+            xq = self._quantize(self.ensemble.sketches[j].apply_flat(x))
+            hits = self.battery(j).query(xq)
+            if hits is None:
+                continue
+            for pid in hits.tolist():  # in replica order
                 ip = ips.get(pid)
                 if ip is None:
                     ip = ips[pid] = float(self._points[pid] @ x)

@@ -65,6 +65,11 @@ class PointStore:
         """The id of each row of `points`."""
         return self._ids[: self._n]
 
+    @property
+    def next_id(self) -> int:
+        """The id the next add will issue: every id issued so far is below it."""
+        return self._next_id
+
     def add(self, p) -> int:
         """Store p under a new id, larger than every earlier one; return the id."""
         pid = self._next_id

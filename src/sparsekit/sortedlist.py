@@ -2,10 +2,11 @@
 
 A plain Python list kept sorted: a build sorts once, a threshold search is
 an O(log n) bisect plus the slice it returns, and an insert is an O(n)
-insort.  That suits the projection lists, which are built in bulk and grow
-only by the few points inserted afterwards.  Payloads disambiguate equal
-keys, so deleting a point whose key collides with another removes exactly
-one matching pair.
+insort.  Payloads disambiguate equal keys, so deleting a point whose key
+collides with another removes exactly one matching pair.  No module of the
+package uses it since the AFN projection lists became arrays (see afn);
+perfbench/layers.py still traces its insert and delete, so it stays until
+the benchmark drops those sites.
 """
 
 from __future__ import annotations

@@ -75,6 +75,11 @@ class TestCheckIsotropy:
         assert check_isotropy(fam, pi=pi)
         assert not check_isotropy(fam)
 
+    def test_pi_as_a_list(self):
+        fam = VectorFamily(np.eye(2))
+        assert check_isotropy(fam, pi=[1.0, 1.0])
+        assert not check_isotropy(fam, pi=[1.0, 2.0])
+
     @pytest.mark.parametrize("factor, isotropic", [(0.5, True), (2.0, False)])
     def test_tolerance_boundary(self, factor, isotropic):
         # gram = diag(1 + a, 1), at Frobenius distance a from I

@@ -236,26 +236,26 @@ def test_shared_store_tracks_live_points(initial, ops):
         hit = idx.query(x, rng)
         assert hit is None or hit[0] in live
         for j, (sketch, store) in enumerate(zip(idx.ensemble.sketches, idx._stores)):
-            replicas = idx.battery(j)  # builds it if no query has sampled sketch j yet
+            battery = idx.battery(j)  # builds it if no query has sampled sketch j yet
             assert sorted(store.ids.tolist()) == sorted(live)
             P = np.stack([sketch.apply_flat(p) for p in live.values()])
             assert store.boxwidth == float((P.max(axis=0) - P.min(axis=0)).max())
             xq = sketch.apply_flat(x)
-            for afn in replicas:
-                assert afn.store is store
-                dfn = afn._dfn
-                assert dfn.store is store
-                for i in range(dfn.ell):
-                    pairs = list(dfn.projection_list(i))
-                    listed = [(pid, key) for key, pid in pairs if pid in live]
-                    assert sorted(pid for pid, _ in listed) == sorted(live)
-                    for pid, key in listed:
-                        assert abs(key - dfn.directions[i] @ store[pid]) <= 1e-12
-                    assert {pid for _, pid in pairs} - live.keys() <= retired
-                hit = afn.query(xq)
-                assert hit is None or hit[0] in live
-                if store.boxwidth == 0.0:
-                    assert hit[0] == min(live)
+            assert battery.store is store
+            dfn = battery._dfn
+            assert dfn.store is store and dfn.replicas == idx.kappa
+            for row, (keys, ids) in enumerate(zip(dfn.keys, dfn.ids, strict=True)):
+                direction = dfn.directions[row // dfn.ell, row % dfn.ell]
+                pairs = list(zip(keys.tolist(), ids.tolist()))
+                listed = [(pid, key) for key, pid in pairs if pid in live]
+                assert sorted(pid for pid, _ in listed) == sorted(live)
+                for pid, key in listed:
+                    assert abs(key - direction @ store[pid]) <= 1e-12
+                assert {pid for _, pid in pairs} - live.keys() <= retired
+            hits = battery.query(xq)
+            assert hits is None or set(hits.tolist()) <= live.keys()
+            if store.boxwidth == 0.0:
+                assert hits.tolist() == [min(live)] * idx.kappa
 
 
 def unit_rows(rng, n, d):
@@ -307,11 +307,11 @@ def test_lazy_batteries_answer_like_forced_ones(initial, ops, seed):
 
 
 def test_a_query_builds_kappa_replicas_per_new_sketch(monkeypatch, rng):
-    built = []
+    built = []  # (store, replica count) of every AfnStructure built
 
-    def counting(store, *args, **kwargs):
-        built.append(store)
-        return afn_structure(store, *args, **kwargs)
+    def counting(store, cbar, seeds):
+        built.append((store, len(seeds)))
+        return afn_structure(store, cbar, seeds)
 
     afn_structure = minip.AfnStructure
     monkeypatch.setattr(minip, "AfnStructure", counting)
@@ -325,9 +325,10 @@ def test_a_query_builds_kappa_replicas_per_new_sketch(monkeypatch, rng):
         new = sorted(sampled - seen)
         before = len(built)
         idx.query(unit_rows(rng, 1, 4)[0], qrng)
-        assert built[before:] == [idx._stores[j] for j in new for _ in range(idx.kappa)]
+        # one battery of kappa replicas per newly sampled sketch, none for one sampled before
+        assert built[before:] == [(idx._stores[j], idx.kappa) for j in new]
         seen |= sampled
-    assert seen == set(range(k)) and len(built) == k * idx.kappa
+    assert seen == set(range(k)) and len(built) == k
 
 
 def test_battery_built_after_deletes_keeps_build_time_sizes(rng):
@@ -339,9 +340,9 @@ def test_battery_built_after_deletes_keeps_build_time_sizes(rng):
         late.delete(pid)
         early.delete(pid)
     assert len(late._stores[0]) == 10
-    for a, b in zip(late.battery(0), early_battery, strict=True):
-        da, db = a._dfn, b._dfn
-        assert da.n0 == db.n0 == 40
-        assert da.ell == db.ell
-        assert da.t == db.t == solve_threshold(40) != solve_threshold(10)
-        assert np.array_equal(da.directions, db.directions)
+    da, db = late.battery(0)._dfn, early_battery._dfn
+    assert da.replicas == db.replicas == late.kappa
+    assert da.n0 == db.n0 == 40
+    assert da.ell == db.ell
+    assert da.t == db.t == solve_threshold(40) != solve_threshold(10)
+    assert np.array_equal(da.directions, db.directions)

@@ -35,12 +35,12 @@ def test_sweep_afn_builds_the_ks_afn_index():
     assert set(phases) == {"build", "battery", "insert"}
     for stage in phases.values():
         assert set(stage) == {
-            "sketch", "directions", "projection", "sort", "other", "traced_total"
+            "sketch", "directions", "keys", "inserts", "other", "traced_total"
         }
-    # the eager build draws no directions; a battery and the inserts sort
+    # the eager build draws no directions; a battery draws, projects and sorts
     assert phases["build"]["directions"] == 0.0 and phases["build"]["sketch"] > 0.0
-    assert phases["battery"]["directions"] > 0.0
-    assert phases["insert"]["sort"] > 0.0 and phases["insert"]["projection"] > 0.0
+    assert phases["battery"]["directions"] > 0.0 and phases["battery"]["keys"] > 0.0
+    assert phases["insert"]["inserts"] > 0.0 and phases["insert"]["keys"] == 0.0
 
 
 def test_replay_afn_hashes_both_solvers():

@@ -297,3 +297,15 @@ class TestPolyHash:
             h = PolyHash(2, 16, seed=seed)
             hits += h(0) == h(1)
         assert abs(hits / trials - 1 / 16) <= 0.02
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_grid_is_the_hash_of_each_key(self, k, seed):
+        # Horner over the whole grid is exact in GF(2^61 - 1), entry by entry
+        for range_size in (2, 13, (1 << 61) - 2):
+            h = PolyHash(k, range_size, seed=seed)
+            for rows, cols in ((1, 1), (3, 4), (7, 5)):
+                grid = h.grid(rows, cols)
+                assert grid.shape == (rows, cols) and grid.dtype == np.int64
+                expected = [[h(r * cols + c) for c in range(cols)] for r in range(rows)]
+                assert grid.tolist() == expected
