@@ -1,6 +1,6 @@
 """One sha256 over many afn-backend solves, to check that two trees agree.
 
-    PYTHONPATH=src python3 scripts/replay_afn.py [--ks 256] [--swap 18]
+    PYTHONPATH=src python3 scripts/replay_afn.py [--ks 256] [--swap 18] [--sparsify 32]
 
 Runs --ks Kadison-Singer selections and --swap experimental-design swap
 roundings on the afn Min-IP backend and hashes what each returns:
@@ -17,8 +17,23 @@ roundings on the afn Min-IP backend and hashes what each returns:
 Each solve adds its selected indices and fallbacks to the hash, with every
 float of score_trace and final_norm (KS) or lambda_trace (swap rounding) as
 float.hex, so equal hashes mean bit-identical outputs.  A solve that raises
-adds the exception's class name instead.  Prints one JSON object; the
-PYTHONPATH decides which source tree is replayed.
+adds the exception's class name instead.
+
+The --sparsify inputs go to a second hash, sparsify_sha256, so `sha256`
+stays comparable with runs that had no such part.  Input i is drawn from
+seed i // 2 in the shape of a sparsify benchmark workload, dense for even i
+and sparse for odd i, and solved by sparsify_fast and bss_reference at
+epsilon 0.25:
+
+    dense       8,192 whitened Gaussian rows in R^16
+    sparse      96 rows in R^32 with 2 nonzeros each: 6 rows at evenly
+                spaced angles on each of 16 coordinate pairs, with the
+                coordinates, the phase and the row order drawn at random
+
+Each sparsify solve adds its indices and fallbacks, its tree kind and
+barrier flag, and every weight, entry of A_final, potential and gap sum as
+float.hex.  Prints one JSON object; the PYTHONPATH decides which source
+tree is replayed.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sparsekit import expdesign, kadison_singer  # noqa: E402
+from sparsekit import expdesign, kadison_singer, sparsifier  # noqa: E402
 from sparsekit.errors import SparsekitError  # noqa: E402
 from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
 from sparsekit.minip import MinIpConfig  # noqa: E402
@@ -47,6 +62,9 @@ KS_C, KS_TAU = 0.505, 0.5
 # the afn case of tests/test_solvers_golden.py: (d, eps, gamma, c, tau, n, m)
 SWAP = (2, 1.0 / 6.0, 6.0, 0.905, 0.9, 155, 310)
 SWAP_SOLVER_SEEDS = 3
+SPARSIFY_EPSILON = 0.25
+SPARSIFY_DENSE = (8192, 16)  # (m, d)
+SPARSIFY_SPARSE = (32, 6)  # (d, angles per coordinate pair)
 
 
 def ks_family(d: int, N: int, seed: int) -> VectorFamily:
@@ -66,6 +84,28 @@ def rare_direction_rows(seed: int, m: int, d: int) -> np.ndarray:
     rare = rng.choice(m, size=d - half, replace=False)
     X[rare, np.arange(half, d)] = 1.0
     return X
+
+
+def dense_family(seed: int) -> VectorFamily:
+    m, d = SPARSIFY_DENSE
+    return whiten(VectorFamily(np.random.default_rng(seed).standard_normal((m, d))))
+
+
+def sparse_family(seed: int) -> VectorFamily:
+    """Angles pi (k + phase) / K on each pair; they sum exactly to the identity."""
+    d, K = SPARSIFY_SPARSE
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(d)
+    phase = rng.uniform(0.1, 0.4)
+    theta = math.pi * (np.arange(K) + phase) / K
+    X = np.zeros((K * d // 2, d))
+    for p in range(d // 2):
+        X[p * K : (p + 1) * K, perm[2 * p]] = np.cos(theta)
+        X[p * K : (p + 1) * K, perm[2 * p + 1]] = np.sin(theta)
+    order = rng.permutation(len(X))  # row r moves to order[r]
+    rows = np.empty_like(X)
+    rows[order] = X * math.sqrt(2.0 / K)
+    return VectorFamily(rows)
 
 
 def hexes(values) -> list:
@@ -105,6 +145,31 @@ def swap_record(i: int) -> list:
     return [out.selection.indices.tolist(), out.fallbacks, hexes(out.lambda_trace)]
 
 
+def sparsify_record(i: int) -> list:
+    family = (sparse_family if i % 2 else dense_family)(i // 2)
+    records = []
+    for solver in (sparsifier.sparsify_fast, sparsifier.bss_reference):
+        try:
+            selection, A_final, trace = solver(family, SPARSIFY_EPSILON)
+        except SparsekitError as err:
+            records.append(type(err).__name__)
+            continue
+        records.append(
+            [
+                selection.indices.tolist(),
+                hexes(selection.weights),
+                hexes(A_final.ravel()),
+                hexes(trace.upper_potentials),
+                hexes(trace.lower_potentials),
+                hexes(trace.gap_sums),
+                trace.fallbacks,
+                trace.tree_kind,
+                trace.barrier_contained,
+            ]
+        )
+    return records
+
+
 def replay(record, count: int, digest) -> float:
     """Hash `count` solves' records into `digest`; returns the wall time."""
     start = time.perf_counter()
@@ -121,16 +186,24 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ks", type=int, default=256, help="ks_select solves")
     parser.add_argument("--swap", type=int, default=18, help="swap_round solves")
+    parser.add_argument(
+        "--sparsify", type=int, default=32, help="inputs each solved by both BSS variants"
+    )
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     ks_s = replay(ks_record, args.ks, digest)
     swap_s = replay(swap_record, args.swap, digest)
+    sparsify_digest = hashlib.sha256()
+    sparsify_s = replay(sparsify_record, args.sparsify, sparsify_digest)
     report = {
         "ks_solves": args.ks,
         "swap_solves": args.swap,
+        "sparsify_inputs": args.sparsify,
         "sha256": digest.hexdigest(),
+        "sparsify_sha256": sparsify_digest.hexdigest(),
         "ks_s": round(ks_s, 6),
         "swap_s": round(swap_s, 6),
+        "sparsify_s": round(sparsify_s, 6),
     }
     print(json.dumps(report, indent=2))
 

@@ -5,8 +5,9 @@
 For each (m, d) one whitened Gaussian family is drawn from --seed, and each
 solver runs --repeats times on it with epsilon=0.25 (T = 16 d iterations),
 BLAS pinned to one thread.  Prints one JSON object: per size, the median
-seconds of each path, the reference/fast ratio, the tree the cost model
-chose, and whether both selections kept the barrier invariant.  The
+seconds of each path, the reference/fast ratio, the rows each path read
+per iteration (v_i^T Q v_i evaluated by a row scan), the tree the cost
+model chose, and whether both selections kept the barrier invariant.  The
 PYTHONPATH decides which source tree is measured.
 """
 
@@ -53,15 +54,18 @@ def main(argv=None) -> None:
             family = linalg.whiten(linalg.VectorFamily(rng.standard_normal((m, d))))
             fast_s, (_, _, fast_trace) = time_solver(sparsifier.sparsify_fast, family, args.repeats)
             ref_s, (_, _, ref_trace) = time_solver(sparsifier.bss_reference, family, args.repeats)
+            iterations = len(ref_trace.gap_sums) - 1
             rows.append(
                 {
                     "m": m,
                     "d": d,
-                    "iterations": len(ref_trace.gap_sums) - 1,
+                    "iterations": iterations,
                     "tree_kind": fast_trace.tree_kind,
                     "fast_s": round(fast_s, 4),
                     "reference_s": round(ref_s, 4),
                     "reference_over_fast": round(ref_s / fast_s, 2),
+                    "fast_rows_per_iteration": round(fast_trace.rows_read / iterations, 1),
+                    "reference_rows_per_iteration": round(ref_trace.rows_read / iterations, 1),
                     "barrier_contained": fast_trace.barrier_contained
                     and ref_trace.barrier_contained,
                 }

@@ -58,7 +58,8 @@ def ks_query_matrix(eig: EigenDecomposition, a_prev: float, a_cur: float) -> np.
     vals = eig.eigenvalues
     if a_cur <= vals[-1]:
         raise BarrierCollapse(f"barrier a={a_cur} does not clear ||T||={vals[-1]}")
-    phi_gap = eig.potential(a_prev) - eig.potential(a_cur)
+    phi_prev, phi_cur = eig.potentials(a_prev, a_cur)
+    phi_gap = phi_prev - phi_cur
     if phi_gap <= 0.0:
         raise BarrierCollapse("potential gap is nonpositive")
     M = eig.weighted(1.0 / (a_cur - vals))
@@ -152,7 +153,8 @@ def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
         norm = eig.eigenvalues[-1]
         if norm >= a[j + 1]:
             raise BarrierCollapse(f"accumulator norm {norm} crossed barrier {a[j + 1]}")
-        result.potential_trace.append(eig.potential(a[j + 1]))
+        [phi] = eig.potentials(a[j + 1])
+        result.potential_trace.append(phi)
     check_symmetric(T)
     selection = WeightedSelection(np.array(chosen), np.ones(len(chosen)))
     result.selection = selection

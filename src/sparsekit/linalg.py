@@ -4,7 +4,7 @@ The one spectral step is ``eigendecompose`` (``numpy.linalg.eigh``), whose
 ``EigenDecomposition`` gives every spectral quantity the three solvers
 use: matrix functions Q diag(w) Q^T (``weighted``: barrier matrices,
 inverse powers, whitening) and barrier potentials sum_i 1/(b - lambda_i)
-(``potential``).  ``eigendecompose`` checks nothing: eigh reads one
+(``potentials``).  ``eigendecompose`` checks nothing: eigh reads one
 triangle, and the solvers' accumulators are symmetric by construction, so
 each solver runs ``check_symmetric`` on its final accumulator once per
 solve.  There is deliberately no fast-matrix-multiplication path.  All
@@ -125,9 +125,15 @@ class EigenDecomposition:
         Q = self.eigenvectors
         return (Q * w) @ Q.T
 
-    def potential(self, b: float) -> float:
-        """sum_i 1/(b - lambda_i) = tr (bI - A)^{-1}; -potential(l) is the lower potential."""
-        return float(np.sum(1.0 / (b - self.eigenvalues)))
+    def potentials(self, *bs: float) -> list:
+        """sum_i 1/(b - lambda_i) = tr (bI - A)^{-1} for each barrier b, in one reduction.
+
+        The lower potential at l is the negated value at l.  Each row sums
+        like np.sum over the eigenvalues, so each value is bit-identical to
+        a one-barrier sum.
+        """
+        b = np.asarray(bs, dtype=float)
+        return np.add.reduce(1.0 / (b[:, None] - self.eigenvalues), axis=1).tolist()
 
 
 def eigendecompose(A: np.ndarray) -> EigenDecomposition:

@@ -76,6 +76,8 @@ class _PartialSumTree:
         )
         for k in range(self._capacity - 1, 0, -1):
             self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
+        # node k as row k of d^2 entries: one descent level is one GEMV
+        self._flat = self._nodes.reshape(2 * self._capacity, d * d)
         self.last_query_ip_count = 0
 
     @property
@@ -101,12 +103,12 @@ class _PartialSumTree:
         if A.shape != (self.dim, self.dim):
             raise DimensionMismatch("query matrix has wrong shape")
         self.last_query_ip_count = 0
-        root_ip = ip = float(np.vdot(self._nodes[1], A))
+        a = A.ravel()
+        root_ip = ip = float(self._flat[1] @ a)
         suspicious = False
         k = 1
         while k < self._capacity:
-            p1 = float(np.vdot(self._nodes[2 * k], A))
-            p2 = float(np.vdot(self._nodes[2 * k + 1], A))
+            p1, p2 = (self._flat[2 * k : 2 * k + 2] @ a).tolist()
             self.last_query_ip_count += 2
             branch = _descend(p1, p2)
             if branch < 0:
@@ -142,7 +144,7 @@ class _PartialSumTree:
     def _leaf_scan(self, j: int, A: np.ndarray):
         """First index in leaf j with a positive quadratic form, or None."""
         V = self._blocks[j]
-        diag = np.einsum("ji,jk,ki->i", V, A, V)
+        diag = ((A @ V) * V).sum(0)
         for col in range(self.block):
             i = j * self.block + col
             if i < self.m and diag[col] > 0.0:

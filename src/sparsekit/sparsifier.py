@@ -6,8 +6,9 @@ eigendecomposition of the accumulator, and an index with v^T Q v >= 0 is
 selected and added with weight 1/(c_t d).  The loop itself does O(d^3)
 work per iteration and never touches all m rows: the trace's gap sum is
 <G, Q> with G the family's Gram matrix, computed once.  The reference
-variant finds the index by a linear scan, one m x d by d x d product per
-iteration; the fast variant asks a positive-search tree, at O(d^2 log m)
+variant scans the rows in order until the first witness, in chunks of 64,
+128, 256, ... rows: O(k d^2) for a first witness at row k, O(m d^2) in the
+worst case.  The fast variant asks a positive-search tree, at O(d^2 log m)
 per iteration.  An nnz-based cost model picks the tree's leaf size: d
 vectors per leaf (the vector tree) or one (the matrix tree).  Everything is
 deterministic: reruns on equal input produce identical selections.
@@ -28,6 +29,8 @@ from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
 
+SCAN_CHUNK = 64  # rows in the reference scan's first chunk; each later chunk doubles
+
 
 @dataclass
 class BssTrace:
@@ -39,6 +42,7 @@ class BssTrace:
     fallbacks: int = 0
     tree_kind: str = "scan"
     barrier_contained: bool = True
+    rows_read: int = 0  # quadratic forms v_i^T Q v_i the row scans evaluated
 
     def record(self, phi_u: float, phi_l: float, gap_sum: float) -> None:
         self.upper_potentials.append(phi_u)
@@ -55,10 +59,8 @@ def _barrier_matrices(A: np.ndarray, u_prev, u_cur, l_prev, l_cur):
     """
     eig = eigendecompose(A)
     vals = eig.eigenvalues
-    phi_u_prev = eig.potential(u_prev)
-    phi_u_cur = eig.potential(u_cur)
-    phi_l_prev = -eig.potential(l_prev)
-    phi_l_cur = -eig.potential(l_cur)
+    phi_u_prev, phi_u_cur, neg_l_prev, neg_l_cur = eig.potentials(u_prev, u_cur, l_prev, l_cur)
+    phi_l_prev, phi_l_cur = -neg_l_prev, -neg_l_cur
     lower_gaps = vals - l_cur
     upper_gaps = u_cur - vals
     if lower_gaps[0] <= 0.0 or upper_gaps[-1] <= 0.0:
@@ -82,11 +84,34 @@ def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", V @ M, V)
 
 
-def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick):
+def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
+    """The first row i with v_i^T Qgap v_i >= 0, read in chunks of 64, 128, 256, ... rows.
+
+    The scan stops at the first chunk that holds a witness, so a witness at
+    row k costs O(k d^2); with none, the chunks cover the m rows once, in
+    O(log m) products.  A chunk's product may round its last bits unlike
+    the whole m x d product, so the two can disagree only on a row whose
+    form is within roundoff of 0.
+    """
+    m = len(V)
+    start, size = 0, SCAN_CHUNK
+    while start < m:
+        stop = min(start + size, m)
+        hits = np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) >= 0.0)
+        trace.rows_read += stop - start
+        if hits.size:
+            return start + int(hits[0])
+        start, size = stop, 2 * size
+    raise NoWitness("no index witnesses the barrier gap")
+
+
+def _run_barrier_loop(
+    family: VectorFamily, epsilon: float, delta_l: float, pick, trace: BssTrace
+):
     """Shared loop; `pick(Qgap)` returns an index with v^T Qgap v >= 0.
 
     Apart from `pick` and the rare c <= 0 rescue, each iteration costs
-    O(d^3), independent of the number of rows m.
+    O(d^3), independent of the number of rows m.  Records into `trace`.
     """
     d = family.dim
     V = family.vectors
@@ -96,7 +121,6 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
     delta_u = 1.0
     A = np.zeros((d, d))
     weights = np.zeros(family.count)
-    trace = BssTrace()
     for t in range(1, T + 1):
         u_next, ell_next = u + delta_u, ell + delta_l
         L, U, phi_u, phi_l = _barrier_matrices(A, u, u_next, ell, ell_next)
@@ -113,6 +137,7 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
             if candidates.size == 0:
                 raise NoWitness("no index witnesses the barrier gap")
             scales = 0.5 * _row_quadratic_forms(V[candidates], L + U)
+            trace.rows_read += family.count + candidates.size
             good = candidates[scales > 0.0]
             if good.size == 0:
                 raise NoWitness("every gap witness has nonpositive step scale")
@@ -125,7 +150,8 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
     check_symmetric(A)
     final = eigendecompose(A)
     final_vals = final.eigenvalues
-    trace.record(final.potential(u), -final.potential(ell), math.nan)
+    phi_u, neg_l = final.potentials(u, ell)
+    trace.record(phi_u, -neg_l, math.nan)
     trace.barrier_contained = bool(ell < final_vals[0] and final_vals[-1] < u)
     chosen = np.flatnonzero(weights > 0.0)
     selection = WeightedSelection(chosen, weights[chosen])
@@ -135,22 +161,21 @@ def _run_barrier_loop(family: VectorFamily, epsilon: float, delta_l: float, pick
 def bss_reference(family: VectorFamily, epsilon: float):
     """Two-barrier greedy with linear-scan index search.
 
-    Each iteration scans all m rows for the first index with v^T Q v >= 0,
-    one m x d by d x d product: O(m d^2) per iteration.  Returns
-    (selection, A_final, trace) with A_final = A_T / d, whose spectrum lies
-    in (1 - eps - 2 eps^2, 1 + eps).
+    Each iteration reads the rows in order until the first index with
+    v^T Q v >= 0, in chunks of 64, 128, 256, ... rows: O(k d^2) for a first
+    witness at row k, O(m d^2) in the worst case.  trace.rows_read counts
+    the quadratic forms evaluated.  Returns (selection, A_final, trace) with
+    A_final = A_T / d, whose spectrum lies in (1 - eps - 2 eps^2, 1 + eps).
     """
     _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 2.0 * epsilon)
     V = family.vectors
+    trace = BssTrace()
 
     def pick(Qgap):
-        idx = np.flatnonzero(_row_quadratic_forms(V, Qgap) >= 0.0)
-        if idx.size == 0:
-            raise NoWitness("no index witnesses the barrier gap")
-        return int(idx[0])
+        return _first_witness(V, Qgap, trace)
 
-    return _run_barrier_loop(family, epsilon, delta_l, pick)
+    return _run_barrier_loop(family, epsilon, delta_l, pick, trace)
 
 
 def _physical_memory_bytes():
@@ -207,9 +232,7 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
             raise NoWitness("tree returned a non-witness index")
         return j
 
-    selection, A_final, trace = _run_barrier_loop(family, epsilon, delta_l, pick)
-    trace.tree_kind = kind
-    return selection, A_final, trace
+    return _run_barrier_loop(family, epsilon, delta_l, pick, BssTrace(tree_kind=kind))
 
 
 @dataclass

@@ -105,14 +105,24 @@ class TestEigenDecomposition:
         vals = eig.eigenvalues
         b = vals[-1] + 0.7 if side == "upper" else vals[0] - 0.7
         resolvent = np.linalg.inv(b * np.eye(5) - A)
-        assert eig.potential(b) == pytest.approx(np.trace(resolvent), rel=1e-10)
+        [phi] = eig.potentials(b)
+        assert phi == pytest.approx(np.trace(resolvent), rel=1e-10)
         assert np.allclose(eig.weighted(1.0 / (b - vals)), resolvent, rtol=0, atol=1e-10)
         assert np.allclose(eig.weighted((b - vals) ** -2.0), resolvent @ resolvent, atol=1e-10)
 
     def test_lower_potential_is_the_negated_potential_bit_for_bit(self, rng):
         eig = eigendecompose(random_symmetric(7, rng))
         ell = eig.eigenvalues[0] - 0.3
-        assert -eig.potential(ell) == float(np.sum(1.0 / (eig.eigenvalues - ell)))
+        [phi] = eig.potentials(ell)
+        assert -phi == float(np.sum(1.0 / (eig.eigenvalues - ell)))
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 31, 128, 129, 200])
+    def test_potentials_are_one_barrier_sums_bit_for_bit(self, rng, d):
+        # d > 128 crosses numpy's pairwise-summation block
+        eig = eigendecompose(random_symmetric(d, rng))
+        vals = eig.eigenvalues
+        bs = (vals[-1] + 0.5, vals[-1] + 1.5, vals[0] - 0.5, vals[0] - 1.5)
+        assert eig.potentials(*bs) == [float(np.sum(1.0 / (b - vals))) for b in bs]
 
     def test_check_symmetric(self, rng):
         A = random_symmetric(4, rng)

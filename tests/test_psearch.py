@@ -39,6 +39,33 @@ def ip_bound(m):
     return 2 * int(np.ceil(np.log2(m))) + 1
 
 
+def vdot_descent(tree, V, A):
+    """The root-to-leaf walk with one np.vdot per node, as an oracle.
+
+    Returns (index, inner products taken), or (None, count) where the walk
+    would need the tree's roundoff fallback.
+    """
+    cap, nodes = tree._capacity, tree._nodes
+    k, count = 1, 0
+    ip = float(np.vdot(nodes[1], A))
+    while k < cap:
+        left, right = float(np.vdot(nodes[2 * k], A)), float(np.vdot(nodes[2 * k + 1], A))
+        count += 2
+        if left > 0.0:
+            k, ip = 2 * k, left
+        elif right > 0.0:
+            k, ip = 2 * k + 1, right
+        else:
+            return None, count
+    leaf = k - cap
+    if tree.block == 1 and ip > 0.0:
+        return leaf, count
+    for i in range(leaf * tree.block, min((leaf + 1) * tree.block, len(V))):
+        if float(V[i] @ A @ V[i]) > 0.0:
+            return i, count
+    return None, count
+
+
 class _InitCases:
     Tree = None
 
@@ -120,6 +147,20 @@ class _QueryCases:
             idx = tree.query_positive(A)
             assert idx in scan_positive_indices(V, A)
             assert tree.last_query_ip_count <= ip_bound(m)
+
+    @pytest.mark.parametrize("m", [9, 37, 70, 100])
+    def test_descent_matches_a_vdot_descent(self, rng, m):
+        # at d = 4 every m leaves padding leaves in both kinds of tree
+        d = 4
+        V = random_sparse_vectors(m, d, rng, density=0.8)
+        tree = self.Tree(VectorFamily(V))
+        assert tree._capacity * tree.block >= m + tree.block
+        for _ in range(50):
+            A = positive_query(V, d, rng)
+            idx, count = vdot_descent(tree, V, A)
+            assert idx is not None
+            assert tree.query_positive(A) == idx
+            assert tree.last_query_ip_count == count
 
     def test_padding_never_returned(self, rng):
         # m = 7 is a multiple of neither block: padded slots are zero vectors

@@ -1,5 +1,6 @@
 """The sweep and replay scripts run end to end at their smallest sizes and print JSON."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -44,12 +45,23 @@ def test_sweep_afn_builds_the_ks_afn_index():
 
 
 def test_replay_afn_hashes_both_solvers():
-    report = run_script("replay_afn", "--ks", "1", "--swap", "1")
+    report = run_script("replay_afn", "--ks", "1", "--swap", "1", "--sparsify", "0")
     assert (report["ks_solves"], report["swap_solves"]) == (1, 1)
     assert len(report["sha256"]) == 64 and int(report["sha256"], 16) >= 0
     assert report["ks_s"] > 0.0 and report["swap_s"] > 0.0
-    again = run_script("replay_afn", "--ks", "1", "--swap", "0")
+    again = run_script("replay_afn", "--ks", "1", "--swap", "0", "--sparsify", "0")
     assert again["sha256"] != report["sha256"]
+
+
+def test_replay_afn_hashes_sparsify_apart():
+    empty = hashlib.sha256().hexdigest()
+    # input 0 is a dense family, input 1 a sparse one
+    report = run_script("replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "2")
+    assert report["sparsify_inputs"] == 2 and report["sparsify_s"] > 0.0
+    assert report["sha256"] == empty
+    assert len(report["sparsify_sha256"]) == 64 and report["sparsify_sha256"] != empty
+    dense_only = run_script("replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "1")
+    assert dense_only["sparsify_sha256"] not in (empty, report["sparsify_sha256"])
 
 
 def test_sweep_aipe_times_every_phase():
@@ -66,3 +78,6 @@ def test_sweep_sparsify_keeps_the_barrier():
     assert (size["m"], size["d"]) == (64, 4)
     assert size["barrier_contained"] is True
     assert size["fast_s"] > 0.0 and size["reference_s"] > 0.0
+    assert size["fast_rows_per_iteration"] == 0.0
+    # the first chunk holds all 64 rows
+    assert size["reference_rows_per_iteration"] == 64.0

@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 
 from sparsekit import sparsifier
-from sparsekit.errors import ConfigError, NumericalWarning
+from sparsekit.errors import ConfigError, NoWitness, NumericalWarning
 from sparsekit.psearch import MatrixSearchTree
 
 from conftest import paired_angle_family, random_isotropic_family
 
 SOLVERS = {"reference": sparsifier.bss_reference, "fast": sparsifier.sparsify_fast}
+FULL_SCAN = sparsifier._row_quadratic_forms
+BOUNDARY_SIZES = [1, 63, 64, 65, 191, 192, 193, 1000]
+
+
+def chunk_end(j: int, m: int) -> int:
+    """Rows a chunked scan of m rows reads when its first witness is row j."""
+    stop, size = 0, sparsifier.SCAN_CHUNK
+    while stop <= j:
+        stop, size = stop + size, 2 * size
+    return min(stop, m)
 
 
 def record_barrier_calls(monkeypatch, change=None):
@@ -97,6 +107,10 @@ def test_nonpositive_step_scale_is_rescued_with_the_first_good_witness(monkeypat
             expected = i
             break
     assert expected is not None and expected >= 6  # not a row on coordinates (0,1)
+    if variant == "fast":
+        # the rescue's scan is the only one on the fast path
+        witnesses = int(np.sum(FULL_SCAN(V, L - U) >= 0.0))
+        assert trace.rows_read == family.count + witnesses
     v = V[expected]
     step = np.outer(v, v) / (0.5 * float(v @ (L + U) @ v))
     np.testing.assert_allclose(A_final * family.dim - A_prev, step, rtol=1e-9, atol=1e-12)
@@ -115,3 +129,78 @@ def test_matrix_tree_that_cannot_fit_is_refused_before_allocation(monkeypatch):
     needed = 16 * 64 * d * d  # the nodes alone: capacity 64 for m = 48
     with pytest.raises(ConfigError, match=f"needs {needed} bytes"):
         sparsifier.sparsify_fast(family, 0.5)
+
+
+@pytest.mark.parametrize("m", BOUNDARY_SIZES)
+def test_chunked_scan_stops_at_the_chunk_holding_the_only_witness(m):
+    """Row j alone lies along e0, where Q is positive; every other row sees -1."""
+    Q = np.diag([1.0, -1.0])
+    for j in sorted({0, 62, 63, 64, 65, 190, 191, 192, 193, m - 1} & set(range(m))):
+        V = np.tile([0.0, 1.0], (m, 1))
+        V[j] = [1.0, 0.0]
+        trace = sparsifier.BssTrace()
+        assert sparsifier._first_witness(V, Q, trace) == j
+        assert trace.rows_read == chunk_end(j, m)
+
+
+@pytest.mark.parametrize("m", BOUNDARY_SIZES)
+def test_chunked_scan_without_witness_reads_every_row_once(m):
+    trace = sparsifier.BssTrace()
+    with pytest.raises(NoWitness):
+        sparsifier._first_witness(np.ones((m, 2)), -np.eye(2), trace)
+    assert trace.rows_read == m
+
+
+def check_reference_picks(monkeypatch, family, epsilon=0.5):
+    """Run bss_reference with every pick checked against a full scan of the m rows.
+
+    The pick must be the first index with v^T Q v >= 0 over all m rows, and
+    the rows the chunked scan handed to _row_quadratic_forms must end at the
+    chunk holding it.  Returns the picks and the trace.
+    """
+    m = family.count
+    picks, scanned = [], []
+
+    def counting_scan(V, M):
+        scanned.append(len(V))
+        return FULL_SCAN(V, M)
+
+    original = sparsifier._run_barrier_loop
+
+    def checked_loop(family, epsilon, delta_l, pick, trace):
+        def checked_pick(Qgap):
+            scanned.clear()
+            read = trace.rows_read
+            j = pick(Qgap)
+            expected = np.flatnonzero(FULL_SCAN(family.vectors, Qgap) >= 0.0)[0]
+            assert j == expected
+            assert sum(scanned) == trace.rows_read - read == chunk_end(j, m)
+            picks.append(j)
+            return j
+
+        return original(family, epsilon, delta_l, checked_pick, trace)
+
+    monkeypatch.setattr(sparsifier, "_row_quadratic_forms", counting_scan)
+    monkeypatch.setattr(sparsifier, "_run_barrier_loop", checked_loop)
+    _, _, trace = sparsifier.bss_reference(family, epsilon)
+    assert len(picks) == math.ceil(family.dim / epsilon**2)
+    return picks, trace
+
+
+@pytest.mark.parametrize("m", BOUNDARY_SIZES)
+def test_reference_picks_the_first_witness_over_all_rows(monkeypatch, rng, m):
+    family = random_isotropic_family(m, min(m, 4), rng)
+    picks, trace = check_reference_picks(monkeypatch, family)
+    assert trace.rows_read == sum(chunk_end(j, m) for j in picks)
+
+
+def test_reference_first_witness_past_the_first_chunk(monkeypatch):
+    family = paired_angle_family(8, 24)
+    picks, trace = check_reference_picks(monkeypatch, family)
+    assert family.count == 96 and max(picks) >= sparsifier.SCAN_CHUNK
+    assert trace.rows_read < len(picks) * family.count
+
+
+def test_fast_path_reads_no_rows(rng):
+    _, _, trace = sparsifier.sparsify_fast(random_isotropic_family(300, 6, rng), 0.5)
+    assert trace.rows_read == 0
