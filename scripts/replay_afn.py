@@ -1,6 +1,7 @@
 """One sha256 over many afn-backend solves, to check that two trees agree.
 
     PYTHONPATH=src python3 scripts/replay_afn.py [--ks 256] [--swap 18] [--sparsify 32]
+                                                 [--aipe 128]
 
 Runs --ks Kadison-Singer selections and --swap experimental-design swap
 roundings on the afn Min-IP backend and hashes what each returns:
@@ -32,8 +33,23 @@ epsilon 0.25:
 
 Each sparsify solve adds its indices and fallbacks, its tree kind and
 barrier flag, and every weight, entry of A_final, potential and gap sum as
-float.hex.  Prints one JSON object; the PYTHONPATH decides which source
-tree is replayed.
+float.hex.
+
+The --aipe solves go to a third hash, aipe_sha256.  They alternate two
+solvers on the aipe Min-IP backend (desk profile); even solve 2k and odd
+solve 2k+1 both take seed k:
+
+    swap_round  the expdesign-aipe workload's shape (d=4, m=3,088, n=772,
+                eps=0.2, gamma=4, c=0.9, tau=0.5) over rare-direction rows
+                drawn from seed k, solver seed k
+    ks_select   the golden aipe case's settings (d=2, N=8, n=8, c=0.505,
+                tau=0.5) over a ks_select family drawn from seed k, solver
+                seed k
+
+Each adds its indices and fallbacks with every float of its traces as
+float.hex: lambda_trace, trace_minus, trace_plus and trace_norm (swap
+rounding), or score_trace, potential_trace and final_norm (KS).  Prints one
+JSON object; the PYTHONPATH decides which source tree is replayed.
 """
 
 from __future__ import annotations
@@ -52,6 +68,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sparsekit import expdesign, kadison_singer, sparsifier  # noqa: E402
+from sparsekit.aipe import AipeConfig  # noqa: E402
 from sparsekit.errors import SparsekitError  # noqa: E402
 from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
 from sparsekit.minip import MinIpConfig  # noqa: E402
@@ -62,6 +79,10 @@ KS_C, KS_TAU = 0.505, 0.5
 # the afn case of tests/test_solvers_golden.py: (d, eps, gamma, c, tau, n, m)
 SWAP = (2, 1.0 / 6.0, 6.0, 0.905, 0.9, 155, 310)
 SWAP_SOLVER_SEEDS = 3
+# the expdesign-aipe workload: (d, eps, gamma, c, tau, n, m)
+AIPE_SWAP = (4, 0.2, 4.0, 0.9, 0.5, 772, 3088)
+# the aipe case of tests/test_solvers_golden.py: (d, N, c, tau)
+AIPE_KS = (2, 8, 0.505, 0.5)
 SPARSIFY_EPSILON = 0.25
 SPARSIFY_DENSE = (8192, 16)  # (m, d)
 SPARSIFY_SPARSE = (32, 6)  # (d, angles per coordinate pair)
@@ -145,6 +166,27 @@ def swap_record(i: int) -> list:
     return [out.selection.indices.tolist(), out.fallbacks, hexes(out.lambda_trace)]
 
 
+def aipe_record(i: int) -> list:
+    seed = i // 2
+    if i % 2:
+        d, N, c, tau = AIPE_KS
+        out = kadison_singer.ks_select(
+            ks_family(d, N, seed), N, d * N // 2, backend="aipe", c=c, tau=tau, seed=seed,
+            aipe_config=AipeConfig.desk(),
+        )
+        traces = (out.score_trace, out.potential_trace, [out.final_norm])
+    else:
+        d, eps, gamma, c, tau, n, m = AIPE_SWAP
+        pi = np.full(m, n / m)
+        family = whiten(VectorFamily(rare_direction_rows(seed, m, d)), pi)
+        out = expdesign.swap_round(
+            family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="aipe", seed=seed,
+            aipe_config=AipeConfig.desk(),
+        )
+        traces = (out.lambda_trace, out.trace_minus, out.trace_plus, out.trace_norm)
+    return [out.selection.indices.tolist(), out.fallbacks, *map(hexes, traces)]
+
+
 def sparsify_record(i: int) -> list:
     family = (sparse_family if i % 2 else dense_family)(i // 2)
     records = []
@@ -189,21 +231,27 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--sparsify", type=int, default=32, help="inputs each solved by both BSS variants"
     )
+    parser.add_argument("--aipe", type=int, default=128, help="aipe-backend solves")
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     ks_s = replay(ks_record, args.ks, digest)
     swap_s = replay(swap_record, args.swap, digest)
     sparsify_digest = hashlib.sha256()
     sparsify_s = replay(sparsify_record, args.sparsify, sparsify_digest)
+    aipe_digest = hashlib.sha256()
+    aipe_s = replay(aipe_record, args.aipe, aipe_digest)
     report = {
         "ks_solves": args.ks,
         "swap_solves": args.swap,
         "sparsify_inputs": args.sparsify,
+        "aipe_solves": args.aipe,
         "sha256": digest.hexdigest(),
         "sparsify_sha256": sparsify_digest.hexdigest(),
+        "aipe_sha256": aipe_digest.hexdigest(),
         "ks_s": round(ks_s, 6),
         "swap_s": round(swap_s, 6),
         "sparsify_s": round(sparsify_s, 6),
+        "aipe_s": round(aipe_s, 6),
     }
     print(json.dumps(report, indent=2))
 

@@ -10,11 +10,12 @@ w_i = D * (1 - d_i^2 / 2).
 
 Pool member j is the s_dim x (D+2) Gaussian S_j drawn from the j-th child of
 the root SeedSequence; the child is derived when j is first sampled, never
-spawned up front.  Only the triangular QR factor R_j of S_j, at most
-(D+2) x (D+2), is cached: ||S_j v|| = ||R_j v|| for every v, so a sketch
-costs O(m D^2) per query instead of O(m s_dim D).  Points live in a
-PointStore (one contiguous array; deletes swap-remove).  Mutations need
-exclusive access.
+spawned up front.  Only a factor R_j with R_j^T R_j = S_j^T S_j / s_dim, of
+min(s_dim, D+2) x (D+2), is cached: ||S_j v|| / sqrt(s_dim) = ||R_j v|| for
+every v, so a sketch costs O(m D^2) per query instead of O(m s_dim D).  A
+tall sketch is reduced through its (D+2) x (D+2) Gram matrix and a Cholesky
+factor; a short one is its own factor.  Points live in a PointStore (one
+contiguous array; deletes swap-remove).  Mutations need exclusive access.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .afn import DELTA
-from .errors import DimensionMismatch, PreconditionViolation
+from .errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from .minip import minip_transform_dataset, minip_transform_query
 from .pointstore import PointStore
 
@@ -62,8 +63,11 @@ class InnerProductEstimator:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 1:
             raise PreconditionViolation("need at least one point")
+        _check_finite(pts, "points")
         self.config = config or AipeConfig()
         self.eps = float(eps)
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"eps={eps} violates 0 < eps < inf")
         self.dim = pts.shape[1]
         self.radius = float(np.linalg.norm(pts, axis=1).max())
         if self.radius <= 0.0:
@@ -83,6 +87,7 @@ class InnerProductEstimator:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of dim {self.dim}, got shape {z.shape}")
+        _check_finite(z, "inserted point")
         self.radius = max(self.radius, float(np.linalg.norm(z)))
         return self._store.add(z)
 
@@ -90,7 +95,12 @@ class InnerProductEstimator:
         self._store.remove(pid)
 
     def _factor(self, j: int) -> np.ndarray:
-        """R with ||S_j v|| = ||R v||, S_j the j-th pool member's Gaussian sketch."""
+        """R with R^T R = S_j^T S_j / s_dim, S_j the j-th pool member's Gaussian sketch.
+
+        A tall S_j (s_dim > D+2) gives the (D+2) x (D+2) transposed Cholesky
+        factor of its Gram matrix; a short one is already the smaller factor
+        and is only scaled.  Either way ||R v|| = ||S_j v|| / sqrt(s_dim).
+        """
         R = self._factors.get(j)
         if R is None:
             root = self._root_seed
@@ -99,8 +109,11 @@ class InnerProductEstimator:
                 root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size
             )
             gen = np.random.Generator(np.random.Philox(child))
-            S = gen.standard_normal((self.s_dim, self.dim + 2)) / math.sqrt(self.s_dim)
-            R = np.linalg.qr(S, mode="r")
+            S = gen.standard_normal((self.s_dim, self.dim + 2))
+            if self.s_dim > self.dim + 2:
+                R = np.linalg.cholesky(S.T @ S / self.s_dim).T
+            else:
+                R = S / math.sqrt(self.s_dim)
             self._factors[j] = R
         return R
 
@@ -112,6 +125,7 @@ class InnerProductEstimator:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
             raise DimensionMismatch(f"expected a query of dim {self.dim}, got shape {q.shape}")
+        _check_finite(q, "query")
         # transformed afresh: an insert may have grown the radius
         aug, _ = minip_transform_dataset(self._store.points, self.radius)
         qa, _ = minip_transform_query(q, 1.0)
@@ -129,6 +143,13 @@ class InnerProductEstimator:
         product, so this doubles as approximate furthest neighbor and
         approximate Min-IP.
         """
+        if not len(self._store):
+            raise NotFound("query on an estimator whose points were all deleted")
         d = self.distance_estimates(q, rng)
         ids = self._store.ids
         return int(ids[np.lexsort((ids, -d))[0]])
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise PreconditionViolation(f"{what} must be finite")

@@ -74,8 +74,11 @@ class _PartialSumTree:
         np.matmul(
             self._blocks, self._blocks.transpose(0, 2, 1), out=self._nodes[self._capacity :]
         )
-        for k in range(self._capacity - 1, 0, -1):
-            self._nodes[k] = self._nodes[2 * k] + self._nodes[2 * k + 1]
+        # level [h, 2h) sums its children [2h, 4h) pairwise, one np.add per level
+        nodes, h = self._nodes, self._capacity // 2
+        while h:
+            np.add(nodes[2 * h : 4 * h : 2], nodes[2 * h + 1 : 4 * h : 2], out=nodes[h : 2 * h])
+            h //= 2
         # node k as row k of d^2 entries: one descent level is one GEMV
         self._flat = self._nodes.reshape(2 * self._capacity, d * d)
         self.last_query_ip_count = 0

@@ -16,18 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsekit.aipe import AipeConfig, InnerProductEstimator
-from sparsekit.errors import DimensionMismatch, NotFound, PreconditionViolation
+from sparsekit.errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.minip import minip_transform_dataset, minip_transform_query
 
 DIM, SEED = 6, 11
 
 
 class Oracle:
-    def __init__(self, points, est: InnerProductEstimator):
+    def __init__(self, points, est: InnerProductEstimator, seed=SEED):
         self.points = dict(enumerate(np.asarray(points, dtype=float)))
+        self.dim = np.shape(points)[1]
         self.radius = float(np.linalg.norm(points, axis=1).max()) or 1.0
         self.s_dim, self.pool, self.config = est.s_dim, est.pool, est.config
-        self.children = np.random.SeedSequence(SEED).spawn(self.pool)
+        self.children = np.random.SeedSequence(seed).spawn(self.pool)
         self.next_id = len(self.points)
 
     def insert(self, z):
@@ -37,7 +38,7 @@ class Oracle:
 
     def sketch(self, j):
         gen = np.random.Generator(np.random.Philox(self.children[j]))
-        return gen.standard_normal((self.s_dim, DIM + 2)) / math.sqrt(self.s_dim)
+        return gen.standard_normal((self.s_dim, self.dim + 2)) / math.sqrt(self.s_dim)
 
     def estimates(self, q, rng) -> dict:
         """Id -> median over the sampled sketches of ||S (a_i - q_a)||."""
@@ -70,6 +71,39 @@ def test_estimates_match_full_sketch_oracle(eps):
         want = oracle.estimates(q, np.random.default_rng(t))
         # no deletes yet, so slot i holds id i
         np.testing.assert_allclose(got, [want[i] for i in range(len(points))], rtol=1e-10)
+
+
+@st.composite
+def sketch_shapes(draw):
+    """(dim, eps, seed) whose s_dim = ceil(8 / eps^2) is short (<= D+2), the
+    smallest tall size D+3, or many times D+2."""
+    dim = draw(st.integers(1, 8))
+    s_dim = draw(
+        st.one_of(st.integers(1, dim + 2), st.just(dim + 3), st.integers(8 * (dim + 2), 400))
+    )
+    # 8 / eps^2 = s_dim - 1/2, so the ceiling is s_dim with room for roundoff
+    return dim, math.sqrt(8.0 / (s_dim - 0.5)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=sketch_shapes())
+def test_every_sketch_shape_matches_full_sketch_oracle(shape):
+    """Short sketches, the smallest tall one and far taller ones all give the
+    full sketch's estimates, and no cached factor outgrows min(s_dim, D+2) rows."""
+    dim, eps, seed = shape
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((12, dim))
+    est = InnerProductEstimator(points, eps, seed, AipeConfig.desk())
+    assert est.s_dim == math.ceil(8.0 / eps**2)
+    oracle = Oracle(points, est, seed)
+    for t in range(3):
+        q = unit(rng.standard_normal(dim))
+        got = est.distance_estimates(q, np.random.default_rng(t))
+        want = oracle.estimates(q, np.random.default_rng(t))
+        np.testing.assert_allclose(got, [want[i] for i in range(len(points))], rtol=1e-10)
+    assert est._factors
+    for R in est._factors.values():
+        assert R.shape == (min(est.s_dim, dim + 2), dim + 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,3 +187,35 @@ def test_errors_are_taxonomy_errors():
         est.insert(np.ones(DIM + 1))
     with pytest.raises(DimensionMismatch):
         est.query_min(np.ones(DIM - 1) / DIM, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_eps_outside_its_window_is_a_config_error(eps):
+    with pytest.raises(ConfigError, match="eps"):
+        InnerProductEstimator(np.eye(DIM), eps, SEED)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused(bad):
+    points = np.eye(DIM)
+    points[2, 3] = bad
+    with pytest.raises(PreconditionViolation, match="finite"):
+        InnerProductEstimator(points, 0.5, SEED)
+    est = InnerProductEstimator(np.eye(DIM), 0.5, SEED)
+    z = np.full(DIM, 0.1)
+    z[0] = bad
+    with pytest.raises(PreconditionViolation, match="finite"):
+        est.insert(z)
+    with pytest.raises(PreconditionViolation, match="finite"):
+        est.query_min(z, np.random.default_rng(0))
+    assert est.count == DIM
+
+
+def test_query_after_every_point_is_deleted_raises_not_found():
+    est = InnerProductEstimator(np.eye(DIM), 0.5, SEED)
+    for pid in range(DIM):
+        est.delete(pid)
+    with pytest.raises(NotFound):
+        est.query_min(np.ones(DIM) / DIM, np.random.default_rng(0))
+    assert est.insert(np.ones(DIM)) == DIM
+    assert est.query_min(np.ones(DIM) / DIM, np.random.default_rng(0)) == DIM

@@ -88,6 +88,16 @@ class _InitCases:
                 expected = prefix[last] - prefix[first]
                 assert np.allclose(tree.level_sum(level, j), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 61, 100])
+    def test_internal_nodes_equal_per_node_loop(self, rng, m):
+        """Every internal node is bit for bit the sum of its two children."""
+        tree = self.Tree(VectorFamily(rng.standard_normal((m, 4))))
+        want = tree._nodes.copy()
+        want[: tree._capacity] = 0.0
+        for k in range(tree._capacity - 1, 0, -1):
+            want[k] = want[2 * k] + want[2 * k + 1]
+        np.testing.assert_array_equal(tree._nodes, want)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             self.Tree(VectorFamily(np.zeros((0, 3))))
