@@ -9,7 +9,8 @@ For each (m, d) one Gaussian family of m stored member rows is drawn from
 
     build       MinIpBackend("aipe", ...) over the m rows' vec(x x^T)
     query_cold  propose() on a fresh backend: every sampled sketch is drawn
-                and factored first, as in a solve's first queries
+                and reduced to its cached factor first (Gram and Cholesky
+                when tall), as in a solve's first queries
     query_warm  propose() again with the same sampled sketches, now cached
     scan        expdesign's exact removal scan over the same m rows
 
