@@ -36,8 +36,8 @@ barrier flag, and every weight, entry of A_final, potential and gap sum as
 float.hex.
 
 The --aipe solves go to a third hash, aipe_sha256.  They alternate two
-solvers on the aipe Min-IP backend (desk profile); even solve 2k and odd
-solve 2k+1 both take seed k:
+solvers on the aipe Min-IP backend; even solve 2k and odd solve 2k+1 both
+take seed k:
 
     swap_round  the expdesign-aipe workload's shape (d=4, m=3,088, n=772,
                 eps=0.2, gamma=4, c=0.9, tau=0.5) over rare-direction rows
@@ -68,7 +68,6 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sparsekit import expdesign, kadison_singer, sparsifier  # noqa: E402
-from sparsekit.aipe import AipeConfig  # noqa: E402
 from sparsekit.errors import SparsekitError  # noqa: E402
 from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
 from sparsekit.minip import MinIpConfig  # noqa: E402
@@ -171,8 +170,7 @@ def aipe_record(i: int) -> list:
     if i % 2:
         d, N, c, tau = AIPE_KS
         out = kadison_singer.ks_select(
-            ks_family(d, N, seed), N, d * N // 2, backend="aipe", c=c, tau=tau, seed=seed,
-            aipe_config=AipeConfig.desk(),
+            ks_family(d, N, seed), N, d * N // 2, backend="aipe", c=c, tau=tau, seed=seed
         )
         traces = (out.score_trace, out.potential_trace, [out.final_norm])
     else:
@@ -180,8 +178,7 @@ def aipe_record(i: int) -> list:
         pi = np.full(m, n / m)
         family = whiten(VectorFamily(rare_direction_rows(seed, m, d)), pi)
         out = expdesign.swap_round(
-            family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="aipe", seed=seed,
-            aipe_config=AipeConfig.desk(),
+            family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="aipe", seed=seed
         )
         traces = (out.lambda_trace, out.trace_minus, out.trace_plus, out.trace_norm)
     return [out.selection.indices.tolist(), out.fallbacks, *map(hexes, traces)]

@@ -35,8 +35,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sparsekit import expdesign  # noqa: E402
-from sparsekit.aipe import AipeConfig  # noqa: E402
+from sparsekit import afn, expdesign  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
 
 EPSILON, C, TAU = 0.2, 0.9, 0.5
@@ -63,11 +62,7 @@ def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
     rows = range(len(X))
     build, cold, warm, scan = [], [], [], []
     for r in range(repeats):
-        t, backend = timed(
-            lambda: MinIpBackend(
-                "aipe", X, rows, c=C, tau=TAU, seed=seed + r, aipe_config=AipeConfig.desk()
-            )
-        )
+        t, backend = timed(lambda: MinIpBackend("aipe", X, rows, c=C, tau=TAU, seed=seed + r))
         build.append(t)
         cold.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])
         warm.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])
@@ -96,7 +91,7 @@ def main(argv=None) -> None:
             X = rng.standard_normal((m, d)) / math.sqrt(m)
             rows.append({"m": m, "d": d, **measure(X, args.repeats, args.seed)})
     report = {
-        "settings": {"epsilon": EPSILON, "c": C, "tau": TAU, "profile": "desk"},
+        "settings": {"epsilon": EPSILON, "c": C, "tau": TAU, "scale": afn.SCALE},
         "repeats": args.repeats,
         "seed": args.seed,
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, BLAS 1 thread",

@@ -32,7 +32,7 @@ from .minip import (
     minip_transform_dataset,
     minip_transform_query,
 )
-from .aipe import AipeConfig, InnerProductEstimator
+from .aipe import InnerProductEstimator
 from .sparsifier import bss_reference, sparsify_fast, verify_sparsifier
 from .kadison_singer import ks_barrier_sequence, ks_query_matrix, ks_select
 from .expdesign import find_ct, swap_query_matrix, swap_round

@@ -33,9 +33,9 @@ lockstep.
 
 Directions and search rounds follow the Theta(.) sizes with leading
 constant 1, multiplied by SCALE = 0.25 before the ceiling; the Min-IP
-index and the sketch ensemble read the same SCALE.  DELTA is the one
-failure probability that these sizes, the AIPE pool and the Min-IP index
-all read.
+index, the sketch ensemble and the AIPE pool read the same SCALE.  DELTA
+is the one failure probability that these sizes, the AIPE pool and the
+Min-IP index all read.
 
 Builds and updates need exclusive access; queries change nothing but the
 store's boxwidth cache, and are safe to run concurrently between mutations.
@@ -56,7 +56,8 @@ __all__ = ["DELTA", "SCALE", "DfnStructure", "AfnStructure", "gaussian_matrix", 
 
 #: failure probability of every search structure: AFN, AIPE and the Min-IP index
 DELTA = 0.1
-#: multiplier of every Theta(.) count: AFN sizes, Min-IP replicas, ensemble, samples
+#: multiplier of every Theta(.) count: AFN sizes, Min-IP replicas, ensemble and
+#: samples, AIPE pool and samples
 SCALE = 0.25
 
 
@@ -125,14 +126,6 @@ def _search_rounds(d: int, eps: float) -> int:
     return max(1, math.ceil(SCALE * raw))
 
 
-def _spliced(rows: np.ndarray, slot: np.ndarray, value) -> np.ndarray:
-    """`rows` with `value` put in at the one True column of each row of `slot`."""
-    out = np.empty(slot.shape, dtype=rows.dtype)
-    out[~slot] = rows.ravel()
-    out[slot] = value
-    return out
-
-
 class DfnStructure:
     """Fixed-radius decision version of approximate furthest neighbor, one
     replica per seed."""
@@ -167,9 +160,11 @@ class DfnStructure:
         key = (self.directions @ self.store[pid]).reshape(-1, 1)
         below = (self.keys < key) | ((self.keys == key) & (self.ids < pid))
         rows, n = self.keys.shape
-        slot = np.arange(n + 1) == below.sum(axis=1, keepdims=True)
-        self.keys = _spliced(self.keys, slot, key.ravel())
-        self.ids = _spliced(self.ids, slot, pid)
+        # flat position row*n + rank; np.insert keeps the order of equal
+        # positions, so a row's last slot still precedes the next row's first
+        at = np.arange(rows) * n + below.sum(axis=1)
+        self.keys = np.insert(self.keys.ravel(), at, key.ravel()).reshape(rows, n + 1)
+        self.ids = np.insert(self.ids.ravel(), at, pid).reshape(rows, n + 1)
 
     def probe(self, q):
         """What a query about q reads at any radius: the (R * ell, 1) projections

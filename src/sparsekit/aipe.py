@@ -2,10 +2,13 @@
 
 The estimator stores the dataset under the unit-sphere transform and keeps a
 pool of seeded Gaussian JL sketches, sized for the failure probability
-afn.DELTA.  Each query samples a few pool members (caller-supplied RNG),
-estimates every point's distance to the query under each sampled sketch, and
-reports per-point medians; medians over independently sampled sketches are
-what make the estimates stable under adaptively chosen queries.  Inner-product estimates follow from
+afn.DELTA; the pool size and the per-query sample count are their formulas
+times afn.SCALE = 0.25, as for every search structure, while the sketch
+dimension 8/eps^2 keeps its full size.  Each query samples a few pool members
+(caller-supplied RNG), estimates every point's distance to the query under
+each sampled sketch, and reports per-point medians; medians over
+independently sampled sketches are what make the estimates stable under
+adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
 Pool member j is the s_dim x (D+2) Gaussian S_j drawn from the j-th child of
@@ -21,11 +24,10 @@ contiguous array; deletes swap-remove).  Mutations need exclusive access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .afn import DELTA
+from .afn import DELTA, SCALE
 from .errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from .minip import minip_transform_dataset, minip_transform_query
 from .pointstore import PointStore
@@ -33,38 +35,38 @@ from .pointstore import PointStore
 __all__ = ["AipeConfig", "InnerProductEstimator"]
 
 
-@dataclass
 class AipeConfig:
-    """Pool sizes for the distance-estimation core; desk profile = 0.25."""
-
-    scale: float = 1.0
+    """No fields: the pools read afn.SCALE.  Kept because perfbench passes one."""
 
     @classmethod
     def desk(cls) -> "AipeConfig":
-        return cls(scale=0.25)
+        """Alias of AipeConfig(): perfbench/workloads.py still calls it."""
+        return cls()
 
-    def sketch_dim(self, eps: float) -> int:
-        # accuracy-critical: never reduced by the profile
-        return math.ceil(8.0 / eps**2)
 
-    def pool_size(self, s_dim: int, m: int) -> int:
-        raw = (s_dim + math.log(1.0 / DELTA)) * math.log(max(m, 2))
-        return max(3, math.ceil(self.scale * raw))
+def _sketch_dim(eps: float) -> int:
+    # accuracy-critical: not multiplied by SCALE
+    return math.ceil(8.0 / eps**2)
 
-    def sample_count(self, pool: int) -> int:
-        raw = 3.0 * math.log(max(pool, 2))
-        return min(pool, max(3, math.ceil(self.scale * raw)))
+
+def _pool_size(s_dim: int, m: int) -> int:
+    raw = (s_dim + math.log(1.0 / DELTA)) * math.log(max(m, 2))
+    return max(3, math.ceil(SCALE * raw))
+
+
+def _sample_count(pool: int) -> int:
+    raw = 3.0 * math.log(max(pool, 2))
+    return min(pool, max(3, math.ceil(SCALE * raw)))
 
 
 class InnerProductEstimator:
     """All-points inner-product estimates that stay valid under adaptivity."""
 
-    def __init__(self, points, eps: float, seed, config: AipeConfig = None):
+    def __init__(self, points, eps: float, seed):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 1:
             raise PreconditionViolation("need at least one point")
         _check_finite(pts, "points")
-        self.config = config or AipeConfig()
         self.eps = float(eps)
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ConfigError(f"eps={eps} violates 0 < eps < inf")
@@ -72,8 +74,9 @@ class InnerProductEstimator:
         self.radius = float(np.linalg.norm(pts, axis=1).max())
         if self.radius <= 0.0:
             self.radius = 1.0
-        self.s_dim = self.config.sketch_dim(self.eps)
-        self.pool = self.config.pool_size(self.s_dim, pts.shape[0])
+        self.s_dim = _sketch_dim(self.eps)
+        self.pool = _pool_size(self.s_dim, pts.shape[0])
+        self.samples = _sample_count(self.pool)
         self._root_seed = np.random.SeedSequence(seed)
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)
@@ -130,7 +133,7 @@ class InnerProductEstimator:
         aug, _ = minip_transform_dataset(self._store.points, self.radius)
         qa, _ = minip_transform_query(q, 1.0)
         diff = aug - qa
-        picks = rng.choice(self.pool, size=self.config.sample_count(self.pool), replace=False)
+        picks = rng.choice(self.pool, size=self.samples, replace=False)
         ests = np.empty((len(picks), len(self._store)))
         for row, j in enumerate(picks):
             ests[row] = np.linalg.norm(diff @ self._factor(int(j)).T, axis=1)

@@ -6,9 +6,8 @@ Reports are JSON.  A report's "config" block holds exactly the command's
 flags, unset ones as null.  Without --seed, ks and expdesign take their seed
 from $SPARSEKIT_SEED (0 when unset).  Reports are replayable: two runs with
 the same flags and seed produce byte-identical reports once the "timings"
-block is removed.  --profile (full or desk) sizes the aipe backend's pools
-only; the afn backend's Min-IP index has one size.  Exit codes distinguish
-the error classes:
+block is removed.  Both Min-IP backends, aipe and afn, have one size, read
+from afn.SCALE.  Exit codes distinguish the error classes:
 
     0 success          3 precondition violation
     2 config error     4 numerical-warning escalation
@@ -29,12 +28,12 @@ import numpy as np
 from . import expdesign as xd
 from . import kadison_singer as ks
 from . import sparsifier as sp
-from .aipe import AipeConfig
 from .errors import (
     ConfigError,
     IterationExhausted,
     NumericalWarning,
     PreconditionViolation,
+    SingularGram,
     SparsekitError,
 )
 from .io import parse_matrix_file
@@ -52,11 +51,11 @@ FLAGS = {
     "sparsify": ("input", "format", "epsilon", "whiten", "output"),
     "ks": (
         "input", "format", "whiten", "N", "n", "backend",
-        "c", "tau", "seed", "profile", "output",
+        "c", "tau", "seed", "output",
     ),
     "expdesign": (
         "input", "format", "whiten", "n", "epsilon", "gamma",
-        "c", "tau", "backend", "seed", "profile", "output",
+        "c", "tau", "backend", "seed", "output",
     ),
 }
 
@@ -72,7 +71,6 @@ ARGUMENTS = {
     "tau": {"type": float},
     "gamma": {"type": float, "default": xd.DEFAULT_GAMMA},
     "seed": {"type": int},
-    "profile": {"choices": ["full", "desk"], "default": "full", "help": "sizes aipe only"},
     "output": {},
 }
 
@@ -81,14 +79,7 @@ ARGUMENTS = {
 COMMAND_DEFAULTS = {"expdesign": {"epsilon": 0.2, "c": xd.DEFAULT_C}}
 
 
-class RunConfig(argparse.Namespace):
-    """One command's parsed flags: exactly the names in FLAGS[command]."""
-
-    def aipe_config(self) -> AipeConfig:
-        return AipeConfig.desk() if self.profile == "desk" else AipeConfig()
-
-
-def _report_skeleton(config: RunConfig) -> dict:
+def _report_skeleton(config: argparse.Namespace) -> dict:
     return {
         "command": config.command,
         "config": {flag: getattr(config, flag) for flag in FLAGS[config.command]},
@@ -96,7 +87,7 @@ def _report_skeleton(config: RunConfig) -> dict:
     }
 
 
-def _load_family(config: RunConfig) -> VectorFamily:
+def _load_family(config: argparse.Namespace) -> VectorFamily:
     if config.input is None:
         raise ConfigError("--input is required for this command")
     family = parse_matrix_file(config.input, config.format)
@@ -105,7 +96,7 @@ def _load_family(config: RunConfig) -> VectorFamily:
     return family
 
 
-def run_sparsify(config: RunConfig) -> dict:
+def run_sparsify(config: argparse.Namespace) -> dict:
     report = _report_skeleton(config)
     family = _load_family(config)
     t0 = time.perf_counter()
@@ -131,7 +122,7 @@ def run_sparsify(config: RunConfig) -> dict:
     return report
 
 
-def run_ks(config: RunConfig) -> dict:
+def run_ks(config: argparse.Namespace) -> dict:
     report = _report_skeleton(config)
     family = _load_family(config)
     if config.N is None or config.n is None:
@@ -145,7 +136,6 @@ def run_ks(config: RunConfig) -> dict:
         c=config.c,
         tau=config.tau,
         seed=config.seed,
-        aipe_config=config.aipe_config(),
     )
     report["timings"] = {"select_s": time.perf_counter() - t0}
     a_n = result.barrier_sequence[-1]
@@ -161,7 +151,7 @@ def run_ks(config: RunConfig) -> dict:
     return report
 
 
-def run_expdesign(config: RunConfig) -> dict:
+def run_expdesign(config: argparse.Namespace) -> dict:
     report = _report_skeleton(config)
     if config.input is None:
         raise ConfigError("--input is required for this command")
@@ -185,7 +175,6 @@ def run_expdesign(config: RunConfig) -> dict:
         tau=config.tau,
         backend=config.backend,
         seed=config.seed,
-        aipe_config=config.aipe_config(),
     )
     report["timings"] = {"swap_s": time.perf_counter() - t0}
     report["result"] = result.as_dict()
@@ -213,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(**vars(args))
+def config_from_args(config: argparse.Namespace) -> argparse.Namespace:
+    """The parsed flags, exactly the names in FLAGS[command], with the seed filled in."""
     if "seed" in FLAGS[config.command] and config.seed is None:
         config.seed = int(os.environ.get(ENV_SEED, "0"))
     return config
 
 
-def emit(report: dict, config: RunConfig) -> None:
+def emit(report: dict, config: argparse.Namespace) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, default=float)
     if config.output:
         with open(config.output, "w") as fh:
@@ -239,7 +228,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PreconditionViolation as exc:
+    except (PreconditionViolation, SingularGram) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except NumericalWarning as exc:

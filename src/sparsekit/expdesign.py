@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aipe import AipeConfig
 from .errors import (
     ConfigError,
     IterationExhausted,
@@ -156,12 +155,13 @@ def swap_round(
     tau: float = None,
     backend: str = "exact",
     seed: int = 0,
-    aipe_config: AipeConfig = None,
+    aipe_config=None,
 ) -> SwapRunResult:
     """Round the fractional design pi to an n-subset with lambda_min >= 1 - gamma eps.
 
     Expects the family already whitened: sum_i pi_i x_i x_i^T = I (use
-    linalg.whiten first; the CLI exposes --whiten).
+    linalg.whiten first; the CLI exposes --whiten).  aipe_config is unused:
+    the AIPE pools read afn.SCALE, and only perfbench/workloads.py passes one.
     """
     X = family.vectors
     m, d = X.shape
@@ -177,9 +177,9 @@ def swap_round(
             "sum_i pi_i x_i x_i^T != I; whiten the family first"
         )
     if gamma < 3.0:
-        raise PreconditionViolation(f"gamma={gamma} violates gamma >= 3")
+        raise ConfigError(f"gamma={gamma} violates gamma >= 3")
     if not 0.0 < epsilon <= 1.0 / gamma:
-        raise PreconditionViolation(f"epsilon={epsilon} violates 0 < eps <= 1/gamma")
+        raise ConfigError(f"epsilon={epsilon} violates 0 < eps <= 1/gamma")
     if not 0.0 < c < 1.0:
         raise ConfigError(f"c={c} violates 0 < c < 1")
     beta = 1.0 / c
@@ -187,11 +187,9 @@ def swap_round(
         raise ConfigError(f"c={c} violates c > 2/(gamma-1) = {2.0 / (gamma - 1.0)}")
     n_floor = 6.0 * d / epsilon**2 / (gamma - 1.0 - 2.0 / c)
     if n < n_floor:
-        raise PreconditionViolation(
-            f"n={n} violates n >= 6d/eps^2/(gamma-1-2/c) = {n_floor}"
-        )
+        raise ConfigError(f"n={n} violates n >= 6d/eps^2/(gamma-1-2/c) = {n_floor}")
     if n > m:
-        raise PreconditionViolation(f"n={n} exceeds m={m}")
+        raise ConfigError(f"n={n} exceeds m={m}")
 
     alpha = math.sqrt(d) * beta / epsilon
     T_cap = math.ceil(n / (c * epsilon))
@@ -207,15 +205,7 @@ def swap_round(
 
     index = None
     if backend != "exact":
-        index = MinIpBackend(
-            backend,
-            X,
-            members,
-            c=c,
-            tau=tau,
-            seed=seed,
-            aipe_config=aipe_config,
-        )
+        index = MinIpBackend(backend, X, members, c=c, tau=tau, seed=seed)
 
     member_mask = np.zeros(m, dtype=bool)
     member_mask[members] = True

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aipe import AipeConfig
 from .errors import BarrierCollapse, ConfigError, PreconditionViolation
 from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, eigendecompose
 from .linalg import check_isotropy, check_symmetric
@@ -170,7 +169,6 @@ def ks_select(
     c: float = None,
     tau: float = None,
     seed: int = 0,
-    aipe_config: AipeConfig = None,
     minip_config: MinIpConfig = None,
 ) -> KsRunResult:
     """Select n indices with the chosen backend.
@@ -189,7 +187,6 @@ def ks_select(
         c=c,
         tau=tau,
         seed=seed,
-        aipe_config=aipe_config,
         minip_config=minip_config,
     )
     result = _greedy_loop(family, a, 1.0 / c, index, np.random.default_rng(seed))

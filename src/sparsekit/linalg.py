@@ -36,7 +36,7 @@ ISOTROPY_TOL = 1e-6
 
 @dataclass
 class VectorFamily:
-    """m vectors in R^d, stored densely.
+    """m >= 1 vectors in R^d, d >= 1, stored densely.
 
     The per-row nonzero counts, which drive the nnz-based cost estimate used
     when choosing between the two positive-search trees, are read from the
@@ -49,6 +49,8 @@ class VectorFamily:
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise DimensionMismatch("vectors must be a 2-D (m, d) array")
+        if 0 in self.vectors.shape:
+            raise PreconditionViolation(f"vector family of shape {self.vectors.shape} is empty")
         if not np.all(np.isfinite(self.vectors)):
             raise PreconditionViolation("vector family contains non-finite entries")
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .aipe import AipeConfig, InnerProductEstimator
+from .aipe import InnerProductEstimator
 from .errors import ConfigError
 from .minip import MinIpConfig, RobustMinIpIndex, minip_transform_dataset, minip_transform_query
 
@@ -43,7 +43,6 @@ class MinIpBackend:
         c: float,
         tau: float,
         seed: int,
-        aipe_config: AipeConfig = None,
         minip_config: MinIpConfig = None,
     ):
         """Store the rows `rows` of the (m, d) family `X`.
@@ -72,7 +71,7 @@ class MinIpBackend:
         if kind == "aipe":
             # distance ratio this (c, tau) demands: (1+eps)^2 = c(1-tau)/(c-tau)
             eps = math.sqrt(c * (1.0 - tau) / (c - tau)) - 1.0
-            self._index = InnerProductEstimator(points, eps, seed, aipe_config or AipeConfig())
+            self._index = InnerProductEstimator(points, eps, seed)
         else:
             self._D_X = float(np.max(np.linalg.norm(X, axis=1) ** 2))
             self._index = RobustMinIpIndex(

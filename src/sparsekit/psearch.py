@@ -56,8 +56,6 @@ class _PartialSumTree:
     """
 
     def __init__(self, family: VectorFamily, block: int):
-        if family.count == 0:
-            raise ValueError("empty vector family")
         m, d = family.count, family.dim
         n_blocks = -(-m // block)
         self.m = m

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.aipe import AipeConfig, InnerProductEstimator
+from sparsekit.aipe import InnerProductEstimator
 from sparsekit.errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.minip import minip_transform_dataset, minip_transform_query
 
@@ -27,7 +27,7 @@ class Oracle:
         self.points = dict(enumerate(np.asarray(points, dtype=float)))
         self.dim = np.shape(points)[1]
         self.radius = float(np.linalg.norm(points, axis=1).max()) or 1.0
-        self.s_dim, self.pool, self.config = est.s_dim, est.pool, est.config
+        self.s_dim, self.pool, self.samples = est.s_dim, est.pool, est.samples
         self.children = np.random.SeedSequence(seed).spawn(self.pool)
         self.next_id = len(self.points)
 
@@ -42,7 +42,7 @@ class Oracle:
 
     def estimates(self, q, rng) -> dict:
         """Id -> median over the sampled sketches of ||S (a_i - q_a)||."""
-        picks = rng.choice(self.pool, size=self.config.sample_count(self.pool), replace=False)
+        picks = rng.choice(self.pool, size=self.samples, replace=False)
         qa, _ = minip_transform_query(q, 1.0)
         aug, _ = minip_transform_dataset(np.stack(list(self.points.values())), self.radius)
         return {
@@ -63,7 +63,7 @@ def unit(v):
 def test_estimates_match_full_sketch_oracle(eps):
     rng = np.random.default_rng(1)
     points = rng.standard_normal((40, DIM))
-    est = InnerProductEstimator(points, eps, SEED, AipeConfig.desk())
+    est = InnerProductEstimator(points, eps, SEED)
     oracle = Oracle(points, est)
     for t in range(5):
         q = unit(rng.standard_normal(DIM)) * (0.5 if t % 2 else 1.0)
@@ -93,7 +93,7 @@ def test_every_sketch_shape_matches_full_sketch_oracle(shape):
     dim, eps, seed = shape
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((12, dim))
-    est = InnerProductEstimator(points, eps, seed, AipeConfig.desk())
+    est = InnerProductEstimator(points, eps, seed)
     assert est.s_dim == math.ceil(8.0 / eps**2)
     oracle = Oracle(points, est, seed)
     for t in range(3):
@@ -119,7 +119,7 @@ def test_insert_delete_sequence_against_oracle(ops):
     answer is the oracle's, and a deleted id is never returned."""
     rng = np.random.default_rng(2)
     points = rng.standard_normal((6, DIM))
-    est = InnerProductEstimator(points, 0.5, SEED, AipeConfig.desk())
+    est = InnerProductEstimator(points, 0.5, SEED)
     oracle = Oracle(points, est)
     deleted = set()
     for kind, k in ops:
@@ -148,7 +148,7 @@ def test_tie_returns_lowest_id():
     p = unit(np.arange(1.0, DIM + 1))
     # ids 1 and 3 are the same point, the furthest from the query p
     points = np.array([0.5 * p, -p, 0.1 * p, -p])
-    est = InnerProductEstimator(points, 0.5, SEED, AipeConfig.desk())
+    est = InnerProductEstimator(points, 0.5, SEED)
     assert est.query_min(p, np.random.default_rng(0)) == 1
     est.delete(0)  # id 3 moves into the freed slot, ahead of id 1
     assert est.query_min(p, np.random.default_rng(0)) == 1
@@ -169,7 +169,7 @@ def test_double_delete_raises_not_found():
 def test_same_seed_same_answers():
     rng = np.random.default_rng(3)
     points = rng.standard_normal((30, DIM))
-    a, b = (InnerProductEstimator(points, 0.5, SEED, AipeConfig.desk()) for _ in range(2))
+    a, b = (InnerProductEstimator(points, 0.5, SEED) for _ in range(2))
     for t in range(10):
         q = unit(rng.standard_normal(DIM))
         assert a.query_min(q, np.random.default_rng(t)) == b.query_min(q, np.random.default_rng(t))

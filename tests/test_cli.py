@@ -49,7 +49,7 @@ def test_ks_aipe_replay_identical_apart_from_timings(tmp_path, rng):
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
     argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "aipe"]
     out = tmp_path / "report.json"
-    argv += ["--c", "0.505", "--tau", "0.5", "--profile", "desk", "--seed", "3"]
+    argv += ["--c", "0.505", "--tau", "0.5", "--seed", "3"]
     argv += ["--output", str(out)]  # the report's config records this path
     texts = []
     for _ in range(2):
@@ -76,21 +76,17 @@ def test_ks_afn_refuses_too_many_structures_before_building_one(
     assert "AFN structures exceeds the limit of 10000" in capsys.readouterr().err
 
 
-def test_ks_afn_runs_without_profile_and_ignores_it(tmp_path, rng):
+def test_ks_afn_runs_without_profile(tmp_path, rng):
     # the one Min-IP index size keeps k*kappa under the structure limit
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
     argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "afn"]
-    argv += ["--c", "0.505", "--tau", "0.5", "--seed", "3"]
-    results = []
-    for profile in ([], ["--profile", "desk"], ["--profile", "full"]):
-        out = tmp_path / "report.json"
-        assert cli.main(argv + profile + ["--output", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["verdict"] == "pass"
-        assert report["result"]["backend"] == "afn"
-        results.append(report["result"])
-    assert results[0] == results[1] == results[2]
+    out = tmp_path / "report.json"
+    argv += ["--c", "0.505", "--tau", "0.5", "--seed", "3", "--output", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass"
+    assert report["result"]["backend"] == "afn"
 
 
 @pytest.mark.parametrize(
@@ -102,8 +98,15 @@ def test_ks_afn_runs_without_profile_and_ignores_it(tmp_path, rng):
         ["ks", "--N", "nan", "--n", "8"],
         ["expdesign", "--n", "0", "--whiten"],
         ["expdesign", "--n", "-3", "--whiten"],
+        ["expdesign", "--n", "8", "--whiten", "--gamma", "2"],
+        ["expdesign", "--n", "8", "--whiten", "--epsilon", "0.3"],
+        ["expdesign", "--n", "10", "--whiten"],
+        ["expdesign", "--n", "900", "--whiten"],
     ],
-    ids=["ks-N0", "ks-N-1", "ks-N1", "ks-Nnan", "expdesign-n0", "expdesign-n-3"],
+    ids=[
+        "ks-N0", "ks-N-1", "ks-N1", "ks-Nnan", "expdesign-n0", "expdesign-n-3",
+        "expdesign-gamma2", "expdesign-eps0.3", "expdesign-n-below-floor", "expdesign-n-above-m",
+    ],
 )
 def test_bad_sizes_are_config_errors(tmp_path, rng, capsys, argv):
     path = str(tmp_path / "ks.mtx")
@@ -117,7 +120,7 @@ def test_ks_aipe_refuses_nonpositive_tau_or_c(tmp_path, rng, capsys, c, tau):
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
     argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "aipe"]
-    argv += ["--profile", "desk", "--c", c, "--tau", tau]
+    argv += ["--c", c, "--tau", tau]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "violates 0 < tau < 1" in capsys.readouterr().err
 
@@ -140,6 +143,23 @@ def test_sparsify_non_finite_input_is_precondition_violation(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["sparsify"], ["expdesign", "--n", "1"]], ids=["sparsify", "expdesign"]
+)
+def test_zero_column_input_is_precondition_violation(tmp_path, capsys, argv):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 0\n")
+    assert cli.main(argv + ["--input", str(path)]) == cli.EXIT_PRECONDITION
+    assert "vector family of shape (2, 0) is empty" in capsys.readouterr().err
+
+
+def test_whiten_of_a_rank_deficient_input_is_precondition_violation(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("1,0\n2,0\n3,0\n")
+    assert cli.main(["sparsify", "--input", str(path), "--whiten"]) == cli.EXIT_PRECONDITION
+    assert "numerically singular" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["absent.csv", ""], ids=["missing-file", "directory"])
 def test_unreadable_csv_input_is_precondition_violation(tmp_path, capsys, name):
     path = str(tmp_path / name)  # "" names the directory itself
@@ -158,6 +178,8 @@ def test_unreadable_csv_input_is_precondition_violation(tmp_path, capsys, name):
         ["bench"],
         ["oracle"],
         ["ks", "--delta", "0.1"],
+        ["ks", "--profile", "desk"],
+        ["expdesign", "--profile", "full"],
     ],
 )
 def test_flag_the_command_does_not_read_or_unknown_command_exits_2(argv):
@@ -170,11 +192,11 @@ COMMAND_FLAGS = {
     "sparsify": {"input", "format", "epsilon", "whiten", "output"},
     "ks": {
         "input", "format", "whiten", "N", "n", "backend",
-        "c", "tau", "seed", "profile", "output",
+        "c", "tau", "seed", "output",
     },
     "expdesign": {
         "input", "format", "whiten", "n", "epsilon", "gamma",
-        "c", "tau", "backend", "seed", "profile", "output",
+        "c", "tau", "backend", "seed", "output",
     },
 }
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.aipe import AipeConfig
 from sparsekit.errors import ConfigError
 from sparsekit.minip import MinIpConfig
 from sparsekit.minip_backend import MinIpBackend
@@ -26,7 +25,6 @@ def make_backend(kind: str) -> MinIpBackend:
         c=0.505,
         tau=0.5,
         seed=0,
-        aipe_config=AipeConfig.desk(),
         minip_config=MinIpConfig(sketch_dim=8),
     )
 

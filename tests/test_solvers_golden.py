@@ -46,7 +46,6 @@ def ks_outcome(backend: str):
         KS_N_SELECT,
         backend=backend,
         seed=0,
-        aipe_config=AipeConfig.desk(),
         **kwargs,
     )
     return family, result
@@ -278,6 +277,16 @@ def test_swap_round_golden(case):
         assert record["fallbacks"] >= 1  # an aipe proposal failed to verify
     rows = family.vectors[result.selection.indices]
     assert np.linalg.eigvalsh(rows.T @ rows)[0] > 1.0 - gamma * eps
+
+
+def test_swap_round_ignores_aipe_config():
+    # swap_outcome passes AipeConfig.desk(), as the benchmark does
+    family, result = swap_outcome("aipe-s1")
+    _, _, eps, gamma, c, tau, n, m, backend, seed = SWAP_CASES["aipe-s1"]
+    plain = expdesign.swap_round(
+        family, np.full(m, n / m), n, eps, gamma=gamma, c=c, tau=tau, backend=backend, seed=seed
+    )
+    assert swap_record(plain) == swap_record(result)
 
 
 BSS_VARIANTS = ["reference", "fast", "fast-matrix"]

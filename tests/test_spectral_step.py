@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsekit import kadison_singer, sparsifier
-from sparsekit.aipe import AipeConfig
 from sparsekit.errors import DimensionMismatch
 
 from conftest import random_isotropic_family, random_ks_family
@@ -31,9 +30,7 @@ def test_one_eigendecomposition_per_step(monkeypatch, rng, backend):
     eighs = count_calls(monkeypatch, kadison_singer, "eigendecompose")
     eigvalshs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     kwargs = {} if backend == "exact" else {"c": 0.505, "tau": 0.5}
-    result = kadison_singer.ks_select(
-        family, N, n, backend=backend, aipe_config=AipeConfig.desk(), **kwargs
-    )
+    result = kadison_singer.ks_select(family, N, n, backend=backend, **kwargs)
     assert len(eighs) == n + 1  # T = 0, then once after each of the n updates
     assert len(eigvalshs) == 1  # the final norm, from the reconstructed selection
     assert len(result.potential_trace) == n + 1
