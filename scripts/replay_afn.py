@@ -1,7 +1,7 @@
 """One sha256 over many afn-backend solves, to check that two trees agree.
 
     PYTHONPATH=src python3 scripts/replay_afn.py [--ks 256] [--swap 18] [--sparsify 32]
-                                                 [--aipe 128]
+                                                 [--aipe 128] [--exact 128]
 
 Runs --ks Kadison-Singer selections and --swap experimental-design swap
 roundings on the afn Min-IP backend and hashes what each returns:
@@ -48,8 +48,13 @@ take seed k:
 
 Each adds its indices and fallbacks with every float of its traces as
 float.hex: lambda_trace, trace_minus, trace_plus and trace_norm (swap
-rounding), or score_trace, potential_trace and final_norm (KS).  Prints one
-JSON object; the PYTHONPATH decides which source tree is replayed.
+rounding), or score_trace, potential_trace and final_norm (KS).
+
+The --exact solves go to a fourth hash, exact_sha256.  Solve i is the
+--aipe part's solve i on the exact backend: the same rows and seeds, with
+no tau.  Each adds the same indices and traces, and a swap rounding also
+its random starting set.  Prints one JSON object; the PYTHONPATH decides
+which source tree is replayed.
 """
 
 from __future__ import annotations
@@ -165,23 +170,37 @@ def swap_record(i: int) -> list:
     return [out.selection.indices.tolist(), out.fallbacks, hexes(out.lambda_trace)]
 
 
-def aipe_record(i: int) -> list:
+def alternating_solve(i: int, backend: str):
+    """(result, float traces) of swap rounding for even i, KS for odd i; seed i // 2."""
     seed = i // 2
     if i % 2:
         d, N, c, tau = AIPE_KS
+        window = {} if backend == "exact" else {"c": c, "tau": tau}
         out = kadison_singer.ks_select(
-            ks_family(d, N, seed), N, d * N // 2, backend="aipe", c=c, tau=tau, seed=seed
+            ks_family(d, N, seed), N, d * N // 2, backend=backend, seed=seed, **window
         )
-        traces = (out.score_trace, out.potential_trace, [out.final_norm])
-    else:
-        d, eps, gamma, c, tau, n, m = AIPE_SWAP
-        pi = np.full(m, n / m)
-        family = whiten(VectorFamily(rare_direction_rows(seed, m, d)), pi)
-        out = expdesign.swap_round(
-            family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="aipe", seed=seed
-        )
-        traces = (out.lambda_trace, out.trace_minus, out.trace_plus, out.trace_norm)
+        return out, (out.score_trace, out.potential_trace, [out.final_norm])
+    d, eps, gamma, c, tau, n, m = AIPE_SWAP
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(seed, m, d)), pi)
+    out = expdesign.swap_round(
+        family, pi, n, eps, gamma=gamma, c=c,
+        tau=None if backend == "exact" else tau, backend=backend, seed=seed,
+    )
+    return out, (out.lambda_trace, out.trace_minus, out.trace_plus, out.trace_norm)
+
+
+def aipe_record(i: int) -> list:
+    out, traces = alternating_solve(i, "aipe")
     return [out.selection.indices.tolist(), out.fallbacks, *map(hexes, traces)]
+
+
+def exact_record(i: int) -> list:
+    out, traces = alternating_solve(i, "exact")
+    record = [out.selection.indices.tolist(), *map(hexes, traces)]
+    if i % 2 == 0:
+        record.append(out.initial_set.tolist())
+    return record
 
 
 def sparsify_record(i: int) -> list:
@@ -229,6 +248,7 @@ def main(argv=None) -> None:
         "--sparsify", type=int, default=32, help="inputs each solved by both BSS variants"
     )
     parser.add_argument("--aipe", type=int, default=128, help="aipe-backend solves")
+    parser.add_argument("--exact", type=int, default=128, help="exact-backend solves")
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     ks_s = replay(ks_record, args.ks, digest)
@@ -237,18 +257,23 @@ def main(argv=None) -> None:
     sparsify_s = replay(sparsify_record, args.sparsify, sparsify_digest)
     aipe_digest = hashlib.sha256()
     aipe_s = replay(aipe_record, args.aipe, aipe_digest)
+    exact_digest = hashlib.sha256()
+    exact_s = replay(exact_record, args.exact, exact_digest)
     report = {
         "ks_solves": args.ks,
         "swap_solves": args.swap,
         "sparsify_inputs": args.sparsify,
         "aipe_solves": args.aipe,
+        "exact_solves": args.exact,
         "sha256": digest.hexdigest(),
         "sparsify_sha256": sparsify_digest.hexdigest(),
         "aipe_sha256": aipe_digest.hexdigest(),
+        "exact_sha256": exact_digest.hexdigest(),
         "ks_s": round(ks_s, 6),
         "swap_s": round(swap_s, 6),
         "sparsify_s": round(sparsify_s, 6),
         "aipe_s": round(aipe_s, 6),
+        "exact_s": round(exact_s, 6),
     }
     print(json.dumps(report, indent=2))
 

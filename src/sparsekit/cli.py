@@ -4,7 +4,8 @@ Each command accepts only the flags its runner reads (see ``FLAGS``);
 argparse rejects any other flag, and any other command, with exit code 2.
 Reports are JSON.  A report's "config" block holds exactly the command's
 flags, unset ones as null.  Without --seed, ks and expdesign take their seed
-from $SPARSEKIT_SEED (0 when unset).  Reports are replayable: two runs with
+from $SPARSEKIT_SEED (0 when unset); a seed that is not a non-negative
+integer is a config error.  Reports are replayable: two runs with
 the same flags and seed produce byte-identical reports once the "timings"
 block is removed.  Both Min-IP backends, aipe and afn, have one size, read
 from afn.SCALE.  Exit codes distinguish the error classes:
@@ -205,7 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(config: argparse.Namespace) -> argparse.Namespace:
     """The parsed flags, exactly the names in FLAGS[command], with the seed filled in."""
     if "seed" in FLAGS[config.command] and config.seed is None:
-        config.seed = int(os.environ.get(ENV_SEED, "0"))
+        text = os.environ.get(ENV_SEED, "0")
+        try:
+            config.seed = int(text)
+        except ValueError:
+            raise ConfigError(f"${ENV_SEED}={text!r} is not an integer") from None
     return config
 
 
@@ -220,8 +225,8 @@ def emit(report: dict, config: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
+        config = config_from_args(args)
         with warnings.catch_warnings():
             warnings.simplefilter("error", NumericalWarning)
             report = COMMANDS[config.command](config)

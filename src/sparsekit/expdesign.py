@@ -43,16 +43,18 @@ def find_ct(eigenvalues: np.ndarray, alpha: float) -> float:
     """The constant c with sum_i (c + alpha lambda_i)^{-2} = 1.
 
     `eigenvalues` are the ascending eigenvalues lambda_i of Z.  Monotone
-    bisection on the scalar map; each evaluation is O(d).  The map decreases
-    from +inf to 0 on (-alpha lambda_min, inf), so the root exists and is
-    unique.  Stops once the trace is within 1e-10 of 1.
+    bisection on the scalar map; each evaluation is O(d), and each bisection
+    point is evaluated once: the stop test's value at the new midpoint is
+    carried into the next step.  The map decreases from +inf to 0 on
+    (-alpha lambda_min, inf), so the root exists and is unique.  Stops once
+    the trace at the midpoint is within 1e-10 of 1.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     scaled = alpha * vals
     d = len(vals)
 
     def trace_at(c: float) -> float:
-        return float(np.sum((c + scaled) ** -2.0))
+        return float(np.add.reduce((c + scaled) ** -2.0))
 
     hi = math.sqrt(d) - scaled[0]  # trace_at(hi) = sum (sqrt(d) + a(l_i - l_min))^-2 <= 1
     lo_base = -scaled[0]
@@ -64,15 +66,18 @@ def find_ct(eigenvalues: np.ndarray, alpha: float) -> float:
         if step < 1e-300:
             raise ArithmeticError("bisection bracket collapsed")
     hi = max(hi, lo)
+    mid = 0.5 * (lo + hi)
+    value = trace_at(mid)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if trace_at(mid) > 1.0:
+        if value > 1.0:
             lo = mid
         else:
             hi = mid
-        if abs(trace_at(0.5 * (lo + hi)) - 1.0) <= 1e-10:
+        mid = 0.5 * (lo + hi)
+        value = trace_at(mid)
+        if abs(value - 1.0) <= 1e-10:
             break
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def _b_minus(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> float:
@@ -163,6 +168,8 @@ def swap_round(
     linalg.whiten first; the CLI exposes --whiten).  aipe_config is unused:
     the AIPE pools read afn.SCALE, and only perfbench/workloads.py passes one.
     """
+    if seed < 0:
+        raise ConfigError(f"seed={seed} violates seed >= 0")
     X = family.vectors
     m, d = X.shape
     pi = np.asarray(pi, dtype=float)
@@ -194,13 +201,13 @@ def swap_round(
     alpha = math.sqrt(d) * beta / epsilon
     T_cap = math.ceil(n / (c * epsilon))
     rng = np.random.default_rng(seed)
-    members = list(rng.choice(m, size=n, replace=False))
+    members = rng.choice(m, size=n, replace=False)
     result = SwapRunResult(
         selection=None,
         lambda_min=math.nan,
         swaps=0,
         backend=backend,
-        initial_set=np.array(sorted(members)),
+        initial_set=np.sort(members),
     )
 
     index = None
@@ -214,6 +221,7 @@ def swap_round(
     def current_lambda_min():
         # an eigensolve of its own: taking lambda_min from swap_matrices' eigh
         # of the same Z would change the last bits of lambda_trace
+        # keep two gathers: rows.T @ rows on one buffer takes BLAS SYRK and moves Z's last bits
         Z = X[member_mask].T @ X[member_mask]
         return float(np.linalg.eigvalsh(Z)[0]), Z
 

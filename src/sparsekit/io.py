@@ -29,7 +29,7 @@ def parse_matrix_file(path: str, fmt: str = None) -> VectorFamily:
             raise PreconditionViolation(f"cannot parse {path}: {exc}") from exc
         if scipy.sparse.issparse(mat):
             return VectorFamily(mat.toarray())
-        return VectorFamily(np.atleast_2d(np.asarray(mat, dtype=float)))
+        return VectorFamily(np.atleast_2d(mat))
     if fmt == "csv":
         try:
             arr = np.loadtxt(path, delimiter=",", ndmin=2)

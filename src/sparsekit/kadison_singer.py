@@ -176,6 +176,8 @@ def ks_select(
     Output-norm guarantees: exact backend < a_n; aipe backend <= (1/c) a_n;
     afn backend <= (2/c) a_n.
     """
+    if seed < 0:
+        raise ConfigError(f"seed={seed} violates seed >= 0")
     a = ks_barrier_sequence(N, family.count, n)  # refuses bad N and n first
     _check_family(family, N)
     if backend == "exact":

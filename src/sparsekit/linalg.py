@@ -46,6 +46,8 @@ class VectorFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.vectors):  # a float cast would drop the imaginary parts
+            raise PreconditionViolation("vector family has complex entries")
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise DimensionMismatch("vectors must be a 2-D (m, d) array")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsekit import cli, minip
+from sparsekit import cli, kadison_singer, minip
 from sparsekit.errors import ConfigError
 from sparsekit.io import write_matrix_file
 from sparsekit.kadison_singer import ks_select
@@ -134,6 +134,51 @@ def test_ks_afn_refuses_n_out_of_range_before_building_the_index(rng, monkeypatc
     for n in (family.count, family.count + 1, -1):
         with pytest.raises(ConfigError, match="violates 0 <= n < m=16"):
             ks_select(family, 8, n, backend="afn", c=0.505, tau=0.5)
+
+
+@pytest.mark.parametrize("backend", ["exact", "aipe", "afn"])
+def test_ks_negative_seed_is_config_error_before_building_the_index(rng, monkeypatch, backend):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the Min-IP index was built")
+
+    monkeypatch.setattr(kadison_singer, "MinIpBackend", no_build)
+    family = random_ks_family(2, 8, rng)
+    with pytest.raises(ConfigError, match="seed=-1 violates seed >= 0"):
+        ks_select(family, 8, 8, backend=backend, c=0.505, tau=0.5, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ks", "--N", "8", "--n", "8", "--backend", "aipe", "--c", "0.505", "--tau", "0.5"],
+        ["ks", "--N", "8", "--n", "8", "--backend", "afn", "--c", "0.505", "--tau", "0.5"],
+        ["expdesign", "--n", "400", "--whiten"],
+    ],
+    ids=["ks-aipe", "ks-afn", "expdesign"],
+)
+def test_negative_seed_is_config_error(tmp_path, rng, capsys, argv):
+    path = str(tmp_path / "input.mtx")
+    if argv[0] == "ks":
+        write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    else:
+        write_matrix_file(path, rng.standard_normal((800, 2)))
+    assert cli.main(argv + ["--input", path, "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert "seed=-1 violates seed >= 0" in capsys.readouterr().err
+
+
+def test_non_integer_seed_variable_is_config_error(tmp_path, rng, capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_SEED, "abc")
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    assert cli.main(["ks", "--input", path, "--N", "8", "--n", "8"]) == cli.EXIT_CONFIG
+    assert "$SPARSEKIT_SEED='abc' is not an integer" in capsys.readouterr().err
+
+
+def test_complex_input_is_precondition_violation(tmp_path, capsys):
+    path = tmp_path / "complex.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n2 2\n1 0\n0 0\n0 0\n1 2\n")
+    assert cli.main(["sparsify", "--input", str(path)]) == cli.EXIT_PRECONDITION
+    assert "complex entries" in capsys.readouterr().err
 
 
 def test_sparsify_non_finite_input_is_precondition_violation(tmp_path, capsys):

@@ -1,13 +1,100 @@
-"""Swap rounding: input and window checks, and the afn backend queried after inserts."""
+"""Swap rounding: input and window checks, find_ct against the two-evaluation
+bisection it replaced, the lambda_min guarantee over many seeds, and the afn
+backend queried after inserts."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsekit import expdesign
 from sparsekit.errors import ConfigError, PreconditionViolation
 from sparsekit.linalg import VectorFamily, whiten
 
-from test_solvers_golden import rare_direction_rows
+from test_solvers_golden import SWAP_CASES, rare_direction_rows
+
+
+def two_evaluation_find_ct(eigenvalues, alpha):
+    """find_ct as it was when each bisection point was evaluated twice: the oracle."""
+    vals = np.asarray(eigenvalues, dtype=float)
+    scaled = alpha * vals
+    d = len(vals)
+
+    def trace_at(c: float) -> float:
+        return float(np.sum((c + scaled) ** -2.0))
+
+    hi = math.sqrt(d) - scaled[0]  # trace_at(hi) = sum (sqrt(d) + a(l_i - l_min))^-2 <= 1
+    lo_base = -scaled[0]
+    step = max(abs(hi - lo_base), 1.0)
+    lo = lo_base + step
+    while trace_at(lo) < 1.0:
+        step /= 2.0
+        lo = lo_base + step
+        if step < 1e-300:
+            raise ArithmeticError("bisection bracket collapsed")
+    hi = max(hi, lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if trace_at(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(trace_at(0.5 * (lo + hi)) - 1.0) <= 1e-10:
+            break
+    return 0.5 * (lo + hi)
+
+
+def outcome(solver, vals, alpha):
+    try:
+        return solver(vals, alpha)
+    except ArithmeticError as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1e4), min_size=1, max_size=32),
+    st.floats(1e-3, 1e4),
+)
+@example([1e4, 1e4], 1e4)  # trace never within 1e-10 of 1: all 200 steps run
+def test_find_ct_equals_the_two_evaluation_bisection(values, alpha):
+    vals = np.sort(values)
+    assert outcome(expdesign.find_ct, vals, alpha) == outcome(two_evaluation_find_ct, vals, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["exact", "aipe"]), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_swap_round_clears_its_lambda_min_bound(backend, rows_seed, seed):
+    # the golden shape: a random 772-subset of these rows misses a rare direction
+    _, d, eps, gamma, c, tau, n, m, _, _ = SWAP_CASES["exact-s1"]
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(rows_seed, m, d)), pi)
+    out = expdesign.swap_round(
+        family, pi, n, eps, gamma=gamma, c=c,
+        tau=None if backend == "exact" else tau, backend=backend, seed=seed,
+    )
+    indices = out.selection.indices
+    assert len(np.unique(indices)) == len(indices) == n
+    rows = family.vectors[indices]
+    assert np.linalg.eigvalsh(rows.T @ rows)[0] > 1.0 - gamma * eps
+    start = out.initial_set
+    assert start.dtype == np.int64 and start.shape == (n,)
+    assert np.all(np.diff(start) > 0)
+
+
+@pytest.mark.parametrize("backend, tau", [("exact", None), ("aipe", 0.5)])
+def test_negative_seed_is_config_error_before_any_work(monkeypatch, backend, tau):
+    def no_work(*args, **kwargs):
+        raise AssertionError("swap_round started work")
+
+    monkeypatch.setattr(expdesign, "check_isotropy", no_work)
+    monkeypatch.setattr(expdesign, "MinIpBackend", no_work)
+    m, n = 800, 400
+    family = VectorFamily(np.ones((m, 2)))
+    with pytest.raises(ConfigError, match="seed=-1 violates seed >= 0"):
+        expdesign.swap_round(family, np.full(m, n / m), n, 0.2, tau=tau, backend=backend, seed=-1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])

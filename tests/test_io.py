@@ -63,3 +63,18 @@ def test_unknown_format_is_precondition_violation(tmp_path, rng):
         parse_matrix_file(path, fmt="hdf5")
     with pytest.raises(PreconditionViolation, match="unknown format 'hdf5'"):
         write_matrix_file(path, sample_rows(rng), fmt="hdf5")
+
+
+COMPLEX_FILES = {
+    "array": "%%MatrixMarket matrix array complex general\n2 2\n1 0\n0 0\n0 0\n1 2\n",
+    "coordinate": "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1 0\n2 2 1 2\n",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(COMPLEX_FILES))
+def test_complex_matrix_market_is_precondition_violation(tmp_path, layout):
+    # entries 1, 0, 0, 1+2i: a float cast would read the 2x2 identity
+    path = tmp_path / "complex.mtx"
+    path.write_text(COMPLEX_FILES[layout])
+    with pytest.raises(PreconditionViolation, match="complex entries"):
+        parse_matrix_file(str(path))

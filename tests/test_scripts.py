@@ -45,23 +45,29 @@ def test_sweep_afn_builds_the_ks_afn_index():
 
 
 def test_replay_afn_hashes_both_solvers():
-    report = run_script("replay_afn", "--ks", "1", "--swap", "1", "--sparsify", "0", "--aipe", "0")
+    report = run_script(
+        "replay_afn", "--ks", "1", "--swap", "1", "--sparsify", "0", "--aipe", "0", "--exact", "0"
+    )
     assert (report["ks_solves"], report["swap_solves"]) == (1, 1)
     assert len(report["sha256"]) == 64 and int(report["sha256"], 16) >= 0
     assert report["ks_s"] > 0.0 and report["swap_s"] > 0.0
-    again = run_script("replay_afn", "--ks", "1", "--swap", "0", "--sparsify", "0", "--aipe", "0")
+    again = run_script(
+        "replay_afn", "--ks", "1", "--swap", "0", "--sparsify", "0", "--aipe", "0", "--exact", "0"
+    )
     assert again["sha256"] != report["sha256"]
 
 
 def test_replay_afn_hashes_sparsify_apart():
     empty = hashlib.sha256().hexdigest()
     # input 0 is a dense family, input 1 a sparse one
-    report = run_script("replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "2", "--aipe", "0")
+    report = run_script(
+        "replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "2", "--aipe", "0", "--exact", "0"
+    )
     assert report["sparsify_inputs"] == 2 and report["sparsify_s"] > 0.0
     assert report["sha256"] == empty
     assert len(report["sparsify_sha256"]) == 64 and report["sparsify_sha256"] != empty
     dense_only = run_script(
-        "replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "1", "--aipe", "0"
+        "replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "1", "--aipe", "0", "--exact", "0"
     )
     assert dense_only["sparsify_sha256"] not in (empty, report["sparsify_sha256"])
 
@@ -69,14 +75,28 @@ def test_replay_afn_hashes_sparsify_apart():
 def test_replay_afn_hashes_aipe_apart():
     empty = hashlib.sha256().hexdigest()
     # solve 0 is a swap rounding, solve 1 a KS selection
-    report = run_script("replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "0", "--aipe", "2")
+    report = run_script(
+        "replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "0", "--aipe", "2", "--exact", "0"
+    )
     assert report["aipe_solves"] == 2 and report["aipe_s"] > 0.0
     assert report["sha256"] == empty and report["sparsify_sha256"] == empty
     assert len(report["aipe_sha256"]) == 64 and report["aipe_sha256"] != empty
     swap_only = run_script(
-        "replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "0", "--aipe", "1"
+        "replay_afn", "--ks", "0", "--swap", "0", "--sparsify", "0", "--aipe", "1", "--exact", "0"
     )
     assert swap_only["aipe_sha256"] not in (empty, report["aipe_sha256"])
+
+
+def test_replay_afn_hashes_exact_apart():
+    empty = hashlib.sha256().hexdigest()
+    # solve 0 is a swap rounding, solve 1 a KS selection, both on the exact backend
+    quiet = ("--ks", "0", "--swap", "0", "--sparsify", "0", "--aipe", "0")
+    report = run_script("replay_afn", *quiet, "--exact", "2")
+    assert report["exact_solves"] == 2 and report["exact_s"] > 0.0
+    assert report["sha256"] == report["sparsify_sha256"] == report["aipe_sha256"] == empty
+    assert len(report["exact_sha256"]) == 64 and report["exact_sha256"] != empty
+    swap_only = run_script("replay_afn", *quiet, "--exact", "1")
+    assert swap_only["exact_sha256"] not in (empty, report["exact_sha256"])
 
 
 def test_sweep_aipe_times_every_phase():
