@@ -26,7 +26,8 @@ pinned to one thread, each stage's median wall time over --repeats runs:
       directions  afn.gaussian_matrix (every replica's Gaussian directions,
                   one Philox stream per replica)
       keys        DfnStructure.__init__ less the calls inside it: the
-                  batched projection GEMM and the one lexsort of all rows
+                  batched projection GEMM and the one stable argsort of all
+                  rows
       inserts     DfnStructure.insert (a late build's inserts, and each
                   insert into a built battery)
       other       the rest of the traced stage: seeds, configs, stores

@@ -1,7 +1,8 @@
 """Random-projection furthest-neighbor batteries over a shared PointStore.
 
 A battery is R independent replicas of one structure, held in arrays and
-queried in lockstep: one seed per replica, and R = 1 is one structure.
+queried in lockstep: one seed per replica, keying its Philox stream as it
+is, and R = 1 is one structure.
 
 Neither structure holds points.  Both read coordinates from a PointStore
 that their owner fills and empties; `insert(pid)` indexes a point the owner
@@ -19,12 +20,15 @@ the (key, id) pairs of the projections sorted by key, then id: the keys and
 ids of all R replicas are two (R * ell, n) arrays.  Points far from q in
 some direction are candidates.  A build draws every replica's directions
 in one pass, projects the store's initial points with one batched GEMM and
-sorts all rows with one lexsort; then it inserts every live point the store
-has added since, in id order.  So a structure may be built long after its
-store: it holds the pairs one built with the store would hold, less those
-of ids added and removed in between, sizes itself from the store's initial
-count, and answers alike.  The post-check reads each live point's distance
-from q, computed once per probe of q and shared by every radius asked.
+sorts all rows with one stable argsort by key, the (key, id) order of ids
+0..n-1; then it inserts every live point the store has added since, in id
+order.  The store issues ids in increasing order, so an insert's id exceeds
+every listed one and it ranks by key alone.  So a structure may be built
+long after its store: it holds the pairs one built with the store would
+hold, less those of ids added and removed in between, sizes itself from the
+store's initial count, and answers alike.  The post-check reads each live
+point's distance from q, computed once per probe of q and shared by every
+radius asked.
 
 AfnStructure holds one DFN battery and binary-searches each replica's
 radius between bw/2 and sqrt(d)/eps * bw, where bw is the store's boxwidth,
@@ -59,12 +63,6 @@ DELTA = 0.1
 #: multiplier of every Theta(.) count: AFN sizes, Min-IP replicas, ensemble and
 #: samples, AIPE pool and samples
 SCALE = 0.25
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def gaussian_matrix(rows: int, cols: int, seeds) -> np.ndarray:
@@ -146,23 +144,22 @@ class DfnStructure:
         self.directions = gaussian_matrix(self.ell, self.dim, seeds)  # (R, ell, dim)
         rows = self.replicas * self.ell
         keys = (self.directions @ base.T).reshape(rows, self.n0)
-        ids = np.broadcast_to(np.arange(self.n0), (rows, self.n0))
-        order = np.lexsort((ids, keys), axis=-1)  # each row by key, then id
-        self.keys = np.take_along_axis(keys, order, axis=-1)
-        self.ids = np.take_along_axis(ids, order, axis=-1)
+        # ids 0..n0-1 in order: a stable sort by key is the (key, id) order
+        self.ids = np.argsort(keys, axis=-1, kind="stable")
+        self.keys = np.take_along_axis(keys, self.ids, axis=-1)
         ids = store.ids
         for pid in sorted(ids[ids >= self.n0].tolist()):  # live points added since
             self.insert(pid)
 
     def insert(self, pid) -> None:
-        """Index the stored point `pid` in every replica: one pair per row,
-        spliced in at its (key, id) rank."""
+        """Index the stored point `pid`, which must exceed every id listed, in
+        every replica: one pair per row, spliced in at its (key, id) rank,
+        which is then the count of keys <= its own."""
         key = (self.directions @ self.store[pid]).reshape(-1, 1)
-        below = (self.keys < key) | ((self.keys == key) & (self.ids < pid))
         rows, n = self.keys.shape
         # flat position row*n + rank; np.insert keeps the order of equal
         # positions, so a row's last slot still precedes the next row's first
-        at = np.arange(rows) * n + below.sum(axis=1)
+        at = np.arange(rows) * n + (self.keys <= key).sum(axis=1)
         self.keys = np.insert(self.keys.ravel(), at, key.ravel()).reshape(rows, n + 1)
         self.ids = np.insert(self.ids.ravel(), at, pid).reshape(rows, n + 1)
 
@@ -218,8 +215,6 @@ class AfnStructure:
     independent DFN copies.  At SCALE = 0.25 that count is 2 or more only
     when ln(d / (0.1 eps)) > e^4, that is d / eps > 5.1e22, and eps is kept
     at 1e-9 or more, so it is 1 for every input this package can hold.
-    Each replica's one DFN is seeded as the first copy was, from the first
-    child of the replica seed's SeedSequence.
     """
 
     def __init__(self, store: PointStore, cbar: float, seeds):
@@ -228,7 +223,7 @@ class AfnStructure:
         self.cbar = float(cbar)
         self.eps = max(self.cbar - 1.0, 1e-9)
         self.rounds = _search_rounds(self.dim, self.eps)
-        self._dfn = DfnStructure(store, cbar, [_seed_sequence(s).spawn(1)[0] for s in seeds])
+        self._dfn = DfnStructure(store, cbar, seeds)
 
     def insert(self, pid) -> None:
         """Index the stored point `pid`."""

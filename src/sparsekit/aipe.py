@@ -11,13 +11,14 @@ independently sampled sketches are what make the estimates stable under
 adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
-Pool member j is the s_dim x (D+2) Gaussian S_j drawn from the j-th child of
-the root SeedSequence; the child is derived when j is first sampled, never
-spawned up front.  Only a factor R_j with R_j^T R_j = S_j^T S_j / s_dim, of
-min(s_dim, D+2) x (D+2), is cached: ||S_j v|| / sqrt(s_dim) = ||R_j v|| for
-every v, so a sketch costs O(m D^2) per query instead of O(m s_dim D).  A
-tall sketch is reduced through its (D+2) x (D+2) Gram matrix and a Cholesky
-factor; a short one is its own factor.  Points live in a PointStore (one
+Pool member j is the s_dim x (D+2) Gaussian S_j drawn from
+SeedSequence(seed, spawn_key=(j,)), the j-th child SeedSequence(seed).spawn
+would give, derived by its path when j is first sampled.  Only a factor R_j
+with R_j^T R_j = S_j^T S_j / s_dim, of min(s_dim, D+2) x (D+2), is cached:
+||S_j v|| / sqrt(s_dim) = ||R_j v|| for every v, so a sketch costs O(m D^2)
+per query instead of O(m s_dim D).  A tall sketch is reduced through its
+(D+2) x (D+2) Gram matrix and a Cholesky factor; a short one is its own
+factor.  Points live in a PointStore (one
 contiguous array; deletes swap-remove).  Mutations need exclusive access.
 """
 
@@ -77,7 +78,7 @@ class InnerProductEstimator:
         self.s_dim = _sketch_dim(self.eps)
         self.pool = _pool_size(self.s_dim, pts.shape[0])
         self.samples = _sample_count(self.pool)
-        self._root_seed = np.random.SeedSequence(seed)
+        self._entropy = np.random.SeedSequence(seed).entropy  # refuses a bad seed here
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)
 
@@ -106,11 +107,7 @@ class InnerProductEstimator:
         """
         R = self._factors.get(j)
         if R is None:
-            root = self._root_seed
-            # bit-identical to root.spawn(pool)[j], without spawning the pool
-            child = np.random.SeedSequence(
-                root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size
-            )
+            child = np.random.SeedSequence(self._entropy, spawn_key=(j,))
             gen = np.random.Generator(np.random.Philox(child))
             S = gen.standard_normal((self.s_dim, self.dim + 2))
             if self.s_dim > self.dim + 2:

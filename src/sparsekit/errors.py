@@ -33,7 +33,7 @@ class SingularGram(SparsekitError, ArithmeticError):
 
 
 class IsotropyViolation(PreconditionViolation):
-    """The vector family does not sum to the identity within tolerance."""
+    """The family, pi-weighted for a design, does not sum to I within tolerance."""
 
 
 class NoPositiveEntry(SparsekitError, LookupError):

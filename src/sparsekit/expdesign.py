@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    IsotropyViolation,
     IterationExhausted,
     NoEligibleRemoval,
     PreconditionViolation,
@@ -180,7 +181,7 @@ def swap_round(
     if pi.sum() > n + 1e-9:
         raise PreconditionViolation(f"||pi||_1={pi.sum()} violates ||pi||_1 <= n={n}")
     if not check_isotropy(family, pi=pi):
-        raise PreconditionViolation(
+        raise IsotropyViolation(
             "sum_i pi_i x_i x_i^T != I; whiten the family first"
         )
     if gamma < 3.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BarrierCollapse, ConfigError, PreconditionViolation
+from .errors import BarrierCollapse, ConfigError, IsotropyViolation, PreconditionViolation
 from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, eigendecompose
 from .linalg import check_isotropy, check_symmetric
 from .minip import MinIpConfig
@@ -71,7 +71,7 @@ def _check_family(family: VectorFamily, N: float) -> None:
     if np.any(np.abs(norms - target) > NORM_TOL):
         raise PreconditionViolation(f"every vector must have norm 1/sqrt(N)={target}")
     if not check_isotropy(family):
-        raise PreconditionViolation("family is not isotropic")
+        raise IsotropyViolation("family is not isotropic")
     if family.count != family.dim * N:
         raise PreconditionViolation(
             f"m={family.count} must equal d*N={family.dim * N}"

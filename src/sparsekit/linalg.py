@@ -92,7 +92,7 @@ class WeightedSelection:
             raise DimensionMismatch("indices and weights must be parallel 1-D arrays")
         if np.any(self.weights <= 0):
             raise PreconditionViolation("selection weights must be strictly positive")
-        if len(np.unique(self.indices)) != len(self.indices):
+        if (np.diff(np.sort(self.indices)) == 0).any():
             raise PreconditionViolation("selection indices must be distinct")
 
     @property

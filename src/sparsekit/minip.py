@@ -19,21 +19,21 @@ ensemble member; a build applies each sketch to the whole point stack in
 one call.  The kappa replicas of one sketch form its battery: one
 AfnStructure over kappa seeds, whose replicas are drawn, sorted and
 searched in lockstep as arrays (see afn).  A battery is built on demand,
-the first time a query samples its sketch (battery(j)), with the seeds and
-sizes an eager build would give it, so a KS solve that samples half the
-sketches builds half the batteries and answers the same.  A battery reads
-its sketch's store and holds only its replicas' directions and sorted
-(key, id) rows.  The index alone changes the stores, always all 1 + k
-together, so the ids they issue agree.  A delete removes the id from the
-1 + k stores and from nothing else: a battery skips pairs of ids its store
-no longer holds, so its rows grow only by inserts (none in a KS
-selection, at most T_cap in a swap_round solve), and an insert reaches
-only the batteries already built.  A battery query computes each sketched
-point's distance from the sketched query once for all its replicas and
-radii, and the index query walks the replicas' hits in replica order with
-one table of inner products, so each is computed once per point.
-Configurations that ask for more than MAX_STRUCTURES replicas in all are
-refused before any is built.
+the first time a query samples its sketch (battery(j)), with the sizes an
+eager build would give it and seeds derived from (j, replica) alone, so a
+KS solve that samples half the sketches builds half the batteries and
+answers the same.  A battery reads its sketch's store and holds only its
+replicas' directions and sorted (key, id) rows.  The index alone changes
+the stores, always all 1 + k together, so the ids they issue agree.  A
+delete removes the id from the 1 + k stores and from nothing else: a
+battery skips pairs of ids its store no longer holds, so its rows grow
+only by inserts (none in a KS selection, at most T_cap in a swap_round
+solve), and an insert reaches only the batteries already built.  A battery
+query computes each sketched point's distance from the sketched query once
+for all its replicas and radii, and the index query walks the replicas'
+hits in replica order with one table of inner products, so each is
+computed once per point.  Configurations that ask for more than
+MAX_STRUCTURES replicas in all are refused before any is built.
 
 Build, update and query all need exclusive access: a query may build a
 battery.  Queries draw all randomness from an explicit caller RNG.
@@ -195,20 +195,21 @@ class RobustMinIpIndex:
         self._points = PointStore(pts)
         # sketched points, one store per ensemble member, each in one call
         self._stores = [PointStore(sketch.apply_flat(pts)) for sketch in self.ensemble.sketches]
-        self._battery_seeds = np.random.SeedSequence(self.seed + 1).spawn(k)
         self._batteries = [None] * k  # built by battery(j) on first use
 
     def battery(self, j: int) -> AfnStructure:
         """The AFN battery of kappa replicas over sketch j's store, built on first use.
 
-        Its replicas are seeded from the kappa children of the j-th child of
-        SeedSequence(seed + 1), spawned here once, and sized from the store's
-        initial count, so a battery built after deletes and inserts is the
-        one an eager build would hold.
+        Replica r is seeded by its path, SeedSequence(seed + 1,
+        spawn_key=(j, r, 0)), whatever was built before, and the battery is
+        sized from the store's initial count, so a battery built after
+        deletes and inserts is the one an eager build would hold.
         """
         battery = self._batteries[j]
         if battery is None:
-            seeds = self._battery_seeds[j].spawn(self.kappa)
+            # the trailing 0, a removed copy layer's index, keeps the recorded outputs
+            root = self.seed + 1
+            seeds = [np.random.SeedSequence(root, spawn_key=(j, r, 0)) for r in range(self.kappa)]
             battery = self._batteries[j] = AfnStructure(self._stores[j], self.cbar, seeds)
         return battery
 

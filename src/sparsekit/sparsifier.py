@@ -2,7 +2,7 @@
 
 Both variants run the same two-barrier greedy loop: barriers u_t, ell_t
 advance by fixed increments, the gap matrix Q = L_t - U_t is formed from one
-eigendecomposition of the accumulator, and an index with v^T Q v >= 0 is
+eigendecomposition of the accumulator, and an index with v^T Q v > 0 is
 selected and added with weight 1/(c_t d).  The loop itself does O(d^3)
 work per iteration and never touches all m rows: the trace's gap sum is
 <G, Q> with G the family's Gram matrix, computed once.  The reference
@@ -85,19 +85,20 @@ def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
-    """The first row i with v_i^T Qgap v_i >= 0, read in chunks of 64, 128, 256, ... rows.
+    """The first row i with v_i^T Qgap v_i > 0, read in chunks of 64, 128, 256, ... rows.
 
-    The scan stops at the first chunk that holds a witness, so a witness at
-    row k costs O(k d^2); with none, the chunks cover the m rows once, in
-    O(log m) products.  A chunk's product may round its last bits unlike
-    the whole m x d product, so the two can disagree only on a row whose
-    form is within roundoff of 0.
+    Strictly positive: a zero row, which isotropy allows, has form 0 and
+    step scale 0, so it is never taken.  The scan stops at the first chunk
+    that holds a witness, so a witness at row k costs O(k d^2); with none,
+    the chunks cover the m rows once, in O(log m) products.  A chunk's
+    product may round its last bits unlike the whole m x d product, so the
+    two can disagree only on a row whose form is within roundoff of 0.
     """
     m = len(V)
     start, size = 0, SCAN_CHUNK
     while start < m:
         stop = min(start + size, m)
-        hits = np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) >= 0.0)
+        hits = np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) > 0.0)
         trace.rows_read += stop - start
         if hits.size:
             return start + int(hits[0])
@@ -108,7 +109,7 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
 def _run_barrier_loop(
     family: VectorFamily, epsilon: float, delta_l: float, pick, trace: BssTrace
 ):
-    """Shared loop; `pick(Qgap)` returns an index with v^T Qgap v >= 0.
+    """Shared loop; `pick(Qgap)` returns an index with v^T Qgap v > 0.
 
     Apart from `pick` and the rare c <= 0 rescue, each iteration costs
     O(d^3), independent of the number of rows m.  Records into `trace`.
@@ -133,7 +134,7 @@ def _run_barrier_loop(
             # rescue the iteration with the first witness whose scale is positive
             warnings.warn("nonpositive step scale; rescanning", NumericalWarning)
             trace.fallbacks += 1
-            candidates = np.flatnonzero(_row_quadratic_forms(V, Qgap) >= 0.0)
+            candidates = np.flatnonzero(_row_quadratic_forms(V, Qgap) > 0.0)
             if candidates.size == 0:
                 raise NoWitness("no index witnesses the barrier gap")
             scales = 0.5 * _row_quadratic_forms(V[candidates], L + U)
@@ -162,7 +163,7 @@ def bss_reference(family: VectorFamily, epsilon: float):
     """Two-barrier greedy with linear-scan index search.
 
     Each iteration reads the rows in order until the first index with
-    v^T Q v >= 0, in chunks of 64, 128, 256, ... rows: O(k d^2) for a first
+    v^T Q v > 0, in chunks of 64, 128, 256, ... rows: O(k d^2) for a first
     witness at row k, O(m d^2) in the worst case.  trace.rows_read counts
     the quadratic forms evaluated.  Returns (selection, A_final, trace) with
     A_final = A_T / d, whose spectrum lies in (1 - eps - 2 eps^2, 1 + eps).

@@ -184,7 +184,7 @@ class OracleAfn:
         self.store, self.dim = store, store.dim
         self.eps = max(float(cbar) - 1.0, 1e-9)
         self.rounds = _search_rounds(self.dim, self.eps)
-        self.dfn = OracleDfn(store, cbar, np.random.SeedSequence(seed).spawn(1)[0])
+        self.dfn = OracleDfn(store, cbar, seed)
 
     def query(self, q):
         bw = self.store.boxwidth

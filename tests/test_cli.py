@@ -205,6 +205,17 @@ def test_whiten_of_a_rank_deficient_input_is_precondition_violation(tmp_path, ca
     assert "numerically singular" in capsys.readouterr().err
 
 
+def test_sparsify_whiten_with_a_zero_row_succeeds(tmp_path, rng):
+    path = str(tmp_path / "family.mtx")
+    write_matrix_file(path, np.vstack([np.zeros(8), rng.standard_normal((2000, 8))]))
+    out = tmp_path / "report.json"
+    argv = ["sparsify", "--input", path, "--whiten", "--epsilon", "0.5", "--output", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["reference"]["fallbacks"] == report["fast"]["fallbacks"] == 0
+    assert 0 not in report["reference"]["selection"]["indices"]
+
+
 @pytest.mark.parametrize("name", ["absent.csv", ""], ids=["missing-file", "directory"])
 def test_unreadable_csv_input_is_precondition_violation(tmp_path, capsys, name):
     path = str(tmp_path / name)  # "" names the directory itself

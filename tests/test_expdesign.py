@@ -1,6 +1,6 @@
 """Swap rounding: input and window checks, find_ct against the two-evaluation
-bisection it replaced, the lambda_min guarantee over many seeds, and the afn
-backend queried after inserts."""
+bisection it replaced, the lambda_min guarantee over many seeds on every
+backend, and the afn backend queried after inserts."""
 
 import math
 
@@ -64,11 +64,10 @@ def test_find_ct_equals_the_two_evaluation_bisection(values, alpha):
     assert outcome(expdesign.find_ct, vals, alpha) == outcome(two_evaluation_find_ct, vals, alpha)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["exact", "aipe"]), st.integers(0, 2**16), st.integers(0, 2**16))
-def test_swap_round_clears_its_lambda_min_bound(backend, rows_seed, seed):
-    # the golden shape: a random 772-subset of these rows misses a rare direction
-    _, d, eps, gamma, c, tau, n, m, _, _ = SWAP_CASES["exact-s1"]
+def check_lambda_min_bound(case, backend, rows_seed, seed):
+    """Solve at the golden case's shape and settings on `backend`, over rows
+    drawn from rows_seed, and check the members and lambda_min > 1 - gamma eps."""
+    _, d, eps, gamma, c, tau, n, m, _, _ = SWAP_CASES[case]
     pi = np.full(m, n / m)
     family = whiten(VectorFamily(rare_direction_rows(rows_seed, m, d)), pi)
     out = expdesign.swap_round(
@@ -82,6 +81,20 @@ def test_swap_round_clears_its_lambda_min_bound(backend, rows_seed, seed):
     start = out.initial_set
     assert start.dtype == np.int64 and start.shape == (n,)
     assert np.all(np.diff(start) > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["exact", "aipe"]), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_swap_round_clears_its_lambda_min_bound(backend, rows_seed, seed):
+    # the golden shape: a random 772-subset of these rows misses a rare direction
+    check_lambda_min_bound("exact-s1", backend, rows_seed, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2**16))
+def test_swap_round_on_afn_clears_its_lambda_min_bound(rows_seed, seed):
+    # the smallest golden shape at which the afn window holds
+    check_lambda_min_bound("afn-s0", "afn", rows_seed, seed)
 
 
 @pytest.mark.parametrize("backend, tau", [("exact", None), ("aipe", 0.5)])

@@ -1,0 +1,38 @@
+"""Kadison-Singer selection: each backend's norm guarantee over many inputs.
+
+ks_select promises a final norm below a_n on the exact backend, at most
+a_n/c on aipe and at most 2 a_n/c on afn.  Each is checked against the
+largest eigenvalue eigvalsh finds for the selection's sum of outer
+products, over seeded families at the golden shapes and settings.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparsekit.kadison_singer import ks_select
+
+from conftest import random_ks_family
+from test_solvers_golden import KS_C, KS_TAU
+
+#: each backend's bound on the final norm, in units of a_n
+BOUND = {"exact": 1.0, "aipe": 1.0 / KS_C, "afn": 2.0 / KS_C}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 8), (3, 6), (2, 12)]), st.integers(0, 2**16))
+def test_every_backend_keeps_its_norm_bound(shape, seed):
+    d, N = shape
+    family = random_ks_family(d, N, np.random.default_rng(seed))
+    n = family.count // 2
+    for backend, factor in BOUND.items():
+        kwargs = {} if backend == "exact" else {"c": KS_C, "tau": KS_TAU}
+        result = ks_select(family, N, n, backend=backend, seed=seed, **kwargs)
+        indices = result.selection.indices
+        assert len(np.unique(indices)) == len(indices) == n
+        a_n = result.barrier_sequence[-1]
+        norm = np.linalg.eigvalsh(result.selection.reconstruct(family))[-1]
+        if backend == "exact":
+            assert norm < a_n
+        else:
+            assert norm <= factor * a_n

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from sparsekit.errors import DimensionMismatch, PreconditionViolation, SingularGram
+from sparsekit import expdesign, kadison_singer, sparsifier
+from sparsekit.errors import (
+    DimensionMismatch,
+    IsotropyViolation,
+    PreconditionViolation,
+    SingularGram,
+)
 from sparsekit.linalg import (
     ISOTROPY_TOL,
     VectorFamily,
@@ -87,6 +93,22 @@ class TestCheckIsotropy:
         fam = VectorFamily(np.diag([np.sqrt(1.0 + a), 1.0]))
         assert check_isotropy(fam) is isotropic
 
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda fam: sparsifier.bss_reference(fam, 0.5),
+            lambda fam: kadison_singer.ks_select(fam, 8, 8),
+            lambda fam: expdesign.swap_round(fam, np.full(16, 0.5), 8, 0.2),
+        ],
+        ids=["sparsify", "ks", "swap_round"],
+    )
+    def test_every_solver_refuses_a_non_isotropic_family(self, solve):
+        # 16 rows of norm 1/sqrt(8), as KS asks at N = 8, all along e0: their
+        # sum is 2 e0 e0^T, and e0 e0^T weighted by pi = 1/2
+        fam = VectorFamily(np.tile([1.0 / np.sqrt(8.0), 0.0], (16, 1)))
+        with pytest.raises(IsotropyViolation):
+            solve(fam)
+
 
 class TestEigenDecomposition:
     def test_reconstruction_and_orthogonality(self, rng):
@@ -142,6 +164,7 @@ class TestWeightedSelection:
             ([0, 1], [1.0, 0.0], "strictly positive"),
             ([0, 1], [1.0, -2.0], "strictly positive"),
             ([2, 2], [1.0, 1.0], "distinct"),
+            ([3, 1, 3], [1.0, 1.0, 1.0], "distinct"),
         ],
     )
     def test_invalid_selection_is_precondition_violation(self, indices, weights, message):

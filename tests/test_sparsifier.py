@@ -1,12 +1,14 @@
 """The BSS barrier loop: what each iteration scans, its trace, its rescue, its memory guard."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sparsekit import sparsifier
 from sparsekit.errors import ConfigError, NoWitness, NumericalWarning
+from sparsekit.linalg import VectorFamily
 from sparsekit.psearch import MatrixSearchTree
 
 from conftest import paired_angle_family, random_isotropic_family
@@ -103,13 +105,13 @@ def test_nonpositive_step_scale_is_rescued_with_the_first_good_witness(monkeypat
     A_prev, L, U = calls[-1]
     expected = None
     for i, v in enumerate(V):
-        if float(v @ (L - U) @ v) >= 0.0 and float(v @ (L + U) @ v) > 0.0:
+        if float(v @ (L - U) @ v) > 0.0 and float(v @ (L + U) @ v) > 0.0:
             expected = i
             break
     assert expected is not None and expected >= 6  # not a row on coordinates (0,1)
     if variant == "fast":
         # the rescue's scan is the only one on the fast path
-        witnesses = int(np.sum(FULL_SCAN(V, L - U) >= 0.0))
+        witnesses = int(np.sum(FULL_SCAN(V, L - U) > 0.0))
         assert trace.rows_read == family.count + witnesses
     v = V[expected]
     step = np.outer(v, v) / (0.5 * float(v @ (L + U) @ v))
@@ -204,3 +206,17 @@ def test_reference_first_witness_past_the_first_chunk(monkeypatch):
 def test_fast_path_reads_no_rows(rng):
     _, _, trace = sparsifier.sparsify_fast(random_isotropic_family(300, 6, rng), 0.5)
     assert trace.rows_read == 0
+
+
+@pytest.mark.parametrize("m, d", [(2000, 8), (300, 4), (500, 6)])
+def test_a_zero_row_never_witnesses(rng, m, d):
+    # isotropy allows a zero row; its form is 0 and so is its step scale
+    family = random_isotropic_family(m, d, rng)
+    want, _, _ = sparsifier.bss_reference(family, 0.5)
+    with_zero = VectorFamily(np.vstack([np.zeros(d), family.vectors]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericalWarning)
+        got, _, trace = sparsifier.bss_reference(with_zero, 0.5)
+    assert trace.fallbacks == 0
+    assert np.array_equal(got.indices, want.indices + 1)
+    assert np.array_equal(got.weights, want.weights)
