@@ -7,10 +7,10 @@ Runs --ks Kadison-Singer selections and --swap experimental-design swap
 roundings on the afn Min-IP backend and hashes what each returns:
 
     ks_select   (d, N) in (2, 8), (2, 12), (3, 6), (3, 8), n = dN/2, with
-                c=0.505, tau=0.5 and a sketch of 16 or 8 rows; solve i takes
-                the (i mod 8)-th of these 8 settings and seed i // 8, and a
-                family of N random orthonormal d-frames scaled by 1/sqrt(N)
-                drawn from that seed, as the ks-afn workload draws it
+                c=0.505, tau=0.5; solve i takes the (i mod 4)-th of these 4
+                shapes and seed i // 4, and a family of N random
+                orthonormal d-frames scaled by 1/sqrt(N) drawn from that
+                seed, as the ks-afn workload draws it
     swap_round  the golden afn case's settings (d=2, m=310, n=155,
                 eps=1/6, gamma=6, c=0.905, tau=0.9) over rare-direction rows;
                 solve i takes rows seed i // 3 and solver seed i mod 3
@@ -75,10 +75,8 @@ import numpy as np  # noqa: E402
 from sparsekit import expdesign, kadison_singer, sparsifier  # noqa: E402
 from sparsekit.errors import SparsekitError  # noqa: E402
 from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
-from sparsekit.minip import MinIpConfig  # noqa: E402
 
 KS_SHAPES = [(2, 8), (2, 12), (3, 6), (3, 8)]
-KS_SKETCH_DIMS = [16, 8]
 KS_C, KS_TAU = 0.505, 0.5
 # the afn case of tests/test_solvers_golden.py: (d, eps, gamma, c, tau, n, m)
 SWAP = (2, 1.0 / 6.0, 6.0, 0.905, 0.9, 155, 310)
@@ -138,9 +136,8 @@ def hexes(values) -> list:
 
 
 def ks_record(i: int) -> list:
-    settings = [(shape, b) for shape in KS_SHAPES for b in KS_SKETCH_DIMS]
-    (d, N), b = settings[i % len(settings)]
-    seed = i // len(settings)
+    d, N = KS_SHAPES[i % len(KS_SHAPES)]
+    seed = i // len(KS_SHAPES)
     out = kadison_singer.ks_select(
         ks_family(d, N, seed),
         N,
@@ -149,7 +146,6 @@ def ks_record(i: int) -> list:
         c=KS_C,
         tau=KS_TAU,
         seed=seed,
-        minip_config=MinIpConfig(sketch_dim=b),
     )
     return [
         out.selection.indices.tolist(),

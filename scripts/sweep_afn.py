@@ -5,12 +5,12 @@
 For each n, a Kadison-Singer family of n rows is drawn from --seed as the
 ks-afn workload draws it (n/2 random orthonormal frames in d=2, scaled by
 sqrt(2/n)), and the afn backend is built over all n rows exactly as
-ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), MinIpConfig()
-(16 sketch rows in 4 blocks, counts scaled by afn.SCALE = 0.25).  The
-index builds the kappa AFN replicas of a sketch (its battery, one
-AfnStructure over kappa seeds) only when a query first samples that
-sketch, so the stages are timed apart.  With BLAS
-pinned to one thread, each stage's median wall time over --repeats runs:
+ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), sketches of
+minip.SKETCH_DIM = 16 rows in minip.SKETCH_BLOCKS = 4 blocks, counts scaled
+by afn.SCALE = 0.25.  The index builds the kappa AFN replicas of a sketch
+(its battery, one AfnStructure over kappa seeds) only when a query first
+samples that sketch, so the stages are timed apart.  With BLAS pinned to
+one thread, each stage's median wall time over --repeats runs:
 
     build_s    the eager part: MinIpBackend construction, which sketches the
                rows into the 1 + k point stores and builds no replica
@@ -58,7 +58,7 @@ import numpy as np  # noqa: E402
 
 from sparsekit import afn, sketch  # noqa: E402
 from sparsekit.errors import ConfigError  # noqa: E402
-from sparsekit.minip import MAX_STRUCTURES  # noqa: E402
+from sparsekit.minip import MAX_STRUCTURES, SKETCH_BLOCKS, SKETCH_DIM  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
 
 D, C, TAU = 2, 0.505, 0.5
@@ -194,7 +194,7 @@ def main(argv=None) -> None:
     report = {
         "settings": {
             "d": D, "c": C, "tau": TAU, "delta": afn.DELTA,
-            "config": "MinIpConfig()",
+            "sketch": f"{SKETCH_DIM} rows in {SKETCH_BLOCKS} blocks",
             "max_structures": MAX_STRUCTURES,
         },
         "repeats": args.repeats,

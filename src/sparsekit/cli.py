@@ -5,10 +5,12 @@ argparse rejects any other flag, and any other command, with exit code 2.
 Reports are JSON.  A report's "config" block holds exactly the command's
 flags, unset ones as null.  Without --seed, ks and expdesign take their seed
 from $SPARSEKIT_SEED (0 when unset); a seed that is not a non-negative
-integer is a config error.  Reports are replayable: two runs with
-the same flags and seed produce byte-identical reports once the "timings"
-block is removed.  Both Min-IP backends, aipe and afn, have one size, read
-from afn.SCALE.  Exit codes distinguish the error classes:
+integer is a config error, and so is an --output that is a directory or
+lies in no existing directory, refused before any solve.  Reports are
+replayable: two runs with the same flags and seed produce byte-identical
+reports once the "timings" block is removed.  Both Min-IP backends, aipe
+and afn, have one size, read from afn.SCALE.  Exit codes distinguish the
+error classes:
 
     0 success          3 precondition violation
     2 config error     4 numerical-warning escalation
@@ -204,7 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(config: argparse.Namespace) -> argparse.Namespace:
-    """The parsed flags, exactly the names in FLAGS[command], with the seed filled in."""
+    """The parsed flags, exactly the names in FLAGS[command], with the seed filled in.
+
+    An --output the report could not be written to is refused here, before any solve.
+    """
+    if config.output and os.path.isdir(config.output):
+        raise ConfigError(f"--output {config.output} is a directory")
+    if config.output and not os.path.isdir(os.path.dirname(config.output) or "."):
+        raise ConfigError(f"--output {config.output} lies in no existing directory")
     if "seed" in FLAGS[config.command] and config.seed is None:
         text = os.environ.get(ENV_SEED, "0")
         try:
@@ -217,8 +226,11 @@ def config_from_args(config: argparse.Namespace) -> argparse.Namespace:
 def emit(report: dict, config: argparse.Namespace) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, default=float)
     if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {config.output}: {exc}") from None
     else:
         print(text)
 
@@ -230,6 +242,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NumericalWarning)
             report = COMMANDS[config.command](config)
+        emit(report, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -245,7 +258,6 @@ def main(argv=None) -> int:
     except SparsekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit(report, config)
     return 0
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import BarrierCollapse, ConfigError, IsotropyViolation, PreconditionViolation
 from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, eigendecompose
 from .linalg import check_isotropy, check_symmetric
-from .minip import MinIpConfig
 from .minip_backend import MinIpBackend
 
 __all__ = [
@@ -169,12 +168,13 @@ def ks_select(
     c: float = None,
     tau: float = None,
     seed: int = 0,
-    minip_config: MinIpConfig = None,
+    minip_config=None,
 ) -> KsRunResult:
     """Select n indices with the chosen backend.
 
     Output-norm guarantees: exact backend < a_n; aipe backend <= (1/c) a_n;
-    afn backend <= (2/c) a_n.
+    afn backend <= (2/c) a_n.  minip_config is unused: the Min-IP sketch has
+    one shape, and only perfbench/workloads.py passes one.
     """
     if seed < 0:
         raise ConfigError(f"seed={seed} violates seed >= 0")
@@ -182,15 +182,7 @@ def ks_select(
     _check_family(family, N)
     if backend == "exact":
         return _greedy_loop(family, a, 1.0)
-    index = MinIpBackend(
-        backend,
-        family.vectors,
-        range(family.count),
-        c=c,
-        tau=tau,
-        seed=seed,
-        minip_config=minip_config,
-    )
+    index = MinIpBackend(backend, family.vectors, range(family.count), c=c, tau=tau, seed=seed)
     result = _greedy_loop(family, a, 1.0 / c, index, np.random.default_rng(seed))
     result.backend = backend
     return result

@@ -11,8 +11,9 @@ tau/c + lambda_tilde are discarded, so a returned point never violates it.
 The index takes unit vectors only: a caller maps raw rows with
 minip_transform_dataset first, under one D_X for every row it will store.
 Sizes read the package's failure probability afn.DELTA.  The index has one
-size: the sketch dimension defaults to 16 rows in 4 blocks, and the replica,
-ensemble, sample and AFN counts are their formulas times afn.SCALE = 0.25.
+size: each sketch is SKETCH_DIM = 16 rows in SKETCH_BLOCKS = 4 blocks, and
+the replica, ensemble, sample and AFN counts are their formulas times
+afn.SCALE = 0.25.
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
@@ -42,14 +43,13 @@ battery.  Queries draw all randomness from an explicit caller RNG.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .afn import DELTA, SCALE, AfnStructure
 from .errors import ConfigError, DimensionMismatch
 from .pointstore import PointStore
-from .sketch import SketchEnsemble, ensemble_size_default, sketch_rows
+from .sketch import SketchEnsemble, ensemble_size_default
 
 __all__ = [
     "minip_transform_dataset",
@@ -106,23 +106,27 @@ def minip_window(tau: float, eps: float) -> tuple[float, float]:
     return 8.0 * tau / (base + 7.0), 400.0 * tau / (base + 399.0)
 
 
-@dataclass
+#: rows of each sketch, in SKETCH_BLOCKS count-sketch blocks: this shape keeps
+#: the sketched dimension commensurate with small inputs and k*kappa under
+#: MAX_STRUCTURES
+SKETCH_DIM = 16
+SKETCH_BLOCKS = 4
+
+
 class MinIpConfig:
-    """Sketch size of the Min-IP index, which has one size.
-
-    Each sketch maps to sketch_dim = 16 rows in sketch_sparsity = 4 blocks,
-    which keeps the sketched dimension commensurate with small inputs and
-    k*kappa under MAX_STRUCTURES.  The replica, ensemble and sample counts
-    are their formulas times afn.SCALE.
-    """
-
-    sketch_dim: int = 16
-    sketch_sparsity: int = 4
+    """No fields: the sketch has one shape.  Kept because perfbench passes one."""
 
     @classmethod
-    def desk(cls, **kw) -> "MinIpConfig":
-        """Alias of MinIpConfig(**kw): perfbench/workloads.py still calls it."""
-        return cls(**kw)
+    def desk(
+        cls, sketch_dim: int = SKETCH_DIM, sketch_sparsity: int = SKETCH_BLOCKS
+    ) -> "MinIpConfig":
+        """MinIpConfig() for the index's one shape: perfbench/workloads.py still calls it."""
+        if (sketch_dim, sketch_sparsity) != (SKETCH_DIM, SKETCH_BLOCKS):
+            raise ConfigError(
+                f"the Min-IP sketch is {SKETCH_DIM} rows in {SKETCH_BLOCKS} blocks, "
+                f"not {sketch_dim} in {sketch_sparsity}"
+            )
+        return cls()
 
 
 def _replica_count(n: int, s_dim: int, lambda_: float) -> int:
@@ -150,16 +154,8 @@ class RobustMinIpIndex:
     #: slack eps of the (c, tau) window
     EPS = 0.05
 
-    def __init__(
-        self,
-        points,
-        c: float,
-        tau: float,
-        seed: int,
-        config: MinIpConfig = None,
-    ):
+    def __init__(self, points, c: float, tau: float, seed: int):
         """Index `points`, one unit vector per row."""
-        self.config = config or MinIpConfig()
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
             raise ValueError("points must be unit vectors (see minip_transform_dataset)")
@@ -177,10 +173,8 @@ class RobustMinIpIndex:
         )
 
         side = max(1, math.ceil(math.sqrt(d)))
-        b = self.config.sketch_dim
         k = ensemble_size_default(d, n)
-        rows = sketch_rows(b, self.config.sketch_sparsity)
-        self.kappa = _replica_count(n, rows, self.LAMBDA)
+        self.kappa = _replica_count(n, SKETCH_DIM, self.LAMBDA)
         structures = k * self.kappa
         if structures > MAX_STRUCTURES:
             raise ConfigError(
@@ -188,9 +182,8 @@ class RobustMinIpIndex:
                 f"structures exceeds the limit of {MAX_STRUCTURES}"
             )
         self.ensemble = SketchEnsemble(
-            side=side, b=b, k=k, master_seed=self.seed, s=self.config.sketch_sparsity
+            side=side, b=SKETCH_DIM, k=k, master_seed=self.seed, s=SKETCH_BLOCKS
         )
-        self.b = self.ensemble.b
 
         self._points = PointStore(pts)
         # sketched points, one store per ensemble member, each in one call
@@ -259,7 +252,7 @@ class RobustMinIpIndex:
             store.remove(pid)
 
     def _quantize(self, v: np.ndarray) -> np.ndarray:
-        step = self.LAMBDA / self.b
+        step = self.LAMBDA / SKETCH_DIM
         return np.round(v / step) * step
 
     def query(self, x, rng: np.random.Generator):
@@ -267,7 +260,7 @@ class RobustMinIpIndex:
         x = np.asarray(x, dtype=float)
         if abs(np.linalg.norm(x) - 1.0) > 1e-9:
             raise DimensionMismatch("query must be a unit vector")
-        count = _sample_count(self.b, len(self.ensemble))
+        count = _sample_count(SKETCH_DIM, len(self.ensemble))
         sampled = self.ensemble.sample(count, rng)
         ips = {}  # pid -> <point, x>, for every hit of this query
         best = None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .aipe import InnerProductEstimator
 from .errors import ConfigError
-from .minip import MinIpConfig, RobustMinIpIndex, minip_transform_dataset, minip_transform_query
+from .minip import RobustMinIpIndex, minip_transform_dataset, minip_transform_query
 
 __all__ = ["MinIpBackend"]
 
@@ -35,16 +35,7 @@ __all__ = ["MinIpBackend"]
 class MinIpBackend:
     """Approximate Min-IP over vec(x x^T) for a changing set of family rows."""
 
-    def __init__(
-        self,
-        kind: str,
-        X: np.ndarray,
-        rows,
-        c: float,
-        tau: float,
-        seed: int,
-        minip_config: MinIpConfig = None,
-    ):
+    def __init__(self, kind: str, X: np.ndarray, rows, c: float, tau: float, seed: int):
         """Store the rows `rows` of the (m, d) family `X`.
 
         Rows inserted later may be any row of X: the afn transform's
@@ -75,11 +66,7 @@ class MinIpBackend:
         else:
             self._D_X = float(np.max(np.linalg.norm(X, axis=1) ** 2))
             self._index = RobustMinIpIndex(
-                minip_transform_dataset(points, self._D_X)[0],
-                c=c,
-                tau=tau,
-                seed=seed,
-                config=minip_config or MinIpConfig(),
+                minip_transform_dataset(points, self._D_X)[0], c=c, tau=tau, seed=seed
             )
         # both structures number their initial points 0..len(rows)-1
         self._row_of = dict(enumerate(rows))

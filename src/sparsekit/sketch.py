@@ -33,7 +33,6 @@ __all__ = [
     "TensorSrhtSketch",
     "TensorSparseSketch",
     "SketchEnsemble",
-    "sketch_rows",
     "ensemble_size_default",
 ]
 
@@ -192,16 +191,9 @@ class TensorSparseSketch(_TensorSketchBase):
         return R
 
 
-def sketch_rows(b: int, s: int) -> int:
-    """Rows of a sparse sketch asked for b: b rounded up to a multiple of s."""
-    return -(-b // s) * s
-
-
 @dataclass
 class SketchEnsemble:
-    """k independent TensorSparseSketches with seeds derived from one master seed.
-
-    b is rounded up to a multiple of s.
+    """k independent TensorSparseSketches of b rows in s blocks, seeded from one master seed.
 
     During an adaptive query sequence a caller samples a few members per
     query and keeps the best answer; a 0.95 fraction of members preserves
@@ -217,7 +209,6 @@ class SketchEnsemble:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("ensemble size k must be >= 1")
-        self.b = sketch_rows(self.b, self.s)
         seeds = np.random.SeedSequence(self.master_seed).generate_state(self.k)
         self.sketches = [
             TensorSparseSketch(self.side, self.b, self.s, int(seed)) for seed in seeds

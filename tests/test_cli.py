@@ -224,6 +224,37 @@ def test_unreadable_csv_input_is_precondition_violation(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
+    "name, message",
+    [("no_such_dir/report.json", "lies in no existing directory"), ("", "is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_output_is_config_error_before_the_solve(
+    tmp_path, rng, capsys, monkeypatch, name, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli.sp, "bss_reference", no_solve)
+    path = str(tmp_path / "family.mtx")
+    write_matrix_file(path, random_isotropic_family(20, 3, rng).vectors)
+    out = str(tmp_path / name)  # "" names the directory itself
+    assert cli.main(["sparsify", "--input", path, "--output", out]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_failed_report_write_is_config_error(tmp_path, rng, capsys, monkeypatch):
+    def failing_open(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    path = str(tmp_path / "family.mtx")
+    write_matrix_file(path, random_isotropic_family(20, 3, rng).vectors)
+    out = str(tmp_path / "report.json")
+    assert cli.main(["sparsify", "--input", path, "--output", out]) == cli.EXIT_CONFIG
+    assert "cannot write --output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sparsify", "--N", "3"],

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsekit.kadison_singer import ks_select
+from sparsekit.minip import MinIpConfig
 
 from conftest import random_ks_family
 from test_solvers_golden import KS_C, KS_TAU
@@ -36,3 +37,16 @@ def test_every_backend_keeps_its_norm_bound(shape, seed):
             assert norm < a_n
         else:
             assert norm <= factor * a_n
+
+
+def test_minip_config_changes_no_afn_solve(rng):
+    """perfbench's ks-afn solve passes MinIpConfig.desk(...); it answers as without one."""
+    family = random_ks_family(2, 8, rng)
+    plain = ks_select(family, 8, 8, backend="afn", c=KS_C, tau=KS_TAU, seed=3)
+    config = MinIpConfig.desk(sketch_dim=16, sketch_sparsity=4)
+    shim = ks_select(
+        family, 8, 8, backend="afn", c=KS_C, tau=KS_TAU, seed=3, minip_config=config
+    )
+    assert shim.selection.indices.tolist() == plain.selection.indices.tolist()
+    assert shim.score_trace == plain.score_trace
+    assert shim.final_norm == plain.final_norm

@@ -13,6 +13,7 @@ from sparsekit import minip
 from sparsekit.afn import solve_threshold
 from sparsekit.errors import ConfigError, NotFound
 from sparsekit.minip import (
+    MinIpConfig,
     RobustMinIpIndex,
     minip_transform_dataset,
     minip_transform_query,
@@ -317,7 +318,7 @@ def test_a_query_builds_kappa_replicas_per_new_sketch(monkeypatch, rng):
     monkeypatch.setattr(minip, "AfnStructure", counting)
     idx = RobustMinIpIndex(unit_rows(rng, 12, 4), c=0.505, tau=0.5, seed=3)
     assert built == []
-    k, count = len(idx.ensemble), minip._sample_count(idx.b, len(idx.ensemble))
+    k, count = len(idx.ensemble), minip._sample_count(minip.SKETCH_DIM, len(idx.ensemble))
     qrng = np.random.default_rng(1)
     seen = set()
     for _ in range(60):
@@ -346,3 +347,9 @@ def test_battery_built_after_deletes_keeps_build_time_sizes(rng):
     assert da.ell == db.ell
     assert da.t == db.t == solve_threshold(40) != solve_threshold(10)
     assert np.array_equal(da.directions, db.directions)
+
+
+@pytest.mark.parametrize("shape", [{"sketch_dim": 8}, {"sketch_sparsity": 2}])
+def test_desk_refuses_any_other_sketch_shape(shape):
+    with pytest.raises(ConfigError, match="16 rows in 4 blocks"):
+        MinIpConfig.desk(**shape)

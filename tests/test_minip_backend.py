@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsekit.errors import ConfigError
-from sparsekit.minip import MinIpConfig
 from sparsekit.minip_backend import MinIpBackend
 
 M, D, START = 12, 2, 6
@@ -25,7 +24,6 @@ def make_backend(kind: str) -> MinIpBackend:
         c=0.505,
         tau=0.5,
         seed=0,
-        minip_config=MinIpConfig(sketch_dim=8),
     )
 
 
@@ -92,7 +90,6 @@ def test_afn_row_reinserted_is_the_same_unit_point():
         c=0.505,
         tau=0.5,
         seed=0,
-        minip_config=MinIpConfig(sketch_dim=8),
     )
     points = backend._index._points
     before = points[backend._pid_of[0]].copy()
