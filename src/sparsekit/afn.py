@@ -54,6 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConfigError, PreconditionViolation
 from .pointstore import PointStore
 
 __all__ = ["DELTA", "SCALE", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
@@ -129,11 +130,11 @@ class DfnStructure:
     replica per seed."""
 
     def __init__(self, store: PointStore, cbar: float, seeds):
-        if cbar <= 1.0:
-            raise ValueError("cbar must exceed 1")
+        if not cbar > 1.0:  # False on NaN, so NaN is refused too
+            raise ConfigError(f"cbar={cbar} violates cbar > 1")
         base = store.initial_points
         if not len(base):
-            raise ValueError("need at least one point")
+            raise PreconditionViolation("need at least one point")
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
@@ -148,7 +149,7 @@ class DfnStructure:
         self.ids = np.argsort(keys, axis=-1, kind="stable")
         self.keys = np.take_along_axis(keys, self.ids, axis=-1)
         ids = store.ids
-        for pid in sorted(ids[ids >= self.n0].tolist()):  # live points added since
+        for pid in ids[ids >= self.n0].tolist():  # live points added since, ascending
             self.insert(pid)
 
     def insert(self, pid) -> None:
@@ -186,8 +187,8 @@ class DfnStructure:
         `probe` is self.probe(q), which queries about one q may share.
         """
         r = np.full(self.replicas, r, dtype=float)
-        if (r <= 0.0).any():
-            raise ValueError("radius must be positive")
+        if not (r > 0.0).all():  # False on NaN, so NaN is refused too
+            raise ConfigError(f"radius r={r.min()} violates r > 0")
         centers, live, dist = self.probe(np.asarray(q, dtype=float)) if probe is None else probe
         R, ell, n = self.replicas, self.ell, self.keys.shape[1]
         gap = np.repeat(r * self.t / self.cbar, ell)[:, None]

@@ -19,7 +19,7 @@ with R_j^T R_j = S_j^T S_j / s_dim, of min(s_dim, D+2) x (D+2), is cached:
 per query instead of O(m s_dim D).  A tall sketch is reduced through its
 (D+2) x (D+2) Gram matrix and a Cholesky factor; a short one is its own
 factor.  Points live in a PointStore (one
-contiguous array; deletes swap-remove).  Mutations need exclusive access.
+contiguous array, row i holding id i).  Mutations need exclusive access.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ class InnerProductEstimator:
     def distance_estimates(self, q, rng: np.random.Generator) -> np.ndarray:
         """Median per-point distance estimates in the transformed space.
 
-        Entry i belongs to the point in slot i; `query_min` maps slots to ids.
+        Entry i belongs to the i-th live id in ascending order, the id in
+        row i of the store's `ids`.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):

@@ -184,7 +184,7 @@ def swap_round(
         raise IsotropyViolation(
             "sum_i pi_i x_i x_i^T != I; whiten the family first"
         )
-    if gamma < 3.0:
+    if not gamma >= 3.0:  # False on NaN, so NaN is refused too
         raise ConfigError(f"gamma={gamma} violates gamma >= 3")
     if not 0.0 < epsilon <= 1.0 / gamma:
         raise ConfigError(f"epsilon={epsilon} violates 0 < eps <= 1/gamma")
@@ -236,7 +236,7 @@ def swap_round(
         i_t = None
         if index is not None:
             cand = index.propose(swap_query_matrix(A, A_half, n, epsilon, alpha), rng)
-            if cand is not None and member_mask[cand]:
+            if cand is not None:  # the backend stores exactly the members
                 bm = _b_minus(A, A_half, X[cand], alpha, beta)
                 if bm <= removal_bound * (1.0 + 1e-9):
                     i_t = cand

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 MERSENNE_P = (1 << 61) - 1
 
 
@@ -19,9 +21,9 @@ class PolyHash:
 
     def __init__(self, k: int, range_size: int, seed):
         if k < 2:
-            raise ValueError("need k >= 2 for pairwise independence")
+            raise ConfigError(f"k={k} violates k >= 2 (pairwise independence)")
         if not 1 <= range_size < MERSENNE_P:
-            raise ValueError("range_size out of field range")
+            raise ConfigError(f"range_size={range_size} violates 1 <= range_size < 2^61 - 1")
         self.k = k
         self.range_size = range_size
         rng = np.random.default_rng(seed)

@@ -104,11 +104,12 @@ class KsRunResult:
 def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
     """Core loop over barriers `a`; `backend` (a MinIpBackend or None) proposes candidates.
 
-    Proposed indices are verified against the witness inequality
-    c_i <= beta; failures fall back to the exact argmin scan over the
-    remaining set, so every accepted step preserves the barrier invariants.
-    A scan counts as a fallback only when a backend was asked first.  The
-    chosen index is retired from the backend before the next step.
+    The backend stores exactly the remaining indices, so a proposal is one
+    of them; it is verified against the witness inequality c_i <= beta,
+    and failures fall back to the exact argmin scan over the remaining set,
+    so every accepted step preserves the barrier invariants.  A scan counts
+    as a fallback only when a backend was asked first.  The chosen index is
+    retired from the backend before the next step.
     """
     d = family.dim
     V = family.vectors
@@ -123,12 +124,10 @@ def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
     for j in range(n):
         Qmat = ks_query_matrix(eig, a[j], a[j + 1])
         i_star = None if backend is None else backend.propose(Qmat, rng)
-        if i_star is not None and remaining[i_star]:
+        if i_star is not None:
             witness = float(V[i_star] @ Qmat @ V[i_star])
             if witness > beta * witness_tol:
                 i_star = None
-        else:
-            i_star = None
         if i_star is None:
             if backend is not None:
                 result.fallbacks += 1

@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .afn import DELTA, SCALE, AfnStructure
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, PreconditionViolation
 from .pointstore import PointStore
 from .sketch import SketchEnsemble, ensemble_size_default
 
@@ -55,6 +55,7 @@ __all__ = [
     "minip_transform_dataset",
     "minip_transform_query",
     "MinIpConfig",
+    "check_window",
     "minip_window",
     "RobustMinIpIndex",
     "MAX_STRUCTURES",
@@ -74,9 +75,9 @@ def minip_transform_dataset(X, D_X: float = None):
     if D_X is None:
         D_X = float(norms.max())
     if D_X <= 0.0:
-        raise ValueError("dataset diameter must be positive")
+        raise PreconditionViolation("dataset diameter must be positive")
     if np.any(norms > D_X * (1 + 1e-12)):
-        raise ValueError("a dataset point exceeds the stated diameter D_X")
+        raise PreconditionViolation("a dataset point exceeds the stated diameter D_X")
     scaled = X / D_X
     tail = np.sqrt(np.clip(1.0 - (norms / D_X) ** 2, 0.0, None))
     out = np.hstack([scaled, np.zeros((X.shape[0], 1)), tail[:, None]])
@@ -93,11 +94,21 @@ def minip_transform_query(y, D_Y: float = None):
     if D_Y is None:
         D_Y = norm
     if D_Y <= 0.0:
-        raise ValueError("query norm must be positive")
+        raise PreconditionViolation("query norm must be positive")
     if norm > D_Y * (1 + 1e-12):
-        raise ValueError("query norm exceeds the stated D_Y")
+        raise PreconditionViolation("query norm exceeds the stated D_Y")
     tail = math.sqrt(max(1.0 - (norm / D_Y) ** 2, 0.0))
     return np.concatenate([y / D_Y, [tail], [0.0]]), D_Y
+
+
+def check_window(c: float, tau: float) -> None:
+    """Refuse a (c, tau) outside 0 < tau < c < 1 with the violated inequality."""
+    if not 0.0 < tau < 1.0:
+        raise ConfigError(f"tau={tau} violates 0 < tau < 1")
+    if not 0.0 < c < 1.0:
+        raise ConfigError(f"c={c} violates 0 < c < 1")
+    if not tau < c:
+        raise ConfigError(f"c={c} violates c > tau={tau}")
 
 
 def minip_window(tau: float, eps: float) -> tuple[float, float]:
@@ -158,7 +169,7 @@ class RobustMinIpIndex:
         """Index `points`, one unit vector per row."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
-            raise ValueError("points must be unit vectors (see minip_transform_dataset)")
+            raise PreconditionViolation("points must be unit vectors (see minip_transform_dataset)")
         self.tau = float(tau)
         self.c = float(c)
         self.seed = int(seed)
@@ -208,12 +219,7 @@ class RobustMinIpIndex:
 
     def _validate_window(self):
         c, tau, eps = self.c, self.tau, self.EPS
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"tau={tau} violates 0 < tau < 1")
-        if not 0.0 < c < 1.0:
-            raise ConfigError(f"c={c} violates 0 < c < 1")
-        if c <= tau:
-            raise ConfigError(f"c={c} violates c > tau={tau}")
+        check_window(c, tau)
         hi_sqrt2, hi_hundred = minip_window(tau, eps)
         if c < hi_hundred:
             self.regime = "n^0.01"
@@ -238,7 +244,7 @@ class RobustMinIpIndex:
         """Store a unit vector; returns its id, larger than every earlier one."""
         p = np.asarray(p, dtype=float)
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:
-            raise ValueError("inserted points must be unit vectors")
+            raise PreconditionViolation("inserted points must be unit vectors")
         pid = self._points.add(p)
         for sketch, store, battery in zip(self.ensemble.sketches, self._stores, self._batteries):
             store.add(sketch.apply_flat(p))  # issues pid too: the stores add in lockstep

@@ -9,14 +9,15 @@ chosen queries:
     "aipe"  InnerProductEstimator (adaptive inner-product estimation)
     "afn"   RobustMinIpIndex (sketched approximate furthest neighbour)
 
-It owns the (c, tau) window checks (0 < tau < c < 1 for both kinds), the
-scaling of the query by tau, the map between the structure's point ids and
-the family's row indices, and, for "afn", the unit-sphere transform of
-every stored point: one D_X, the largest |vec(x x^T)| = |x|^2 over all of
-X, serves the build and every later insert, so a row is the same unit
-point whenever it is stored.  Both structures size themselves for the
-failure probability afn.DELTA.  Proposals are only suggestions: callers
-verify the returned row against their own witness inequality.
+It owns the (c, tau) window checks (0 < tau < c < 1 for both kinds, by
+minip.check_window, and aipe's upper end on c), the scaling of the query
+by tau, the map between the structure's point ids and the family's row
+indices, and, for "afn", the unit-sphere transform of every stored point:
+one D_X, the largest |vec(x x^T)| = |x|^2 over all of X, serves the build
+and every later insert, so a row is the same unit point whenever it is
+stored.  Both structures size themselves for the failure probability
+afn.DELTA.  Proposals are only suggestions: callers verify the returned
+row against their own witness inequality.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .aipe import InnerProductEstimator
 from .errors import ConfigError
-from .minip import RobustMinIpIndex, minip_transform_dataset, minip_transform_query
+from .minip import RobustMinIpIndex, check_window, minip_transform_dataset, minip_transform_query
 
 __all__ = ["MinIpBackend"]
 
@@ -45,12 +46,7 @@ class MinIpBackend:
             raise ConfigError(f"unknown backend {kind!r}")
         if c is None or tau is None:
             raise ConfigError(f"{kind} backend needs both c and tau")
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"tau={tau} violates 0 < tau < 1")
-        if not 0.0 < c < 1.0:
-            raise ConfigError(f"c={c} violates 0 < c < 1")
-        if not tau < c:
-            raise ConfigError(f"c={c} violates c > tau={tau}")
+        check_window(c, tau)
         hi = 1.01 * tau / (0.01 + tau)
         if kind == "aipe" and not c < hi:
             raise ConfigError(f"c={c} violates c < 1.01*tau/(0.01+tau) = {hi}")
@@ -78,17 +74,18 @@ class MinIpBackend:
         return (Y[:, :, None] * Y[:, None, :]).reshape(len(Y), Y.shape[1] ** 2)
 
     def propose(self, Q: np.ndarray, rng: np.random.Generator):
-        """A stored row with approximately minimal <tau Q, x x^T>, or None."""
+        """A stored row with approximately minimal <tau Q, x x^T>, or None.
+
+        Both structures answer live ids only, each the id of a stored row.
+        """
         q = self.tau * np.ravel(Q)
         norm = np.linalg.norm(q)
         if norm == 0.0:
             return None
         if self.kind == "aipe":
-            pid = self._index.query_min(q / max(norm, 1.0), rng)
-        else:
-            hit = self._index.query(minip_transform_query(q)[0], rng)
-            pid = None if hit is None else hit[0]
-        return self._row_of.get(pid)
+            return self._row_of[self._index.query_min(q / max(norm, 1.0), rng)]
+        hit = self._index.query(minip_transform_query(q)[0], rng)
+        return None if hit is None else self._row_of[hit[0]]
 
     def retire(self, row: int) -> None:
         """Remove a stored row; it is never proposed again unless re-inserted."""

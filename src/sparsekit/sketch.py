@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .afn import DELTA, SCALE
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, PreconditionViolation
 from .hashing import PolyHash, SignHash
 
 __all__ = [
@@ -49,7 +49,7 @@ def fwht(x: np.ndarray) -> np.ndarray:
     x = np.array(x, dtype=float)
     n = x.shape[-1]
     if n & (n - 1):
-        raise ValueError("length must be a power of two")
+        raise PreconditionViolation("length must be a power of two")
     h = 1
     while h < n:
         x = x.reshape(x.shape[:-1] + (n // (2 * h), 2, h))

@@ -166,7 +166,9 @@ def bss_reference(family: VectorFamily, epsilon: float):
     v^T Q v > 0, in chunks of 64, 128, 256, ... rows: O(k d^2) for a first
     witness at row k, O(m d^2) in the worst case.  trace.rows_read counts
     the quadratic forms evaluated.  Returns (selection, A_final, trace) with
-    A_final = A_T / d, whose spectrum lies in (1 - eps - 2 eps^2, 1 + eps).
+    A_final = A_T / d; every eigenvalue of A_T lies strictly between the
+    final barriers ell_T and u_T (trace.barrier_contained), so
+    lambda_max / lambda_min < u_T / ell_T when ell_T > 0 (ROADMAP.md, item 1).
     """
     _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 2.0 * epsilon)
@@ -198,7 +200,7 @@ def choose_tree(family: VectorFamily) -> str:
 
 
 def sparsify_fast(family: VectorFamily, epsilon: float):
-    """Tree-accelerated variant; same spectral contract as the reference.
+    """Tree-accelerated variant of the same loop, with the same barrier guarantee.
 
     Each iteration asks the tree only: one root-to-leaf descent of
     O(d^2 log m) plus an O(d^2) cross-check, no scan over the m rows.  The
@@ -258,7 +260,11 @@ class SparsifierReport:
 def verify_sparsifier(
     family: VectorFamily, selection: WeightedSelection, epsilon: float
 ) -> SparsifierReport:
-    """Reconstruct the weighted sum and test it against the proved window."""
+    """Reconstruct the weighted sum and test it against (1 - eps - 2 eps^2, 1 + eps).
+
+    The loop does not deliver that window yet (ROADMAP.md, item 1); its
+    guarantee is trace.barrier_contained.
+    """
     A = selection.reconstruct(family)
     vals = np.linalg.eigvalsh(A)
     lo = 1.0 - epsilon - 2.0 * epsilon**2

@@ -4,6 +4,7 @@ against a one-replica oracle."""
 
 import copy
 import math
+from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 import pytest
@@ -134,9 +135,10 @@ def oracle_gaussian(rows, cols, seed):
 
 
 class OracleDfn:
-    """One DFN replica built and queried one pair at a time: a sorted list of
-    (key, id) per direction, searched by bisection, and a per-candidate
-    distance post-check.  It reads the store as DfnStructure does."""
+    """One DFN replica built and queried one pair at a time: a plain sorted
+    list of (key, id) per direction, searched with bisect, and a
+    per-candidate distance post-check.  It reads the store as DfnStructure
+    does."""
 
     def __init__(self, store, cbar, seed):
         base = store.initial_points
@@ -145,14 +147,14 @@ class OracleDfn:
         self.t = solve_threshold(len(base))
         self.directions = oracle_gaussian(self.ell, store.dim, seed)
         keys = (self.directions @ base.T).tolist()
-        self.lists = [SortedKeyList(zip(row, range(len(base)))) for row in keys]
+        self.lists = [sorted(zip(row, range(len(base)))) for row in keys]
         ids = store.ids
         for pid in sorted(ids[ids >= len(base)].tolist()):
             self.insert(pid)
 
     def insert(self, pid):
         for key, lst in zip((self.directions @ self.store[pid]).tolist(), self.lists):
-            lst.insert(key, pid)
+            insort(lst, (key, pid))
 
     def query(self, q, r):
         """The pid the replica answers at radius r, or None."""
@@ -160,7 +162,10 @@ class OracleDfn:
         cap = 2 * self.ell + 1
         seen = {}
         for lst, center in zip(self.lists, (self.directions @ q).tolist()):
-            for pairs in (lst.search_leq(center - T), lst.search_geq(center + T)):
+            # ids are >= 0, so (x, inf) follows and (x, -1) precedes every pair of key x
+            below = lst[: bisect_right(lst, (center - T, math.inf))]
+            above = lst[bisect_left(lst, (center + T, -1)) :]
+            for pairs in (below, above):
                 for key, pid in pairs:
                     if len(seen) >= cap:
                         break
@@ -488,7 +493,7 @@ class TestPointStore:
     def test_reads_copy_and_survive_swap_remove(self):
         store = PointStore([[0.0], [1.0], [2.0]])
         p = store[2]
-        store.remove(0)  # the last row moves into slot 0
+        store.remove(0)
         assert store.add([5.0]) == 3
         assert p[0] == 2.0 and store[2][0] == 2.0 and store[3][0] == 5.0
         assert sorted(store.ids.tolist()) == [1, 2, 3] and store.lowest_id() == 1
@@ -496,6 +501,22 @@ class TestPointStore:
         with pytest.raises(NotFound):
             store[0]
         assert store.add([6.0]) == 4  # the removed id 0 is never reissued
+
+    def test_reads_come_in_id_order_and_initial_rows_stay(self):
+        store = PointStore([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        for p in ([6.0, 7.0], [8.0, 9.0]):  # the second add doubles the capacity
+            store.add(p)
+        store.remove(1)
+        store.remove(3)
+        assert store.ids.tolist() == [0, 2, 4] and len(store) == 3
+        assert store.points.tolist() == [[0.0, 1.0], [4.0, 5.0], [8.0, 9.0]]
+        store.points[0] = -1.0  # a copy: the store is unchanged
+        assert store[0].tolist() == [0.0, 1.0]
+        initial = store.initial_points
+        assert initial.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]  # id 1 too
+        with pytest.raises(ValueError):
+            initial[0, 0] = -1.0
+        assert -1 not in store and 5 not in store and 1 not in store
 
 
 class TestAfn:

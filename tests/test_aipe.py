@@ -69,7 +69,7 @@ def test_estimates_match_full_sketch_oracle(eps):
         q = unit(rng.standard_normal(DIM)) * (0.5 if t % 2 else 1.0)
         got = est.distance_estimates(q, np.random.default_rng(t))
         want = oracle.estimates(q, np.random.default_rng(t))
-        # no deletes yet, so slot i holds id i
+        # no deletes yet, so entry i belongs to id i
         np.testing.assert_allclose(got, [want[i] for i in range(len(points))], rtol=1e-10)
 
 
@@ -150,7 +150,7 @@ def test_tie_returns_lowest_id():
     points = np.array([0.5 * p, -p, 0.1 * p, -p])
     est = InnerProductEstimator(points, 0.5, SEED)
     assert est.query_min(p, np.random.default_rng(0)) == 1
-    est.delete(0)  # id 3 moves into the freed slot, ahead of id 1
+    est.delete(0)  # ids 1 and 3 still tie, and the lower wins
     assert est.query_min(p, np.random.default_rng(0)) == 1
     est.delete(1)
     assert est.insert(-p) == 4

@@ -30,6 +30,14 @@ def test_expdesign_infeasible_gamma_and_c_is_config_error(tmp_path, rng, capsys)
     assert "c > 2/(gamma-1)" in capsys.readouterr().err
 
 
+def test_expdesign_nan_gamma_is_config_error_naming_gamma(tmp_path, rng, capsys):
+    path = str(tmp_path / "design.mtx")
+    write_matrix_file(path, rng.standard_normal((40, 3)))
+    argv = ["expdesign", "--input", path, "--n", "20", "--whiten", "--gamma", "nan"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "gamma=nan violates gamma >= 3" in capsys.readouterr().err
+
+
 def test_expdesign_defaults_run_on_feasible_input(tmp_path, rng):
     # n >= 6d/eps^2/(gamma-1-2/c) = 385.7 at d=2 and the defaults eps=0.2, gamma=4, c=0.9
     m, n = 800, 400

@@ -130,6 +130,14 @@ def test_family_not_whitened_for_pi_is_precondition_violation(rng):
         expdesign.swap_round(family, pi, n, 0.2)
 
 
+def test_nan_gamma_is_refused_by_name(rng):
+    m, n = 800, 400
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rng.standard_normal((m, 2))), pi)
+    with pytest.raises(ConfigError, match="gamma=nan violates gamma >= 3"):
+        expdesign.swap_round(family, pi, n, 0.2, gamma=math.nan)
+
+
 def test_aipe_backend_refuses_negative_tau(rng):
     m, n = 800, 400
     pi = np.full(m, n / m)

@@ -99,6 +99,25 @@ def test_replay_afn_hashes_exact_apart():
     assert swap_only["exact_sha256"] not in (empty, report["exact_sha256"])
 
 
+def test_replay_afn_keeps_its_recorded_hashes():
+    # a few solves of every part, each part with updates to its stores
+    # (retires and inserts); a change of any output bit moves a hash
+    report = run_script(
+        "replay_afn", "--ks", "8", "--swap", "3", "--sparsify", "2", "--aipe", "4", "--exact", "4"
+    )
+    assert {key: report[key] for key in REPLAY_HASHES} == REPLAY_HASHES
+
+
+#: replay_afn.py's hashes at the counts above; a change that means to move
+#: outputs re-records them and says why
+REPLAY_HASHES = {
+    "sha256": "6a7cf892e1f911b6e0f3c07050b2419c0e1733d8da4dee452e60ee622959f7ad",
+    "sparsify_sha256": "05861b19f7cdc2c672edf41830443bc310c86d26a13539eed114befd8788d8ae",
+    "aipe_sha256": "1b1df28da1595a6b8279e4bcef31ee69b141808c264f1101c0468fa565c34b3a",
+    "exact_sha256": "8961e9b80e5b33da3f52ad9b7b65c21d766d9f63d2b43ec0d901744c0f8d0165",
+}
+
+
 def test_sweep_aipe_times_every_phase():
     report = run_script("sweep_aipe", "--m", "16", "--d", "4", "--repeats", "1")
     [size] = report["sizes"]
