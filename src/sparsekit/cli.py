@@ -141,13 +141,7 @@ def run_ks(config: argparse.Namespace) -> dict:
         seed=config.seed,
     )
     report["timings"] = {"select_s": time.perf_counter() - t0}
-    a_n = result.barrier_sequence[-1]
-    if result.backend == "exact":
-        bound = a_n
-    elif result.backend == "aipe":
-        bound = result.beta * a_n  # (1/c) a_n
-    else:
-        bound = 2.0 * result.beta * a_n  # (2/c) a_n
+    bound = result.beta * result.barrier_sequence[-1]  # a_n, or a_n/c on aipe and afn
     report["result"] = result.as_dict()
     report["bound"] = bound
     report["verdict"] = "pass" if result.final_norm <= bound else "fail"

@@ -171,9 +171,11 @@ def ks_select(
 ) -> KsRunResult:
     """Select n indices with the chosen backend.
 
-    Output-norm guarantees: exact backend < a_n; aipe backend <= (1/c) a_n;
-    afn backend <= (2/c) a_n.  minip_config is unused: the Min-IP sketch has
-    one shape, and only perfbench/workloads.py passes one.
+    Output-norm guarantee, the same for every backend: the final norm is
+    below beta a_n, with beta = 1 on the exact backend and 1/c on aipe and
+    afn, since every accepted step, proposed or scanned, passes the witness
+    test c_i <= beta and the barrier check.  minip_config is unused: the
+    Min-IP sketch has one shape, and only perfbench/workloads.py passes one.
     """
     if seed < 0:
         raise ConfigError(f"seed={seed} violates seed >= 0")

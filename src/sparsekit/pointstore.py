@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotFound
+from .errors import NotFound, PreconditionViolation
 
 __all__ = ["PointStore"]
 
@@ -24,6 +24,8 @@ class PointStore:
     def __init__(self, points):
         """Store the rows of the (n, dim) array `points`, n >= 1, under ids 0..n-1."""
         self._rows = np.array(points, dtype=float, ndmin=2)
+        if not len(self._rows):  # add doubles the capacity, which 0 rows would keep at 0
+            raise PreconditionViolation("a point store needs at least one point")
         self._n0 = self._next_id = self._rows.shape[0]
         self._live = np.ones(self._n0, dtype=bool)  # one bit per row of capacity
         self._boxwidth = None

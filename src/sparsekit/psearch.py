@@ -4,9 +4,11 @@ One tree over a vector family: each leaf packs `block` consecutive vectors
 v_i as the columns of a d x block matrix V_j and holds the d x d sum
 V_j V_j^T; internal nodes sum pairs of children.  Given A with
 sum_i v_i^T A v_i > 0, a query returns an index i with v_i^T A v_i > 0,
-touching one root-to-leaf path.  The two kinds differ only in the block:
-the batched tree packs d vectors per leaf, the matrix tree one, so its
-leaves are the outer products v_i v_i^T.
+touching one root-to-leaf path.  The tree has no scan of its own: a descent
+that meets two children <= 0, or reaches a leaf holding no witness, raises
+NoPositiveEntry, and the caller decides how to fall back.  The two kinds
+differ only in the block: the batched tree packs d vectors per leaf, the
+matrix tree one, so its leaves are the outer products v_i v_i^T.
 
 Queries are read-only and safe to run concurrently; updates require
 exclusive access (single-writer, multi-reader).
@@ -14,11 +16,9 @@ exclusive access (single-writer, multi-reader).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import DimensionMismatch, NoPositiveEntry, NumericalWarning
+from .errors import DimensionMismatch, NoPositiveEntry
 from .linalg import VectorFamily
 
 __all__ = ["MatrixSearchTree", "BatchedVectorSearchTree"]
@@ -36,8 +36,8 @@ def _descend(ip_left: float, ip_right: float) -> int:
 
     Ties (both positive) go left for reproducible traces.  A child at
     exactly 0 with a positive sibling goes to the sibling.  Both
-    nonpositive returns -1: impossible in exact arithmetic when the parent
-    is positive, so the caller treats it as roundoff.
+    nonpositive returns -1, on which the caller raises: under the promise
+    that is roundoff, as a positive parent has a positive child.
     """
     if ip_left > 0.0:
         return 0
@@ -96,30 +96,23 @@ class _PartialSumTree:
         """Index i with v_i^T A v_i > 0, under the promise that the sum is > 0.
 
         One root-to-leaf walk toward positive inner products with A; the
-        number of inner products taken is left in last_query_ip_count.  If
-        the leaf it reaches holds no witness, which roundoff alone can cause,
-        every leaf is scanned in order.
+        number of inner products taken is left in last_query_ip_count.
+        Raises NoPositiveEntry when both children of a node are <= 0 or the
+        leaf it reaches holds no witness: a broken promise, or roundoff.
         """
         A = np.asarray(A, dtype=float)
         if A.shape != (self.dim, self.dim):
             raise DimensionMismatch("query matrix has wrong shape")
         self.last_query_ip_count = 0
         a = A.ravel()
-        root_ip = ip = float(self._flat[1] @ a)
-        suspicious = False
+        ip = float(self._flat[1] @ a)
         k = 1
         while k < self._capacity:
             p1, p2 = (self._flat[2 * k : 2 * k + 2] @ a).tolist()
             self.last_query_ip_count += 2
             branch = _descend(p1, p2)
             if branch < 0:
-                if root_ip <= 0.0:
-                    raise NoPositiveEntry(
-                        "promise violated: no subtree has positive inner product"
-                    )
-                # roundoff: parent positive but both children <= 0
-                branch = 0 if p1 >= p2 else 1
-                suspicious = True
+                raise NoPositiveEntry(f"no child of node {k} has positive inner product")
             k = 2 * k + branch
             ip = p2 if branch else p1
         if self.block == 1 and ip > 0.0:
@@ -127,20 +120,9 @@ class _PartialSumTree:
             # is already its quadratic form (a padding leaf's is exactly 0)
             return k - self._capacity
         idx = self._leaf_scan(k - self._capacity, A)
-        if idx is not None:
-            return idx
-        if suspicious:
-            warnings.warn(
-                "positive-search descent hit roundoff; falling back to scan",
-                NumericalWarning,
-            )
-        for j in range(self._capacity):
-            idx = self._leaf_scan(j, A)
-            if idx is not None:
-                return idx
-        raise NoPositiveEntry(
-            f"promise violated: no vector has positive quadratic form (root ip={root_ip})"
-        )
+        if idx is None:
+            raise NoPositiveEntry(f"leaf {k - self._capacity} holds no positive quadratic form")
+        return idx
 
     def _leaf_scan(self, j: int, A: np.ndarray):
         """First index in leaf j with a positive quadratic form, or None."""

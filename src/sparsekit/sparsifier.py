@@ -10,8 +10,11 @@ variant scans the rows in order until the first witness, in chunks of 64,
 128, 256, ... rows: O(k d^2) for a first witness at row k, O(m d^2) in the
 worst case.  The fast variant asks a positive-search tree, at O(d^2 log m)
 per iteration.  An nnz-based cost model picks the tree's leaf size: d
-vectors per leaf (the vector tree) or one (the matrix tree).  Everything is
-deterministic: reruns on equal input produce identical selections.
+vectors per leaf (the vector tree) or one (the matrix tree).  One row scan,
+`_first_witness`, serves the reference, every fallback of the fast variant
+(a tree that raises or answers a non-witness) and the rare rescue of a step
+whose scale is not positive.  Everything is deterministic: reruns on equal
+input produce identical selections.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoWitness, NumericalWarning
+from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoPositiveEntry
+from .errors import NoWitness, NumericalWarning
 from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symmetric, eigendecompose
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
@@ -42,7 +46,7 @@ class BssTrace:
     fallbacks: int = 0
     tree_kind: str = "scan"
     barrier_contained: bool = True
-    rows_read: int = 0  # quadratic forms v_i^T Q v_i the row scans evaluated
+    rows_read: int = 0  # forms _first_witness read: for the reference, each fallback, the rescue
 
     def record(self, phi_u: float, phi_l: float, gap_sum: float) -> None:
         self.upper_potentials.append(phi_u)
@@ -84,8 +88,12 @@ def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", V @ M, V)
 
 
-def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
+def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace, LU=None) -> int:
     """The first row i with v_i^T Qgap v_i > 0, read in chunks of 64, 128, 256, ... rows.
+
+    With LU given, the first row whose forms with Qgap and with LU are both
+    > 0: LU's forms are taken only for a chunk's Qgap witnesses, and each
+    of them counts in trace.rows_read.
 
     Strictly positive: a zero row, which isotropy allows, has form 0 and
     step scale 0, so it is never taken.  The scan stops at the first chunk
@@ -98,10 +106,13 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
     start, size = 0, SCAN_CHUNK
     while start < m:
         stop = min(start + size, m)
-        hits = np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) > 0.0)
+        hits = start + np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) > 0.0)
         trace.rows_read += stop - start
+        if LU is not None and hits.size:
+            trace.rows_read += hits.size
+            hits = hits[_row_quadratic_forms(V[hits], LU) > 0.0]
         if hits.size:
-            return start + int(hits[0])
+            return int(hits[0])
         start, size = stop, 2 * size
     raise NoWitness("no index witnesses the barrier gap")
 
@@ -134,15 +145,7 @@ def _run_barrier_loop(
             # rescue the iteration with the first witness whose scale is positive
             warnings.warn("nonpositive step scale; rescanning", NumericalWarning)
             trace.fallbacks += 1
-            candidates = np.flatnonzero(_row_quadratic_forms(V, Qgap) > 0.0)
-            if candidates.size == 0:
-                raise NoWitness("no index witnesses the barrier gap")
-            scales = 0.5 * _row_quadratic_forms(V[candidates], L + U)
-            trace.rows_read += family.count + candidates.size
-            good = candidates[scales > 0.0]
-            if good.size == 0:
-                raise NoWitness("every gap witness has nonpositive step scale")
-            j = int(good[0])
+            j = _first_witness(V, Qgap, trace, L + U)
             c = 0.5 * float(V[j] @ (L + U) @ V[j])
         A = A + np.outer(V[j], V[j]) / c
         weights[j] += 1.0 / (c * d)
@@ -203,9 +206,12 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
     """Tree-accelerated variant of the same loop, with the same barrier guarantee.
 
     Each iteration asks the tree only: one root-to-leaf descent of
-    O(d^2 log m) plus an O(d^2) cross-check, no scan over the m rows.  The
-    slightly smaller lower-barrier step 1/(1+3 eps) funds the strict
-    averaging margin that keeps positive search sound under roundoff.
+    O(d^2 log m) plus an O(d^2) cross-check, no scan over the m rows.  When
+    the tree raises NoPositiveEntry or its answer's form is not > 0, the
+    iteration warns (NumericalWarning), counts a fallback and takes the
+    reference's first witness.  The slightly smaller lower-barrier step
+    1/(1+3 eps) funds the strict averaging margin that keeps positive
+    search sound under roundoff.
 
     Raises ConfigError, before allocating anything, when the matrix tree's
     nodes would not fit in physical memory.
@@ -227,15 +233,22 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
             )
         tree = MatrixSearchTree(family)
     V = family.vectors
+    trace = BssTrace(tree_kind=kind)
 
     def pick(Qgap):
-        j = tree.query_positive(Qgap)
-        # O(d^2) soundness cross-check of the tree's answer
-        if float(V[j] @ Qgap @ V[j]) < 0.0:
-            raise NoWitness("tree returned a non-witness index")
-        return j
+        try:
+            j = tree.query_positive(Qgap)
+        except NoPositiveEntry:
+            pass
+        else:
+            # O(d^2) soundness cross-check of the tree's answer
+            if float(V[j] @ Qgap @ V[j]) > 0.0:
+                return j
+        warnings.warn("positive search found no witness; scanning", NumericalWarning)
+        trace.fallbacks += 1
+        return _first_witness(V, Qgap, trace)
 
-    return _run_barrier_loop(family, epsilon, delta_l, pick, BssTrace(tree_kind=kind))
+    return _run_barrier_loop(family, epsilon, delta_l, pick, trace)
 
 
 @dataclass

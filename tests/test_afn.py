@@ -19,7 +19,7 @@ from sparsekit.afn import (
     gaussian_matrix,
     solve_threshold,
 )
-from sparsekit.errors import NotFound
+from sparsekit.errors import NotFound, PreconditionViolation
 from sparsekit.pointstore import PointStore
 from sparsekit.sortedlist import SortedKeyList
 
@@ -517,6 +517,11 @@ class TestPointStore:
         with pytest.raises(ValueError):
             initial[0, 0] = -1.0
         assert -1 not in store and 5 not in store and 1 not in store
+
+    def test_zero_rows_refused(self):
+        # a store of no rows would have no capacity for its first add to double
+        with pytest.raises(PreconditionViolation):
+            PointStore(np.empty((0, 2)))
 
 
 class TestAfn:

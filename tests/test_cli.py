@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from sparsekit import cli, kadison_singer, minip
-from sparsekit.errors import ConfigError
+from sparsekit import cli, expdesign, kadison_singer, minip, psearch
+from sparsekit.errors import BarrierCollapse, ConfigError, IterationExhausted, NoPositiveEntry
 from sparsekit.io import write_matrix_file
 from sparsekit.kadison_singer import ks_select
 from sparsekit.linalg import VectorFamily, whiten
@@ -95,6 +95,8 @@ def test_ks_afn_runs_without_profile(tmp_path, rng):
     report = json.loads(out.read_text())
     assert report["verdict"] == "pass"
     assert report["result"]["backend"] == "afn"
+    # afn keeps the bound every backend keeps: beta a_n = a_n/c
+    assert report["bound"] == pytest.approx(report["result"]["barrier_sequence"][-1] / 0.505)
 
 
 @pytest.mark.parametrize(
@@ -222,6 +224,40 @@ def test_sparsify_whiten_with_a_zero_row_succeeds(tmp_path, rng):
     report = json.loads(out.read_text())
     assert report["reference"]["fallbacks"] == report["fast"]["fallbacks"] == 0
     assert 0 not in report["reference"]["selection"]["indices"]
+
+
+def test_sparsify_tree_without_witness_exits_4(tmp_path, rng, capsys, monkeypatch):
+    def no_witness(self, A):
+        raise NoPositiveEntry("no witness on this descent")
+
+    monkeypatch.setattr(psearch._PartialSumTree, "query_positive", no_witness)
+    path = str(tmp_path / "family.mtx")
+    write_matrix_file(path, random_isotropic_family(40, 3, rng).vectors)
+    assert cli.main(["sparsify", "--input", path]) == cli.EXIT_NUMERICAL
+    assert "positive search found no witness" in capsys.readouterr().err
+
+
+def test_expdesign_iteration_cap_exits_5(tmp_path, rng, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise IterationExhausted("swap cap reached")
+
+    monkeypatch.setattr(expdesign, "swap_round", exhausted)
+    path = str(tmp_path / "design.mtx")
+    write_matrix_file(path, rng.standard_normal((40, 3)))
+    argv = ["expdesign", "--input", path, "--n", "20", "--whiten"]
+    assert cli.main(argv) == cli.EXIT_EXHAUSTED
+    assert "iteration cap exhausted: swap cap reached" in capsys.readouterr().err
+
+
+def test_ks_barrier_collapse_exits_1(tmp_path, rng, capsys, monkeypatch):
+    def collapse(*args, **kwargs):
+        raise BarrierCollapse("norm crossed the barrier")
+
+    monkeypatch.setattr(kadison_singer, "ks_select", collapse)
+    path = str(tmp_path / "ks.mtx")
+    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
+    assert cli.main(["ks", "--input", path, "--N", "8", "--n", "8"]) == 1
+    assert "error: norm crossed the barrier" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["absent.csv", ""], ids=["missing-file", "directory"])

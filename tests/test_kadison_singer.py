@@ -1,7 +1,7 @@
 """Kadison-Singer selection: each backend's norm guarantee over many inputs.
 
-ks_select promises a final norm below a_n on the exact backend, at most
-a_n/c on aipe and at most 2 a_n/c on afn.  Each is checked against the
+ks_select promises a final norm below a_n on the exact backend and at most
+a_n/c on aipe and afn.  Each is checked against the
 largest eigenvalue eigvalsh finds for the selection's sum of outer
 products, over seeded families at the golden shapes and settings.
 """
@@ -10,14 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.kadison_singer import ks_select
+from sparsekit.kadison_singer import _greedy_loop, ks_barrier_sequence, ks_select
 from sparsekit.minip import MinIpConfig
 
 from conftest import random_ks_family
 from test_solvers_golden import KS_C, KS_TAU
 
 #: each backend's bound on the final norm, in units of a_n
-BOUND = {"exact": 1.0, "aipe": 1.0 / KS_C, "afn": 2.0 / KS_C}
+BOUND = {"exact": 1.0, "aipe": 1.0 / KS_C, "afn": 1.0 / KS_C}
 
 
 @settings(max_examples=30, deadline=None)
@@ -50,3 +50,28 @@ def test_minip_config_changes_no_afn_solve(rng):
     assert shim.selection.indices.tolist() == plain.selection.indices.tolist()
     assert shim.score_trace == plain.score_trace
     assert shim.final_norm == plain.final_norm
+
+
+class NoProposal:
+    """A backend that never proposes: every step falls back to the scan."""
+
+    def __init__(self):
+        self.retired = []
+
+    def propose(self, Q, rng):
+        return None
+
+    def retire(self, i):
+        self.retired.append(i)
+
+
+def test_a_backend_without_proposals_falls_back_to_the_exact_scan_at_every_step(rng):
+    family = random_ks_family(2, 8, rng)
+    n = family.count // 2
+    a = ks_barrier_sequence(8, family.count, n)
+    backend = NoProposal()
+    got = _greedy_loop(family, a, 1.0 / KS_C, backend, rng)
+    want = _greedy_loop(family, a, 1.0 / KS_C)
+    assert got.fallbacks == n and want.fallbacks == 0
+    assert got.selection.indices.tolist() == want.selection.indices.tolist() == backend.retired
+    assert got.score_trace == want.score_trace

@@ -5,15 +5,13 @@ vectors a leaf holds (one for the matrix tree, d for the batched tree), so
 the cases in the `_...Cases` bases run on both.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsekit.errors import NoPositiveEntry, NumericalWarning
+from sparsekit.errors import NoPositiveEntry
 from sparsekit.linalg import VectorFamily
 from sparsekit.psearch import BatchedVectorSearchTree, MatrixSearchTree
 
@@ -42,8 +40,8 @@ def ip_bound(m):
 def vdot_descent(tree, V, A):
     """The root-to-leaf walk with one np.vdot per node, as an oracle.
 
-    Returns (index, inner products taken), or (None, count) where the walk
-    would need the tree's roundoff fallback.
+    Returns (index, inner products taken), or (None, count) where the tree
+    raises NoPositiveEntry.
     """
     cap, nodes = tree._capacity, tree._nodes
     k, count = 1, 0
@@ -213,6 +211,17 @@ class TestVectorTreeQuery(_QueryCases):
         assert tree.query_positive(np.diag([1.0, -3.0])) == 0
         assert tree.query_positive(np.diag([-1.0, 5.0])) == 1
 
+    def test_leaf_without_witness_raises_instead_of_scanning(self):
+        # leaf 0 holds the e1 rows, leaf 1 the e0 rows; A is positive on e0 only
+        V = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        A = np.diag([2.0, -1.0])
+        tree = BatchedVectorSearchTree(VectorFamily(V))
+        assert tree.query_positive(A) == 2
+        # as roundoff might, make leaf 0's sum look positive: the walk reaches it
+        tree._nodes[tree._capacity] += np.diag([10.0, 0.0])
+        with pytest.raises(NoPositiveEntry):
+            tree.query_positive(A)
+
 
 class TestSoundnessProperty:
     def test_inner_products_bounded_by_path_length(self, rng):
@@ -226,8 +235,8 @@ class TestSoundnessProperty:
 
 
 # Small integer entries keep every node sum and inner product exact in
-# float64, so a positive total always has a witness and no descent may need
-# the roundoff fallback.
+# float64, so a positive total always has a witness and no descent may raise
+# NoPositiveEntry.
 SMALL_INTS = st.integers(-3, 3).map(float)
 
 
@@ -243,13 +252,11 @@ def vector_family_and_query(draw):
 
 def witness_found(Tree, V, A) -> bool:
     """Whenever the total sum_i v_i^T A v_i is positive, query_positive
-    returns a witness i with v_i^T A v_i > 0, and never warns of roundoff."""
+    returns a witness i with v_i^T A v_i > 0."""
     total = float(np.vdot(V.T @ V, A))
     assume(total != 0.0)
     A = A if total > 0.0 else -A
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", NumericalWarning)
-        idx = Tree(VectorFamily(V)).query_positive(A)
+    idx = Tree(VectorFamily(V)).query_positive(A)
     return 0 <= idx < len(V) and float(V[idx] @ A @ V[idx]) > 0.0
 
 

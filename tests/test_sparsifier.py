@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsekit import sparsifier
-from sparsekit.errors import ConfigError, NoWitness, NumericalWarning
+from sparsekit import psearch, sparsifier
+from sparsekit.errors import ConfigError, NoPositiveEntry, NoWitness, NumericalWarning
 from sparsekit.linalg import VectorFamily
 from sparsekit.psearch import MatrixSearchTree
 
@@ -153,6 +153,23 @@ def test_chunked_scan_without_witness_reads_every_row_once(m):
     assert trace.rows_read == m
 
 
+def test_chunked_scan_with_a_step_form_takes_the_first_row_positive_in_both():
+    """Rows along e0 witness Q but not LU; row 100 is the first to witness both."""
+    Q, LU = np.diag([1.0, -1.0]), np.array([[-1.0, 0.0], [0.0, 3.0]])
+    V = np.tile([0.0, 1.0], (200, 1))
+    V[[3, 10]] = [1.0, 0.0]
+    V[[100, 150]] = [1.0, 0.8]
+    trace = sparsifier.BssTrace()
+    assert sparsifier._first_witness(V, Q, trace, LU) == 100
+    # the two chunks read, plus the LU form of each of their four Q witnesses
+    assert trace.rows_read == chunk_end(100, 200) + 4
+    V[[100, 150]] = [1.0, 0.0]
+    trace = sparsifier.BssTrace()
+    with pytest.raises(NoWitness):
+        sparsifier._first_witness(V, Q, trace, LU)
+    assert trace.rows_read == 200 + 4
+
+
 def check_reference_picks(monkeypatch, family, epsilon=0.5):
     """Run bss_reference with every pick checked against a full scan of the m rows.
 
@@ -206,6 +223,26 @@ def test_reference_first_witness_past_the_first_chunk(monkeypatch):
 def test_fast_path_reads_no_rows(rng):
     _, _, trace = sparsifier.sparsify_fast(random_isotropic_family(300, 6, rng), 0.5)
     assert trace.rows_read == 0
+
+
+@pytest.mark.parametrize("answer", ["raise", "zero row"])
+def test_fast_path_scans_when_the_tree_has_no_witness(monkeypatch, rng, answer):
+    """A descent that raises, or an answer whose form is exactly 0, is a counted fallback."""
+    d = 6
+    family = VectorFamily(np.vstack([np.zeros(d), random_isotropic_family(300, d, rng).vectors]))
+
+    def query_positive(self, A):
+        if answer == "raise":
+            raise NoPositiveEntry("no witness on this descent")
+        return 0  # the zero row
+
+    monkeypatch.setattr(psearch._PartialSumTree, "query_positive", query_positive)
+    with pytest.warns(NumericalWarning, match="positive search found no witness") as caught:
+        selection, _, trace = sparsifier.sparsify_fast(family, 0.5)
+    T = math.ceil(d / 0.5**2)
+    assert len(caught) == trace.fallbacks == T
+    assert trace.barrier_contained and trace.rows_read > 0
+    assert 0 not in selection.indices
 
 
 @pytest.mark.parametrize("m, d", [(2000, 8), (300, 4), (500, 6)])
