@@ -1,10 +1,14 @@
 """Vector families, weighted selections, and the dense kernels the solvers share.
 
-The one spectral step is ``eigendecompose`` (``numpy.linalg.eigh``), whose
-``EigenDecomposition`` gives every spectral quantity the three solvers
-use: matrix functions Q diag(w) Q^T (``weighted``: barrier matrices,
-inverse powers, whitening) and barrier potentials sum_i 1/(b - lambda_i)
-(``potentials``).  ``eigendecompose`` checks nothing: eigh reads one
+The one spectral step is ``eigendecompose``, whose ``EigenDecomposition``
+gives every spectral quantity the three solvers use: matrix functions
+Q diag(w) Q^T (``weighted``: barrier matrices, inverse powers, whitening)
+and barrier potentials sum_i 1/(b - lambda_i) (``potentials``).
+``eigendecompose`` calls numpy's ``eigh_lo`` gufunc (LAPACK dsyevd on the
+lower triangle) directly.  That is the routine ``numpy.linalg.eigh``
+calls, so the bits are the same; skipped are the wrapper's type dispatch,
+errstate context and result tuple, which at small d cost more than dsyevd
+itself.  It checks only that the result is finite: eigh reads one
 triangle, and the solvers' accumulators are symmetric by construction, so
 each solver runs ``check_symmetric`` on its final accumulator once per
 solve.  There is deliberately no fast-matrix-multiplication path.  All
@@ -14,9 +18,11 @@ concurrent invocation is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, PreconditionViolation, SingularGram
 
@@ -28,6 +34,7 @@ __all__ = [
     "check_symmetric",
     "whiten",
     "check_isotropy",
+    "is_identity",
 ]
 
 #: Frobenius distance from I within which a family counts as isotropic
@@ -141,8 +148,16 @@ class EigenDecomposition:
 
 
 def eigendecompose(A: np.ndarray) -> EigenDecomposition:
-    """eigh of A, unchecked: it reads only A's lower triangle (see check_symmetric)."""
-    vals, vecs = np.linalg.eigh(A)
+    """eigh of A, bit for bit: it reads only A's lower triangle (see check_symmetric).
+
+    Raises np.linalg.LinAlgError when an eigenvalue or eigenvector entry is
+    not finite: dsyevd did not converge, or that triangle holds a NaN or an
+    inf.  Non-convergence also emits numpy's RuntimeWarning "invalid value".
+    """
+    vals, vecs = _umath_linalg.eigh_lo(A, signature="d->dd")
+    # each eigenvalue meets each eigenvector entry, so any NaN or inf shows
+    if not math.isfinite(vecs.dot(vals).dot(vecs[0])):
+        raise np.linalg.LinAlgError("eigendecomposition is not finite")
     return EigenDecomposition(vals, vecs)
 
 
@@ -184,4 +199,9 @@ def check_isotropy(family: VectorFamily, pi=None) -> bool:
     identity within Frobenius distance ISOTROPY_TOL."""
     X = family.vectors
     G = family.gram() if pi is None else X.T @ (np.asarray(pi, dtype=float)[:, None] * X)
-    return bool(np.linalg.norm(G - np.eye(family.dim)) <= ISOTROPY_TOL)
+    return is_identity(G)
+
+
+def is_identity(G: np.ndarray) -> bool:
+    """True iff the square matrix G is the identity within Frobenius distance ISOTROPY_TOL."""
+    return bool(np.linalg.norm(G - np.eye(len(G))) <= ISOTROPY_TOL)

@@ -10,8 +10,9 @@ NoPositiveEntry, and the caller decides how to fall back.  The two kinds
 differ only in the block: the batched tree packs d vectors per leaf, the
 matrix tree one, so its leaves are the outer products v_i v_i^T.
 
-Queries are read-only and safe to run concurrently; updates require
-exclusive access (single-writer, multi-reader).
+A query leaves the node sums unchanged but writes the tree's
+last_query_ip_count, so concurrent queries on one tree race on that
+counter: give each thread its own tree, or serialize the queries.
 """
 
 from __future__ import annotations
@@ -29,21 +30,6 @@ def _next_pow2(n: int) -> int:
     while p < n:
         p *= 2
     return p
-
-
-def _descend(ip_left: float, ip_right: float) -> int:
-    """Child choice at one level of the descent.
-
-    Ties (both positive) go left for reproducible traces.  A child at
-    exactly 0 with a positive sibling goes to the sibling.  Both
-    nonpositive returns -1, on which the caller raises: under the promise
-    that is roundoff, as a positive parent has a positive child.
-    """
-    if ip_left > 0.0:
-        return 0
-    if ip_right > 0.0:
-        return 1
-    return -1
 
 
 class _PartialSumTree:
@@ -77,8 +63,8 @@ class _PartialSumTree:
         while h:
             np.add(nodes[2 * h : 4 * h : 2], nodes[2 * h + 1 : 4 * h : 2], out=nodes[h : 2 * h])
             h //= 2
-        # node k as row k of d^2 entries: one descent level is one GEMV
-        self._flat = self._nodes.reshape(2 * self._capacity, d * d)
+        # children 2k, 2k+1 as row k of (2, d^2) pairs: one descent level is one GEMV
+        self._pairs = self._nodes.reshape(self._capacity, 2, d * d)
         self.last_query_ip_count = 0
 
     @property
@@ -96,43 +82,42 @@ class _PartialSumTree:
         """Index i with v_i^T A v_i > 0, under the promise that the sum is > 0.
 
         One root-to-leaf walk toward positive inner products with A; the
-        number of inner products taken is left in last_query_ip_count.
-        Raises NoPositiveEntry when both children of a node are <= 0 or the
-        leaf it reaches holds no witness: a broken promise, or roundoff.
+        number of inner products taken, 2 per level, is left in
+        last_query_ip_count.  Ties (both children positive) go left for
+        reproducible traces; a child at exactly 0 with a positive sibling
+        goes to the sibling.  Raises NoPositiveEntry when both children of
+        a node are <= 0 or the leaf it reaches holds no witness: a broken
+        promise, or roundoff, as a positive parent has a positive child.
         """
         A = np.asarray(A, dtype=float)
         if A.shape != (self.dim, self.dim):
             raise DimensionMismatch("query matrix has wrong shape")
-        self.last_query_ip_count = 0
         a = A.ravel()
-        ip = float(self._flat[1] @ a)
-        k = 1
-        while k < self._capacity:
-            p1, p2 = (self._flat[2 * k : 2 * k + 2] @ a).tolist()
-            self.last_query_ip_count += 2
-            branch = _descend(p1, p2)
-            if branch < 0:
+        pairs, capacity, k = self._pairs, self._capacity, 1
+        # a one-leaf tree takes no step, so the root is the last inner product
+        ip = float(self._nodes[1].ravel() @ a) if capacity == 1 else 0.0
+        while k < capacity:
+            p1, p2 = pairs[k].dot(a).tolist()
+            if p1 > 0.0:
+                k, ip = 2 * k, p1
+            elif p2 > 0.0:
+                k, ip = 2 * k + 1, p2
+            else:
+                self.last_query_ip_count = 2 * k.bit_length()
                 raise NoPositiveEntry(f"no child of node {k} has positive inner product")
-            k = 2 * k + branch
-            ip = p2 if branch else p1
+        self.last_query_ip_count = 2 * (k.bit_length() - 1)
+        j = k - capacity
         if self.block == 1 and ip > 0.0:
             # a one-vector leaf holds v v^T: the walk's last inner product
             # is already its quadratic form (a padding leaf's is exactly 0)
-            return k - self._capacity
-        idx = self._leaf_scan(k - self._capacity, A)
-        if idx is None:
-            raise NoPositiveEntry(f"leaf {k - self._capacity} holds no positive quadratic form")
-        return idx
-
-    def _leaf_scan(self, j: int, A: np.ndarray):
-        """First index in leaf j with a positive quadratic form, or None."""
+            return j
+        # the leaf's first vector with a positive quadratic form; a padding
+        # vector is zero, so its form is exactly 0 and it is never returned
         V = self._blocks[j]
-        diag = ((A @ V) * V).sum(0)
-        for col in range(self.block):
-            i = j * self.block + col
-            if i < self.m and diag[col] > 0.0:
-                return i
-        return None
+        hits = (((A @ V) * V).sum(0) > 0.0).nonzero()[0]
+        if not hits.size:
+            raise NoPositiveEntry(f"leaf {j} holds no positive quadratic form")
+        return j * self.block + int(hits[0])
 
 
 # Each kind keeps its own query_positive, delegating to the base, because

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoPositiveEntry
 from .errors import NoWitness, NumericalWarning
-from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symmetric, eigendecompose
+from .linalg import VectorFamily, WeightedSelection, check_symmetric, eigendecompose, is_identity
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
@@ -74,13 +74,16 @@ def _barrier_matrices(A: np.ndarray, u_prev, u_cur, l_prev, l_cur):
     return L, U, phi_u_prev, phi_l_prev
 
 
-def _check_input(family: VectorFamily, epsilon: float) -> None:
+def _check_input(family: VectorFamily, epsilon: float) -> np.ndarray:
+    """Refuse a bad epsilon or a non-isotropic family; return the family's Gram matrix."""
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon={epsilon} violates 0 < epsilon < 1")
-    if not check_isotropy(family):
+    G = family.gram()
+    if not is_identity(G):
         raise IsotropyViolation(
             "family is not isotropic: sum of outer products differs from I"
         )
+    return G
 
 
 def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -118,16 +121,16 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace, LU=None) ->
 
 
 def _run_barrier_loop(
-    family: VectorFamily, epsilon: float, delta_l: float, pick, trace: BssTrace
+    family: VectorFamily, G: np.ndarray, epsilon: float, delta_l: float, pick, trace: BssTrace
 ):
-    """Shared loop; `pick(Qgap)` returns an index with v^T Qgap v > 0.
+    """Shared loop over a family with Gram matrix G; `pick(Qgap)` returns an
+    index with v^T Qgap v > 0.
 
     Apart from `pick` and the rare c <= 0 rescue, each iteration costs
     O(d^3), independent of the number of rows m.  Records into `trace`.
     """
     d = family.dim
     V = family.vectors
-    G = family.gram()
     T = math.ceil(d / epsilon**2)
     u, ell = d / epsilon, -d / epsilon
     delta_u = 1.0
@@ -147,7 +150,8 @@ def _run_barrier_loop(
             trace.fallbacks += 1
             j = _first_witness(V, Qgap, trace, L + U)
             c = 0.5 * float(V[j] @ (L + U) @ V[j])
-        A = A + np.outer(V[j], V[j]) / c
+        v = V[j]
+        A = A + v[:, None] * v / c  # np.outer(v, v) computes this same product
         weights[j] += 1.0 / (c * d)
         u, ell = u_next, ell_next
         trace.record(phi_u, phi_l, gap_sum)
@@ -173,7 +177,7 @@ def bss_reference(family: VectorFamily, epsilon: float):
     final barriers ell_T and u_T (trace.barrier_contained), so
     lambda_max / lambda_min < u_T / ell_T when ell_T > 0 (ROADMAP.md, item 1).
     """
-    _check_input(family, epsilon)
+    G = _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 2.0 * epsilon)
     V = family.vectors
     trace = BssTrace()
@@ -181,7 +185,7 @@ def bss_reference(family: VectorFamily, epsilon: float):
     def pick(Qgap):
         return _first_witness(V, Qgap, trace)
 
-    return _run_barrier_loop(family, epsilon, delta_l, pick, trace)
+    return _run_barrier_loop(family, G, epsilon, delta_l, pick, trace)
 
 
 def _physical_memory_bytes():
@@ -216,7 +220,7 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
     Raises ConfigError, before allocating anything, when the matrix tree's
     nodes would not fit in physical memory.
     """
-    _check_input(family, epsilon)
+    G = _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 3.0 * epsilon)
     kind = choose_tree(family)
     if kind == "vector":
@@ -248,7 +252,7 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
         trace.fallbacks += 1
         return _first_witness(V, Qgap, trace)
 
-    return _run_barrier_loop(family, epsilon, delta_l, pick, trace)
+    return _run_barrier_loop(family, G, epsilon, delta_l, pick, trace)
 
 
 @dataclass

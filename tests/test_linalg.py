@@ -1,5 +1,7 @@
 """Vector-family kernels and the eigendecomposition against direct oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,28 @@ class TestEigenDecomposition:
         vals = eig.eigenvalues
         bs = (vals[-1] + 0.5, vals[-1] + 1.5, vals[0] - 0.5, vals[0] - 1.5)
         assert eig.potentials(*bs) == [float(np.sum(1.0 / (b - vals))) for b in bs]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 32])
+    def test_equals_numpy_eigh_bit_for_bit(self, rng, d):
+        for scale in (1e-3, 1.0, 1e3):
+            A = random_symmetric(d, rng, scale)
+            eig = eigendecompose(A)
+            vals, vecs = np.linalg.eigh(A)
+            assert eig.eigenvalues.tobytes() == vals.tobytes()
+            assert eig.eigenvectors.tobytes() == vecs.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_matrix_is_linalg_error(self, rng, d, bad, where):
+        A = random_symmetric(d, rng)
+        i, j = (d - 1, d - 1) if where == "diagonal" or d == 1 else (d - 1, 0)
+        A[i, j] = A[j, i] = bad
+        with warnings.catch_warnings():
+            # dsyevd's non-convergence also sets numpy's "invalid value" flag
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                eigendecompose(A)
 
     def test_check_symmetric(self, rng):
         A = random_symmetric(4, rng)

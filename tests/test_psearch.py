@@ -181,9 +181,13 @@ class _QueryCases:
             assert 0 <= idx < 7
 
     def test_promise_violation_reported(self):
-        tree = self.Tree(VectorFamily(np.eye(2)))
-        with pytest.raises(NoPositiveEntry):
-            tree.query_positive(-np.eye(2))
+        for copies in (1, 4):
+            V = np.tile(np.eye(2), (copies, 1))
+            tree = self.Tree(VectorFamily(V))
+            with pytest.raises(NoPositiveEntry):
+                tree.query_positive(-np.eye(2))
+            # the inner products taken up to the raise, the failing level's included
+            assert tree.last_query_ip_count == vdot_descent(tree, V, -np.eye(2))[1]
 
 
 class TestMatrixTreeQuery(_QueryCases):

@@ -173,7 +173,7 @@ def test_chunked_scan_with_a_step_form_takes_the_first_row_positive_in_both():
 def check_reference_picks(monkeypatch, family, epsilon=0.5):
     """Run bss_reference with every pick checked against a full scan of the m rows.
 
-    The pick must be the first index with v^T Q v >= 0 over all m rows, and
+    The pick must be the first index with v^T Q v > 0 over all m rows, and
     the rows the chunked scan handed to _row_quadratic_forms must end at the
     chunk holding it.  Returns the picks and the trace.
     """
@@ -186,18 +186,18 @@ def check_reference_picks(monkeypatch, family, epsilon=0.5):
 
     original = sparsifier._run_barrier_loop
 
-    def checked_loop(family, epsilon, delta_l, pick, trace):
+    def checked_loop(family, G, epsilon, delta_l, pick, trace):
         def checked_pick(Qgap):
             scanned.clear()
             read = trace.rows_read
             j = pick(Qgap)
-            expected = np.flatnonzero(FULL_SCAN(family.vectors, Qgap) >= 0.0)[0]
+            expected = np.flatnonzero(FULL_SCAN(family.vectors, Qgap) > 0.0)[0]
             assert j == expected
             assert sum(scanned) == trace.rows_read - read == chunk_end(j, m)
             picks.append(j)
             return j
 
-        return original(family, epsilon, delta_l, checked_pick, trace)
+        return original(family, G, epsilon, delta_l, checked_pick, trace)
 
     monkeypatch.setattr(sparsifier, "_row_quadratic_forms", counting_scan)
     monkeypatch.setattr(sparsifier, "_run_barrier_loop", checked_loop)
@@ -211,6 +211,23 @@ def test_reference_picks_the_first_witness_over_all_rows(monkeypatch, rng, m):
     family = random_isotropic_family(m, min(m, 4), rng)
     picks, trace = check_reference_picks(monkeypatch, family)
     assert trace.rows_read == sum(chunk_end(j, m) for j in picks)
+
+
+@pytest.mark.parametrize("rows, at", [("gaussian", 0), ("paired", 64)])
+def test_reference_picks_past_a_zero_row(monkeypatch, rng, rows, at):
+    """A zero row has form exactly 0, so the oracle's first witness must be > 0.
+
+    A zero row at 0 comes first every iteration.  On 8 coordinates x 24
+    angles, some iteration's first witness lies past row 63, so a zero row
+    at 64 is that iteration's first row with form >= 0.
+    """
+    if rows == "gaussian":
+        vectors = random_isotropic_family(200, 4, rng).vectors
+    else:
+        vectors = paired_angle_family(8, 24).vectors
+    family = VectorFamily(np.insert(vectors, at, 0.0, axis=0))
+    picks, _ = check_reference_picks(monkeypatch, family)
+    assert at not in picks
 
 
 def test_reference_first_witness_past_the_first_chunk(monkeypatch):

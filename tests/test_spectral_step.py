@@ -36,9 +36,11 @@ def test_one_eigendecomposition_per_step(monkeypatch, rng, backend):
     assert len(result.potential_trace) == n + 1
 
 
-class AsymmetricOuter:
-    """numpy, except that outer() adds 1e-6 to its top-right entry.
+class AsymmetricStart:
+    """numpy, except that a 2-D zeros() has 1e-6 at its top-right entry.
 
+    Both solvers start their accumulator from np.zeros((d, d)) and add
+    symmetric updates to it, so every accumulator they form is asymmetric.
     eigh reads the lower triangle only, so a loop given this keeps running
     and only a symmetry check can see the change.
     """
@@ -47,9 +49,10 @@ class AsymmetricOuter:
         return getattr(np, name)
 
     @staticmethod
-    def outer(u, v):
-        M = np.outer(u, v)
-        M[0, -1] += 1e-6
+    def zeros(shape, *args, **kwargs):
+        M = np.zeros(shape, *args, **kwargs)
+        if M.ndim == 2:
+            M[0, -1] += 1e-6
         return M
 
 
@@ -68,6 +71,6 @@ def test_asymmetric_update_fails_the_once_per_solve_check(monkeypatch, module, s
     checks = count_calls(monkeypatch, module, "check_symmetric")
     solve(np.random.default_rng(1))
     assert len(checks) == 1
-    monkeypatch.setattr(module, "np", AsymmetricOuter())
+    monkeypatch.setattr(module, "np", AsymmetricStart())
     with pytest.raises(DimensionMismatch, match="not symmetric"):
         solve(np.random.default_rng(1))
