@@ -1,4 +1,4 @@
-"""One sha256 over many afn-backend solves, to check that two trees agree.
+"""Four sha256 hashes over KS, swap, sparsify, aipe and exact solves, to check two trees agree.
 
     PYTHONPATH=src python3 scripts/replay_afn.py [--ks 256] [--swap 18] [--sparsify 32]
                                                  [--aipe 128] [--exact 128]

@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python3 scripts/sweep_sparsify.py [--m 2048 8192 32768] [--d 16 32]
 
-For each (m, d) one whitened Gaussian family is drawn from --seed, and each
-solver runs --repeats times on it with epsilon=0.25 (T = 16 d iterations),
-BLAS pinned to one thread.  Prints one JSON object: per size, the median
-seconds of each path, the reference/fast ratio, the rows each path read
+For each (m, d) one whitened Gaussian family is drawn from --seed and
+solved --repeats times with epsilon=0.25 (T = 16 d iterations), BLAS pinned
+to one thread.  Each repeat runs one fast solve and then one reference
+solve, so drift on a shared host reaches both paths alike.  Prints one JSON
+object: per size, the median seconds of each path, the median of the
+per-repeat reference/fast ratios, the rows each path read
 per iteration (v_i^T Q v_i evaluated by a row scan), the tree the cost
 model chose, and whether both selections kept the barrier invariant.  The
 PYTHONPATH decides which source tree is measured.
@@ -31,13 +33,22 @@ from sparsekit import linalg, sparsifier  # noqa: E402
 EPSILON = 0.25
 
 
-def time_solver(solver, family, repeats: int):
-    times = []
+def timed(solver, family):
+    start = time.perf_counter()
+    out = solver(family, EPSILON)
+    return time.perf_counter() - start, out
+
+
+def time_pairs(family, repeats: int):
+    """Seconds of each fast solve and of the reference solve run right after
+    it, and the last trace of each path."""
+    fast_times, ref_times = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
-        out = solver(family, EPSILON)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), out
+        fast_s, (_, _, fast_trace) = timed(sparsifier.sparsify_fast, family)
+        ref_s, (_, _, ref_trace) = timed(sparsifier.bss_reference, family)
+        fast_times.append(fast_s)
+        ref_times.append(ref_s)
+    return fast_times, ref_times, fast_trace, ref_trace
 
 
 def main(argv=None) -> None:
@@ -52,8 +63,7 @@ def main(argv=None) -> None:
     for d in args.d:
         for m in args.m:
             family = linalg.whiten(linalg.VectorFamily(rng.standard_normal((m, d))))
-            fast_s, (_, _, fast_trace) = time_solver(sparsifier.sparsify_fast, family, args.repeats)
-            ref_s, (_, _, ref_trace) = time_solver(sparsifier.bss_reference, family, args.repeats)
+            fast_times, ref_times, fast_trace, ref_trace = time_pairs(family, args.repeats)
             iterations = len(ref_trace.gap_sums) - 1
             rows.append(
                 {
@@ -61,9 +71,11 @@ def main(argv=None) -> None:
                     "d": d,
                     "iterations": iterations,
                     "tree_kind": fast_trace.tree_kind,
-                    "fast_s": round(fast_s, 4),
-                    "reference_s": round(ref_s, 4),
-                    "reference_over_fast": round(ref_s / fast_s, 2),
+                    "fast_s": round(statistics.median(fast_times), 4),
+                    "reference_s": round(statistics.median(ref_times), 4),
+                    "reference_over_fast": round(
+                        statistics.median(r / f for r, f in zip(ref_times, fast_times)), 2
+                    ),
                     "fast_rows_per_iteration": round(fast_trace.rows_read / iterations, 1),
                     "reference_rows_per_iteration": round(ref_trace.rows_read / iterations, 1),
                     "barrier_contained": fast_trace.barrier_contained

@@ -41,8 +41,8 @@ index, the sketch ensemble and the AIPE pool read the same SCALE.  DELTA
 is the one failure probability that these sizes, the AIPE pool and the
 Min-IP index all read.
 
-Builds and updates need exclusive access; queries change nothing but the
-store's boxwidth cache, and are safe to run concurrently between mutations.
+Builds and updates need exclusive access; queries change nothing, and are
+safe to run concurrently between mutations.
 The Min-IP index builds its batteries on demand, inside its queries, so its
 queries need exclusive access (see minip).
 """

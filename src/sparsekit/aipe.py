@@ -89,11 +89,10 @@ class InnerProductEstimator:
     def insert(self, z) -> int:
         """Add a point; the dataset radius only ever grows (monotone bound)."""
         z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise DimensionMismatch(f"expected a vector of dim {self.dim}, got shape {z.shape}")
         _check_finite(z, "inserted point")
+        pid = self._store.add(z)  # DimensionMismatch for a wrong shape, before radius grows
         self.radius = max(self.radius, float(np.linalg.norm(z)))
-        return self._store.add(z)
+        return pid
 
     def delete(self, pid: int) -> None:
         self._store.remove(pid)

@@ -76,10 +76,6 @@ class VectorFamily:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def nnz_outer_total(self) -> int:
-        """Total stored nonzeros of all outer products: sum of nnz(v_i)^2."""
-        return int(np.sum(self.nnz_per_row.astype(np.int64) ** 2))
-
     def gram(self) -> np.ndarray:
         """Sum of outer products, V^T V for row-major V."""
         return self.vectors.T @ self.vectors

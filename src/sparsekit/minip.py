@@ -264,8 +264,8 @@ class RobustMinIpIndex:
     def query(self, x, rng: np.random.Generator):
         """Best (pid, point, ip) meeting the additive Min-IP bound, or None."""
         x = np.asarray(x, dtype=float)
-        if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-            raise DimensionMismatch("query must be a unit vector")
+        if x.shape != (self._points.dim,) or abs(np.linalg.norm(x) - 1.0) > 1e-9:
+            raise DimensionMismatch(f"query must be a unit vector of dim {self._points.dim}")
         count = _sample_count(SKETCH_DIM, len(self.ensemble))
         sampled = self.ensemble.sample(count, rng)
         ips = {}  # pid -> <point, x>, for every hit of this query

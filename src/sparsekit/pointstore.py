@@ -7,15 +7,17 @@ row never moves and the first n rows stay the n points the store was built
 with.  The store issues the ids, in increasing order and never reusing one,
 so two stores built over the same n points and given the same adds agree on
 ids, and a structure built over it later can index its initial points
-exactly as one built with the store would.  Reads copy, so a returned point
-never changes under a later mutation.  Mutations need exclusive access.
+exactly as one built with the store would.  An add refuses, with
+DimensionMismatch, a point whose shape is not (dim,).  Reads copy and change
+nothing, so a returned point never changes under a later mutation;
+mutations need exclusive access.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotFound, PreconditionViolation
+from .errors import DimensionMismatch, NotFound, PreconditionViolation
 
 __all__ = ["PointStore"]
 
@@ -28,7 +30,6 @@ class PointStore:
             raise PreconditionViolation("a point store needs at least one point")
         self._n0 = self._next_id = self._rows.shape[0]
         self._live = np.ones(self._n0, dtype=bool)  # one bit per row of capacity
-        self._boxwidth = None
 
     @property
     def dim(self) -> int:
@@ -68,7 +69,10 @@ class PointStore:
         return self._next_id
 
     def add(self, p) -> int:
-        """Store p under a new id, larger than every earlier one; return the id."""
+        """Store p, of shape (dim,), under a new id larger than every earlier one; return the id."""
+        p = np.asarray(p, dtype=float)
+        if p.shape != (self.dim,):
+            raise DimensionMismatch(f"expected a point of dim {self.dim}, got shape {p.shape}")
         pid = self._next_id
         if pid == len(self._rows):  # full: double the capacity
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
@@ -76,24 +80,20 @@ class PointStore:
         self._rows[pid] = p
         self._live[pid] = True
         self._next_id += 1
-        self._boxwidth = None
         return pid
 
     def remove(self, pid) -> None:
         if pid not in self:
             raise NotFound(f"point id {pid!r} not stored")
         self._live[pid] = False
-        self._boxwidth = None
 
     @property
     def boxwidth(self) -> float:
-        """Longest side of the live points' bounding box; computed once per mutation."""
-        if self._boxwidth is None:
-            if not len(self):
-                raise NotFound("empty store has no boxwidth")
-            P = self.points
-            self._boxwidth = float((P.max(axis=0) - P.min(axis=0)).max())
-        return self._boxwidth
+        """Longest side of the live points' bounding box, computed on each read."""
+        if not len(self):
+            raise NotFound("empty store has no boxwidth")
+        P = self.points
+        return float((P.max(axis=0) - P.min(axis=0)).max())
 
     def lowest_id(self) -> int:
         """The smallest live id: the earliest inserted when ids are issued in order."""

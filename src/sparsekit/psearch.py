@@ -10,6 +10,10 @@ NoPositiveEntry, and the caller decides how to fall back.  The two kinds
 differ only in the block: the batched tree packs d vectors per leaf, the
 matrix tree one, so its leaves are the outer products v_i v_i^T.
 
+A build works out its capacity first and, before it allocates any array,
+raises ConfigError when its 2 * capacity float64 d x d nodes (16 capacity d^2
+bytes) would not fit in physical memory, whoever builds the tree.
+
 A query leaves the node sums unchanged but writes the tree's
 last_query_ip_count, so concurrent queries on one tree race on that
 counter: give each thread its own tree, or serialize the queries.
@@ -17,9 +21,11 @@ counter: give each thread its own tree, or serialize the queries.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .errors import DimensionMismatch, NoPositiveEntry
+from .errors import ConfigError, DimensionMismatch, NoPositiveEntry
 from .linalg import VectorFamily
 
 __all__ = ["MatrixSearchTree", "BatchedVectorSearchTree"]
@@ -30,6 +36,14 @@ def _next_pow2(n: int) -> int:
     while p < n:
         p *= 2
     return p
+
+
+def _physical_memory_bytes():
+    """Installed physical memory in bytes, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class _PartialSumTree:
@@ -48,6 +62,13 @@ class _PartialSumTree:
         self.dim = d
         self.block = block
         self._capacity = _next_pow2(n_blocks)
+        needed = 16 * self._capacity * d * d  # the node array's bytes
+        physical = _physical_memory_bytes()
+        if physical is not None and needed > physical:
+            raise ConfigError(
+                f"the {type(self).__name__} over m={m}, d={d} needs {needed} bytes (16*capacity"
+                f"*d^2 for its nodes), more than the {physical} bytes of physical memory"
+            )
         padded = np.zeros((self._capacity * block, d))
         padded[:m] = family.vectors
         # leaf j as a d x block matrix with its vectors as columns
@@ -130,11 +151,6 @@ class MatrixSearchTree(_PartialSumTree):
 
     def __init__(self, family: VectorFamily):
         super().__init__(family, 1)
-
-    @staticmethod
-    def node_bytes(m: int, d: int) -> int:
-        """Bytes of the float64 node array a tree over m vectors in R^d holds."""
-        return 16 * _next_pow2(m) * d * d
 
     def query_positive(self, A) -> int:
         return super().query_positive(A)

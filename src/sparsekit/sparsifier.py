@@ -20,7 +20,6 @@ input produce identical selections.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -188,14 +187,6 @@ def bss_reference(family: VectorFamily, epsilon: float):
     return _run_barrier_loop(family, G, epsilon, delta_l, pick, trace)
 
 
-def _physical_memory_bytes():
-    """Installed physical memory in bytes, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def choose_tree(family: VectorFamily) -> str:
     """Cost-model branch: "vector" iff m d^2 <= sum_i nnz(v_i)^2.
 
@@ -203,7 +194,8 @@ def choose_tree(family: VectorFamily) -> str:
     only one numpy offers.
     """
     m, d = family.count, family.dim
-    return "vector" if m * d**2 <= family.nnz_outer_total() else "matrix"
+    nnz = family.nnz_per_row.astype(np.int64)
+    return "vector" if m * d**2 <= int(np.sum(nnz**2)) else "matrix"
 
 
 def sparsify_fast(family: VectorFamily, epsilon: float):
@@ -217,25 +209,13 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
     1/(1+3 eps) funds the strict averaging margin that keeps positive
     search sound under roundoff.
 
-    Raises ConfigError, before allocating anything, when the matrix tree's
-    nodes would not fit in physical memory.
+    Raises ConfigError when the tree's nodes would not fit in physical
+    memory: the tree's own build refuses it before allocating (see psearch).
     """
     G = _check_input(family, epsilon)
     delta_l = 1.0 / (1.0 + 3.0 * epsilon)
     kind = choose_tree(family)
-    if kind == "vector":
-        tree = BatchedVectorSearchTree(family)
-    else:
-        m, d = family.count, family.dim
-        needed = MatrixSearchTree.node_bytes(m, d)
-        physical = _physical_memory_bytes()
-        if physical is not None and needed > physical:
-            raise ConfigError(
-                f"the matrix search tree over m={m}, d={d} needs {needed} bytes "
-                f"(16*capacity*d^2 for its nodes), more than the {physical} bytes "
-                f"of physical memory"
-            )
-        tree = MatrixSearchTree(family)
+    tree = (BatchedVectorSearchTree if kind == "vector" else MatrixSearchTree)(family)
     V = family.vectors
     trace = BssTrace(tree_kind=kind)
 

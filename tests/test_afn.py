@@ -19,7 +19,7 @@ from sparsekit.afn import (
     gaussian_matrix,
     solve_threshold,
 )
-from sparsekit.errors import NotFound, PreconditionViolation
+from sparsekit.errors import DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.pointstore import PointStore
 from sparsekit.sortedlist import SortedKeyList
 
@@ -477,6 +477,14 @@ class TestPointStore:
         assert store.boxwidth == 0.0
         assert AfnStructure(store, 2.0, [0]).query(np.array([0.0, 0.0])).tolist() == [0]
 
+    def test_boxwidth_of_an_emptied_store_is_not_found(self):
+        store = PointStore([[3.0, 4.0], [5.0, 6.0]])
+        assert store.boxwidth == 2.0
+        store.remove(0)
+        store.remove(1)
+        with pytest.raises(NotFound, match="no boxwidth"):
+            store.boxwidth
+
     def test_boxwidth_random_against_scan(self, rng):
         pts = [(i, rng.standard_normal(5)) for i in range(60)]
         store = store_of(pts)
@@ -489,6 +497,16 @@ class TestPointStore:
         assert store.boxwidth == pytest.approx(
             float((arr.max(axis=0) - arr.min(axis=0)).max()), abs=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [[1.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0], 1.0])
+    def test_wrong_shape_add_is_refused_and_changes_nothing(self, bad):
+        store = PointStore(np.eye(3))
+        store.remove(1)
+        with pytest.raises(DimensionMismatch, match="dim 3"):
+            store.add(bad)
+        assert len(store) == 2 and store.next_id == 3
+        assert np.array_equal(store.points, np.eye(3)[[0, 2]])
+        assert store.add([0.0, 0.0, 1.0]) == 3
 
     def test_reads_copy_and_survive_swap_remove(self):
         store = PointStore([[0.0], [1.0], [2.0]])

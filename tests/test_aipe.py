@@ -183,8 +183,10 @@ def test_errors_are_taxonomy_errors():
     with pytest.raises(PreconditionViolation, match="at least one point"):
         InnerProductEstimator(np.zeros((0, DIM)), 0.5, SEED)
     est = InnerProductEstimator(np.eye(DIM), 0.5, SEED)
-    with pytest.raises(DimensionMismatch):
-        est.insert(np.ones(DIM + 1))
+    for bad in (np.ones(DIM + 1), np.full((1, DIM), 10.0), 10.0):
+        with pytest.raises(DimensionMismatch):
+            est.insert(bad)  # refused before the radius, 1.0, can grow to its norm
+    assert est.count == DIM and est._store.next_id == DIM and est.radius == 1.0
     with pytest.raises(DimensionMismatch):
         est.query_min(np.ones(DIM - 1) / DIM, np.random.default_rng(0))
 

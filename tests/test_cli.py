@@ -237,6 +237,15 @@ def test_sparsify_tree_without_witness_exits_4(tmp_path, rng, capsys, monkeypatc
     assert "positive search found no witness" in capsys.readouterr().err
 
 
+def test_sparsify_tree_that_cannot_fit_exits_2(tmp_path, rng, capsys, monkeypatch):
+    monkeypatch.setattr(psearch, "_physical_memory_bytes", lambda: 1 << 10)
+    path = str(tmp_path / "family.mtx")
+    write_matrix_file(path, random_isotropic_family(40, 3, rng).vectors)
+    assert cli.main(["sparsify", "--input", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "more than the 1024 bytes of physical memory" in err
+
+
 def test_expdesign_iteration_cap_exits_5(tmp_path, rng, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise IterationExhausted("swap cap reached")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import exact_min_ip
 from sparsekit import minip
 from sparsekit.afn import solve_threshold
-from sparsekit.errors import ConfigError, NotFound
+from sparsekit.errors import ConfigError, DimensionMismatch, NotFound
 from sparsekit.minip import (
     MinIpConfig,
     RobustMinIpIndex,
@@ -186,6 +186,25 @@ class TestRobustIndex:
         assert idx.count == 10
         with pytest.raises(NotFound):
             idx.delete(pid)
+
+    @pytest.mark.parametrize("bad", [[1.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]])
+    def test_wrong_shape_insert_changes_no_store(self, bad):
+        idx = RobustMinIpIndex(np.eye(3), c=0.505, tau=0.5, seed=2)
+        with pytest.raises(DimensionMismatch):
+            idx.insert(bad)  # each has norm 1, so only its shape is wrong
+        for store in [idx._points, *idx._stores]:
+            assert len(store) == 3 and store.next_id == 3
+        assert idx.insert([0.0, 1.0, 0.0]) == 3
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]])
+    def test_wrong_length_query_is_refused_before_sampling(self, bad):
+        idx = RobustMinIpIndex(np.eye(3), c=0.505, tau=0.5, seed=2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionMismatch, match="dim 3"):
+            idx.query(bad, rng)
+        assert rng.bit_generator.state == state
+        assert idx._batteries == [None] * len(idx.ensemble)
 
     def test_descriptor_replay(self, rng):
         pts = rng.standard_normal((12, 4))

@@ -9,7 +9,6 @@ import pytest
 from sparsekit import psearch, sparsifier
 from sparsekit.errors import ConfigError, NoPositiveEntry, NoWitness, NumericalWarning
 from sparsekit.linalg import VectorFamily
-from sparsekit.psearch import MatrixSearchTree
 
 from conftest import paired_angle_family, random_isotropic_family
 
@@ -118,18 +117,27 @@ def test_nonpositive_step_scale_is_rescued_with_the_first_good_witness(monkeypat
     np.testing.assert_allclose(A_final * family.dim - A_prev, step, rtol=1e-9, atol=1e-12)
 
 
-def test_matrix_tree_that_cannot_fit_is_refused_before_allocation(monkeypatch):
-    family = paired_angle_family(8, 12)
+class NumpyUntouched:
+    """Stands in for psearch's numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the tree called numpy.{name} before refusing")
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+def test_tree_that_cannot_fit_is_refused_before_allocation(monkeypatch, rng, kind):
+    if kind == "vector":
+        family, name = random_isotropic_family(300, 6, rng), "BatchedVectorSearchTree"
+    else:
+        family, name = paired_angle_family(8, 12), "MatrixSearchTree"
+    assert sparsifier.choose_tree(family) == kind
     d = family.dim
-    assert family.count == 48 and sparsifier.choose_tree(family) == "matrix"
-
-    def no_build(self, family):
-        raise AssertionError("the tree was built")
-
-    monkeypatch.setattr(MatrixSearchTree, "__init__", no_build)
-    monkeypatch.setattr(sparsifier, "_physical_memory_bytes", lambda: 1 << 10)
-    needed = 16 * 64 * d * d  # the nodes alone: capacity 64 for m = 48
-    with pytest.raises(ConfigError, match=f"needs {needed} bytes"):
+    monkeypatch.setattr(psearch, "_physical_memory_bytes", lambda: 1 << 10)
+    monkeypatch.setattr(psearch, "np", NumpyUntouched())
+    # the nodes alone, at capacity 64: 50 leaves of d = 6 vectors, or 48 one-vector leaves
+    needed = 16 * 64 * d * d
+    message = f"the {name} over m={family.count}, d={d} needs {needed} bytes"
+    with pytest.raises(ConfigError, match=message):
         sparsifier.sparsify_fast(family, 0.5)
 
 
