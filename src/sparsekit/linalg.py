@@ -180,7 +180,10 @@ def whiten(family: VectorFamily, pi=None) -> VectorFamily:
         raise DimensionMismatch("pi must have one weight per vector")
     if not np.all(np.isfinite(pi) & (pi >= 0.0)):
         raise PreconditionViolation("pi must be finite and nonnegative")
-    G = X.T @ (pi[:, None] * X)
+    with np.errstate(over="ignore"):  # refused just below, with its own error
+        G = X.T @ (pi[:, None] * X)
+    if not np.all(np.isfinite(G)):
+        raise PreconditionViolation("weighted Gram matrix X^T diag(pi) X is not finite")
     eig = eigendecompose(G)
     vals = eig.eigenvalues
     if vals[0] <= 1e-10 * max(vals[-1], 1e-300):

@@ -243,6 +243,10 @@ class RobustMinIpIndex:
     def insert(self, p) -> int:
         """Store a unit vector; returns its id, larger than every earlier one."""
         p = np.asarray(p, dtype=float)
+        if p.shape != (self._points.dim,):
+            raise DimensionMismatch(
+                f"inserted points must have dim {self._points.dim}, not shape {p.shape}"
+            )
         if abs(np.linalg.norm(p) - 1.0) > 1e-9:
             raise PreconditionViolation("inserted points must be unit vectors")
         pid = self._points.add(p)

@@ -1,20 +1,21 @@
 """Deterministic linear-sized spectral sparsification.
 
-Both variants run the same two-barrier greedy loop: barriers u_t, ell_t
-advance by fixed increments, the gap matrix Q = L_t - U_t is formed from one
-eigendecomposition of the accumulator, and an index with v^T Q v > 0 is
-selected and added with weight 1/(c_t d).  The loop itself does O(d^3)
-work per iteration and never touches all m rows: the trace's gap sum is
-<G, Q> with G the family's Gram matrix, computed once.  The reference
+Both variants run the same two-barrier greedy loop of Batson, Spielman and
+Srivastava ("Twice-Ramanujan Sparsifiers"): from u_0 = -ell_0 = d/eps the
+upper barrier steps by 1 and the lower one by 1/(1 + 2 eps), the gap matrix
+Q = L_t - U_t is formed from one eigendecomposition of the accumulator, and
+an index with v^T Q v > 0 is selected and added with weight 1/(c_t d).  The
+variants differ only in how they find that index.  The loop itself does
+O(d^3) work per iteration and never touches all m rows: the trace's gap sum
+is <G, Q> with G the family's Gram matrix, computed once.  The reference
 variant scans the rows in order until the first witness, in chunks of 64,
 128, 256, ... rows: O(k d^2) for a first witness at row k, O(m d^2) in the
 worst case.  The fast variant asks a positive-search tree, at O(d^2 log m)
 per iteration.  An nnz-based cost model picks the tree's leaf size: d
 vectors per leaf (the vector tree) or one (the matrix tree).  One row scan,
-`_first_witness`, serves the reference, every fallback of the fast variant
-(a tree that raises or answers a non-witness) and the rare rescue of a step
-whose scale is not positive.  Everything is deterministic: reruns on equal
-input produce identical selections.
+`_first_witness`, serves the reference and every fallback of the fast
+variant (a tree that raises or answers a non-witness).  Everything is
+deterministic: reruns on equal input produce identical selections.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
 
 SCAN_CHUNK = 64  # rows in the reference scan's first chunk; each later chunk doubles
+MAX_STEPS = 100_000  # the most barrier steps T = ceil(d/eps^2) a solve may take
 
 
 @dataclass
@@ -45,7 +47,7 @@ class BssTrace:
     fallbacks: int = 0
     tree_kind: str = "scan"
     barrier_contained: bool = True
-    rows_read: int = 0  # forms _first_witness read: for the reference, each fallback, the rescue
+    rows_read: int = 0  # forms _first_witness read, for the reference or a fast fallback
 
     def record(self, phi_u: float, phi_l: float, gap_sum: float) -> None:
         self.upper_potentials.append(phi_u)
@@ -74,9 +76,15 @@ def _barrier_matrices(A: np.ndarray, u_prev, u_cur, l_prev, l_cur):
 
 
 def _check_input(family: VectorFamily, epsilon: float) -> np.ndarray:
-    """Refuse a bad epsilon or a non-isotropic family; return the family's Gram matrix."""
+    """Refuse a bad epsilon, T > MAX_STEPS or a non-isotropic family; return its Gram matrix."""
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon={epsilon} violates 0 < epsilon < 1")
+    steps = family.dim / epsilon**2 if epsilon**2 > 0.0 else math.inf
+    if steps > MAX_STEPS:  # T = ceil(steps) > MAX_STEPS
+        raise ConfigError(
+            f"epsilon={epsilon} at d={family.dim} asks for T = ceil(d/epsilon^2) = "
+            f"{steps:.6g} barrier steps, more than MAX_STEPS = {MAX_STEPS}"
+        )
     G = family.gram()
     if not is_identity(G):
         raise IsotropyViolation(
@@ -90,17 +98,14 @@ def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", V @ M, V)
 
 
-def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace, LU=None) -> int:
+def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
     """The first row i with v_i^T Qgap v_i > 0, read in chunks of 64, 128, 256, ... rows.
-
-    With LU given, the first row whose forms with Qgap and with LU are both
-    > 0: LU's forms are taken only for a chunk's Qgap witnesses, and each
-    of them counts in trace.rows_read.
 
     Strictly positive: a zero row, which isotropy allows, has form 0 and
     step scale 0, so it is never taken.  The scan stops at the first chunk
     that holds a witness, so a witness at row k costs O(k d^2); with none,
-    the chunks cover the m rows once, in O(log m) products.  A chunk's
+    the chunks cover the m rows once, in O(log m) products.  Each row read
+    counts in trace.rows_read.  A chunk's
     product may round its last bits unlike the whole m x d product, so the
     two can disagree only on a row whose form is within roundoff of 0.
     """
@@ -110,29 +115,27 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace, LU=None) ->
         stop = min(start + size, m)
         hits = start + np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) > 0.0)
         trace.rows_read += stop - start
-        if LU is not None and hits.size:
-            trace.rows_read += hits.size
-            hits = hits[_row_quadratic_forms(V[hits], LU) > 0.0]
         if hits.size:
             return int(hits[0])
         start, size = stop, 2 * size
     raise NoWitness("no index witnesses the barrier gap")
 
 
-def _run_barrier_loop(
-    family: VectorFamily, G: np.ndarray, epsilon: float, delta_l: float, pick, trace: BssTrace
-):
+def _run_barrier_loop(family: VectorFamily, G: np.ndarray, epsilon: float, pick, trace: BssTrace):
     """Shared loop over a family with Gram matrix G; `pick(Qgap)` returns an
     index with v^T Qgap v > 0.
 
-    Apart from `pick` and the rare c <= 0 rescue, each iteration costs
-    O(d^3), independent of the number of rows m.  Records into `trace`.
+    The barriers step by delta_u = 1 and delta_l = 1/(1 + 2 eps) for
+    T = ceil(d/eps^2) steps, so u_T = d/eps + T and ell_T = -d/eps + T delta_l.
+    Apart from `pick`, each iteration costs O(d^3), independent of the
+    number of rows m.  A witness's step scale c = v^T (L + U) v / 2 exceeds
+    v^T U v > 0, as U is positive definite; a c <= 0 raises BarrierViolation.
     """
     d = family.dim
     V = family.vectors
     T = math.ceil(d / epsilon**2)
     u, ell = d / epsilon, -d / epsilon
-    delta_u = 1.0
+    delta_u, delta_l = 1.0, 1.0 / (1.0 + 2.0 * epsilon)
     A = np.zeros((d, d))
     weights = np.zeros(family.count)
     for t in range(1, T + 1):
@@ -141,15 +144,10 @@ def _run_barrier_loop(
         Qgap = L - U
         gap_sum = float(np.vdot(G, Qgap))  # = sum_i v_i^T Qgap v_i
         j = pick(Qgap)
-        c = 0.5 * float(V[j] @ (L + U) @ V[j])
-        if c <= 0.0:
-            # impossible in exact arithmetic (U is positive definite);
-            # rescue the iteration with the first witness whose scale is positive
-            warnings.warn("nonpositive step scale; rescanning", NumericalWarning)
-            trace.fallbacks += 1
-            j = _first_witness(V, Qgap, trace, L + U)
-            c = 0.5 * float(V[j] @ (L + U) @ V[j])
         v = V[j]
+        c = 0.5 * float(v @ (L + U) @ v)
+        if c <= 0.0:
+            raise BarrierViolation(f"step {t}: step scale c={c} is not > 0, so U is not definite")
         A = A + v[:, None] * v / c  # np.outer(v, v) computes this same product
         weights[j] += 1.0 / (c * d)
         u, ell = u_next, ell_next
@@ -177,14 +175,13 @@ def bss_reference(family: VectorFamily, epsilon: float):
     lambda_max / lambda_min < u_T / ell_T when ell_T > 0 (ROADMAP.md, item 1).
     """
     G = _check_input(family, epsilon)
-    delta_l = 1.0 / (1.0 + 2.0 * epsilon)
     V = family.vectors
     trace = BssTrace()
 
     def pick(Qgap):
         return _first_witness(V, Qgap, trace)
 
-    return _run_barrier_loop(family, G, epsilon, delta_l, pick, trace)
+    return _run_barrier_loop(family, G, epsilon, pick, trace)
 
 
 def choose_tree(family: VectorFamily) -> str:
@@ -205,15 +202,13 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
     O(d^2 log m) plus an O(d^2) cross-check, no scan over the m rows.  When
     the tree raises NoPositiveEntry or its answer's form is not > 0, the
     iteration warns (NumericalWarning), counts a fallback and takes the
-    reference's first witness.  The slightly smaller lower-barrier step
-    1/(1+3 eps) funds the strict averaging margin that keeps positive
-    search sound under roundoff.
+    reference's first witness.  The barrier schedule is the reference's, so
+    is the bound lambda_max / lambda_min < u_T / ell_T.
 
     Raises ConfigError when the tree's nodes would not fit in physical
     memory: the tree's own build refuses it before allocating (see psearch).
     """
     G = _check_input(family, epsilon)
-    delta_l = 1.0 / (1.0 + 3.0 * epsilon)
     kind = choose_tree(family)
     tree = (BatchedVectorSearchTree if kind == "vector" else MatrixSearchTree)(family)
     V = family.vectors
@@ -232,7 +227,7 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
         trace.fallbacks += 1
         return _first_witness(V, Qgap, trace)
 
-    return _run_barrier_loop(family, G, epsilon, delta_l, pick, trace)
+    return _run_barrier_loop(family, G, epsilon, pick, trace)
 
 
 @dataclass

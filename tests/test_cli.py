@@ -1,6 +1,7 @@
 """The command line: exit codes of the error taxonomy, and replayable reports."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -215,6 +216,28 @@ def test_whiten_of_a_rank_deficient_input_is_precondition_violation(tmp_path, ca
     assert "numerically singular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["sparsify"], ["expdesign", "--n", "2"]], ids=["sparsify", "expdesign"]
+)
+def test_whiten_of_an_overflowing_gram_matrix_is_precondition_violation(tmp_path, capsys, argv):
+    # every entry is finite, but X^T X overflows to inf
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,1e308\n1e308,-1e308\n1e308,0\n")
+    assert cli.main(argv + ["--input", str(path), "--whiten"]) == cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "X^T diag(pi) X is not finite" in err and "Traceback" not in err
+
+
+def test_sparsify_step_count_over_the_cap_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "identity.csv"
+    path.write_text("1,0\n0,1\n")
+    start = time.perf_counter()
+    assert cli.main(["sparsify", "--input", str(path), "--epsilon", "1e-4"]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0  # T = 2e8 steps would take hours
+    err = capsys.readouterr().err
+    assert "asks for T = ceil(d/epsilon^2) = 2e+08 barrier steps" in err
+
+
 def test_sparsify_whiten_with_a_zero_row_succeeds(tmp_path, rng):
     path = str(tmp_path / "family.mtx")
     write_matrix_file(path, np.vstack([np.zeros(8), rng.standard_normal((2000, 8))]))
@@ -238,7 +261,11 @@ def test_sparsify_tree_without_witness_exits_4(tmp_path, rng, capsys, monkeypatc
 
 
 def test_sparsify_tree_that_cannot_fit_exits_2(tmp_path, rng, capsys, monkeypatch):
+    def reference(*args):
+        raise AssertionError("the reference solve ran before the tree refused")
+
     monkeypatch.setattr(psearch, "_physical_memory_bytes", lambda: 1 << 10)
+    monkeypatch.setattr(cli.sp, "bss_reference", reference)
     path = str(tmp_path / "family.mtx")
     write_matrix_file(path, random_isotropic_family(40, 3, rng).vectors)
     assert cli.main(["sparsify", "--input", path]) == cli.EXIT_CONFIG

@@ -187,11 +187,13 @@ class TestRobustIndex:
         with pytest.raises(NotFound):
             idx.delete(pid)
 
-    @pytest.mark.parametrize("bad", [[1.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize(
+        "bad", [[1.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0]]
+    )
     def test_wrong_shape_insert_changes_no_store(self, bad):
         idx = RobustMinIpIndex(np.eye(3), c=0.505, tau=0.5, seed=2)
         with pytest.raises(DimensionMismatch):
-            idx.insert(bad)  # each has norm 1, so only its shape is wrong
+            idx.insert(bad)  # the shape is checked first, whatever the norm
         for store in [idx._points, *idx._stores]:
             assert len(store) == 3 and store.next_id == 3
         assert idx.insert([0.0, 1.0, 0.0]) == 3

@@ -238,18 +238,18 @@ GOLDEN = {
         'tree_kind': 'scan',
     },
     'bss-fast': {
-        'indices': [0, 2, 3, 4, 5, 6, 8, 9],
-        'weights': [93.03361127549391, 18.872129045624884, 9.770161814892345, 6.3687366823170155, 11.399828777413008, 5.811344727390718, 18.086260271939214, 12.431219108271597],
-        'upper_potentials': [0.5, 0.4831804281345565, 0.47120190052219735, 0.44525237711277155, 0.4432635342162083, 0.42079274576595227, 0.41986317334392187, 0.40491388734360884, 0.3839252729539404, 0.3829721328992074, 0.3656427516159323, 0.34722928924482044, 0.3443403798320537, 0.3269989291625254, 0.32555500484709526, 0.32244817614989785, 0.3083509213542508],
-        'lower_potentials': [0.5, 0.49547697368421056, 0.4921228647211455, 0.48422984711062816, 0.4836253569255385, 0.4759776009440076, 0.47566419756320744, 0.47013140066932857, 0.46105760777361554, 0.46066961951489294, 0.45312259737634475, 0.4440612134235697, 0.44268573238192294, 0.43229912326550085, 0.43157607476358945, 0.4297793767608557, 0.4208073653527431],
+        'indices': [0, 1, 4, 5, 6, 8, 9, 10, 11],
+        'weights': [78.29343271270558, 7.7990760959434295, 7.457749993887125, 3.9979232774418327, 2.972490536102383, 13.030439342577637, 36.84105129525838, 18.28083736193623, 9.213782607182443],
+        'upper_potentials': [0.5, 0.49275362318840576, 0.47965079143807365, 0.4559407068394004, 0.4528517514341739, 0.44327951308836, 0.4341695953784921, 0.4173754408812378, 0.41629190223265, 0.4110697397123157, 0.38692392516593366, 0.3826507671588427, 0.35771161548310215, 0.3414683281223073, 0.33528921923926547, 0.3194093717278177, 0.3108164919645419],
+        'lower_potentials': [0.5, 0.4977777777777778, 0.4936217904330688, 0.48532895224949735, 0.48425714977928347, 0.48070905221901783, 0.4773134319531781, 0.46990012710725904, 0.46945835169115974, 0.46716694837581196, 0.45517880297424185, 0.45317594777494963, 0.4382554983924073, 0.4286915008072978, 0.4251428117101977, 0.41497349838560016, 0.40960183723594906],
         'fallbacks': 0,
         'tree_kind': 'vector',
     },
     'bss-fast-matrix': {
-        'indices': [0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 12],
-        'weights': [6.7471143406536065, 4.070813623651304, 3.6873387271125493, 4.002177076915839, 7.002544776658821, 7.890498053238174, 4.399097123541365, 3.7748983814408117, 5.597245853901729, 5.343566224009413, 2.8435556992136464],
-        'upper_potentials': [0.5, 0.49254151421334097, 0.48271709369053983, 0.4712258675980947, 0.4622526964613732, 0.4515968879844512, 0.43727471395342654, 0.4229602882206138, 0.41910408762920626, 0.41071044272055524, 0.4032670838280751, 0.3983714010482368, 0.3982547358937385, 0.39087743051420004, 0.3907225117921812, 0.38320867040030177, 0.36970625740768337, 0.36662322491254457, 0.3560919367166688, 0.3533558212551171, 0.34311967602855487, 0.3411027436468669, 0.3329571721025159, 0.3276725764312275, 0.32330009441957097, 0.31589636193963794, 0.3154539257307358, 0.30871526167749785, 0.3007424396572764, 0.3003637460036062, 0.2961905194155584, 0.2900866665236659, 0.2864809697662413],
-        'lower_potentials': [0.5, 0.49817342156051836, 0.495687521445361, 0.4926253444495767, 0.49014634803782353, 0.4870609159719425, 0.4825346518042266, 0.47764529729873434, 0.4764157862486911, 0.4735620574267551, 0.47098836478969364, 0.469259937818638, 0.4692197027665754, 0.46653254334721833, 0.4664783527750421, 0.46352152242807, 0.456988590690857, 0.45578639969113416, 0.4506554973007778, 0.44951428980891084, 0.4443667702700922, 0.4434352774988428, 0.4391631989360352, 0.43653052751960536, 0.4342336479133698, 0.43020149719286155, 0.4299822365348866, 0.4260309152200354, 0.4210873096259543, 0.42088045240929745, 0.41838252625895667, 0.41457515017677404, 0.41226930097856707],
+        'indices': [0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15],
+        'weights': [8.187792300888615, 6.211164274311786, 1.963568084052308, 2.1778431673238265, 3.568309510223455, 5.8789199240955385, 1.7798972235887327, 5.366534327530373, 1.896399609971008, 6.134015182996935, 8.455717577674289, 5.345474004598397, 2.120151351851224, 2.7272209503579528],
+        'upper_potentials': [0.5, 0.4980097302078726, 0.4924436493385339, 0.4840215488938828, 0.4734515144883635, 0.4658935094488187, 0.4561695957854728, 0.44153179837645684, 0.44000523967961275, 0.43333210852041615, 0.42472384904902083, 0.40986183589377156, 0.4027165565146493, 0.3952271062104409, 0.3889679970745692, 0.38785310985690874, 0.374973439929104, 0.37314200498562466, 0.37025569907258093, 0.36892870257681154, 0.3593685443255926, 0.3538731716537633, 0.3470774066203653, 0.3365407704589054, 0.3290439843610668, 0.32726179704419145, 0.32532879348442667, 0.32362151323889765, 0.317705119039515, 0.31237129187922913, 0.3057630024741238, 0.3028377562674689, 0.29953606087407636],
+        'lower_potentials': [0.5, 0.49944805593033237, 0.49789513258754126, 0.4954537001978846, 0.49220452110223467, 0.4897901808734656, 0.4865303932936165, 0.4811179802399881, 0.4806028771519665, 0.4782131859583574, 0.4749438926837386, 0.4683532814839775, 0.46541736927908, 0.4622697654836627, 0.45952943731867757, 0.45905752085532103, 0.4524693998134911, 0.45161804303026826, 0.450360908923135, 0.44977209504577353, 0.44497497119369445, 0.44229510690074225, 0.43875989992001885, 0.4323074462703971, 0.42778236691895766, 0.42677909008857806, 0.4257473967937, 0.424827148309691, 0.4213472796089369, 0.41799448073342105, 0.41360340057424094, 0.41179662119151117, 0.4096511937247256],
         'fallbacks': 0,
         'tree_kind': 'matrix',
     },

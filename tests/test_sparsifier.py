@@ -1,13 +1,16 @@
-"""The BSS barrier loop: what each iteration scans, its trace, its rescue, its memory guard."""
+"""The BSS barrier loop: what each iteration scans, its trace, its barriers, its refusals."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekit import psearch, sparsifier
-from sparsekit.errors import ConfigError, NoPositiveEntry, NoWitness, NumericalWarning
+from sparsekit.errors import BarrierViolation, ConfigError, NoPositiveEntry, NoWitness
+from sparsekit.errors import NumericalWarning
 from sparsekit.linalg import VectorFamily
 
 from conftest import paired_angle_family, random_isotropic_family
@@ -79,16 +82,15 @@ def test_gap_sums_are_the_sum_of_row_quadratic_forms(monkeypatch, rng, variant):
 
 
 @pytest.mark.parametrize("variant", list(SOLVERS))
-def test_nonpositive_step_scale_is_rescued_with_the_first_good_witness(monkeypatch, variant):
+def test_nonpositive_step_scale_raises_barrier_violation(monkeypatch, variant):
     """Break U's definiteness on the last iteration along coordinate 0.
 
     U' = U - s e0 e0^T makes v^T (L + U') v negative and v^T (L - U') v
     large for every row on coordinates (0,1), which come first, so both
-    variants pick row 0 and get c <= 0.  Rows on other coordinates keep
-    their gap and step scale.
+    variants pick such a row and get c <= 0.  No witness of a positive
+    definite U has that scale, so the loop raises: no warning, no rescue.
     """
     family = paired_angle_family(8, 6)
-    V = family.vectors
     T = math.ceil(family.dim / 0.5**2)
     e0 = np.zeros(family.dim)
     e0[0] = 1.0
@@ -96,25 +98,52 @@ def test_nonpositive_step_scale_is_rescued_with_the_first_good_witness(monkeypat
     def break_definiteness(call, A, L, U):
         return U - 1e6 * np.outer(e0, e0) if call == T else U
 
-    calls = record_barrier_calls(monkeypatch, break_definiteness)
-    with pytest.warns(NumericalWarning, match="nonpositive step scale"):
-        _, A_final, trace = SOLVERS[variant](family, 0.5)
-    assert trace.fallbacks == 1
+    record_barrier_calls(monkeypatch, break_definiteness)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericalWarning)
+        with pytest.raises(BarrierViolation, match=f"step {T}: step scale c=-"):
+            SOLVERS[variant](family, 0.5)
 
-    A_prev, L, U = calls[-1]
-    expected = None
-    for i, v in enumerate(V):
-        if float(v @ (L - U) @ v) > 0.0 and float(v @ (L + U) @ v) > 0.0:
-            expected = i
-            break
-    assert expected is not None and expected >= 6  # not a row on coordinates (0,1)
-    if variant == "fast":
-        # the rescue's scan is the only one on the fast path
-        witnesses = int(np.sum(FULL_SCAN(V, L - U) > 0.0))
-        assert trace.rows_read == family.count + witnesses
-    v = V[expected]
-    step = np.outer(v, v) / (0.5 * float(v @ (L + U) @ v))
-    np.testing.assert_allclose(A_final * family.dim - A_prev, step, rtol=1e-9, atol=1e-12)
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 6),
+    rows_per_dim=st.integers(2, 40),
+    epsilon=st.sampled_from([0.1, 0.25]),
+)
+@pytest.mark.parametrize("variant", list(SOLVERS))
+def test_spectrum_ratio_stays_under_the_final_barriers(variant, seed, d, rows_per_dim, epsilon):
+    """Both variants keep A_T inside (ell_T, u_T) of the one schedule.
+
+    From u_0 = -ell_0 = d/eps the barriers step by 1 and 1/(1 + 2 eps) for
+    T = ceil(d/eps^2) steps, so lambda_max / lambda_min < u_T / ell_T.  At
+    eps = 0.5, ell_T = 0 and the ratio bounds nothing, so it is left out.
+    """
+    family = random_isotropic_family(d * rows_per_dim, d, np.random.default_rng(seed))
+    _, A_final, trace = SOLVERS[variant](family, epsilon)
+    T = math.ceil(d / epsilon**2)
+    u_T = d / epsilon + T
+    ell_T = -d / epsilon + T / (1.0 + 2.0 * epsilon)
+    vals = np.linalg.eigvalsh(A_final * d)
+    assert trace.barrier_contained
+    assert 0.0 < ell_T < vals[0] and vals[-1] < u_T
+    assert vals[-1] / vals[0] < u_T / ell_T
+
+
+@pytest.mark.parametrize("variant", list(SOLVERS))
+def test_step_count_over_the_cap_is_refused_before_the_gram_matrix(monkeypatch, variant):
+    def gram(self):
+        raise AssertionError("the Gram matrix was formed before the refusal")
+
+    monkeypatch.setattr(VectorFamily, "gram", gram)
+    family = VectorFamily(np.eye(2))
+    with pytest.raises(ConfigError, match=r"T = ceil\(d/epsilon\^2\) = 2e\+08"):
+        SOLVERS[variant](family, 1e-4)
+    with pytest.raises(ConfigError, match="= 103306 barrier steps, more than MAX_STEPS = 100000"):
+        SOLVERS[variant](family, 0.0044)
+    with pytest.raises(ConfigError, match="= inf barrier steps"):
+        SOLVERS[variant](family, 1e-200)  # eps^2 underflows to 0
 
 
 class NumpyUntouched:
@@ -161,23 +190,6 @@ def test_chunked_scan_without_witness_reads_every_row_once(m):
     assert trace.rows_read == m
 
 
-def test_chunked_scan_with_a_step_form_takes_the_first_row_positive_in_both():
-    """Rows along e0 witness Q but not LU; row 100 is the first to witness both."""
-    Q, LU = np.diag([1.0, -1.0]), np.array([[-1.0, 0.0], [0.0, 3.0]])
-    V = np.tile([0.0, 1.0], (200, 1))
-    V[[3, 10]] = [1.0, 0.0]
-    V[[100, 150]] = [1.0, 0.8]
-    trace = sparsifier.BssTrace()
-    assert sparsifier._first_witness(V, Q, trace, LU) == 100
-    # the two chunks read, plus the LU form of each of their four Q witnesses
-    assert trace.rows_read == chunk_end(100, 200) + 4
-    V[[100, 150]] = [1.0, 0.0]
-    trace = sparsifier.BssTrace()
-    with pytest.raises(NoWitness):
-        sparsifier._first_witness(V, Q, trace, LU)
-    assert trace.rows_read == 200 + 4
-
-
 def check_reference_picks(monkeypatch, family, epsilon=0.5):
     """Run bss_reference with every pick checked against a full scan of the m rows.
 
@@ -194,7 +206,7 @@ def check_reference_picks(monkeypatch, family, epsilon=0.5):
 
     original = sparsifier._run_barrier_loop
 
-    def checked_loop(family, G, epsilon, delta_l, pick, trace):
+    def checked_loop(family, G, epsilon, pick, trace):
         def checked_pick(Qgap):
             scanned.clear()
             read = trace.rows_read
@@ -205,7 +217,7 @@ def check_reference_picks(monkeypatch, family, epsilon=0.5):
             picks.append(j)
             return j
 
-        return original(family, G, epsilon, delta_l, checked_pick, trace)
+        return original(family, G, epsilon, checked_pick, trace)
 
     monkeypatch.setattr(sparsifier, "_row_quadratic_forms", counting_scan)
     monkeypatch.setattr(sparsifier, "_run_barrier_loop", checked_loop)
