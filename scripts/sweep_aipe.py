@@ -8,9 +8,9 @@ For each (m, d) one Gaussian family of m stored member rows is drawn from
 --repeats times each, with BLAS pinned to one thread:
 
     build       MinIpBackend("aipe", ...) over the m rows' vec(x x^T)
-    query_cold  propose() on a fresh backend: every sampled sketch is drawn
-                and reduced to its cached factor first (Gram and Cholesky
-                when tall), as in a solve's first queries
+    query_cold  propose() on a fresh backend: every sampled sketch's factor
+                is drawn and cached first (its Bartlett draws when tall), as
+                in a solve's first queries
     query_warm  propose() again with the same sampled sketches, now cached
     scan        expdesign's exact removal scan over the same m rows
 

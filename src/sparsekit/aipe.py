@@ -11,15 +11,18 @@ independently sampled sketches are what make the estimates stable under
 adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
-Pool member j is the s_dim x (D+2) Gaussian S_j drawn from
+Pool member j stands for an s_dim x (D+2) Gaussian sketch S_j, drawn from
 SeedSequence(seed, spawn_key=(j,)), the j-th child SeedSequence(seed).spawn
-would give, derived by its path when j is first sampled.  Only a factor R_j
-with R_j^T R_j = S_j^T S_j / s_dim, of min(s_dim, D+2) x (D+2), is cached:
-||S_j v|| / sqrt(s_dim) = ||R_j v|| for every v, so a sketch costs O(m D^2)
-per query instead of O(m s_dim D).  A tall sketch is reduced through its
-(D+2) x (D+2) Gram matrix and a Cholesky factor; a short one is its own
-factor.  Points live in a PointStore (one
-contiguous array, row i holding id i).  Mutations need exclusive access.
+would give, by its path when j is first sampled.  Only a factor R_j of
+min(s_dim, D+2) x (D+2) is drawn and cached, whose R_j^T R_j has the law of
+S_j^T S_j / s_dim: ||R_j v|| then has the law of ||S_j v|| / sqrt(s_dim)
+for every v, jointly over all v, and a sketch costs O(m D^2) per query
+instead of O(m s_dim D).  A short sketch (s_dim <= D+2) is its own factor,
+S_j / sqrt(s_dim).  A tall one is drawn directly as R_j = L^T / sqrt(s_dim),
+L the Bartlett factor of a Wishart(s_dim, I) matrix: (D+2)(D+3)/2 draws
+instead of s_dim (D+2) normals, a Gram product and a Cholesky call.  Points
+live in a PointStore (one contiguous array, row i holding id i).  Mutations
+need exclusive access.
 """
 
 from __future__ import annotations
@@ -98,21 +101,29 @@ class InnerProductEstimator:
         self._store.remove(pid)
 
     def _factor(self, j: int) -> np.ndarray:
-        """R with R^T R = S_j^T S_j / s_dim, S_j the j-th pool member's Gaussian sketch.
+        """R with R^T R distributed as S_j^T S_j / s_dim, S_j an s_dim x (D+2) Gaussian.
 
-        A tall S_j (s_dim > D+2) gives the (D+2) x (D+2) transposed Cholesky
-        factor of its Gram matrix; a short one is already the smaller factor
-        and is only scaled.  Either way ||R v|| = ||S_j v|| / sqrt(s_dim).
+        A short member (s_dim <= p = D+2) draws S_j itself and keeps
+        R = S_j / sqrt(s_dim).  A tall one draws its factor directly:
+        R = L^T / sqrt(s_dim), L the Bartlett factor of a Wishart(s_dim, I_p),
+        with p(p-1)/2 standard normals below the diagonal (np.tril_indices
+        order) and L_ii^2 ~ chi^2(s_dim - i) for i = 0..p-1.  That is the
+        law of the transposed Cholesky factor of S_j^T S_j / s_dim, so
+        ||R v|| has the law of ||S_j v|| / sqrt(s_dim) for every v, at
+        p(p+1)/2 draws instead of s_dim * p.
         """
         R = self._factors.get(j)
         if R is None:
             child = np.random.SeedSequence(self._entropy, spawn_key=(j,))
             gen = np.random.Generator(np.random.Philox(child))
-            S = gen.standard_normal((self.s_dim, self.dim + 2))
-            if self.s_dim > self.dim + 2:
-                R = np.linalg.cholesky(S.T @ S / self.s_dim).T
+            p, s = self.dim + 2, self.s_dim
+            if s > p:
+                L = np.zeros((p, p))
+                L[np.tril_indices(p, -1)] = gen.standard_normal(p * (p - 1) // 2)
+                L[np.diag_indices(p)] = np.sqrt(gen.chisquare(s - np.arange(p)))
+                R = L.T / math.sqrt(s)
             else:
-                R = S / math.sqrt(self.s_dim)
+                R = gen.standard_normal((s, p)) / math.sqrt(s)
             self._factors[j] = R
         return R
 

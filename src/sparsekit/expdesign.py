@@ -193,7 +193,8 @@ def swap_round(
     beta = 1.0 / c
     if gamma - 1.0 - 2.0 / c <= 0.0:
         raise ConfigError(f"c={c} violates c > 2/(gamma-1) = {2.0 / (gamma - 1.0)}")
-    n_floor = 6.0 * d / epsilon**2 / (gamma - 1.0 - 2.0 / c)
+    # an underflowed eps^2 reads n_floor = inf, so the check below refuses it
+    n_floor = 6.0 * d / epsilon**2 / (gamma - 1.0 - 2.0 / c) if epsilon**2 > 0.0 else math.inf
     if n < n_floor:
         raise ConfigError(f"n={n} violates n >= 6d/eps^2/(gamma-1-2/c) = {n_floor}")
     if n > m:

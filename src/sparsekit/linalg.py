@@ -45,9 +45,8 @@ ISOTROPY_TOL = 1e-6
 class VectorFamily:
     """m >= 1 vectors in R^d, d >= 1, stored densely.
 
-    The per-row nonzero counts, which drive the nnz-based cost estimate used
-    when choosing between the two positive-search trees, are read from the
-    vectors themselves: a stored zero counts as a zero.
+    The per-row nonzero counts are read from the vectors themselves: a
+    stored zero counts as a zero.
     """
 
     vectors: np.ndarray

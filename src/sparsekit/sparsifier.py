@@ -12,10 +12,11 @@ variant scans the rows in order until the first witness, in chunks of 64,
 128, 256, ... rows: O(k d^2) for a first witness at row k, O(m d^2) in the
 worst case.  The fast variant asks a positive-search tree, at O(d^2 log m)
 per iteration.  An nnz-based cost model picks the tree's leaf size: d
-vectors per leaf (the vector tree) or one (the matrix tree).  One row scan,
-`_first_witness`, serves the reference and every fallback of the fast
-variant (a tree that raises or answers a non-witness).  Everything is
-deterministic: reruns on equal input produce identical selections.
+vectors per leaf (the vector tree) when no vector has a zero entry, else
+one (the matrix tree).  One row scan, `_first_witness`, serves the
+reference and every fallback of the fast variant (a tree that raises or
+answers a non-witness).  Everything is deterministic: reruns on equal input
+produce identical selections.
 """
 
 from __future__ import annotations
@@ -185,14 +186,15 @@ def bss_reference(family: VectorFamily, epsilon: float):
 
 
 def choose_tree(family: VectorFamily) -> str:
-    """Cost-model branch: "vector" iff m d^2 <= sum_i nnz(v_i)^2.
+    """Cost-model branch: "vector" iff no vector has a zero entry.
 
-    d^2 is d^(w-1) at the cubic matrix-multiplication exponent w = 3, the
-    only one numpy offers.
+    The model picks the vector tree iff m d^2 <= sum_i nnz(v_i)^2, d^2 being
+    d^(w-1) at the cubic matrix-multiplication exponent w = 3, the only one
+    numpy offers.  Since nnz(v_i) <= d, that sum is at most m d^2, with
+    equality only when every entry is nonzero, so the rule reduces to one
+    test over the entries.
     """
-    m, d = family.count, family.dim
-    nnz = family.nnz_per_row.astype(np.int64)
-    return "vector" if m * d**2 <= int(np.sum(nnz**2)) else "matrix"
+    return "vector" if family.vectors.all() else "matrix"
 
 
 def sparsify_fast(family: VectorFamily, epsilon: float):

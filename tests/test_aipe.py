@@ -1,11 +1,15 @@
-"""The adaptive inner-product estimator against a full-sketch oracle.
+"""The adaptive inner-product estimator against a sketch oracle.
 
-The oracle keeps its points in a dict, regenerates every sampled s_dim x (D+2)
-Gaussian sketch from SeedSequence(seed).spawn(pool)[j], and applies it to
-each transformed point directly, as the estimator's definition reads.  It
-shares the estimator's unit-sphere transform (tested in test_minip): a point
-or query on the unit sphere has a tail coordinate of sqrt(rounding error),
-which a sketch passes on linearly.
+The oracle keeps its points in a dict, regenerates every sampled sketch from
+SeedSequence(seed).spawn(pool)[j], and applies it to each transformed point
+directly, as the estimator's definition reads: a short s_dim x (D+2)
+Gaussian S_j as it is drawn, and for a tall s_dim the (D+2) x (D+2) factor
+R_j rebuilt from its Bartlett draws.  That R_j has the law of the full
+sketch's factor, which test_tall_factor_has_the_gaussian_sketch_law checks
+against explicit Gaussian sketches.  The oracle shares the estimator's
+unit-sphere transform (tested in test_minip): a point or query on the unit
+sphere has a tail coordinate of sqrt(rounding error), which a sketch passes
+on linearly.
 """
 
 import math
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sparsekit.aipe import InnerProductEstimator
 from sparsekit.errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
@@ -37,8 +42,7 @@ class Oracle:
         self.radius = max(self.radius, float(np.linalg.norm(z)))
 
     def sketch(self, j):
-        gen = np.random.Generator(np.random.Philox(self.children[j]))
-        return gen.standard_normal((self.s_dim, self.dim + 2)) / math.sqrt(self.s_dim)
+        return bartlett_or_gaussian_sketch(self.children[j], self.s_dim, self.dim + 2)
 
     def estimates(self, q, rng) -> dict:
         """Id -> median over the sampled sketches of ||S (a_i - q_a)||."""
@@ -53,6 +57,21 @@ class Oracle:
     def query_min(self, q, rng) -> int:
         est = self.estimates(q, rng)
         return max(est, key=lambda pid: (est[pid], -pid))
+
+
+def bartlett_or_gaussian_sketch(child, s_dim, p):
+    """Pool member j's sketch from its SeedSequence: S / sqrt(s_dim) for a short
+    s_dim <= p; for a tall one, L^T / sqrt(s_dim) with L lower triangular,
+    N(0, 1) entries below the diagonal in row-major order, then
+    L_ii = sqrt(chi^2(s_dim - i)) drawn in one call."""
+    gen = np.random.Generator(np.random.Philox(child))
+    if s_dim <= p:
+        return gen.standard_normal((s_dim, p)) / math.sqrt(s_dim)
+    L = np.zeros((p, p))
+    rows, cols = np.tril_indices(p, -1)
+    L[rows, cols] = gen.standard_normal(len(rows))
+    L[range(p), range(p)] = np.sqrt(gen.chisquare([s_dim - i for i in range(p)]))
+    return L.T / math.sqrt(s_dim)
 
 
 def unit(v):
@@ -89,7 +108,7 @@ def sketch_shapes(draw):
 @given(shape=sketch_shapes())
 def test_every_sketch_shape_matches_full_sketch_oracle(shape):
     """Short sketches, the smallest tall one and far taller ones all give the
-    full sketch's estimates, and no cached factor outgrows min(s_dim, D+2) rows."""
+    oracle's estimates, and no cached factor outgrows min(s_dim, D+2) rows."""
     dim, eps, seed = shape
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((12, dim))
@@ -104,6 +123,34 @@ def test_every_sketch_shape_matches_full_sketch_oracle(shape):
     assert est._factors
     for R in est._factors.values():
         assert R.shape == (min(est.s_dim, dim + 2), dim + 2)
+
+
+def assert_gaussian_sketch_law(sketches, s_dim, p):
+    """Checks that R^T R has the law of S^T S / s_dim, S an s_dim x p Gaussian:
+    s_dim ||R v||^2 ~ chi^2(s_dim) for a fixed unit v (KS test), and every entry
+    of the mean R^T R within 5 standard errors of the identity's."""
+    v = unit(np.arange(1.0, p + 1))
+    norms, gram_sum = [], np.zeros((p, p))
+    for R in sketches:
+        norms.append(s_dim * float(np.sum((R @ v) ** 2)))
+        gram_sum += R.T @ R
+    N = len(norms)
+    assert stats.kstest(norms, "chi2", args=(s_dim,)).pvalue > 1e-3
+    se = np.where(np.eye(p, dtype=bool), math.sqrt(2.0 / (s_dim * N)), math.sqrt(1.0 / (s_dim * N)))
+    assert np.all(np.abs(gram_sum / N - np.eye(p)) <= 5.0 * se)
+
+
+@pytest.mark.parametrize("s_dim", [9, 32, 2172])  # D+3, 4(D+2) and about expdesign-aipe's
+def test_tall_factor_has_the_gaussian_sketch_law(s_dim):
+    """2,000 members' cached factors pass the checks of the Gaussian sketch's
+    law, and so do explicit Gaussian sketches S / sqrt(s_dim), as a control."""
+    p, members = DIM + 2, 2000
+    est = InnerProductEstimator(np.eye(DIM), math.sqrt(8.0 / (s_dim - 0.5)), SEED)
+    assert est.s_dim == s_dim
+    assert_gaussian_sketch_law((est._factor(j) for j in range(members)), s_dim, p)
+    rng = np.random.default_rng(5)
+    explicit = (rng.standard_normal((s_dim, p)) / math.sqrt(s_dim) for _ in range(members))
+    assert_gaussian_sketch_law(explicit, s_dim, p)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """Swap rounding: input and window checks, find_ct against the two-evaluation
 bisection it replaced, the lambda_min guarantee over many seeds on every
-backend, and the afn backend queried after inserts."""
+backend, the afn backend queried after inserts, and aipe proposals that
+never verify."""
 
 import math
 
@@ -168,3 +169,30 @@ def test_afn_backend_queries_after_inserts(monkeypatch):
     assert out.swaps >= 2
     assert out.lambda_min > 1.0 - gamma * eps
     assert "propose" in calls[calls.index("insert") + 1 :]
+
+
+@pytest.mark.parametrize("epsilon, gamma", [(1e-300, 4.0), (1e-309, 1e308)])
+def test_underflowing_epsilon_squared_is_refused_by_the_n_floor(rng, epsilon, gamma):
+    # eps^2 underflows to 0, so n >= 6d/eps^2/(gamma-1-2/c) can hold for no n
+    m, n = 800, 400
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rng.standard_normal((m, 2))), pi)
+    with pytest.raises(ConfigError, match=r"n=400 violates n >= 6d/eps\^2/\(gamma-1-2/c\) = inf"):
+        expdesign.swap_round(family, pi, n, epsilon, gamma=gamma)
+
+
+def test_aipe_proposals_that_never_verify_fall_back_to_the_exact_scan(monkeypatch):
+    """With B^- patched to inf no proposal verifies, so every removal is the
+    scan's and the run is the exact backend's at the same seed."""
+    rows_seed, d, eps, gamma, c, tau, n, m, _, seed = SWAP_CASES["aipe-s1"]
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(rows_seed, m, d)), pi)
+    exact = expdesign.swap_round(family, pi, n, eps, gamma=gamma, c=c, seed=seed)
+    monkeypatch.setattr(expdesign, "_b_minus", lambda *args: math.inf)
+    aipe = expdesign.swap_round(
+        family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="aipe", seed=seed
+    )
+    assert aipe.swaps >= 1 and aipe.fallbacks == aipe.swaps
+    np.testing.assert_array_equal(aipe.selection.indices, exact.selection.indices)
+    for trace in ("lambda_trace", "trace_minus", "trace_plus"):
+        assert getattr(aipe, trace) == getattr(exact, trace)

@@ -113,7 +113,7 @@ def test_replay_afn_keeps_its_recorded_hashes():
 REPLAY_HASHES = {
     "sha256": "6a7cf892e1f911b6e0f3c07050b2419c0e1733d8da4dee452e60ee622959f7ad",
     "sparsify_sha256": "8acbbee3f04e20dfe008de0d78a79a17c5c7b5da8714a3a182d1cc19a8bb8530",
-    "aipe_sha256": "1b1df28da1595a6b8279e4bcef31ee69b141808c264f1101c0468fa565c34b3a",
+    "aipe_sha256": "d46de3380306091ed987832e78bcc75054d80749d8f52d6399ab0b84cffeb5bb",
     "exact_sha256": "8961e9b80e5b33da3f52ad9b7b65c21d766d9f63d2b43ec0d901744c0f8d0165",
 }
 

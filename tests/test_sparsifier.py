@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsekit import psearch, sparsifier
@@ -65,6 +65,27 @@ def test_fast_path_never_scans_the_rows(monkeypatch, rng, kind):
     assert selection.support_size > 0
     with pytest.raises(AssertionError, match="scanned"):
         sparsifier.bss_reference(family, 0.5)
+
+
+@st.composite
+def zero_patterns(draw):
+    """Small finite families whose entries include 0.0, -0.0 and subnormals."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    entries = st.sampled_from([0.0, -0.0, 5e-324, -1.0, 2.5, 1e308])
+    return np.array(draw(st.lists(entries, min_size=m * d, max_size=m * d))).reshape(m, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_patterns())
+@example(np.ones((5, 3)))
+@example(np.array([[1.0, 0.0], [1.0, 1.0]]))
+def test_choose_tree_is_the_nnz_cost_model(vectors):
+    """The vector tree iff m d^2 <= sum_i nnz(v_i)^2, the cost model as written."""
+    family = VectorFamily(vectors)
+    m, d = vectors.shape
+    nnz = np.count_nonzero(vectors, axis=1)
+    want = "vector" if m * d**2 <= int(np.sum(nnz**2)) else "matrix"
+    assert sparsifier.choose_tree(family) == want
 
 
 @pytest.mark.parametrize("variant", list(SOLVERS))
