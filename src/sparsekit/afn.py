@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionViolation
+from .errors import ConfigError
 from .pointstore import PointStore
 
 __all__ = ["DELTA", "SCALE", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
@@ -132,9 +132,7 @@ class DfnStructure:
     def __init__(self, store: PointStore, cbar: float, seeds):
         if not cbar > 1.0:  # False on NaN, so NaN is refused too
             raise ConfigError(f"cbar={cbar} violates cbar > 1")
-        base = store.initial_points
-        if not len(base):
-            raise PreconditionViolation("need at least one point")
+        base = store.initial_points  # never empty: a PointStore refuses zero rows
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)

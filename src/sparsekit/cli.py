@@ -2,15 +2,16 @@
 
 Each command accepts only the flags its runner reads (see ``FLAGS``);
 argparse rejects any other flag, and any other command, with exit code 2.
+The input's file name decides its format: Matrix Market for a .mtx or
+.mtx.gz name, CSV for any other.  ks reads N off its input: m isotropic rows
+of squared norm 1/N in R^d sum to I, so m/N = trace I = d and N = m/d.
 Reports are JSON.  A report's "config" block holds exactly the command's
-flags, unset ones as null.  Without --seed, ks and expdesign take their seed
-from $SPARSEKIT_SEED (0 when unset); a seed that is not a non-negative
-integer is a config error, and so is an --output that is a directory or
-lies in no existing directory, refused before any solve.  Reports are
-replayable: two runs with the same flags and seed produce byte-identical
-reports once the "timings" block is removed.  Both Min-IP backends, aipe
-and afn, have one size, read from afn.SCALE.  Exit codes distinguish the
-error classes:
+flags, unset ones as null.  --seed defaults to 0; a negative seed is a
+config error, and so is an --output that is a directory or lies in no
+existing directory, refused before any solve.  Reports are replayable: two
+runs with the same flags and seed produce byte-identical reports once the
+"timings" block is removed.  Both Min-IP backends, aipe and afn, have one
+size, read from afn.SCALE.  Exit codes distinguish the error classes:
 
     0 success          3 precondition violation
     2 config error     4 numerical-warning escalation
@@ -47,33 +48,26 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 EXIT_EXHAUSTED = 5
 
-ENV_SEED = "SPARSEKIT_SEED"
-
 #: the flags each command's runner reads; argparse refuses all others
 FLAGS = {
-    "sparsify": ("input", "format", "epsilon", "whiten", "output"),
-    "ks": (
-        "input", "format", "whiten", "N", "n", "backend",
-        "c", "tau", "seed", "output",
-    ),
+    "sparsify": ("input", "epsilon", "whiten", "output"),
+    "ks": ("input", "whiten", "n", "backend", "c", "tau", "seed", "output"),
     "expdesign": (
-        "input", "format", "whiten", "n", "epsilon", "gamma",
+        "input", "whiten", "n", "epsilon", "gamma",
         "c", "tau", "backend", "seed", "output",
     ),
 }
 
 ARGUMENTS = {
     "input": {},
-    "format": {"choices": ["matrix-market", "csv"]},
     "epsilon": {"type": float, "default": 0.25},
     "whiten": {"action": "store_true"},
-    "N": {"type": float},
     "n": {"type": int},
     "backend": {"default": "exact"},
     "c": {"type": float},
     "tau": {"type": float},
     "gamma": {"type": float, "default": xd.DEFAULT_GAMMA},
-    "seed": {"type": int},
+    "seed": {"type": int, "default": 0},
     "output": {},
 }
 
@@ -93,7 +87,7 @@ def _report_skeleton(config: argparse.Namespace) -> dict:
 def _load_family(config: argparse.Namespace) -> VectorFamily:
     if config.input is None:
         raise ConfigError("--input is required for this command")
-    family = parse_matrix_file(config.input, config.format)
+    family = parse_matrix_file(config.input)
     if config.whiten:
         family = whiten(family)
     return family
@@ -127,14 +121,15 @@ def run_sparsify(config: argparse.Namespace) -> dict:
 
 
 def run_ks(config: argparse.Namespace) -> dict:
+    """Select --n rows of the input, with N = m/d, the one N its norms and isotropy admit."""
     report = _report_skeleton(config)
+    if config.n is None:
+        raise ConfigError("--n is required for ks")
     family = _load_family(config)
-    if config.N is None or config.n is None:
-        raise ConfigError("--N and --n are required for ks")
     t0 = time.perf_counter()
     result = ks.ks_select(
         family,
-        config.N,
+        family.count / family.dim,
         config.n,
         backend=config.backend,
         c=config.c,
@@ -157,7 +152,7 @@ def run_expdesign(config: argparse.Namespace) -> dict:
         raise ConfigError("--n is required for expdesign")
     if config.n < 1:
         raise ConfigError(f"n={config.n} violates n >= 1")
-    family = parse_matrix_file(config.input, config.format)
+    family = parse_matrix_file(config.input)
     pi = np.full(family.count, min(1.0, config.n / family.count))
     if config.whiten:
         # whiten against pi so the fractional design is exactly isotropic
@@ -201,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(config: argparse.Namespace) -> argparse.Namespace:
-    """The parsed flags, exactly the names in FLAGS[command], with the seed filled in.
+    """The parsed flags, exactly the names in FLAGS[command].
 
     An --output the report could not be written to is refused here, before any solve.
     """
@@ -209,12 +204,6 @@ def config_from_args(config: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"--output {config.output} is a directory")
     if config.output and not os.path.isdir(os.path.dirname(config.output) or "."):
         raise ConfigError(f"--output {config.output} lies in no existing directory")
-    if "seed" in FLAGS[config.command] and config.seed is None:
-        text = os.environ.get(ENV_SEED, "0")
-        try:
-            config.seed = int(text)
-        except ValueError:
-            raise ConfigError(f"${ENV_SEED}={text!r} is not an integer") from None
     return config
 
 

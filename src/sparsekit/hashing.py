@@ -49,13 +49,3 @@ class PolyHash:
         for c in reversed(self._coeffs):
             acc = [(a * x + c) % MERSENNE_P for a, x in zip(acc, keys)]
         return np.array(acc, dtype=np.int64).reshape(rows, cols) % self.range_size
-
-
-class SignHash:
-    """k-wise independent {-1, +1} values derived from a PolyHash low bit."""
-
-    def __init__(self, k: int, seed):
-        self._h = PolyHash(k, 2, seed)
-
-    def grid(self, rows: int, cols: int) -> np.ndarray:
-        return 2 * self._h.grid(rows, cols) - 1

@@ -71,10 +71,7 @@ def _check_family(family: VectorFamily, N: float) -> None:
         raise PreconditionViolation(f"every vector must have norm 1/sqrt(N)={target}")
     if not check_isotropy(family):
         raise IsotropyViolation("family is not isotropic")
-    if family.count != family.dim * N:
-        raise PreconditionViolation(
-            f"m={family.count} must equal d*N={family.dim * N}"
-        )
+    # no m = dN test: the two checks give m/N = sum |v|^2 = trace I = d up to rounding
 
 
 @dataclass

@@ -111,10 +111,9 @@ def check_window(c: float, tau: float) -> None:
         raise ConfigError(f"c={c} violates c > tau={tau}")
 
 
-def minip_window(tau: float, eps: float) -> tuple[float, float]:
-    """Upper ends of the two admissible c-windows (sqrt2 regime, n^0.01 regime)."""
-    base = (1.0 - eps) ** 2 * tau + 2.0 * eps
-    return 8.0 * tau / (base + 7.0), 400.0 * tau / (base + 399.0)
+def minip_window(tau: float, eps: float) -> float:
+    """The upper end of the admissible c-window: c must lie below it."""
+    return 8.0 * tau / ((1.0 - eps) ** 2 * tau + 2.0 * eps + 7.0)
 
 
 #: rows of each sketch, in SKETCH_BLOCKS count-sketch blocks: this shape keeps
@@ -218,17 +217,12 @@ class RobustMinIpIndex:
         return battery
 
     def _validate_window(self):
+        """Refuse a (c, tau) outside the window; every c inside it gets one cbar formula."""
         c, tau, eps = self.c, self.tau, self.EPS
         check_window(c, tau)
-        hi_sqrt2, hi_hundred = minip_window(tau, eps)
-        if c < hi_hundred:
-            self.regime = "n^0.01"
-        elif c < hi_sqrt2:
-            self.regime = "n^0.5"
-        else:
-            raise ConfigError(
-                f"c={c} violates c < 8*tau/((1-eps)^2*tau + 2*eps + 7) = {hi_sqrt2}"
-            )
+        hi = minip_window(tau, eps)
+        if not c < hi:
+            raise ConfigError(f"c={c} violates c < 8*tau/((1-eps)^2*tau + 2*eps + 7) = {hi}")
         self.cbar_sq = c * (1.0 - tau) * (1.0 - eps) ** 2 / (4.0 * (c - tau))
         self.cbar = math.sqrt(self.cbar_sq)
         if self.cbar <= 1.0:
@@ -299,7 +293,6 @@ class RobustMinIpIndex:
             "delta": DELTA,
             "eps": self.EPS,
             "seed": self.seed,
-            "regime": self.regime,
             "cbar_sq": self.cbar_sq,
             "kappa": self.kappa,
             "lambda_tilde": self.lambda_tilde,

@@ -53,7 +53,7 @@ class MinIpBackend:
         self.kind = kind
         self.tau = tau
         self._X = X
-        rows = [int(i) for i in rows]
+        rows = np.asarray(rows, dtype=int).tolist()
         points = self._points(rows)
         if kind == "aipe":
             # distance ratio this (c, tau) demands: (1+eps)^2 = c(1-tau)/(c-tau)
@@ -64,9 +64,11 @@ class MinIpBackend:
             self._index = RobustMinIpIndex(
                 minip_transform_dataset(points, self._D_X)[0], c=c, tau=tau, seed=seed
             )
-        # both structures number their initial points 0..len(rows)-1
-        self._row_of = dict(enumerate(rows))
-        self._pid_of = {row: pid for pid, row in self._row_of.items()}
+        # both structures issue pids 0, 1, 2, ... in order, starting with the
+        # initial rows, and never answer a retired pid: pid -> row is a list
+        # that retire leaves alone and insert appends to
+        self._row_of = rows
+        self._pid_of = {row: pid for pid, row in enumerate(rows)}
 
     def _points(self, rows) -> np.ndarray:
         """vec(x x^T) of each listed row of X, one per output row."""
@@ -89,15 +91,12 @@ class MinIpBackend:
 
     def retire(self, row: int) -> None:
         """Remove a stored row; it is never proposed again unless re-inserted."""
-        pid = self._pid_of.pop(row)
-        del self._row_of[pid]
-        self._index.delete(pid)
+        self._index.delete(self._pid_of.pop(row))
 
     def insert(self, row: int) -> None:
         """Store another row of X; it must not be stored already."""
         point = self._points([row])[0]
         if self.kind == "afn":
             point = minip_transform_dataset(point, self._D_X)[0][0]
-        pid = self._index.insert(point)
-        self._row_of[pid] = row
-        self._pid_of[row] = pid
+        self._pid_of[row] = self._index.insert(point)
+        self._row_of.append(row)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .afn import DELTA, SCALE
 from .errors import ConfigError, DimensionMismatch, PreconditionViolation
-from .hashing import PolyHash, SignHash
+from .hashing import PolyHash
 
 __all__ = [
     "TensorSrhtSketch",
@@ -160,8 +160,8 @@ class TensorSparseSketch(_TensorSketchBase):
         ss = np.random.SeedSequence(self.seed).spawn(4)
         self.h1 = PolyHash(degree, self.block, ss[0]).grid(self.side, s)
         self.h2 = PolyHash(degree, self.block, ss[1]).grid(self.side, s)
-        self.sg1 = SignHash(degree, ss[2]).grid(self.side, s).astype(float)
-        self.sg2 = SignHash(degree, ss[3]).grid(self.side, s).astype(float)
+        self.sg1 = 2.0 * PolyHash(degree, 2, ss[2]).grid(self.side, s) - 1.0
+        self.sg2 = 2.0 * PolyHash(degree, 2, ss[3]).grid(self.side, s) - 1.0
 
     def apply_flat(self, x) -> np.ndarray:
         X = self._pad_flat(x)
@@ -216,9 +216,6 @@ class SketchEnsemble:
 
     def __len__(self) -> int:
         return self.k
-
-    def __getitem__(self, i: int):
-        return self.sketches[i]
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform sample of member indices without replacement."""

@@ -32,6 +32,19 @@ def random_ks_family(d, N, rng):
     return VectorFamily(np.vstack(blocks))
 
 
+def harmonic_frame(m, d):
+    """The real harmonic frame of m rows in R^d, d odd: row k is
+    sqrt(2/m) (1/sqrt(2), cos(2 pi j k/m), sin(2 pi j k/m) for j = 1..(d-1)/2).
+
+    For m > d - 1 every row has norm sqrt(d/m) and the rows sum to the
+    identity, so it is a Kadison-Singer input with N = m/d.
+    """
+    k = np.arange(m)[:, None]
+    angles = 2.0 * np.pi * np.arange(1, (d + 1) // 2)[None, :] * k / m
+    rows = np.hstack([np.full((m, 1), math.sqrt(0.5)), np.cos(angles), np.sin(angles)])
+    return VectorFamily(rows * math.sqrt(2.0 / m))
+
+
 def exact_min_ip(Y, q):
     """Exhaustive argmin of <y_i, q>: (index, value), ties to the smallest index."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))

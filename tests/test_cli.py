@@ -1,6 +1,6 @@
 """The command line: exit codes of the error taxonomy, and replayable reports.
 
-A property test drives `expdesign` with malformed matrices and flag values:
+Property tests drive each command with malformed matrices and flag values:
 every draw must end in a documented exit code, never a traceback.
 """
 
@@ -22,7 +22,7 @@ from sparsekit.io import write_matrix_file
 from sparsekit.kadison_singer import ks_select
 from sparsekit.linalg import VectorFamily, whiten
 
-from conftest import random_isotropic_family, random_ks_family
+from conftest import harmonic_frame, random_isotropic_family, random_ks_family
 
 
 def test_sparsify_epsilon_out_of_range_is_config_error(tmp_path, rng, capsys):
@@ -66,7 +66,7 @@ def test_expdesign_defaults_run_on_feasible_input(tmp_path, rng):
 def test_ks_aipe_replay_identical_apart_from_timings(tmp_path, rng):
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "aipe"]
+    argv = ["ks", "--input", path, "--n", "8", "--backend", "aipe"]
     out = tmp_path / "report.json"
     argv += ["--c", "0.505", "--tau", "0.5", "--seed", "3"]
     argv += ["--output", str(out)]  # the report's config records this path
@@ -90,7 +90,7 @@ def test_ks_afn_refuses_too_many_structures_before_building_one(
     monkeypatch.setattr(minip, "AfnStructure", no_build)
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(12, 2, rng).vectors)
-    argv = ["ks", "--input", path, "--N", "2", "--n", "12", "--backend", "afn"]
+    argv = ["ks", "--input", path, "--n", "12", "--backend", "afn"]
     assert cli.main(argv + ["--c", "0.505", "--tau", "0.5"]) == cli.EXIT_CONFIG
     assert "AFN structures exceeds the limit of 10000" in capsys.readouterr().err
 
@@ -99,7 +99,7 @@ def test_ks_afn_runs_without_profile(tmp_path, rng):
     # the one Min-IP index size keeps k*kappa under the structure limit
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "afn"]
+    argv = ["ks", "--input", path, "--n", "8", "--backend", "afn"]
     out = tmp_path / "report.json"
     argv += ["--c", "0.505", "--tau", "0.5", "--seed", "3", "--output", str(out)]
     assert cli.main(argv) == 0
@@ -113,10 +113,7 @@ def test_ks_afn_runs_without_profile(tmp_path, rng):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ks", "--N", "0", "--n", "8"],
-        ["ks", "--N", "-1", "--n", "8"],
-        ["ks", "--N", "1", "--n", "8"],
-        ["ks", "--N", "nan", "--n", "8"],
+        ["ks", "--n", "16"],
         ["expdesign", "--n", "0", "--whiten"],
         ["expdesign", "--n", "-3", "--whiten"],
         ["expdesign", "--n", "8", "--whiten", "--gamma", "2"],
@@ -125,7 +122,7 @@ def test_ks_afn_runs_without_profile(tmp_path, rng):
         ["expdesign", "--n", "900", "--whiten"],
     ],
     ids=[
-        "ks-N0", "ks-N-1", "ks-N1", "ks-Nnan", "expdesign-n0", "expdesign-n-3",
+        "ks-n-equals-m", "expdesign-n0", "expdesign-n-3",
         "expdesign-gamma2", "expdesign-eps0.3", "expdesign-n-below-floor", "expdesign-n-above-m",
     ],
 )
@@ -136,11 +133,36 @@ def test_bad_sizes_are_config_errors(tmp_path, rng, capsys, argv):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_ks_input_of_fewer_than_2d_rows_is_config_error(tmp_path, rng, capsys):
+    # ks reads N = m/d off its input: 3 rows in R^2 give N = 1.5
+    path = str(tmp_path / "ks.csv")
+    write_matrix_file(path, rng.standard_normal((3, 2)))
+    assert cli.main(["ks", "--input", path, "--n", "1"]) == cli.EXIT_CONFIG
+    assert "config error: N=1.5 violates N >= 2" in capsys.readouterr().err
+
+
+def test_ks_without_n_exits_2_before_reading_the_input(tmp_path, capsys):
+    path = str(tmp_path / "missing.csv")
+    assert cli.main(["ks", "--input", path, "--whiten"]) == cli.EXIT_CONFIG
+    assert "--n is required" in capsys.readouterr().err
+
+
+def test_ks_accepts_a_frame_whose_m_is_not_d_times_a_double(tmp_path, capsys):
+    # m/d = 29/7 rounds, so d * (m/d) = 29.000000000000004 != m
+    path = str(tmp_path / "harmonic.csv")
+    write_matrix_file(path, harmonic_frame(29, 7).vectors)
+    out = tmp_path / "report.json"
+    assert cli.main(["ks", "--input", path, "--n", "14", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass"
+    assert report["result"]["final_norm"] < report["result"]["barrier_sequence"][-1]
+
+
 @pytest.mark.parametrize("c, tau", [("0", "-0.02"), ("0.5", "-0.5")])
 def test_ks_aipe_refuses_nonpositive_tau_or_c(tmp_path, rng, capsys, c, tau):
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-    argv = ["ks", "--input", path, "--N", "8", "--n", "8", "--backend", "aipe"]
+    argv = ["ks", "--input", path, "--n", "8", "--backend", "aipe"]
     argv += ["--c", c, "--tau", tau]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "violates 0 < tau < 1" in capsys.readouterr().err
@@ -171,8 +193,8 @@ def test_ks_negative_seed_is_config_error_before_building_the_index(rng, monkeyp
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ks", "--N", "8", "--n", "8", "--backend", "aipe", "--c", "0.505", "--tau", "0.5"],
-        ["ks", "--N", "8", "--n", "8", "--backend", "afn", "--c", "0.505", "--tau", "0.5"],
+        ["ks", "--n", "8", "--backend", "aipe", "--c", "0.505", "--tau", "0.5"],
+        ["ks", "--n", "8", "--backend", "afn", "--c", "0.505", "--tau", "0.5"],
         ["expdesign", "--n", "400", "--whiten"],
     ],
     ids=["ks-aipe", "ks-afn", "expdesign"],
@@ -185,14 +207,6 @@ def test_negative_seed_is_config_error(tmp_path, rng, capsys, argv):
         write_matrix_file(path, rng.standard_normal((800, 2)))
     assert cli.main(argv + ["--input", path, "--seed", "-1"]) == cli.EXIT_CONFIG
     assert "seed=-1 violates seed >= 0" in capsys.readouterr().err
-
-
-def test_non_integer_seed_variable_is_config_error(tmp_path, rng, capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_SEED, "abc")
-    path = str(tmp_path / "ks.mtx")
-    write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-    assert cli.main(["ks", "--input", path, "--N", "8", "--n", "8"]) == cli.EXIT_CONFIG
-    assert "$SPARSEKIT_SEED='abc' is not an integer" in capsys.readouterr().err
 
 
 def test_complex_input_is_precondition_violation(tmp_path, capsys):
@@ -252,33 +266,46 @@ def test_expdesign_underflowing_epsilon_exits_2(tmp_path, rng, capsys, flags):
 
 
 ENTRIES = [0.0, 1.0, -2.5, 1e-300, 5e-324, 1e300, -1e308, np.nan, np.inf]
+#: a zero or duplicate row, rank deficiency, one non-finite entry, extreme
+#: magnitudes, or fewer than 2d rows
+DEFECTS = ["zero", "duplicate", "rank", "nan", "inf", 1e-160, 1e160, "short"]
+
+
+def odd_matrix(draw):
+    """1-6 rows in R^1 to R^3 of entries drawn from ENTRIES."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.sampled_from(ENTRIES), min_size=m * d, max_size=m * d)))
+    return X.reshape(m, d)
+
+
+def with_defect(draw, X):
+    """X, of at least 2 rows, with at most one of DEFECTS: none in half the draws."""
+    d = X.shape[1]
+    defect = draw(st.sampled_from([None] * len(DEFECTS) + DEFECTS))
+    if defect == "zero":
+        X[0] = 0.0
+    elif defect == "duplicate":
+        X[1] = X[0]
+    elif defect == "rank":
+        X[:, -1] = 0.0 if d == 1 else 2.0 * X[:, 0]
+    elif defect in ("nan", "inf"):
+        X[-1, 0] = float(defect)
+    elif defect == "short":
+        X = X[: 2 * d - 1]
+    elif defect is not None:
+        X *= defect
+    return X
 
 
 @st.composite
 def design_matrices(draw):
-    """Small matrices of odd entries (a quarter of draws), or 80-200 Gaussian
-    rows in R^1 or R^2, tall enough for a solve, with at most one defect: a
-    zero or duplicate row, rank deficiency, one non-finite entry, or extreme
-    magnitudes."""
+    """An odd matrix (a quarter of draws), or 80-200 Gaussian rows in R^1 or
+    R^2, tall enough for a solve, with at most one defect."""
     if draw(st.integers(0, 3)) == 0:
-        m, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-        X = np.array(draw(st.lists(st.sampled_from(ENTRIES), min_size=m * d, max_size=m * d)))
-        return X.reshape(m, d)
+        return odd_matrix(draw)
     m, d = draw(st.integers(80, 200)), draw(st.integers(1, 2))
     X = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((m, d))
-    defects = ["zero", "duplicate", "rank", "nan", "inf", 1e-160, 1e160]
-    defect = draw(st.sampled_from([None] * len(defects) + defects))
-    if defect == "zero":
-        X[0] = 0.0
-    elif defect == "duplicate":
-        X[1] = X[2]
-    elif defect == "rank":
-        X[:, -1] = 0.0 if d == 1 else 2.0 * X[:, 0]
-    elif defect in ("nan", "inf"):
-        X[3, 0] = float(defect)
-    elif defect is not None:
-        X *= defect
-    return X
+    return with_defect(draw, X)
 
 
 #: flags some solve of an 80-200 row design accepts: at eps = 1/6, gamma = 6
@@ -324,17 +351,106 @@ UNDERFLOW_DESIGN = np.random.default_rng(0).standard_normal((40, 3))
 @example(X=UNDERFLOW_DESIGN, flags=["--whiten", "--n", "20", "--epsilon", "1e-300"])
 @example(X=UNDERFLOW_DESIGN, flags=["--whiten", "--n", "20", "--gamma", "1e308", "--epsilon", "1e-309"])
 def test_expdesign_ends_in_a_documented_exit_code(X, flags):
+    assert_documented_exit("expdesign", X, flags)
+
+
+def assert_documented_exit(command, X, flags):
+    """main() on X, written as CSV, returns an exit code in 0-5 and prints no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "design.csv")
+        path = os.path.join(tmp, "input.csv")
         write_matrix_file(path, X)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
-                code = cli.main(["expdesign", "--input", path, *flags])
+                code = cli.main([command, "--input", path, *flags])
             except SystemExit as exc:  # argparse refuses a malformed flag value
                 code = exc.code
     assert code in range(6)
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def ks_cases(draw):
+    """An odd matrix (a quarter of draws), or N random orthonormal d-frames
+    scaled by 1/sqrt(N) (d <= 3, N <= 6), in one draw of four replaced by
+    Gaussian rows, which are no frame, with at most one defect; and ks flags.
+
+    --n (m/2, m - 1 or 0), --c and --tau (inside the window at 0.505 and
+    0.5) and --seed (0 or 3) are valid, but for at most two of them, each
+    dropped or set to a bad value: --n to m, m + 1 or a negative count, and
+    --seed to a negative one.  --backend is any of four; --whiten is on in
+    half the draws.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        X = odd_matrix(draw)
+    else:
+        d, N = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        frame = random_ks_family(d, N, rng).vectors
+        X = with_defect(draw, frame if draw(st.integers(0, 3)) else rng.standard_normal(frame.shape))
+    m = len(X)
+    usual = {"--n": [m // 2, m - 1, 0], "--c": ["0.505"], "--tau": ["0.5"], "--seed": [0, 3]}
+    bad = {"--n": st.sampled_from([m, m + 1, -1, -m]), "--seed": st.integers(-3, -1)}
+    broken = draw(st.sets(st.sampled_from(sorted(usual)), max_size=2))
+    flags = ["--backend", draw(st.sampled_from(["exact", "aipe", "afn", "bogus"]))]
+    for flag, values in usual.items():
+        if flag not in broken:
+            flags += [flag, str(draw(st.sampled_from(values)))]
+        elif draw(st.booleans()):
+            flags += [flag, str(draw(bad.get(flag, bad_flag_values)))]
+    if draw(st.booleans()):
+        flags.append("--whiten")
+    return X, flags
+
+
+@settings(max_examples=150, deadline=5000)
+@given(case=ks_cases())
+def test_ks_ends_in_a_documented_exit_code(case):
+    assert_documented_exit("ks", *case)
+
+
+#: epsilon values refused before any solve; epsilon = 0.001 asks for
+#: T = ceil(d/eps^2) >= 10^6 steps, over MAX_STEPS
+BAD_EPSILONS = ["nan", "0", "1", "-0.5", "1e-300", "5e-324", "0.001", "inf", "2"]
+
+
+@st.composite
+def sparsify_cases(draw):
+    """An odd matrix (a quarter of draws), or 10-60 Gaussian rows in R^1 to
+    R^3, whitened in half the draws, with at most one defect; and sparsify
+    flags.
+
+    --epsilon is dropped (0.25), valid, or bad; the only valid values are
+    0.1 or more, so no draw asks for more than 300 barrier steps.
+    --whiten is on in three draws of four.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        X = odd_matrix(draw)
+    else:
+        m, d = draw(st.integers(10, 60)), draw(st.integers(1, 3))
+        X = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((m, d))
+        if draw(st.booleans()):
+            X = whiten(VectorFamily(X)).vectors
+        X = with_defect(draw, X)
+    flags = []
+    epsilon = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from(["0.1", "0.25", "0.5", "0.9"] + BAD_EPSILONS),
+            st.floats().filter(lambda eps: not 0.0 < eps < 0.1).map(repr),
+        )
+    )
+    if epsilon is not None:
+        flags += ["--epsilon", epsilon]
+    if draw(st.integers(0, 3)) > 0:
+        flags.append("--whiten")
+    return X, flags
+
+
+@settings(max_examples=150, deadline=5000)
+@given(case=sparsify_cases())
+def test_sparsify_ends_in_a_documented_exit_code(case):
+    assert_documented_exit("sparsify", *case)
 
 
 def test_sparsify_step_count_over_the_cap_exits_2_at_once(tmp_path, capsys):
@@ -401,7 +517,7 @@ def test_ks_barrier_collapse_exits_1(tmp_path, rng, capsys, monkeypatch):
     monkeypatch.setattr(kadison_singer, "ks_select", collapse)
     path = str(tmp_path / "ks.mtx")
     write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-    assert cli.main(["ks", "--input", path, "--N", "8", "--n", "8"]) == 1
+    assert cli.main(["ks", "--input", path, "--n", "8"]) == 1
     assert "error: norm crossed the barrier" in capsys.readouterr().err
 
 
@@ -456,6 +572,9 @@ def test_failed_report_write_is_config_error(tmp_path, rng, capsys, monkeypatch)
         ["ks", "--delta", "0.1"],
         ["ks", "--profile", "desk"],
         ["expdesign", "--profile", "full"],
+        ["ks", "--N", "8"],
+        ["sparsify", "--format", "csv"],
+        ["expdesign", "--format", "matrix-market"],
     ],
 )
 def test_flag_the_command_does_not_read_or_unknown_command_exits_2(argv):
@@ -465,28 +584,24 @@ def test_flag_the_command_does_not_read_or_unknown_command_exits_2(argv):
 
 
 COMMAND_FLAGS = {
-    "sparsify": {"input", "format", "epsilon", "whiten", "output"},
-    "ks": {
-        "input", "format", "whiten", "N", "n", "backend",
-        "c", "tau", "seed", "output",
-    },
+    "sparsify": {"input", "epsilon", "whiten", "output"},
+    "ks": {"input", "whiten", "n", "backend", "c", "tau", "seed", "output"},
     "expdesign": {
-        "input", "format", "whiten", "n", "epsilon", "gamma",
+        "input", "whiten", "n", "epsilon", "gamma",
         "c", "tau", "backend", "seed", "output",
     },
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
-def test_report_config_holds_exactly_the_command_flags(command, tmp_path, rng, monkeypatch):
-    monkeypatch.setenv(cli.ENV_SEED, "7")
+def test_report_config_holds_exactly_the_command_flags(command, tmp_path, rng):
     path = str(tmp_path / "input.mtx")
     if command == "sparsify":
         write_matrix_file(path, random_isotropic_family(20, 3, rng).vectors)
         argv = [command, "--input", path]
     elif command == "ks":
         write_matrix_file(path, random_ks_family(2, 8, rng).vectors)
-        argv = [command, "--input", path, "--N", "8", "--n", "8"]
+        argv = [command, "--input", path, "--n", "8"]
     else:
         m, n = 500, 250  # n >= 246.9, the floor at d=2, eps=0.25, gamma=4, c=0.9
         pi = np.full(m, n / m)
@@ -497,4 +612,4 @@ def test_report_config_holds_exactly_the_command_flags(command, tmp_path, rng, m
     config = json.loads(out.read_text())["config"]
     assert set(config) == COMMAND_FLAGS[command]
     if "seed" in config:
-        assert config["seed"] == 7  # taken from the environment without --seed
+        assert config["seed"] == 0  # the default without --seed

@@ -56,15 +56,6 @@ def test_explicitly_stored_zero_is_not_counted(tmp_path):
     assert family.nnz_per_row.tolist() == [1, 1]
 
 
-def test_unknown_format_is_precondition_violation(tmp_path, rng):
-    path = str(tmp_path / "rows.csv")
-    write_matrix_file(path, sample_rows(rng))
-    with pytest.raises(PreconditionViolation, match="unknown format 'hdf5'"):
-        parse_matrix_file(path, fmt="hdf5")
-    with pytest.raises(PreconditionViolation, match="unknown format 'hdf5'"):
-        write_matrix_file(path, sample_rows(rng), fmt="hdf5")
-
-
 COMPLEX_FILES = {
     "array": "%%MatrixMarket matrix array complex general\n2 2\n1 0\n0 0\n0 0\n1 2\n",
     "coordinate": "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1 0\n2 2 1 2\n",

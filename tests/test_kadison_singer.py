@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sparsekit.kadison_singer import _greedy_loop, ks_barrier_sequence, ks_select
 from sparsekit.minip import MinIpConfig
 
-from conftest import random_ks_family
+from conftest import harmonic_frame, random_ks_family
 from test_solvers_golden import KS_C, KS_TAU
 
 #: each backend's bound on the final norm, in units of a_n
@@ -37,6 +37,14 @@ def test_every_backend_keeps_its_norm_bound(shape, seed):
             assert norm < a_n
         else:
             assert norm <= factor * a_n
+
+
+def test_a_frame_whose_m_is_not_d_times_a_double_is_accepted():
+    # 29/7 is the double nearest m/d, yet 7 * (29/7) = 29.000000000000004
+    family = harmonic_frame(29, 7)
+    result = ks_select(family, 29 / 7, 14)
+    assert len(np.unique(result.selection.indices)) == 14
+    assert result.final_norm < result.barrier_sequence[-1]
 
 
 def test_minip_config_changes_no_afn_solve(rng):

@@ -50,7 +50,7 @@ def test_retire_insert_keep_maps_a_bijection(kind, ops, query_seed):
             backend.insert(row)
             stored.add(row)
         assert set(backend._pid_of) == stored
-        assert backend._row_of == {pid: row for row, pid in backend._pid_of.items()}
+        assert all(backend._row_of[pid] == row for row, pid in backend._pid_of.items())
         assert backend._index.count == len(stored)
         Q = rng.standard_normal((D, D))
         proposed = backend.propose(Q + Q.T, rng)

@@ -208,12 +208,6 @@ class TestDistortionTailVsBound:
 
 
 class TestEnsemble:
-    def test_single_member_behaves_like_sketch(self, rng):
-        ens = SketchEnsemble(side=4, b=16, s=8, k=1, master_seed=5)
-        uv = np.outer(rng.standard_normal(4), rng.standard_normal(4)).ravel()
-        single = ens.sketches[0]
-        assert np.allclose(ens[0].apply_flat(uv), single.apply_flat(uv))
-
     def test_master_seed_determinism(self, rng):
         a = SketchEnsemble(side=4, b=16, s=4, k=5, master_seed=42)
         b = SketchEnsemble(side=4, b=16, s=4, k=5, master_seed=42)
