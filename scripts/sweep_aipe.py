@@ -35,7 +35,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sparsekit import afn, expdesign  # noqa: E402
+from sparsekit import afn, expdesign, linalg  # noqa: E402
 from sparsekit.minip_backend import MinIpBackend  # noqa: E402
 
 EPSILON, C, TAU = 0.2, 0.9, 0.5
@@ -52,7 +52,7 @@ def swap_matrices(X: np.ndarray):
     m, d = X.shape
     beta = 1.0 / C
     alpha = math.sqrt(d) * beta / EPSILON
-    A_half, A = expdesign.swap_matrices(X.T @ X, alpha)
+    A_half, A = expdesign.swap_matrices(linalg.eigendecompose(X.T @ X), alpha)
     Q = expdesign.swap_query_matrix(A, A_half, m, EPSILON, alpha)
     return A, A_half, alpha, beta, Q
 

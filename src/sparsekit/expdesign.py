@@ -6,8 +6,10 @@ iteration removes the member with the smallest B^- score (proposed by the
 shared Min-IP backend of minip_backend and verified, or found by an
 eligible-filtered scan) and inserts the non-member with the
 largest B^+ score (always by linear scan: the target values are ~1/n, too
-small for approximate search to resolve).  The loop exits as soon as
-lambda_min of the selected Gram matrix clears 1 - gamma eps.
+small for approximate search to resolve); both scans score rows with
+linalg.quadratic_forms.  Each iteration takes one eigendecomposition of the
+selected Gram matrix Z: its lambda_min decides the exit, as soon as it
+clears 1 - gamma eps, and it gives A_t for the swap.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import (
     NoEligibleRemoval,
     PreconditionViolation,
 )
-from .linalg import VectorFamily, WeightedSelection, check_isotropy, check_symmetric, eigendecompose
+from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, check_isotropy
+from .linalg import check_symmetric, eigendecompose, quadratic_forms
 from .minip_backend import MinIpBackend
 
 __all__ = [
@@ -91,20 +94,19 @@ def _b_minus(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, bet
     return num / denom_minus
 
 
-def swap_matrices(Z: np.ndarray, alpha: float):
-    """(A_half, A) of one swap iteration from the selected Gram matrix Z.
+def swap_matrices(eig: EigenDecomposition, alpha: float):
+    """(A_half, A) of one swap iteration from eig = eigendecompose(Z), Z the selected Gram matrix.
 
     A_half = (c_t I + alpha Z)^{-1} and A = A_half^2, with c_t = find_ct(.)
-    chosen so that tr[A] = 1; all three come from one eigendecomposition of Z.
+    chosen so that tr[A] = 1.
     """
-    eig = eigendecompose(Z)
     c_t = find_ct(eig.eigenvalues, alpha)
     inv_gaps = 1.0 / (c_t + alpha * eig.eigenvalues)
     return eig.weighted(inv_gaps), eig.weighted(inv_gaps**2)
 
 
 def swap_query_matrix(A: np.ndarray, A_half: np.ndarray, n: int, epsilon: float, alpha: float) -> np.ndarray:
-    """Matrix q with <q, x x^T> <= beta  <=>  B^-(x) <= (1-eps)/(beta n) for eligible x."""
+    """Matrix q with <q, x x^T> <= beta <=> B^-(x) <= (1-eps)/n, for x with B^- denominator > 0."""
     return A / ((1.0 - epsilon) / n) + 2.0 * alpha * A_half
 
 
@@ -132,17 +134,10 @@ class SwapRunResult:
         }
 
 
-def _score_terms(rows, A, A_half):
-    """(x^T A x, x^T A_half x) for every row x: the terms of B^+ and B^-."""
-    nums = np.einsum("ij,jk,ik->i", rows, A, rows)
-    halves = np.einsum("ij,jk,ik->i", rows, A_half, rows)
-    return nums, halves
-
-
 def _removal_scan(rows, A, A_half, alpha, beta):
     """Index (into rows) minimizing B^- among eligible members."""
-    nums, halves = _score_terms(rows, A, A_half)
-    denoms = beta - 2.0 * alpha * halves
+    nums = quadratic_forms(rows, A)
+    denoms = beta - 2.0 * alpha * quadratic_forms(rows, A_half)
     eligible = denoms > 0.0
     if not np.any(eligible):
         raise NoEligibleRemoval("no member has a positive B^- denominator")
@@ -220,18 +215,15 @@ def swap_round(
     member_mask[members] = True
     removal_bound = (1.0 - epsilon) / (beta * n)
 
-    def current_lambda_min():
-        # an eigensolve of its own: taking lambda_min from swap_matrices' eigh
-        # of the same Z would change the last bits of lambda_trace
-        # keep two gathers: rows.T @ rows on one buffer takes BLAS SYRK and moves Z's last bits
-        Z = X[member_mask].T @ X[member_mask]
-        return float(np.linalg.eigvalsh(Z)[0]), Z
-
-    lam_min, Z = current_lambda_min()
-    result.lambda_trace.append(lam_min)
     t = 1
-    while t <= T_cap and lam_min <= 1.0 - gamma * epsilon:
-        A_half, A = swap_matrices(Z, alpha)
+    while True:
+        Z = X[member_mask].T @ X[member_mask]
+        eig = eigendecompose(Z)
+        lam_min = float(eig.eigenvalues[0])
+        result.lambda_trace.append(lam_min)
+        if t > T_cap or lam_min > 1.0 - gamma * epsilon:
+            break
+        A_half, A = swap_matrices(eig, alpha)
         result.trace_norm.append(float(np.trace(A)))
 
         i_t = None
@@ -251,8 +243,9 @@ def swap_round(
             b_minus_val = float(scores[local])
 
         comp_list = np.flatnonzero(~member_mask)
-        nums, halves = _score_terms(X[comp_list], A, A_half)
-        plus_scores = nums / (beta + 2.0 * alpha * halves)
+        comp = X[comp_list]
+        halves = quadratic_forms(comp, A_half)
+        plus_scores = quadratic_forms(comp, A) / (beta + 2.0 * alpha * halves)
         j_t = int(comp_list[int(np.argmax(plus_scores))])
         b_plus_val = float(plus_scores.max())
 
@@ -264,9 +257,6 @@ def swap_round(
         if index is not None:
             index.retire(i_t)
             index.insert(j_t)
-
-        lam_min, Z = current_lambda_min()
-        result.lambda_trace.append(lam_min)
         t += 1
 
     check_symmetric(Z)

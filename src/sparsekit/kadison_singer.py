@@ -8,14 +8,17 @@ is
           + v_i^T (a_{j+1} I - T_j)^{-1} v_i
 
 and any i with c_i <= beta keeps the potential falling and the norm below
-the barrier a_{j+1}.  The exact backend scans for the argmin; the
-approximate backends ask the shared Min-IP backend (minip_backend) for a
-candidate, verify the witness inequality directly, and fall back to the
-scan (counted) whenever the backend fails or its answer does not verify.
-Chosen indices are retired from the backend immediately, so they are never
-proposed again.  Each step takes one eigendecomposition of T, after its
-update; it serves the barrier check, the potential trace and the next
-step's query matrix.  T is checked for symmetry once, after the last step.
+the barrier a_{j+1}.  The exact backend scores the remaining rows with one
+GEMM (linalg.quadratic_forms) and takes the lowest index within a relative
+TIE_TOL of the least score: on stacked orthonormal frames all scores tie
+at step 0 and after each completed frame.  The approximate backends ask
+the shared Min-IP backend (minip_backend) for a candidate, verify the
+witness inequality directly, and fall back to the scan (counted) whenever
+the backend fails or its answer does not verify.  Chosen indices are
+retired from the backend immediately, so they are never proposed again.
+Each step takes one eigendecomposition of T, after its update; it serves
+the barrier check, the potential trace and the next step's query matrix.
+T is checked for symmetry once, after the last step.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import BarrierCollapse, ConfigError, IsotropyViolation, PreconditionViolation
 from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, eigendecompose
-from .linalg import check_isotropy, check_symmetric
+from .linalg import check_isotropy, check_symmetric, quadratic_forms
 from .minip_backend import MinIpBackend
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
+TIE_TOL = 1e-12  # relative distance from the least score within which rows tie
 
 
 def ks_barrier_sequence(N: float, m: int, n: int) -> np.ndarray:
@@ -60,8 +64,8 @@ def ks_query_matrix(eig: EigenDecomposition, a_prev: float, a_cur: float) -> np.
     phi_gap = phi_prev - phi_cur
     if phi_gap <= 0.0:
         raise BarrierCollapse("potential gap is nonpositive")
-    M = eig.weighted(1.0 / (a_cur - vals))
-    return M @ M / phi_gap + M
+    gaps = a_cur - vals
+    return eig.weighted(gaps**-2.0 / phi_gap + gaps**-1.0)
 
 
 def _check_family(family: VectorFamily, N: float) -> None:
@@ -129,10 +133,11 @@ def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
             if backend is not None:
                 result.fallbacks += 1
             candidates = np.flatnonzero(remaining)
-            rows = V[candidates]
-            scores = np.einsum("ij,jk,ik->i", rows, Qmat, rows)
-            i_star = int(candidates[int(np.argmin(scores))])
-            witness = float(scores.min())
+            scores = quadratic_forms(V[candidates], Qmat)
+            least = scores.min()
+            k = int(np.argmax(scores <= least + TIE_TOL * abs(least)))  # the first tie
+            i_star = int(candidates[k])
+            witness = float(scores[k])
             if witness > beta * witness_tol:
                 raise BarrierCollapse(
                     f"no index keeps the potential bounded at step {j}"

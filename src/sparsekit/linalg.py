@@ -11,9 +11,11 @@ errstate context and result tuple, which at small d cost more than dsyevd
 itself.  It checks only that the result is finite: eigh reads one
 triangle, and the solvers' accumulators are symmetric by construction, so
 each solver runs ``check_symmetric`` on its final accumulator once per
-solve.  There is deliberately no fast-matrix-multiplication path.  All
-functions are pure: they never mutate their inputs and hold no state, so
-concurrent invocation is safe.
+solve.  The one row scan is ``quadratic_forms``, v^T M v for every row v
+from one GEMM: the sparsifier's witness scan, the Kadison-Singer argmin and
+both swap rounding scans call it.  There is deliberately no
+fast-matrix-multiplication path.  All functions are pure: they never mutate
+their inputs and hold no state, so concurrent invocation is safe.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "WeightedSelection",
     "EigenDecomposition",
     "eigendecompose",
+    "quadratic_forms",
     "check_symmetric",
     "whiten",
     "check_isotropy",
@@ -154,6 +157,11 @@ def eigendecompose(A: np.ndarray) -> EigenDecomposition:
     if not math.isfinite(vecs.dot(vals).dot(vecs[0])):
         raise np.linalg.LinAlgError("eigendecomposition is not finite")
     return EigenDecomposition(vals, vecs)
+
+
+def quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v_i^T M v_i for every row v_i of V: one m x d by d x d GEMM, O(m d^2)."""
+    return np.einsum("ij,ij->i", V @ M, V)
 
 
 def check_symmetric(A: np.ndarray) -> None:

@@ -13,10 +13,10 @@ variant scans the rows in order until the first witness, in chunks of 64,
 worst case.  The fast variant asks a positive-search tree, at O(d^2 log m)
 per iteration.  An nnz-based cost model picks the tree's leaf size: d
 vectors per leaf (the vector tree) when no vector has a zero entry, else
-one (the matrix tree).  One row scan, `_first_witness`, serves the
-reference and every fallback of the fast variant (a tree that raises or
-answers a non-witness).  Everything is deterministic: reruns on equal input
-produce identical selections.
+one (the matrix tree).  One row scan, `_first_witness` over chunks of
+`linalg.quadratic_forms`, serves the reference and every fallback of the
+fast variant (a tree that raises or answers a non-witness).  Everything is
+deterministic: reruns on equal input produce identical selections.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoPositiveEntry
 from .errors import NoWitness, NumericalWarning
 from .linalg import VectorFamily, WeightedSelection, check_symmetric, eigendecompose, is_identity
+from .linalg import quadratic_forms
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
@@ -94,11 +95,6 @@ def _check_input(family: VectorFamily, epsilon: float) -> np.ndarray:
     return G
 
 
-def _row_quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v_i^T M v_i for every row v_i of V: one m x d by d x d GEMM, O(m d^2)."""
-    return np.einsum("ij,ij->i", V @ M, V)
-
-
 def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
     """The first row i with v_i^T Qgap v_i > 0, read in chunks of 64, 128, 256, ... rows.
 
@@ -114,7 +110,7 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
     start, size = 0, SCAN_CHUNK
     while start < m:
         stop = min(start + size, m)
-        hits = start + np.flatnonzero(_row_quadratic_forms(V[start:stop], Qgap) > 0.0)
+        hits = start + np.flatnonzero(quadratic_forms(V[start:stop], Qgap) > 0.0)
         trace.rows_read += stop - start
         if hits.size:
             return int(hits[0])

@@ -1,7 +1,7 @@
 """Swap rounding: input and window checks, find_ct against the two-evaluation
 bisection it replaced, the lambda_min guarantee over many seeds on every
-backend, the afn backend queried after inserts, and aipe proposals that
-never verify."""
+backend, the afn backend queried after inserts, aipe proposals that
+never verify, and one eigendecomposition per iteration."""
 
 import math
 
@@ -196,3 +196,46 @@ def test_aipe_proposals_that_never_verify_fall_back_to_the_exact_scan(monkeypatc
     np.testing.assert_array_equal(aipe.selection.indices, exact.selection.indices)
     for trace in ("lambda_trace", "trace_minus", "trace_plus"):
         assert getattr(aipe, trace) == getattr(exact, trace)
+
+
+def record_swap_eigensolves(monkeypatch, case):
+    """Solve the golden case with expdesign.eigendecompose and np.linalg.eigvalsh
+    counted; return the result, each eigendecomposed matrix, and the eigvalsh calls."""
+    rows_seed, d, eps, gamma, c, tau, n, m, backend, seed = SWAP_CASES[case]
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(rows_seed, m, d)), pi)
+    decomposed, eigvalshs = [], []
+    eigendecompose, eigvalsh = expdesign.eigendecompose, np.linalg.eigvalsh
+
+    def counted_eigendecompose(Z):
+        decomposed.append(Z.copy())
+        return eigendecompose(Z)
+
+    def counted_eigvalsh(*args, **kwargs):
+        eigvalshs.append(args)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(expdesign, "eigendecompose", counted_eigendecompose)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    result = expdesign.swap_round(
+        family, pi, n, eps, gamma=gamma, c=c,
+        tau=None if backend == "exact" else tau, backend=backend, seed=seed,
+    )
+    monkeypatch.undo()  # the callers' own eigvalsh calls are not the solver's
+    return result, decomposed, eigvalshs
+
+
+@pytest.mark.parametrize("case", list(SWAP_CASES))
+def test_one_eigendecomposition_per_iteration_and_no_eigvalsh(monkeypatch, case):
+    result, decomposed, eigvalshs = record_swap_eigensolves(monkeypatch, case)
+    assert result.swaps >= 1
+    assert len(decomposed) == result.swaps + 1  # the start, then once after each swap
+    assert eigvalshs == []
+
+
+@pytest.mark.parametrize("case", list(SWAP_CASES))
+def test_lambda_trace_is_each_steps_smallest_eigenvalue(monkeypatch, case):
+    result, decomposed, _ = record_swap_eigensolves(monkeypatch, case)
+    assert len(result.lambda_trace) == len(decomposed)
+    for lam, Z in zip(result.lambda_trace, decomposed):
+        assert abs(lam - np.linalg.eigvalsh(Z)[0]) <= 1e-12

@@ -3,14 +3,17 @@
 ks_select promises a final norm below a_n on the exact backend and at most
 a_n/c on aipe and afn.  Each is checked against the
 largest eigenvalue eigvalsh finds for the selection's sum of outer
-products, over seeded families at the golden shapes and settings.
+products, over seeded families at the golden shapes and settings.  Also:
+the exact scan's tie rule, and the query matrix against its resolvent form.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.kadison_singer import _greedy_loop, ks_barrier_sequence, ks_select
+from sparsekit.kadison_singer import _greedy_loop, ks_barrier_sequence, ks_query_matrix, ks_select
+from sparsekit.linalg import EigenDecomposition
 from sparsekit.minip import MinIpConfig
 
 from conftest import harmonic_frame, random_ks_family
@@ -83,3 +86,38 @@ def test_a_backend_without_proposals_falls_back_to_the_exact_scan_at_every_step(
     assert got.fallbacks == n and want.fallbacks == 0
     assert got.selection.indices.tolist() == want.selection.indices.tolist() == backend.retired
     assert got.score_trace == want.score_trace
+
+
+@pytest.mark.parametrize("d, N", [(2, 8), (3, 6), (4, 5), (2, 12)])
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_scan_takes_the_lowest_of_tied_indices(d, N, seed):
+    """On stacked orthonormal frames every score ties at step 0; a pick's
+    frame-mates, orthogonal to it, then tie below the rest, and after each
+    completed frame all remaining rows tie again.  So the tie rule picks the
+    rows in order, whatever the last bits of the scores."""
+    family = random_ks_family(d, N, np.random.default_rng(seed))
+    n = family.count // 2
+    assert ks_select(family, N, n).selection.indices.tolist() == list(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.floats(1e-3, 10.0),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**16),
+)
+def test_query_matrix_is_the_resolvent_square_over_the_gap_plus_the_resolvent(
+    values, margin, step, seed
+):
+    vals = np.sort(values)
+    d = len(vals)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    eig = EigenDecomposition(vals, Q)
+    a_prev = vals[-1] + margin
+    a_cur = a_prev + step
+    phi_prev, phi_cur = eig.potentials(a_prev, a_cur)
+    M = eig.weighted(1.0 / (a_cur - vals))
+    want = M @ M / (phi_prev - phi_cur) + M
+    got = ks_query_matrix(eig, a_prev, a_cur)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

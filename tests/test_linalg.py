@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekit import expdesign, kadison_singer, sparsifier
 from sparsekit.errors import (
@@ -19,6 +21,7 @@ from sparsekit.linalg import (
     check_isotropy,
     check_symmetric,
     eigendecompose,
+    quadratic_forms,
     whiten,
 )
 
@@ -110,6 +113,20 @@ class TestCheckIsotropy:
         fam = VectorFamily(np.tile([1.0 / np.sqrt(8.0), 0.0], (16, 1)))
         with pytest.raises(IsotropyViolation):
             solve(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 16), st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_quadratic_forms_are_the_per_row_forms(m, d, zero_share, seed):
+    """Over well-conditioned positive definite M (eigenvalues in [1, 4]), so
+    that a relative tolerance measures roundoff, not cancellation."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((m, d))
+    V[rng.random(m) < zero_share] = 0.0
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = (Q * rng.uniform(1.0, 4.0, d)) @ Q.T
+    want = np.array([v @ M @ v for v in V])
+    np.testing.assert_allclose(quadratic_forms(V, M), want, rtol=1e-12, atol=0.0)
 
 
 class TestEigenDecomposition:

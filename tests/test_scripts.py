@@ -111,10 +111,10 @@ def test_replay_afn_keeps_its_recorded_hashes():
 #: replay_afn.py's hashes at the counts above; a change that means to move
 #: outputs re-records them and says why
 REPLAY_HASHES = {
-    "sha256": "6a7cf892e1f911b6e0f3c07050b2419c0e1733d8da4dee452e60ee622959f7ad",
+    "sha256": "2ed91425c7c5f0674febee41633df648d7f3fc0becf1d6f5cd68be1e4c548152",
     "sparsify_sha256": "8acbbee3f04e20dfe008de0d78a79a17c5c7b5da8714a3a182d1cc19a8bb8530",
-    "aipe_sha256": "d46de3380306091ed987832e78bcc75054d80749d8f52d6399ab0b84cffeb5bb",
-    "exact_sha256": "8961e9b80e5b33da3f52ad9b7b65c21d766d9f63d2b43ec0d901744c0f8d0165",
+    "aipe_sha256": "fab83481b1d58bf78d4bfabaefebacadd6fd6bbd9a12a9a772a24a6b9fa055ef",
+    "exact_sha256": "5c1a3d6996a9d8346ea5309af9c5b5c7f8a667984c5967d6ea42cfc1cd582623",
 }
 
 

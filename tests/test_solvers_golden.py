@@ -156,17 +156,17 @@ def bss_record(out) -> dict:
 # Recorded by running this file as a script (see _regenerate).
 GOLDEN = {
     'ks-exact': {
-        'indices': [0, 1, 14, 15, 12, 13, 6, 7],
+        'indices': [0, 1, 2, 3, 4, 5, 6, 7],
         'weights': [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        'score_trace': [0.7852627661454068, 0.6094272013032258, 0.7669632585228183, 0.6138360961559837, 0.7529264955551388, 0.617324831519761, 0.7418183943219994, 0.6201489748891174],
-        'potential_trace': [5.656854249492381, 5.295751007577169, 4.740255780376881, 4.468913269793345, 4.079277238733166, 3.8683428529445996, 3.5800738049503575, 3.4115666418084967, 3.189729220259775],
+        'score_trace': [0.7852627661454068, 0.6094272013032258, 0.7669632585228184, 0.6138360961559842, 0.7529264955551379, 0.6173248315197606, 0.741818394322, 0.6201489748891176],
+        'potential_trace': [5.656854249492381, 5.295751007577169, 4.740255780376881, 4.468913269793345, 4.079277238733167, 3.8683428529446005, 3.580073804950357, 3.411566641808496, 3.1897292202597747],
         'fallbacks': 0,
-        'final_norm': 0.49999999999999994,
+        'final_norm': 0.4999999999999999,
     },
     'ks-aipe': {
         'indices': [11, 7, 1, 8, 4, 6, 9, 12],
         'weights': [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        'score_trace': [0.785262766145407, 0.751105595405475, 0.8095806431444806, 0.6690657580980285, 0.7798198127458899, 0.7050440479992951, 0.7268287916122158, 0.6554098941729862],
+        'score_trace': [0.785262766145407, 0.7511055954054748, 0.8095806431444807, 0.6690657580980285, 0.7798198127458899, 0.7050440479992952, 0.7268287916122156, 0.6554098941729863],
         'potential_trace': [5.656854249492381, 4.80429840435229, 4.162209657257307, 3.694830805534396, 3.2819336533567443, 2.980054720960011, 2.7148131284459103, 2.497336702467044, 2.302816950841665],
         'fallbacks': 0,
         'final_norm': 0.6435699546937286,
@@ -174,7 +174,7 @@ GOLDEN = {
     'ks-afn': {
         'indices': [0, 1, 14, 15, 6, 9, 10, 11],
         'weights': [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        'score_trace': [0.7852627661454067, 0.6883465296697153, 0.754116950493074, 0.6799540445455562, 0.7343861804418518, 0.676876429177219, 0.705736261917557, 0.6843058117814809],
+        'score_trace': [0.7852627661454067, 0.6883465296697153, 0.754116950493074, 0.6799540445455559, 0.7343861804418518, 0.676876429177219, 0.705736261917557, 0.6843058117814814],
         'potential_trace': [5.656854249492381, 4.80429840435229, 4.13399808545668, 3.6556508370339946, 3.257154298736887, 2.9512192919042137, 2.687651428688559, 2.47278215044155, 2.2872747635588873],
         'fallbacks': 0,
         'final_norm': 0.519371683989233,
@@ -182,9 +182,9 @@ GOLDEN = {
     'swap-exact-s1': {
         'indices': '6ad1de0aed133429',
         'initial': '66c989493e8fe598',
-        'lambda_trace': [3.56447768799692e-17, 3.6756422998860967e-16, 0.9228543252036635],
+        'lambda_trace': [2.6142294109777714e-17, 1.4178844493092316e-16, 0.922854325203663],
         'trace_minus': [2.21303540257297e-08, 3.156501503578216e-08],
-        'trace_plus': [0.03105925060912059, 0.04411852523868564],
+        'trace_plus': [0.0310592506091206, 0.044118525238685646],
         'trace_norm': [0.9999999999470879, 1.0000000000097204],
         'swaps': 2,
         'fallbacks': 0,
@@ -192,8 +192,8 @@ GOLDEN = {
     'swap-exact-s2': {
         'indices': 'bd164e241debc675',
         'initial': '07baef59a5c96ca7',
-        'lambda_trace': [-2.392435444126438e-16, 1.5734755798688971e-16, 0.9026760115176145],
-        'trace_minus': [2.026293127430456e-08, 2.748392893327235e-08],
+        'lambda_trace': [-4.575674351189193e-16, 1.8380378506209374e-16, 0.9026760115176143],
+        'trace_minus': [2.026293127430456e-08, 2.7483928933272336e-08],
         'trace_plus': [0.031034281766148128, 0.04407934718637825],
         'trace_norm': [0.9999999999907132, 0.9999999999946517],
         'swaps': 2,
@@ -202,9 +202,9 @@ GOLDEN = {
     'swap-aipe-s1': {
         'indices': '0de8c9b7d66849c8',
         'initial': '66c989493e8fe598',
-        'lambda_trace': [3.56447768799692e-17, -2.6085067824965823e-16, 0.9122698211546513],
+        'lambda_trace': [2.6142294109777714e-17, 1.8175950619537997e-17, 0.9122698211546513],
         'trace_minus': [7.098104784201253e-05, 0.00011152188074937722],
-        'trace_plus': [0.03105925060912059, 0.04411475102426844],
+        'trace_plus': [0.0310592506091206, 0.04411475102426845],
         'trace_norm': [0.9999999999470879, 1.000000000082847],
         'swaps': 2,
         'fallbacks': 0,
@@ -212,7 +212,7 @@ GOLDEN = {
     'swap-aipe-s2': {
         'indices': 'ec1973e844b74879',
         'initial': '07baef59a5c96ca7',
-        'lambda_trace': [-2.392435444126438e-16, -2.396160315668269e-17, 0.9020177433060865],
+        'lambda_trace': [-4.575674351189193e-16, -2.1984628262422424e-17, 0.9020177433060864],
         'trace_minus': [7.026687936130455e-06, 2.1762238309573164e-08],
         'trace_plus': [0.031034281766148128, 0.044078971726129755],
         'trace_norm': [0.9999999999907132, 1.0000000000605314],
@@ -224,7 +224,7 @@ GOLDEN = {
         'initial': 'c4f1bbbccde1b6f4',
         'lambda_trace': [-1.3010426069826053e-18, 1.0006133577519634],
         'trace_minus': [1.8501149195110762e-09],
-        'trace_plus': [0.05155388378218838],
+        'trace_plus': [0.051553883782188385],
         'trace_norm': [1.0000000000936404],
         'swaps': 1,
         'fallbacks': 0,

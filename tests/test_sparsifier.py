@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsekit import psearch, sparsifier
+from sparsekit import linalg, psearch, sparsifier
 from sparsekit.errors import BarrierViolation, ConfigError, NoPositiveEntry, NoWitness
 from sparsekit.errors import NumericalWarning
 from sparsekit.linalg import VectorFamily
@@ -16,7 +16,7 @@ from sparsekit.linalg import VectorFamily
 from conftest import paired_angle_family, random_isotropic_family
 
 SOLVERS = {"reference": sparsifier.bss_reference, "fast": sparsifier.sparsify_fast}
-FULL_SCAN = sparsifier._row_quadratic_forms
+FULL_SCAN = linalg.quadratic_forms
 BOUNDARY_SIZES = [1, 63, 64, 65, 191, 192, 193, 1000]
 
 
@@ -58,7 +58,7 @@ def test_fast_path_never_scans_the_rows(monkeypatch, rng, kind):
     def scan(V, M):
         raise AssertionError("the tree path scanned all m rows")
 
-    monkeypatch.setattr(sparsifier, "_row_quadratic_forms", scan)
+    monkeypatch.setattr(sparsifier, "quadratic_forms", scan)
     selection, _, trace = sparsifier.sparsify_fast(family, 0.5)
     assert trace.tree_kind == kind
     assert trace.fallbacks == 0
@@ -215,7 +215,7 @@ def check_reference_picks(monkeypatch, family, epsilon=0.5):
     """Run bss_reference with every pick checked against a full scan of the m rows.
 
     The pick must be the first index with v^T Q v > 0 over all m rows, and
-    the rows the chunked scan handed to _row_quadratic_forms must end at the
+    the rows the chunked scan handed to quadratic_forms must end at the
     chunk holding it.  Returns the picks and the trace.
     """
     m = family.count
@@ -240,7 +240,7 @@ def check_reference_picks(monkeypatch, family, epsilon=0.5):
 
         return original(family, G, epsilon, checked_pick, trace)
 
-    monkeypatch.setattr(sparsifier, "_row_quadratic_forms", counting_scan)
+    monkeypatch.setattr(sparsifier, "quadratic_forms", counting_scan)
     monkeypatch.setattr(sparsifier, "_run_barrier_loop", checked_loop)
     _, _, trace = sparsifier.bss_reference(family, epsilon)
     assert len(picks) == math.ceil(family.dim / epsilon**2)
