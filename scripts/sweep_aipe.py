@@ -14,9 +14,11 @@ For each (m, d) one Gaussian family of m stored member rows is drawn from
     query_warm  propose() again with the same sampled sketches, now cached
     scan        expdesign's exact removal scan over the same m rows
 
-Prints one JSON object: per size, the median seconds of each, and the ratio
-of the cold query to the scan.  The PYTHONPATH decides which source tree is
-measured.
+Prints one JSON object: per size, the median seconds of each, the ratio of
+the cold query to the scan, and the estimator's sketch pool size and the
+sketches each query samples from it (a query's GEMM is samples x m x
+(d^2+2)^2 multiply-adds at most).  The PYTHONPATH decides which source tree
+is measured.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
         "scan_s": statistics.median(scan),
     }
     out["query_cold_over_scan"] = out["query_cold_s"] / out["scan_s"]
-    return {k: round(v, 6) for k, v in out.items()}
+    # the same at every repeat: they read m and the (c, tau) settings only
+    sizes = {"pool": backend._index.pool, "samples": backend._index.samples}
+    return {**{k: round(v, 6) for k, v in out.items()}, **sizes}
 
 
 def main(argv=None) -> None:

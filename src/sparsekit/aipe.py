@@ -20,9 +20,14 @@ for every v, jointly over all v, and a sketch costs O(m D^2) per query
 instead of O(m s_dim D).  A short sketch (s_dim <= D+2) is its own factor,
 S_j / sqrt(s_dim).  A tall one is drawn directly as R_j = L^T / sqrt(s_dim),
 L the Bartlett factor of a Wishart(s_dim, I) matrix: (D+2)(D+3)/2 draws
-instead of s_dim (D+2) normals, a Gram product and a Cholesky call.  Points
-live in a PointStore (one contiguous array, row i holding id i).  Mutations
-need exclusive access.
+instead of s_dim (D+2) normals, a Gram product and a Cholesky call.
+
+A query costs one GEMM and one order statistic, whatever the sample count:
+the sampled members' cached factors are stacked, applied to all m points
+at once (samples * m * (D+2)^2 multiply-adds at most), and each point's
+median distance is read off its row of squared distances.  Points live in
+a PointStore (one contiguous array, row i holding id i).  Mutations need
+exclusive access.
 """
 
 from __future__ import annotations
@@ -83,6 +88,10 @@ class InnerProductEstimator:
         self.samples = _sample_count(self.pool)
         self._entropy = np.random.SeedSequence(seed).entropy  # refuses a bad seed here
         self._factors: dict[int, np.ndarray] = {}
+        p = self.dim + 2
+        if self.s_dim > p:  # a tall member's Bartlett layout, shared by every draw
+            self._tril = np.tril_indices(p, -1)
+            self._chi_df = self.s_dim - np.arange(p)
         self._store = PointStore(pts)
 
     @property
@@ -119,8 +128,8 @@ class InnerProductEstimator:
             p, s = self.dim + 2, self.s_dim
             if s > p:
                 L = np.zeros((p, p))
-                L[np.tril_indices(p, -1)] = gen.standard_normal(p * (p - 1) // 2)
-                L[np.diag_indices(p)] = np.sqrt(gen.chisquare(s - np.arange(p)))
+                L[self._tril] = gen.standard_normal(p * (p - 1) // 2)
+                L.flat[:: p + 1] = np.sqrt(gen.chisquare(self._chi_df))
                 R = L.T / math.sqrt(s)
             else:
                 R = gen.standard_normal((s, p)) / math.sqrt(s)
@@ -131,7 +140,13 @@ class InnerProductEstimator:
         """Median per-point distance estimates in the transformed space.
 
         Entry i belongs to the i-th live id in ascending order, the id in
-        row i of the store's `ids`.
+        row i of the store's `ids`.  The sampled members' factors are
+        stacked and applied in one GEMM, (m, D+2) x (D+2, samples * rows);
+        each point's squared distances under the samples are then one
+        contiguous row.  For an odd sample count the median is its middle
+        order statistic, whose square root is the middle distance since
+        sqrt is monotone; an even count takes the mean of the middle two
+        distances.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
@@ -142,10 +157,13 @@ class InnerProductEstimator:
         qa, _ = minip_transform_query(q, 1.0)
         diff = aug - qa
         picks = rng.choice(self.pool, size=self.samples, replace=False)
-        ests = np.empty((len(picks), len(self._store)))
-        for row, j in enumerate(picks):
-            ests[row] = np.linalg.norm(diff @ self._factor(int(j)).T, axis=1)
-        return np.median(ests, axis=0)
+        R = np.concatenate([self._factor(int(j)) for j in picks])
+        proj = (diff @ R.T).reshape(len(diff), self.samples, len(R) // self.samples)
+        sq = np.einsum("ijk,ijk->ij", proj, proj)  # (m, samples) squared distances
+        if self.samples % 2:
+            mid = self.samples // 2
+            return np.sqrt(np.partition(sq, mid, axis=1)[:, mid])
+        return np.median(np.sqrt(sq), axis=1)
 
     def query_min(self, q, rng: np.random.Generator) -> int:
         """Id of the point with the largest estimated distance (ties: lowest id).
@@ -157,8 +175,7 @@ class InnerProductEstimator:
         if not len(self._store):
             raise NotFound("query on an estimator whose points were all deleted")
         d = self.distance_estimates(q, rng)
-        ids = self._store.ids
-        return int(ids[np.lexsort((ids, -d))[0]])
+        return int(self._store.ids[np.argmax(d)])  # first maximum: the lowest id
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:

@@ -78,9 +78,11 @@ def minip_transform_dataset(X, D_X: float = None):
         raise PreconditionViolation("dataset diameter must be positive")
     if np.any(norms > D_X * (1 + 1e-12)):
         raise PreconditionViolation("a dataset point exceeds the stated diameter D_X")
-    scaled = X / D_X
-    tail = np.sqrt(np.clip(1.0 - (norms / D_X) ** 2, 0.0, None))
-    out = np.hstack([scaled, np.zeros((X.shape[0], 1)), tail[:, None]])
+    n, d = X.shape
+    out = np.empty((n, d + 2))
+    np.divide(X, D_X, out=out[:, :d])
+    out[:, d] = 0.0
+    out[:, d + 1] = np.sqrt(np.maximum(1.0 - (norms / D_X) ** 2, 0.0))
     return out, D_X
 
 

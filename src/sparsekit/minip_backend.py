@@ -15,9 +15,13 @@ by tau, the map between the structure's point ids and the family's row
 indices, and, for "afn", the unit-sphere transform of every stored point:
 one D_X, the largest |vec(x x^T)| = |x|^2 over all of X, serves the build
 and every later insert, so a row is the same unit point whenever it is
-stored.  Both structures size themselves for the failure probability
-afn.DELTA.  Proposals are only suggestions: callers verify the returned
-row against their own witness inequality.
+stored.  The row -> id map is one int array over the rows of X, -1 for a
+row not stored, filled in one assignment at build; retiring a row that is
+not stored (NotFound) or inserting one that is (PreconditionViolation) is
+refused before any structure changes, so the map and the structure's
+count always agree.  Both structures size themselves for the failure
+probability afn.DELTA.  Proposals are only suggestions: callers verify the
+returned row against their own witness inequality.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 import numpy as np
 
 from .aipe import InnerProductEstimator
-from .errors import ConfigError
+from .errors import ConfigError, NotFound, PreconditionViolation
 from .minip import RobustMinIpIndex, check_window, minip_transform_dataset, minip_transform_query
 
 __all__ = ["MinIpBackend"]
@@ -53,7 +57,7 @@ class MinIpBackend:
         self.kind = kind
         self.tau = tau
         self._X = X
-        rows = np.asarray(rows, dtype=int).tolist()
+        rows = np.asarray(rows, dtype=int)
         points = self._points(rows)
         if kind == "aipe":
             # distance ratio this (c, tau) demands: (1+eps)^2 = c(1-tau)/(c-tau)
@@ -67,8 +71,9 @@ class MinIpBackend:
         # both structures issue pids 0, 1, 2, ... in order, starting with the
         # initial rows, and never answer a retired pid: pid -> row is a list
         # that retire leaves alone and insert appends to
-        self._row_of = rows
-        self._pid_of = {row: pid for pid, row in enumerate(rows)}
+        self._row_of = rows.tolist()
+        self._pid_of = np.full(len(X), -1)  # row -> pid, -1 for a row not stored
+        self._pid_of[rows] = np.arange(len(rows))
 
     def _points(self, rows) -> np.ndarray:
         """vec(x x^T) of each listed row of X, one per output row."""
@@ -90,11 +95,24 @@ class MinIpBackend:
         return None if hit is None else self._row_of[hit[0]]
 
     def retire(self, row: int) -> None:
-        """Remove a stored row; it is never proposed again unless re-inserted."""
-        self._index.delete(self._pid_of.pop(row))
+        """Remove a stored row; it is never proposed again unless re-inserted.
+
+        A row that is not stored is refused with NotFound, before any change.
+        """
+        pid = int(self._pid_of[row]) if 0 <= row < len(self._pid_of) else -1
+        if pid < 0:
+            raise NotFound(f"row {row} is not stored")
+        self._index.delete(pid)
+        self._pid_of[row] = -1
 
     def insert(self, row: int) -> None:
-        """Store another row of X; it must not be stored already."""
+        """Store another row of X.
+
+        A row that is stored already is refused with PreconditionViolation,
+        before any change.
+        """
+        if self._pid_of[row] >= 0:
+            raise PreconditionViolation(f"row {row} is stored already")
         point = self._points([row])[0]
         if self.kind == "afn":
             point = minip_transform_dataset(point, self._D_X)[0][0]

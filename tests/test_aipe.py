@@ -92,6 +92,59 @@ def test_estimates_match_full_sketch_oracle(eps):
         np.testing.assert_allclose(got, [want[i] for i in range(len(points))], rtol=1e-10)
 
 
+
+def per_sketch_estimates(est: InnerProductEstimator, q, rng) -> np.ndarray:
+    """The median over the sampled members of each sketch's own distances,
+    np.linalg.norm(diff @ R_j.T, axis=1), one member at a time."""
+    aug, _ = minip_transform_dataset(est._store.points, est.radius)
+    qa, _ = minip_transform_query(q, 1.0)
+    diff = aug - qa
+    picks = rng.choice(est.pool, size=est.samples, replace=False)
+    return np.median([np.linalg.norm(diff @ est._factor(int(j)).T, axis=1) for j in picks], axis=0)
+
+
+# (c, tau) = (0.9, 0.5), expdesign-aipe's window, asks (1 + eps)^2 = 1.125
+EXPDESIGN_EPS = math.sqrt(1.125) - 1.0
+
+
+@pytest.mark.parametrize("samples", [None, 4])  # the estimator's own (odd) count, and an even one
+@pytest.mark.parametrize(
+    "dim, eps, s_dim",
+    [(16, EXPDESIGN_EPS, 2175), (16, 3.0, 1)],  # tall as on expdesign-aipe, short as on ks-aipe
+)
+def test_stacked_estimates_are_the_per_sketch_medians(dim, eps, s_dim, samples):
+    """One GEMM over the stacked factors and one order statistic give each
+    point the median of its per-sketch distances, after deletes and an insert
+    that grows the radius."""
+    rng = np.random.default_rng(7)
+    est = InnerProductEstimator(rng.standard_normal((772, dim)), eps, SEED)  # n of expdesign-aipe
+    assert est.s_dim == s_dim
+    if samples is not None:
+        est.samples = samples
+    assert est.samples % 2 == (samples is None)
+    est.delete(3)
+    est.delete(500)
+    est.insert(3.0 * rng.standard_normal(dim))
+    for t in range(4):
+        q = unit(rng.standard_normal(dim)) * (0.5 if t % 2 else 1.0)
+        got = est.distance_estimates(q, np.random.default_rng(t))
+        want = per_sketch_estimates(est, q, np.random.default_rng(t))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_a_cold_query_draws_each_sampled_factor_once_and_a_repeat_none():
+    rng = np.random.default_rng(8)
+    est = InnerProductEstimator(rng.standard_normal((50, 16)), EXPDESIGN_EPS, SEED)
+    q = unit(rng.standard_normal(16))
+    est.query_min(q, np.random.default_rng(0))
+    picks = np.random.default_rng(0).choice(est.pool, size=est.samples, replace=False)
+    assert sorted(est._factors) == sorted(picks.tolist())
+    cached = dict(est._factors)
+    est.query_min(q, np.random.default_rng(0))
+    assert len(est._factors) == est.samples
+    assert all(est._factors[j] is R for j, R in cached.items())
+
+
 @st.composite
 def sketch_shapes(draw):
     """(dim, eps, seed) whose s_dim = ceil(8 / eps^2) is short (<= D+2), the

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.errors import ConfigError
+from sparsekit.errors import ConfigError, NotFound, PreconditionViolation
 from sparsekit.minip_backend import MinIpBackend
 
 M, D, START = 12, 2, 6
@@ -49,8 +49,8 @@ def test_retire_insert_keep_maps_a_bijection(kind, ops, query_seed):
             row = absent[k % len(absent)]
             backend.insert(row)
             stored.add(row)
-        assert set(backend._pid_of) == stored
-        assert all(backend._row_of[pid] == row for row, pid in backend._pid_of.items())
+        assert set(np.flatnonzero(backend._pid_of >= 0).tolist()) == stored
+        assert all(backend._row_of[backend._pid_of[row]] == row for row in stored)
         assert backend._index.count == len(stored)
         Q = rng.standard_normal((D, D))
         proposed = backend.propose(Q + Q.T, rng)
@@ -98,3 +98,27 @@ def test_afn_row_reinserted_is_the_same_unit_point():
     assert np.array_equal(points[backend._pid_of[0]], before)
     backend.insert(START)
     assert np.linalg.norm(points[backend._pid_of[START]]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["aipe", "afn"])
+def test_retire_of_a_row_not_stored_is_refused_before_any_change(kind):
+    backend = make_backend(kind)
+    backend.retire(2)
+    for row in (2, START, M, -1):  # retired, never stored, outside X, and negative
+        with pytest.raises(NotFound, match=f"row {row} is not stored"):
+            backend.retire(row)
+    assert backend._index.count == START - 1
+    backend.insert(2)  # a retired row may be stored again
+    assert backend._index.count == START
+
+
+@pytest.mark.parametrize("kind", ["aipe", "afn"])
+def test_insert_of_a_stored_row_is_refused_before_any_change(kind):
+    """A second pid for one row would outlive the row's retire: the index
+    would count a row the backend no longer stores."""
+    backend = make_backend(kind)
+    with pytest.raises(PreconditionViolation, match="row 3 is stored already"):
+        backend.insert(3)
+    assert backend._index.count == START and len(backend._row_of) == START
+    backend.retire(3)
+    assert backend._index.count == START - 1

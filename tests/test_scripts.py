@@ -124,6 +124,9 @@ def test_sweep_aipe_times_every_phase():
     assert (size["m"], size["d"]) == (16, 4)
     for key in ("build_s", "query_cold_s", "query_warm_s", "scan_s"):
         assert size[key] > 0.0
+    for key in ("pool", "samples"):
+        assert isinstance(size[key], int) and size[key] > 0
+    assert size["samples"] <= size["pool"]
 
 
 def test_sweep_sparsify_keeps_the_barrier():
