@@ -90,7 +90,7 @@ class InnerProductEstimator:
         self._factors: dict[int, np.ndarray] = {}
         p = self.dim + 2
         if self.s_dim > p:  # a tall member's Bartlett layout, shared by every draw
-            self._tril = np.tril_indices(p, -1)
+            self._below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices order
             self._chi_df = self.s_dim - np.arange(p)
         self._store = PointStore(pts)
 
@@ -127,10 +127,10 @@ class InnerProductEstimator:
             gen = np.random.Generator(np.random.Philox(child))
             p, s = self.dim + 2, self.s_dim
             if s > p:
-                L = np.zeros((p, p))
-                L[self._tril] = gen.standard_normal(p * (p - 1) // 2)
-                L.flat[:: p + 1] = np.sqrt(gen.chisquare(self._chi_df))
-                R = L.T / math.sqrt(s)
+                L = np.zeros(p * p)  # row-major, flat
+                L[self._below] = gen.standard_normal(len(self._below))
+                L[:: p + 1] = np.sqrt(gen.chisquare(self._chi_df))
+                R = L.reshape(p, p).T / math.sqrt(s)
             else:
                 R = gen.standard_normal((s, p)) / math.sqrt(s)
             self._factors[j] = R
