@@ -16,12 +16,13 @@ indices, and, for "afn", the unit-sphere transform of every stored point:
 one D_X, the largest |vec(x x^T)| = |x|^2 over all of X, serves the build
 and every later insert, so a row is the same unit point whenever it is
 stored.  The row -> id map is one int array over the rows of X, -1 for a
-row not stored, filled in one assignment at build; retiring a row that is
-not stored (NotFound) or inserting one that is (PreconditionViolation) is
-refused before any structure changes, so the map and the structure's
-count always agree.  Both structures size themselves for the failure
-probability afn.DELTA.  Proposals are only suggestions: callers verify the
-returned row against their own witness inequality.
+row not stored, filled in one assignment at build.  Retiring a row that is
+not stored (NotFound), inserting one that is (PreconditionViolation) and
+naming an index outside X's rows (NotFound) are refused before any
+structure changes, so the map and the structure's count always agree.
+Both structures size themselves for the failure probability afn.DELTA.
+Proposals are only suggestions: callers verify the returned row against
+their own witness inequality.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ class MinIpBackend:
         """Store another row of X.
 
         A row that is stored already is refused with PreconditionViolation,
-        before any change.
+        and an index outside X's rows with NotFound, before any change.
         """
+        if not 0 <= row < len(self._pid_of):
+            raise NotFound(f"row {row} is not a row of X")
         if self._pid_of[row] >= 0:
             raise PreconditionViolation(f"row {row} is stored already")
         point = self._points([row])[0]

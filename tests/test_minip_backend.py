@@ -119,6 +119,9 @@ def test_insert_of_a_stored_row_is_refused_before_any_change(kind):
     backend = make_backend(kind)
     with pytest.raises(PreconditionViolation, match="row 3 is stored already"):
         backend.insert(3)
+    for row in (M, -1):  # -1 would otherwise store row M - 1 under the name -1
+        with pytest.raises(NotFound, match=f"row {row} is not a row of X"):
+            backend.insert(row)
     assert backend._index.count == START and len(backend._row_of) == START
     backend.retire(3)
     assert backend._index.count == START - 1
