@@ -22,12 +22,13 @@ S_j / sqrt(s_dim).  A tall one is drawn directly as R_j = L^T / sqrt(s_dim),
 L the Bartlett factor of a Wishart(s_dim, I) matrix: (D+2)(D+3)/2 draws
 instead of s_dim (D+2) normals, a Gram product and a Cholesky call.
 
-A query costs one GEMM and one order statistic, whatever the sample count:
-the sampled members' cached factors are stacked, applied to all m points
-at once (samples * m * (D+2)^2 multiply-adds at most), and each point's
-median distance is read off its row of squared distances.  Points live in
-a PointStore (one contiguous array, row i holding id i).  Mutations need
-exclusive access.
+A query costs one GEMM and one median, whatever the sample count: the
+sampled members' cached factors are stacked, applied to all m points at
+once (samples * m * (D+2)^2 multiply-adds at most), and each point's median
+distance is read off its row of squared distances.  The GEMM's output holds
+every sample's projections at once: samples * m * min(s_dim, D+2) floats of
+working memory per query.  Points live in a PointStore (one contiguous
+array, row i holding id i).  Mutations need exclusive access.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ class InnerProductEstimator:
         self.samples = _sample_count(self.pool)
         self._entropy = np.random.SeedSequence(seed).entropy  # refuses a bad seed here
         self._factors: dict[int, np.ndarray] = {}
-        p = self.dim + 2
-        if self.s_dim > p:  # a tall member's Bartlett layout, shared by every draw
-            self._below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))  # np.tril_indices order
-            self._chi_df = self.s_dim - np.arange(p)
         self._store = PointStore(pts)
 
     @property
@@ -127,10 +124,10 @@ class InnerProductEstimator:
             gen = np.random.Generator(np.random.Philox(child))
             p, s = self.dim + 2, self.s_dim
             if s > p:
-                L = np.zeros(p * p)  # row-major, flat
-                L[self._below] = gen.standard_normal(len(self._below))
-                L[:: p + 1] = np.sqrt(gen.chisquare(self._chi_df))
-                R = L.reshape(p, p).T / math.sqrt(s)
+                L = np.zeros((p, p))
+                L[np.tril_indices(p, -1)] = gen.standard_normal(p * (p - 1) // 2)
+                L[np.diag_indices(p)] = np.sqrt(gen.chisquare(s - np.arange(p)))
+                R = L.T / math.sqrt(s)
             else:
                 R = gen.standard_normal((s, p)) / math.sqrt(s)
             self._factors[j] = R
@@ -143,10 +140,7 @@ class InnerProductEstimator:
         row i of the store's `ids`.  The sampled members' factors are
         stacked and applied in one GEMM, (m, D+2) x (D+2, samples * rows);
         each point's squared distances under the samples are then one
-        contiguous row.  For an odd sample count the median is its middle
-        order statistic, whose square root is the middle distance since
-        sqrt is monotone; an even count takes the mean of the middle two
-        distances.
+        contiguous row.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
@@ -160,9 +154,6 @@ class InnerProductEstimator:
         R = np.concatenate([self._factor(int(j)) for j in picks])
         proj = (diff @ R.T).reshape(len(diff), self.samples, len(R) // self.samples)
         sq = np.einsum("ijk,ijk->ij", proj, proj)  # (m, samples) squared distances
-        if self.samples % 2:
-            mid = self.samples // 2
-            return np.sqrt(np.partition(sq, mid, axis=1)[:, mid])
         return np.median(np.sqrt(sq), axis=1)
 
     def query_min(self, q, rng: np.random.Generator) -> int:

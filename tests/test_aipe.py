@@ -113,9 +113,9 @@ EXPDESIGN_EPS = math.sqrt(1.125) - 1.0
     [(16, EXPDESIGN_EPS, 2175), (16, 3.0, 1)],  # tall as on expdesign-aipe, short as on ks-aipe
 )
 def test_stacked_estimates_are_the_per_sketch_medians(dim, eps, s_dim, samples):
-    """One GEMM over the stacked factors and one order statistic give each
-    point the median of its per-sketch distances, after deletes and an insert
-    that grows the radius."""
+    """One GEMM over the stacked factors and one median give each point the
+    median of its per-sketch distances, after deletes and an insert that
+    grows the radius."""
     rng = np.random.default_rng(7)
     est = InnerProductEstimator(rng.standard_normal((772, dim)), eps, SEED)  # n of expdesign-aipe
     assert est.s_dim == s_dim
