@@ -125,8 +125,10 @@ class InnerProductEstimator:
             p, s = self.dim + 2, self.s_dim
             if s > p:
                 L = np.zeros((p, p))
-                L[np.tril_indices(p, -1)] = gen.standard_normal(p * (p - 1) // 2)
-                L[np.diag_indices(p)] = np.sqrt(gen.chisquare(s - np.arange(p)))
+                # a row-major mask fills np.tril_indices order without building
+                # index arrays at every draw (each solve draws fresh factors)
+                L[np.tri(p, k=-1, dtype=bool)] = gen.standard_normal(p * (p - 1) // 2)
+                L.flat[:: p + 1] = np.sqrt(gen.chisquare(s - np.arange(p)))
                 R = L.T / math.sqrt(s)
             else:
                 R = gen.standard_normal((s, p)) / math.sqrt(s)
@@ -140,7 +142,9 @@ class InnerProductEstimator:
         row i of the store's `ids`.  The sampled members' factors are
         stacked and applied in one GEMM, (m, D+2) x (D+2, samples * rows);
         each point's squared distances under the samples are then one
-        contiguous row.
+        contiguous row.  For an odd sample count the median is the middle
+        one, whose square root is the middle distance since sqrt is
+        monotone; an even count averages the middle two distances.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
@@ -154,6 +158,9 @@ class InnerProductEstimator:
         R = np.concatenate([self._factor(int(j)) for j in picks])
         proj = (diff @ R.T).reshape(len(diff), self.samples, len(R) // self.samples)
         sq = np.einsum("ijk,ijk->ij", proj, proj)  # (m, samples) squared distances
+        if self.samples % 2:  # the middle order statistic: np.median's bits, at less cost
+            mid = self.samples // 2
+            return np.sqrt(np.partition(sq, mid, axis=1)[:, mid])
         return np.median(np.sqrt(sq), axis=1)
 
     def query_min(self, q, rng: np.random.Generator) -> int:
