@@ -17,8 +17,10 @@ For each (m, d) one Gaussian family of m stored member rows is drawn from
 Prints one JSON object: per size, the median seconds of each, the ratio of
 the cold query to the scan, and the estimator's sketch pool size and the
 sketches each query samples from it (a query's GEMM is samples x m x
-(d^2+2)^2 multiply-adds at most).  The PYTHONPATH decides which source tree
-is measured.
+(d^2+2)^2 multiply-adds at most).  Each size also reports the tracemalloc
+peak, in MB, of one cold and one warm query on a fresh backend, traced apart
+from the timed runs: the memory the query allocates, its new factors
+included.  The PYTHONPATH decides which source tree is measured.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -59,6 +62,22 @@ def swap_matrices(X: np.ndarray):
     return A, A_half, alpha, beta, Q
 
 
+def query_peaks_mb(X: np.ndarray, Q: np.ndarray, seed: int) -> dict:
+    """Traced peak MB of one cold and then one warm propose() on a fresh backend."""
+    backend = MinIpBackend("aipe", X, range(len(X)), c=C, tau=TAU, seed=seed)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for key in ("query_cold_peak_mb", "query_warm_peak_mb"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backend.propose(Q, np.random.default_rng(0))
+            peaks[key] = round((tracemalloc.get_traced_memory()[1] - base) / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
     A, A_half, alpha, beta, Q = swap_matrices(X)
     rows = range(len(X))
@@ -78,7 +97,7 @@ def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
     out["query_cold_over_scan"] = out["query_cold_s"] / out["scan_s"]
     # the same at every repeat: they read m and the (c, tau) settings only
     sizes = {"pool": backend._index.pool, "samples": backend._index.samples}
-    return {**{k: round(v, 6) for k, v in out.items()}, **sizes}
+    return {**{k: round(v, 6) for k, v in out.items()}, **sizes, **query_peaks_mb(X, Q, seed)}
 
 
 def main(argv=None) -> None:

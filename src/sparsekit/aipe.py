@@ -25,10 +25,10 @@ instead of s_dim (D+2) normals, a Gram product and a Cholesky call.
 A query costs one GEMM and one median, whatever the sample count: the
 sampled members' cached factors are stacked, applied to all m points at
 once (samples * m * (D+2)^2 multiply-adds at most), and each point's median
-distance is read off its row of squared distances.  The GEMM's output holds
-every sample's projections at once: samples * m * min(s_dim, D+2) floats of
-working memory per query.  Points live in a PointStore (one contiguous
-array, row i holding id i).  Mutations need exclusive access.
+distance is read off its row of squared distances.  The GEMM runs over
+blocks of BLOCK_ROWS points, so a query's projections take at most samples *
+BLOCK_ROWS * min(s_dim, D+2) floats.  Points live in a PointStore (one
+contiguous array, row i holding id i).  Mutations need exclusive access.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .minip import minip_transform_dataset, minip_transform_query
 from .pointstore import PointStore
 
 __all__ = ["AipeConfig", "InnerProductEstimator"]
+
+BLOCK_ROWS = 4096  # stored points per GEMM block; no golden or benchmark size is split
 
 
 class AipeConfig:
@@ -140,11 +142,11 @@ class InnerProductEstimator:
 
         Entry i belongs to the i-th live id in ascending order, the id in
         row i of the store's `ids`.  The sampled members' factors are
-        stacked and applied in one GEMM, (m, D+2) x (D+2, samples * rows);
-        each point's squared distances under the samples are then one
-        contiguous row.  For an odd sample count the median is the middle
-        one, whose square root is the middle distance since sqrt is
-        monotone; an even count averages the middle two distances.
+        stacked and applied in one GEMM per block of BLOCK_ROWS points; each
+        point's squared distances under the samples are one contiguous row.
+        For an odd sample count the median is the middle one, whose square
+        root is the middle distance since sqrt is monotone; an even count
+        averages the middle two distances.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
@@ -153,11 +155,13 @@ class InnerProductEstimator:
         # transformed afresh: an insert may have grown the radius
         aug, _ = minip_transform_dataset(self._store.points, self.radius)
         qa, _ = minip_transform_query(q, 1.0)
-        diff = aug - qa
         picks = rng.choice(self.pool, size=self.samples, replace=False)
         R = np.concatenate([self._factor(int(j)) for j in picks])
-        proj = (diff @ R.T).reshape(len(diff), self.samples, len(R) // self.samples)
-        sq = np.einsum("ijk,ijk->ij", proj, proj)  # (m, samples) squared distances
+        shape = (-1, self.samples, len(R) // self.samples)
+        sq = np.empty((len(aug), self.samples))  # (m, samples) squared distances
+        for lo in range(0, len(aug), BLOCK_ROWS):
+            proj = ((aug[lo : lo + BLOCK_ROWS] - qa) @ R.T).reshape(shape)
+            np.einsum("ijk,ijk->ij", proj, proj, out=sq[lo : lo + BLOCK_ROWS])
         if self.samples % 2:  # the middle order statistic: np.median's bits, at less cost
             mid = self.samples // 2
             return np.sqrt(np.partition(sq, mid, axis=1)[:, mid])

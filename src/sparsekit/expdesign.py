@@ -2,14 +2,14 @@
 
 Maintains a size-n set S and the normalized inverse-square matrix
 A_t = (c_t I + alpha sum_{i in S} x x^T)^{-2} with tr[A_t] = 1.  Each
-iteration removes the member with the smallest B^- score (proposed by the
-shared Min-IP backend of minip_backend and verified, or found by an
-eligible-filtered scan) and inserts the non-member with the
-largest B^+ score (always by linear scan: the target values are ~1/n, too
-small for approximate search to resolve); both scans score rows with
-linalg.quadratic_forms.  Each iteration takes one eigendecomposition of the
-selected Gram matrix Z: its lambda_min decides the exit, as soon as it
-clears 1 - gamma eps, and it gives A_t for the swap.
+iteration removes a member by linalg.propose_or_scan (a proposal of the
+shared Min-IP backend, minip_backend, else the eligible member with the
+least B^- score) and inserts the non-member with the largest B^+ score
+(always by linear scan: the target values are ~1/n, too small for
+approximate search to resolve); both scans use linalg.quadratic_forms.
+Each iteration takes one eigendecomposition of the selected Gram matrix Z:
+its lambda_min decides the exit, as soon as it clears 1 - gamma eps, and
+it gives A_t for the swap.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, check_isotropy
-from .linalg import check_symmetric, eigendecompose, quadratic_forms
+from .linalg import check_symmetric, eigendecompose, propose_or_scan, quadratic_forms
 from .minip_backend import MinIpBackend
 
 __all__ = [
@@ -207,13 +207,24 @@ def swap_round(
         initial_set=np.sort(members),
     )
 
-    index = None
-    if backend != "exact":
-        index = MinIpBackend(backend, X, members, c=c, tau=tau, seed=seed)
-
     member_mask = np.zeros(m, dtype=bool)
     member_mask[members] = True
     removal_bound = (1.0 - epsilon) / (beta * n)
+    propose = index = None
+    if backend != "exact":
+        index = MinIpBackend(backend, X, members, c=c, tau=tau, seed=seed)
+
+        def propose(A, A_half):  # the backend stores exactly the members
+            return index.propose(swap_query_matrix(A, A_half, n, epsilon, alpha), rng)
+
+    def verify(i, A, A_half):
+        bm = _b_minus(A, A_half, X[i], alpha, beta)
+        return bm, bm <= removal_bound * (1.0 + 1e-9)
+
+    def scan(A, A_half):
+        member_list = np.flatnonzero(member_mask)
+        local, scores = _removal_scan(X[member_list], A, A_half, alpha, beta)
+        return int(member_list[local]), float(scores[local])
 
     t = 1
     while True:
@@ -225,22 +236,8 @@ def swap_round(
             break
         A_half, A = swap_matrices(eig, alpha)
         result.trace_norm.append(float(np.trace(A)))
-
-        i_t = None
-        if index is not None:
-            cand = index.propose(swap_query_matrix(A, A_half, n, epsilon, alpha), rng)
-            if cand is not None:  # the backend stores exactly the members
-                bm = _b_minus(A, A_half, X[cand], alpha, beta)
-                if bm <= removal_bound * (1.0 + 1e-9):
-                    i_t = cand
-                    b_minus_val = bm
-            if i_t is None:
-                result.fallbacks += 1
-        if i_t is None:
-            member_list = np.flatnonzero(member_mask)
-            local, scores = _removal_scan(X[member_list], A, A_half, alpha, beta)
-            i_t = int(member_list[local])
-            b_minus_val = float(scores[local])
+        i_t, b_minus_val, fell_back = propose_or_scan(propose, verify, scan, A, A_half)
+        result.fallbacks += fell_back
 
         comp_list = np.flatnonzero(~member_mask)
         comp = X[comp_list]

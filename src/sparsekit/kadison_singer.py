@@ -11,14 +11,12 @@ and any i with c_i <= beta keeps the potential falling and the norm below
 the barrier a_{j+1}.  The exact backend scores the remaining rows with one
 GEMM (linalg.quadratic_forms) and takes the lowest index within a relative
 TIE_TOL of the least score: on stacked orthonormal frames all scores tie
-at step 0 and after each completed frame.  The approximate backends ask
-the shared Min-IP backend (minip_backend) for a candidate, verify the
-witness inequality directly, and fall back to the scan (counted) whenever
-the backend fails or its answer does not verify.  Chosen indices are
-retired from the backend immediately, so they are never proposed again.
-Each step takes one eigendecomposition of T, after its update; it serves
-the barrier check, the potential trace and the next step's query matrix.
-T is checked for symmetry once, after the last step.
+at step 0 and after each completed frame.  On aipe and afn the shared
+Min-IP backend (minip_backend) proposes first (linalg.propose_or_scan),
+and a chosen row is retired from it at once.  Each step takes one
+eigendecomposition of T, after its update; it serves the barrier check,
+the potential trace and the next step's query matrix.  T is checked for
+symmetry once, after the last step.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from .errors import BarrierCollapse, ConfigError, IsotropyViolation, PreconditionViolation
 from .linalg import EigenDecomposition, VectorFamily, WeightedSelection, eigendecompose
-from .linalg import check_isotropy, check_symmetric, quadratic_forms
+from .linalg import check_isotropy, check_symmetric, propose_or_scan, quadratic_forms
 from .minip_backend import MinIpBackend
 
 __all__ = [
@@ -69,7 +67,8 @@ def ks_query_matrix(eig: EigenDecomposition, a_prev: float, a_cur: float) -> np.
 
 
 def _check_family(family: VectorFamily, N: float) -> None:
-    norms = np.linalg.norm(family.vectors, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, refused just below
+        norms = np.linalg.norm(family.vectors, axis=1)
     target = 1.0 / math.sqrt(N)
     if np.any(np.abs(norms - target) > NORM_TOL):
         raise PreconditionViolation(f"every vector must have norm 1/sqrt(N)={target}")
@@ -102,15 +101,13 @@ class KsRunResult:
         }
 
 
-def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
-    """Core loop over barriers `a`; `backend` (a MinIpBackend or None) proposes candidates.
+def _greedy_loop(family, a, beta, propose=None, retire=None) -> KsRunResult:
+    """Core loop over barriers `a`; each step picks through linalg.propose_or_scan.
 
-    The backend stores exactly the remaining indices, so a proposal is one
-    of them; it is verified against the witness inequality c_i <= beta,
-    and failures fall back to the exact argmin scan over the remaining set,
-    so every accepted step preserves the barrier invariants.  A scan counts
-    as a fallback only when a backend was asked first.  The chosen index is
-    retired from the backend before the next step.
+    `propose(Q)` answers a remaining row and `retire(i)` drops a chosen one;
+    the exact backend passes neither.  A pick, proposed or the scan's tied
+    argmin, must pass the witness test c_i = v_i^T Q v_i <= beta; a scanned
+    pick that fails it raises BarrierCollapse.
     """
     d = family.dim
     V = family.vectors
@@ -121,33 +118,31 @@ def _greedy_loop(family, a, beta, backend=None, rng=None) -> KsRunResult:
     chosen: list[int] = []
     result = KsRunResult(selection=None, final_norm=math.nan, barrier_sequence=a, beta=beta)
     result.potential_trace.append(d / a[0])  # Phi^{a_0}(0)
-    witness_tol = 1.0 + 1e-9
+    bound = beta * (1.0 + 1e-9)  # the witness test c_i <= beta, with room for roundoff
+
+    def verify(i, Q):
+        witness = float(V[i] @ Q @ V[i])
+        return witness, witness <= bound
+
+    def scan(Q):
+        candidates = np.flatnonzero(remaining)
+        scores = quadratic_forms(V[candidates], Q)
+        least = scores.min()
+        k = int(np.argmax(scores <= least + TIE_TOL * abs(least)))  # the first tie
+        return int(candidates[k]), float(scores[k])
+
     for j in range(n):
         Qmat = ks_query_matrix(eig, a[j], a[j + 1])
-        i_star = None if backend is None else backend.propose(Qmat, rng)
-        if i_star is not None:
-            witness = float(V[i_star] @ Qmat @ V[i_star])
-            if witness > beta * witness_tol:
-                i_star = None
-        if i_star is None:
-            if backend is not None:
-                result.fallbacks += 1
-            candidates = np.flatnonzero(remaining)
-            scores = quadratic_forms(V[candidates], Qmat)
-            least = scores.min()
-            k = int(np.argmax(scores <= least + TIE_TOL * abs(least)))  # the first tie
-            i_star = int(candidates[k])
-            witness = float(scores[k])
-            if witness > beta * witness_tol:
-                raise BarrierCollapse(
-                    f"no index keeps the potential bounded at step {j}"
-                )
+        i_star, witness, fell_back = propose_or_scan(propose, verify, scan, Qmat)
+        if witness > bound:  # only a scanned least score can fail here
+            raise BarrierCollapse(f"no index keeps the potential bounded at step {j}")
+        result.fallbacks += fell_back
         result.score_trace.append(witness)
         T = T + np.outer(V[i_star], V[i_star]) / beta
         chosen.append(i_star)
         remaining[i_star] = False
-        if backend is not None:
-            backend.retire(i_star)
+        if retire is not None:
+            retire(i_star)
         eig = eigendecompose(T)
         norm = eig.eigenvalues[-1]
         if norm >= a[j + 1]:
@@ -186,6 +181,7 @@ def ks_select(
     if backend == "exact":
         return _greedy_loop(family, a, 1.0)
     index = MinIpBackend(backend, family.vectors, range(family.count), c=c, tau=tau, seed=seed)
-    result = _greedy_loop(family, a, 1.0 / c, index, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    result = _greedy_loop(family, a, 1.0 / c, lambda Q: index.propose(Q, rng), index.retire)
     result.backend = backend
     return result

@@ -13,7 +13,8 @@ triangle, and the solvers' accumulators are symmetric by construction, so
 each solver runs ``check_symmetric`` on its final accumulator once per
 solve.  The one row scan is ``quadratic_forms``, v^T M v for every row v
 from one GEMM: the sparsifier's witness scan, the Kadison-Singer argmin and
-both swap rounding scans call it.  There is deliberately no
+both swap rounding scans call it.  Every solver asks its search structure
+through ``propose_or_scan``.  There is deliberately no
 fast-matrix-multiplication path.  All functions are pure: they never mutate
 their inputs and hold no state, so concurrent invocation is safe.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DimensionMismatch, PreconditionViolation, SingularGram
+from .errors import DimensionMismatch, NoPositiveEntry, PreconditionViolation, SingularGram
 
 __all__ = [
     "VectorFamily",
@@ -34,6 +35,7 @@ __all__ = [
     "EigenDecomposition",
     "eigendecompose",
     "quadratic_forms",
+    "propose_or_scan",
     "check_symmetric",
     "whiten",
     "check_isotropy",
@@ -164,6 +166,28 @@ def quadratic_forms(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", V @ M, V)
 
 
+def propose_or_scan(propose, verify, scan, *query):
+    """One greedy step's row: a proposal that verifies, else the solver's exact scan.
+
+    The only code that asks a proposer: ``propose(*query)`` returns a row;
+    None or a raised NoPositiveEntry mean no answer, and an exact solve
+    passes propose=None.  ``verify(row, *query)`` returns the solver's own
+    (value, inequality holds), so a proposal never weakens a guarantee.
+    Else ``scan(*query)`` returns the exact (row, value).  Returns (row,
+    value, fell_back); fell_back, a scan in a proposal's place, is counted.
+    """
+    if propose is not None:
+        try:
+            row = propose(*query)
+        except NoPositiveEntry:
+            row = None
+        if row is not None:
+            value, holds = verify(row, *query)
+            if holds:
+                return row, value, False
+    return (*scan(*query), propose is not None)
+
+
 def check_symmetric(A: np.ndarray) -> None:
     """Raise unless A is finite and symmetric within 1e-12 relative tolerance."""
     if not np.all(np.isfinite(A)):
@@ -204,10 +228,12 @@ def check_isotropy(family: VectorFamily, pi=None) -> bool:
     """True iff sum_i pi_i v_i v_i^T (pi_i = 1 when pi is None) is the
     identity within Frobenius distance ISOTROPY_TOL."""
     X = family.vectors
-    G = family.gram() if pi is None else X.T @ (np.asarray(pi, dtype=float)[:, None] * X)
+    with np.errstate(over="ignore"):  # an overflowed entry is inf, which is not I
+        G = family.gram() if pi is None else X.T @ (np.asarray(pi, dtype=float)[:, None] * X)
     return is_identity(G)
 
 
 def is_identity(G: np.ndarray) -> bool:
     """True iff the square matrix G is the identity within Frobenius distance ISOTROPY_TOL."""
-    return bool(np.linalg.norm(G - np.eye(len(G))) <= ISOTROPY_TOL)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, which is not I
+        return bool(np.linalg.norm(G - np.eye(len(G))) <= ISOTROPY_TOL)

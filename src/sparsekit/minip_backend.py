@@ -21,8 +21,7 @@ not stored (NotFound), inserting one that is (PreconditionViolation) and
 naming an index outside X's rows (NotFound) are refused before any
 structure changes, so the map and the structure's count always agree.
 Both structures size themselves for the failure probability afn.DELTA.
-Proposals are only suggestions: callers verify the returned row against
-their own witness inequality.
+Solvers ask for proposals through linalg.propose_or_scan.
 """
 
 from __future__ import annotations

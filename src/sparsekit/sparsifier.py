@@ -5,18 +5,15 @@ Srivastava ("Twice-Ramanujan Sparsifiers"): from u_0 = -ell_0 = d/eps the
 upper barrier steps by 1 and the lower one by 1/(1 + 2 eps), the gap matrix
 Q = L_t - U_t is formed from one eigendecomposition of the accumulator, and
 an index with v^T Q v > 0 is selected and added with weight 1/(c_t d).  The
-variants differ only in how they find that index.  The loop itself does
-O(d^3) work per iteration and never touches all m rows: the trace's gap sum
-is <G, Q> with G the family's Gram matrix, computed once.  The reference
-variant scans the rows in order until the first witness, in chunks of 64,
-128, 256, ... rows: O(k d^2) for a first witness at row k, O(m d^2) in the
-worst case.  The fast variant asks a positive-search tree, at O(d^2 log m)
-per iteration.  An nnz-based cost model picks the tree's leaf size: d
-vectors per leaf (the vector tree) when no vector has a zero entry, else
-one (the matrix tree).  One row scan, `_first_witness` over chunks of
-`linalg.quadratic_forms`, serves the reference and every fallback of the
-fast variant (a tree that raises or answers a non-witness).  Everything is
-deterministic: reruns on equal input produce identical selections.
+variants differ only in how they find that index, each step through
+linalg.propose_or_scan.  The loop itself does O(d^3) work per iteration and
+never touches all m rows: the trace's gap sum is <G, Q> with G the family's
+Gram matrix, computed once.  The reference variant only scans, in row order
+(`_first_witness`).  The fast variant asks a positive-search tree, at
+O(d^2 log m) per iteration.  An nnz-based cost model picks the tree's leaf
+size: d vectors per leaf (the vector tree) when no vector has a zero entry,
+else one (the matrix tree).  Everything is deterministic: reruns on equal
+input produce identical selections.
 """
 
 from __future__ import annotations
@@ -27,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoPositiveEntry
-from .errors import NoWitness, NumericalWarning
+from .errors import BarrierViolation, ConfigError, IsotropyViolation, NoWitness, NumericalWarning
 from .linalg import VectorFamily, WeightedSelection, check_symmetric, eigendecompose, is_identity
-from .linalg import quadratic_forms
+from .linalg import propose_or_scan, quadratic_forms
 from .psearch import BatchedVectorSearchTree, MatrixSearchTree
 
 __all__ = ["BssTrace", "SparsifierReport", "bss_reference", "sparsify_fast", "verify_sparsifier"]
@@ -87,7 +83,8 @@ def _check_input(family: VectorFamily, epsilon: float) -> np.ndarray:
             f"epsilon={epsilon} at d={family.dim} asks for T = ceil(d/epsilon^2) = "
             f"{steps:.6g} barrier steps, more than MAX_STEPS = {MAX_STEPS}"
         )
-    G = family.gram()
+    with np.errstate(over="ignore"):  # an overflowed entry is inf, which is not I
+        G = family.gram()
     if not is_identity(G):
         raise IsotropyViolation(
             "family is not isotropic: sum of outer products differs from I"
@@ -102,9 +99,9 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
     step scale 0, so it is never taken.  The scan stops at the first chunk
     that holds a witness, so a witness at row k costs O(k d^2); with none,
     the chunks cover the m rows once, in O(log m) products.  Each row read
-    counts in trace.rows_read.  A chunk's
-    product may round its last bits unlike the whole m x d product, so the
-    two can disagree only on a row whose form is within roundoff of 0.
+    counts in trace.rows_read.  A chunk's product may round its last bits
+    unlike the whole m x d product, so the two can disagree only on a row
+    whose form is within roundoff of 0.
     """
     m = len(V)
     start, size = 0, SCAN_CHUNK
@@ -118,18 +115,30 @@ def _first_witness(V: np.ndarray, Qgap: np.ndarray, trace: BssTrace) -> int:
     raise NoWitness("no index witnesses the barrier gap")
 
 
-def _run_barrier_loop(family: VectorFamily, G: np.ndarray, epsilon: float, pick, trace: BssTrace):
-    """Shared loop over a family with Gram matrix G; `pick(Qgap)` returns an
-    index with v^T Qgap v > 0.
+def _run_barrier_loop(family: VectorFamily, epsilon: float, kind: str):
+    """The loop both variants share; `kind` is "scan", or the tree to ask.
 
     The barriers step by delta_u = 1 and delta_l = 1/(1 + 2 eps) for
-    T = ceil(d/eps^2) steps, so u_T = d/eps + T and ell_T = -d/eps + T delta_l.
-    Apart from `pick`, each iteration costs O(d^3), independent of the
-    number of rows m.  A witness's step scale c = v^T (L + U) v / 2 exceeds
+    T = ceil(d/eps^2) steps, so u_T = d/eps + T and ell_T = -d/eps + T
+    delta_l.  A witness's step scale c = v^T (L + U) v / 2 exceeds
     v^T U v > 0, as U is positive definite; a c <= 0 raises BarrierViolation.
     """
+    G = _check_input(family, epsilon)
     d = family.dim
     V = family.vectors
+    trace = BssTrace(tree_kind=kind)
+    trees = {"vector": BatchedVectorSearchTree, "matrix": MatrixSearchTree}
+    propose = trees[kind](family).query_positive if kind in trees else None
+
+    def verify(j, Qgap):
+        form = float(V[j] @ Qgap @ V[j])
+        return form, form > 0.0
+
+    def scan(Qgap):
+        if kind != "scan":  # the tree's answer failed, so warn before the fallback scan
+            warnings.warn("positive search found no witness; scanning", NumericalWarning)
+        return _first_witness(V, Qgap, trace), None
+
     T = math.ceil(d / epsilon**2)
     u, ell = d / epsilon, -d / epsilon
     delta_u, delta_l = 1.0, 1.0 / (1.0 + 2.0 * epsilon)
@@ -140,7 +149,8 @@ def _run_barrier_loop(family: VectorFamily, G: np.ndarray, epsilon: float, pick,
         L, U, phi_u, phi_l = _barrier_matrices(A, u, u_next, ell, ell_next)
         Qgap = L - U
         gap_sum = float(np.vdot(G, Qgap))  # = sum_i v_i^T Qgap v_i
-        j = pick(Qgap)
+        j, _, fell_back = propose_or_scan(propose, verify, scan, Qgap)
+        trace.fallbacks += fell_back
         v = V[j]
         c = 0.5 * float(v @ (L + U) @ v)
         if c <= 0.0:
@@ -161,24 +171,15 @@ def _run_barrier_loop(family: VectorFamily, G: np.ndarray, epsilon: float, pick,
 
 
 def bss_reference(family: VectorFamily, epsilon: float):
-    """Two-barrier greedy with linear-scan index search.
+    """Two-barrier greedy whose every pick is the first witness in row order.
 
-    Each iteration reads the rows in order until the first index with
-    v^T Q v > 0, in chunks of 64, 128, 256, ... rows: O(k d^2) for a first
-    witness at row k, O(m d^2) in the worst case.  trace.rows_read counts
-    the quadratic forms evaluated.  Returns (selection, A_final, trace) with
-    A_final = A_T / d; every eigenvalue of A_T lies strictly between the
-    final barriers ell_T and u_T (trace.barrier_contained), so
-    lambda_max / lambda_min < u_T / ell_T when ell_T > 0 (ROADMAP.md, item 1).
+    trace.rows_read counts the quadratic forms `_first_witness` evaluated.
+    Returns (selection, A_final, trace) with A_final = A_T / d; every
+    eigenvalue of A_T lies strictly between the final barriers ell_T and u_T
+    (trace.barrier_contained), so lambda_max / lambda_min < u_T / ell_T when
+    ell_T > 0 (ROADMAP.md, item 1).
     """
-    G = _check_input(family, epsilon)
-    V = family.vectors
-    trace = BssTrace()
-
-    def pick(Qgap):
-        return _first_witness(V, Qgap, trace)
-
-    return _run_barrier_loop(family, G, epsilon, pick, trace)
+    return _run_barrier_loop(family, epsilon, "scan")
 
 
 def choose_tree(family: VectorFamily) -> str:
@@ -197,35 +198,12 @@ def sparsify_fast(family: VectorFamily, epsilon: float):
     """Tree-accelerated variant of the same loop, with the same barrier guarantee.
 
     Each iteration asks the tree only: one root-to-leaf descent of
-    O(d^2 log m) plus an O(d^2) cross-check, no scan over the m rows.  When
-    the tree raises NoPositiveEntry or its answer's form is not > 0, the
-    iteration warns (NumericalWarning), counts a fallback and takes the
-    reference's first witness.  The barrier schedule is the reference's, so
-    is the bound lambda_max / lambda_min < u_T / ell_T.
-
+    O(d^2 log m) plus the O(d^2) check v_j^T Q v_j > 0 of its answer j.  A
+    fallback warns NumericalWarning first, then takes the reference's pick.
     Raises ConfigError when the tree's nodes would not fit in physical
     memory: the tree's own build refuses it before allocating (see psearch).
     """
-    G = _check_input(family, epsilon)
-    kind = choose_tree(family)
-    tree = (BatchedVectorSearchTree if kind == "vector" else MatrixSearchTree)(family)
-    V = family.vectors
-    trace = BssTrace(tree_kind=kind)
-
-    def pick(Qgap):
-        try:
-            j = tree.query_positive(Qgap)
-        except NoPositiveEntry:
-            pass
-        else:
-            # O(d^2) soundness cross-check of the tree's answer
-            if float(V[j] @ Qgap @ V[j]) > 0.0:
-                return j
-        warnings.warn("positive search found no witness; scanning", NumericalWarning)
-        trace.fallbacks += 1
-        return _first_witness(V, Qgap, trace)
-
-    return _run_barrier_loop(family, G, epsilon, pick, trace)
+    return _run_barrier_loop(family, epsilon, choose_tree(family))
 
 
 @dataclass

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sparsekit import aipe
 from sparsekit.aipe import InnerProductEstimator
 from sparsekit.errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.minip import minip_transform_dataset, minip_transform_query
@@ -113,23 +114,25 @@ EXPDESIGN_EPS = math.sqrt(1.125) - 1.0
     [(16, EXPDESIGN_EPS, 2175), (16, 3.0, 1)],  # tall as on expdesign-aipe, short as on ks-aipe
 )
 def test_stacked_estimates_are_the_per_sketch_medians(dim, eps, s_dim, samples):
-    """One GEMM over the stacked factors and one median give each point the
-    median of its per-sketch distances, after deletes and an insert that
-    grows the radius."""
-    rng = np.random.default_rng(7)
-    est = InnerProductEstimator(rng.standard_normal((772, dim)), eps, SEED)  # n of expdesign-aipe
-    assert est.s_dim == s_dim
-    if samples is not None:
-        est.samples = samples
-    assert est.samples % 2 == (samples is None)
-    est.delete(3)
-    est.delete(500)
-    est.insert(3.0 * rng.standard_normal(dim))
-    for t in range(4):
-        q = unit(rng.standard_normal(dim)) * (0.5 if t % 2 else 1.0)
-        got = est.distance_estimates(q, np.random.default_rng(t))
-        want = per_sketch_estimates(est, q, np.random.default_rng(t))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    """The stacked factors applied block by block, and one median, give each
+    point the median of its per-sketch distances, after deletes and an
+    insert that grows the radius: at expdesign-aipe's n, in one GEMM block,
+    and at a size whose GEMM runs over two blocks."""
+    for m in (772, aipe.BLOCK_ROWS + 772):
+        rng = np.random.default_rng(7)
+        est = InnerProductEstimator(rng.standard_normal((m, dim)), eps, SEED)
+        assert est.s_dim == s_dim
+        if samples is not None:
+            est.samples = samples
+        assert est.samples % 2 == (samples is None)
+        est.delete(3)
+        est.delete(500)
+        est.insert(3.0 * rng.standard_normal(dim))
+        for t in range(4):
+            q = unit(rng.standard_normal(dim)) * (0.5 if t % 2 else 1.0)
+            got = est.distance_estimates(q, np.random.default_rng(t))
+            want = per_sketch_estimates(est, q, np.random.default_rng(t))
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_a_cold_query_draws_each_sampled_factor_once_and_a_repeat_none():

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -613,3 +614,18 @@ def test_report_config_holds_exactly_the_command_flags(command, tmp_path, rng):
     assert set(config) == COMMAND_FLAGS[command]
     if "seed" in config:
         assert config["seed"] == 0  # the default without --seed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sparsify"], ["ks", "--n", "2"], ["expdesign", "--n", "2"]],
+    ids=["sparsify", "ks", "expdesign"],
+)
+def test_an_overflowing_family_is_refused_without_a_runtime_warning(tmp_path, capsys, argv):
+    # every entry is finite, but X^T X and the row norms overflow to inf
+    path = tmp_path / "huge.csv"
+    path.write_text("1e200,1e200\n1e200,-1e200\n1e200,0\n-1e200,1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv + ["--input", str(path)]) == cli.EXIT_PRECONDITION
+    assert "Traceback" not in capsys.readouterr().err

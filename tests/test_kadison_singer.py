@@ -69,7 +69,7 @@ class NoProposal:
     def __init__(self):
         self.retired = []
 
-    def propose(self, Q, rng):
+    def propose(self, Q):
         return None
 
     def retire(self, i):
@@ -81,7 +81,7 @@ def test_a_backend_without_proposals_falls_back_to_the_exact_scan_at_every_step(
     n = family.count // 2
     a = ks_barrier_sequence(8, family.count, n)
     backend = NoProposal()
-    got = _greedy_loop(family, a, 1.0 / KS_C, backend, rng)
+    got = _greedy_loop(family, a, 1.0 / KS_C, backend.propose, backend.retire)
     want = _greedy_loop(family, a, 1.0 / KS_C)
     assert got.fallbacks == n and want.fallbacks == 0
     assert got.selection.indices.tolist() == want.selection.indices.tolist() == backend.retired
@@ -121,3 +121,30 @@ def test_query_matrix_is_the_resolvent_square_over_the_gap_plus_the_resolvent(
     want = M @ M / (phi_prev - phi_cur) + M
     got = ks_query_matrix(eig, a_prev, a_cur)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_adversarial_proposals_keep_the_norm_bound():
+    """A backend that answers a random remaining row: each answer whose
+    witness exceeds beta is a counted fallback, and the norm stays below
+    beta a_n.  At beta = 1/c every row passed the witness test on every
+    shape tried, so this runs at the exact backend's beta = 1, where a few
+    do not."""
+    total = 0
+    for seed in range(5):
+        family = random_ks_family(2, 12, np.random.default_rng(seed))
+        V, n, beta = family.vectors, family.count // 2, 1.0
+        a = ks_barrier_sequence(12, family.count, n)
+        remaining = list(range(family.count))
+        answers = np.random.default_rng(1000 + seed)
+        failed = []
+
+        def propose(Q):
+            i = remaining[int(answers.integers(len(remaining)))]
+            failed.append(float(V[i] @ Q @ V[i]) > beta * (1.0 + 1e-9))
+            return i
+
+        result = _greedy_loop(family, a, beta, propose, remaining.remove)
+        assert result.fallbacks == sum(failed) and len(failed) == n
+        assert result.final_norm < beta * a[-1]
+        total += result.fallbacks
+    assert total > 0

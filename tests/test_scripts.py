@@ -1,11 +1,15 @@
 """The sweep and replay scripts run end to end at their smallest sizes and print JSON."""
 
 import hashlib
+import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,6 +131,8 @@ def test_sweep_aipe_times_every_phase():
     for key in ("pool", "samples"):
         assert isinstance(size[key], int) and size[key] > 0
     assert size["samples"] <= size["pool"]
+    # a cold query draws its factors; a warm one reuses them
+    assert size["query_cold_peak_mb"] >= size["query_warm_peak_mb"] > 0.0
 
 
 def test_sweep_sparsify_keeps_the_barrier():
@@ -138,3 +144,80 @@ def test_sweep_sparsify_keeps_the_barrier():
     assert size["fast_rows_per_iteration"] == 0.0
     # the first chunk holds all 64 rows
     assert size["reference_rows_per_iteration"] == 64.0
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the last line of a recorded perfbench run (ks-afn, 1 s)
+RUN_LINE = json.loads(
+    '{"correct": true, "attempted": 1413, "failed": 0, "metrics": {'
+    '"setup_s": {"value": 0.5169960831251396, "unit": "s"}, '
+    '"accel_solve_s.p50": {"value": 0.01855979089616327, "unit": "s"}, '
+    '"accel_solve_s.tail": {"value": 0.01855979089616327, "unit": "s"}, '
+    '"exact_solve_s.p50": {"value": 0.0006724731085060283, "unit": "s"}, '
+    '"exact_solve_s.tail": {"value": 0.0006724731085060283, "unit": "s"}, '
+    '"peak_rss_mb": {"value": 60.4765625, "unit": "MB"}, '
+    '"accel_quality": {"value": 0.44365081389595445, "unit": "ratio"}}}'
+)
+
+
+def line_with(**values):
+    """RUN_LINE with some metrics replaced; keys name metrics with '.' as '__'."""
+    line = json.loads(json.dumps(RUN_LINE))
+    for key, value in values.items():
+        line["metrics"][key.replace("__", ".")]["value"] = value
+    return line
+
+
+def ab_summary(base_p50, head_p50):
+    ab = load_ab_pairs()
+    runs = [
+        {"base": line_with(exact_solve_s__p50=b), "head": line_with(exact_solve_s__p50=h)}
+        for b, h in zip(base_p50, head_p50)
+    ]
+    return ab.summarize(runs, ab.load_metrics())
+
+
+BASE_P50 = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+
+
+def test_ab_pairs_gain_needs_nine_of_ten_pairs():
+    head = [b - 0.1 for b in BASE_P50]
+    head[3] = BASE_P50[3] + 0.01  # one pair lost: 9 of 10
+    nine = ab_summary(BASE_P50, head)["verdicts"]["exact_solve_s.p50"]
+    assert (nine["wins"], nine["verdict"]) == (9, "gain")
+    head[5] = BASE_P50[5]  # an equal pair is no win: 8 of 10
+    eight = ab_summary(BASE_P50, head)["verdicts"]["exact_solve_s.p50"]
+    assert (eight["wins"], eight["verdict"]) == (8, "tie")
+
+
+def test_ab_pairs_gain_needs_a_median_gap_above_the_base_iqr():
+    wide = ab_summary(BASE_P50, [b - 0.05 for b in BASE_P50])["verdicts"]["exact_solve_s.p50"]
+    assert wide["base_iqr"] == pytest.approx(0.045)
+    assert (wide["wins"], wide["verdict"]) == (10, "gain")
+    narrow = ab_summary(BASE_P50, [b - 0.04 for b in BASE_P50])["verdicts"]["exact_solve_s.p50"]
+    assert (narrow["wins"], narrow["verdict"]) == (10, "tie")
+
+
+def test_ab_pairs_reads_a_tie_and_a_bound_overrun():
+    tie = ab_summary(BASE_P50, BASE_P50)
+    assert all(v["verdict"] == "tie" and v["wins"] == 0 for v in tie["verdicts"].values())
+    assert tie["worse"] == tie["gains"] == [] and tie["more_failures"] is False
+    # the p50 bound is 0.25: a head 30% slower in every pair is worse
+    worse = ab_summary(BASE_P50, [1.3 * b for b in BASE_P50])
+    assert worse["worse"] == ["exact_solve_s.p50"]
+
+
+def test_ab_pairs_accel_vs_exact_compares_within_each_run():
+    ab = load_ab_pairs()
+    runs = [{"run": line_with(accel_solve_s__p50=0.5 * b, exact_solve_s__p50=b)} for b in BASE_P50]
+    summary = ab.summarize(runs, ab.load_metrics(), accel_vs_exact=True)
+    p50 = summary["verdicts"]["solve_s.p50"]
+    assert (p50["wins"], p50["verdict"]) == (10, "gain")
+    assert p50["base_median"] == statistics.median(BASE_P50)
+    assert summary["failures"]["run"]["attempted"] == 10 * RUN_LINE["attempted"]

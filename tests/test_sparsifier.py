@@ -225,23 +225,20 @@ def check_reference_picks(monkeypatch, family, epsilon=0.5):
         scanned.append(len(V))
         return FULL_SCAN(V, M)
 
-    original = sparsifier._run_barrier_loop
+    original = sparsifier._first_witness
 
-    def checked_loop(family, G, epsilon, pick, trace):
-        def checked_pick(Qgap):
-            scanned.clear()
-            read = trace.rows_read
-            j = pick(Qgap)
-            expected = np.flatnonzero(FULL_SCAN(family.vectors, Qgap) > 0.0)[0]
-            assert j == expected
-            assert sum(scanned) == trace.rows_read - read == chunk_end(j, m)
-            picks.append(j)
-            return j
-
-        return original(family, G, epsilon, checked_pick, trace)
+    def checked_first_witness(V, Qgap, trace):
+        scanned.clear()
+        read = trace.rows_read
+        j = original(V, Qgap, trace)
+        expected = np.flatnonzero(FULL_SCAN(family.vectors, Qgap) > 0.0)[0]
+        assert j == expected
+        assert sum(scanned) == trace.rows_read - read == chunk_end(j, m)
+        picks.append(j)
+        return j
 
     monkeypatch.setattr(sparsifier, "quadratic_forms", counting_scan)
-    monkeypatch.setattr(sparsifier, "_run_barrier_loop", checked_loop)
+    monkeypatch.setattr(sparsifier, "_first_witness", checked_first_witness)
     _, _, trace = sparsifier.bss_reference(family, epsilon)
     assert len(picks) == math.ceil(family.dim / epsilon**2)
     return picks, trace
@@ -315,3 +312,31 @@ def test_a_zero_row_never_witnesses(rng, m, d):
     assert trace.fallbacks == 0
     assert np.array_equal(got.indices, want.indices + 1)
     assert np.array_equal(got.weights, want.weights)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fast_path_keeps_its_barrier_under_an_adversarial_tree(monkeypatch, seed):
+    """A tree that answers a random row: each answer whose form is not > 0 is a
+    warned, counted fallback, and the barrier guarantee holds."""
+    d, epsilon = 4, 0.25
+    family = random_isotropic_family(200, d, np.random.default_rng(seed))
+    V = family.vectors
+    answers = np.random.default_rng(1000 + seed)
+    failed = []
+
+    def query_positive(self, A):
+        j = int(answers.integers(len(V)))
+        failed.append(not float(V[j] @ A @ V[j]) > 0.0)
+        return j
+
+    monkeypatch.setattr(psearch._PartialSumTree, "query_positive", query_positive)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NumericalWarning)
+        _, A_final, trace = sparsifier.sparsify_fast(family, epsilon)
+    assert 0 < trace.fallbacks == sum(failed) == len(caught) < len(failed)
+    T = math.ceil(d / epsilon**2)
+    u_T = d / epsilon + T
+    ell_T = -d / epsilon + T / (1.0 + 2.0 * epsilon)
+    vals = np.linalg.eigvalsh(A_final * d)
+    assert trace.barrier_contained
+    assert 0.0 < ell_T and vals[-1] / vals[0] < u_T / ell_T
