@@ -225,7 +225,8 @@ def main(argv=None) -> int:
         base_tree = None if base is None else checkout(base, added)
         for i, seed in enumerate(seeds):
             if base_tree is None:
-                runs.append({"seed": seed, "run": perfbench(head_tree, args.workload, seed, args.seconds)})
+                run = perfbench(head_tree, args.workload, seed, args.seconds)
+                runs.append({"seed": seed, "run": run})
             else:
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 tree = {"base": base_tree, "head": head_tree}

@@ -166,18 +166,18 @@ RUN_LINE = json.loads(
 )
 
 
-def line_with(**values):
-    """RUN_LINE with some metrics replaced; keys name metrics with '.' as '__'."""
+def line_with(values: dict) -> dict:
+    """RUN_LINE with the named metrics set to these values."""
     line = json.loads(json.dumps(RUN_LINE))
-    for key, value in values.items():
-        line["metrics"][key.replace("__", ".")]["value"] = value
+    for name, value in values.items():
+        line["metrics"][name]["value"] = value
     return line
 
 
 def ab_summary(base_p50, head_p50):
     ab = load_ab_pairs()
     runs = [
-        {"base": line_with(exact_solve_s__p50=b), "head": line_with(exact_solve_s__p50=h)}
+        {"base": line_with({"exact_solve_s.p50": b}), "head": line_with({"exact_solve_s.p50": h})}
         for b, h in zip(base_p50, head_p50)
     ]
     return ab.summarize(runs, ab.load_metrics())
@@ -215,7 +215,9 @@ def test_ab_pairs_reads_a_tie_and_a_bound_overrun():
 
 def test_ab_pairs_accel_vs_exact_compares_within_each_run():
     ab = load_ab_pairs()
-    runs = [{"run": line_with(accel_solve_s__p50=0.5 * b, exact_solve_s__p50=b)} for b in BASE_P50]
+    runs = [
+        {"run": line_with({"accel_solve_s.p50": 0.5 * b, "exact_solve_s.p50": b})} for b in BASE_P50
+    ]
     summary = ab.summarize(runs, ab.load_metrics(), accel_vs_exact=True)
     p50 = summary["verdicts"]["solve_s.p50"]
     assert (p50["wins"], p50["verdict"]) == (10, "gain")
