@@ -54,7 +54,10 @@ The --exact solves go to a fourth hash, exact_sha256.  Solve i is the
 --aipe part's solve i on the exact backend: the same rows and seeds, with
 no tau.  Each adds the same indices and traces, and a swap rounding also
 its random starting set.  Prints one JSON object; the PYTHONPATH decides
-which source tree is replayed.
+which source tree is replayed.  Beside the hashes it prints numpy's version
+and the SIMD target numpy runs float64 `power` on (`power_dispatch`): array
+powers differ from libm `pow` in last bits by target, so hashes recorded
+under one target need not hold under another.
 """
 
 from __future__ import annotations
@@ -224,6 +227,15 @@ def sparsify_record(i: int) -> list:
     return records
 
 
+def power_dispatch() -> str:
+    """The SIMD target of float64 power, e.g. X86_V4; "unknown" before numpy 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    return opt_func_info("^power$", "float64")["power"]["ddd"]["current"]
+
+
 def replay(record, count: int, digest) -> float:
     """Hash `count` solves' records into `digest`; returns the wall time."""
     start = time.perf_counter()
@@ -270,6 +282,8 @@ def main(argv=None) -> None:
         "sparsify_s": round(sparsify_s, 6),
         "aipe_s": round(aipe_s, 6),
         "exact_s": round(exact_s, 6),
+        "numpy": np.__version__,
+        "power_dispatch": power_dispatch(),
     }
     print(json.dumps(report, indent=2))
 

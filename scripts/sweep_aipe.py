@@ -87,7 +87,8 @@ def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
         build.append(t)
         cold.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])
         warm.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])
-        scan.append(timed(lambda: expdesign._removal_scan(X, A, A_half, alpha, beta))[0])
+        members = np.ones(len(X), dtype=bool)
+        scan.append(timed(lambda: expdesign._removal_scan(X, members, A, A_half, alpha, beta))[0])
     out = {
         "build_s": statistics.median(build),
         "query_cold_s": statistics.median(cold),

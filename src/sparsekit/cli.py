@@ -173,7 +173,8 @@ def run_expdesign(config: argparse.Namespace) -> dict:
     report["result"] = result.as_dict()
     threshold = 1.0 - config.gamma * config.epsilon
     report["threshold"] = threshold
-    report["verdict"] = "pass" if result.lambda_min > threshold else "fail"
+    cleared = xd.clears(result.lambda_min, result.lambda_max, threshold)
+    report["verdict"] = "pass" if cleared else "fail"
     return report
 
 

@@ -1,16 +1,15 @@
 """Swap rounding for experimental design with Min-IP-accelerated removal.
 
-Maintains a size-n set S and the normalized inverse-square matrix
-A_t = (c_t I + alpha sum_{i in S} x x^T)^{-2} with tr[A_t] = 1.  Each
-iteration removes a member by linalg.propose_or_scan (a proposal of the
-shared Min-IP backend, minip_backend, else the eligible member with the
-least B^- score) and inserts the non-member with the largest B^+ score
-(always by linear scan: the target values are ~1/n, too small for
-approximate search to resolve); both scans use linalg.quadratic_forms.
-Each iteration takes one eigendecomposition of the selected Gram matrix Z:
-its lambda_min decides the exit, as soon as it clears 1 - gamma eps, and
-it gives A_t for the swap.
-"""
+Maintains a size-n set S, its Gram matrix Z = sum_{i in S} x x^T and
+A_t = (c_t I + alpha Z)^{-2} with tr[A_t] = 1.  Each iteration removes a
+member by linalg.propose_or_scan (a proposal of the shared Min-IP backend,
+minip_backend, else the eligible member with the least B^- score) and
+inserts the non-member with the largest B^+ score (always by linear scan:
+the target values are ~1/n, too small for approximate search to resolve);
+both scans use linalg.quadratic_forms.  Z is gathered once and updated by
+rank two per swap.  One eigendecomposition of Z per iteration gives the
+exit test, lambda_min clearing 1 - gamma eps by CLEAR_TOL * lambda_max,
+and A_t, with c_t found by Newton's method in O(d) per step."""
 
 from __future__ import annotations
 
@@ -31,6 +30,7 @@ from .linalg import check_symmetric, eigendecompose, propose_or_scan, quadratic_
 from .minip_backend import MinIpBackend
 
 __all__ = [
+    "clears",
     "find_ct",
     "swap_matrices",
     "swap_query_matrix",
@@ -41,47 +41,43 @@ __all__ = [
 # gamma=3 would need c > 2/(gamma-1) = 1, which 0 < c < 1 forbids
 DEFAULT_GAMMA = 4.0
 DEFAULT_C = 0.9
+#: lambda_min clears its target only by more than CLEAR_TOL * lambda_max: at
+#: eps = 1/gamma the target is 0.0, which a singular Z's roundoff can exceed
+CLEAR_TOL = 1e-12
+
+
+def clears(lambda_min: float, lambda_max: float, target: float) -> bool:
+    """True iff lambda_min exceeds target by more than CLEAR_TOL * lambda_max."""
+    return lambda_min > target + CLEAR_TOL * lambda_max
 
 
 def find_ct(eigenvalues: np.ndarray, alpha: float) -> float:
-    """The constant c with sum_i (c + alpha lambda_i)^{-2} = 1.
+    """The constant c with sum_i (c + alpha lambda_i)^{-2} = 1, by Newton's method.
 
-    `eigenvalues` are the ascending eigenvalues lambda_i of Z.  Monotone
-    bisection on the scalar map; each evaluation is O(d), and each bisection
-    point is evaluated once: the stop test's value at the new midpoint is
-    carried into the next step.  The map decreases from +inf to 0 on
-    (-alpha lambda_min, inf), so the root exists and is unique.  Stops once
-    the trace at the midpoint is within 1e-10 of 1.
+    `eigenvalues` are the ascending eigenvalues lambda_i of Z.  The map
+    decreases from +inf to 0 on (-alpha lambda_min, inf) and is convex, so
+    the root exists, is unique, and Newton's steps from any point left of it
+    rise toward it without passing it.  The start c = 1 - alpha lambda_min
+    is such a point: its least term alone is 1.  Each step is O(d) Python
+    float arithmetic, cheaper than numpy calls at the solvers' d.  Stops once
+    the trace is within 1e-10 of 1, when a step no longer moves c (far from
+    0 the float grid cannot resolve 1e-10), or after 200 steps.
     """
-    vals = np.asarray(eigenvalues, dtype=float)
-    scaled = alpha * vals
-    d = len(vals)
-
-    def trace_at(c: float) -> float:
-        return float(np.add.reduce((c + scaled) ** -2.0))
-
-    hi = math.sqrt(d) - scaled[0]  # trace_at(hi) = sum (sqrt(d) + a(l_i - l_min))^-2 <= 1
-    lo_base = -scaled[0]
-    step = max(abs(hi - lo_base), 1.0)
-    lo = lo_base + step
-    while trace_at(lo) < 1.0:
-        step /= 2.0
-        lo = lo_base + step
-        if step < 1e-300:
-            raise ArithmeticError("bisection bracket collapsed")
-    hi = max(hi, lo)
-    mid = 0.5 * (lo + hi)
-    value = trace_at(mid)
+    scaled = (alpha * np.asarray(eigenvalues, dtype=float)).tolist()
+    c = 1.0 - scaled[0]
     for _ in range(200):
-        if value > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        value = trace_at(mid)
+        value = slope = 0.0  # the trace and minus half its derivative at c
+        for s in scaled:
+            inv = 1.0 / (c + s)
+            value += inv * inv
+            slope += inv * inv * inv
         if abs(value - 1.0) <= 1e-10:
             break
-    return mid
+        c_next = c + (value - 1.0) / (2.0 * slope)
+        if c_next == c:
+            break
+        c = c_next
+    return c
 
 
 def _b_minus(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> float:
@@ -97,8 +93,7 @@ def _b_minus(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, bet
 def swap_matrices(eig: EigenDecomposition, alpha: float):
     """(A_half, A) of one swap iteration from eig = eigendecompose(Z), Z the selected Gram matrix.
 
-    A_half = (c_t I + alpha Z)^{-1} and A = A_half^2, with c_t = find_ct(.)
-    chosen so that tr[A] = 1.
+    A_half = (c_t I + alpha Z)^{-1} and A = A_half^2, with c_t = find_ct(.) so that tr[A] = 1.
     """
     c_t = find_ct(eig.eigenvalues, alpha)
     inv_gaps = 1.0 / (c_t + alpha * eig.eigenvalues)
@@ -115,6 +110,7 @@ class SwapRunResult:
     selection: WeightedSelection
     lambda_min: float
     swaps: int
+    lambda_max: float = math.nan
     lambda_trace: list = field(default_factory=list)
     trace_minus: list = field(default_factory=list)  # B^-(x_{i_t}) per executed swap
     trace_plus: list = field(default_factory=list)  # B^+(x_{j_t}) per executed swap
@@ -127,6 +123,7 @@ class SwapRunResult:
         return {
             "selection": self.selection.as_dict(),
             "lambda_min": self.lambda_min,
+            "lambda_max": self.lambda_max,
             "swaps": self.swaps,
             "lambda_trace": self.lambda_trace,
             "fallbacks": self.fallbacks,
@@ -134,16 +131,33 @@ class SwapRunResult:
         }
 
 
-def _removal_scan(rows, A, A_half, alpha, beta):
-    """Index (into rows) minimizing B^- among eligible members."""
-    nums = quadratic_forms(rows, A)
-    denoms = beta - 2.0 * alpha * quadratic_forms(rows, A_half)
+def _removal_scan(X, inside, A, A_half, alpha, beta):
+    """(row, B^-) of the row of X inside the set with the least B^- among eligible ones."""
+    rows = np.flatnonzero(inside)
+    members = X[rows]
+    nums = quadratic_forms(members, A)
+    denoms = beta - 2.0 * alpha * quadratic_forms(members, A_half)
     eligible = denoms > 0.0
     if not np.any(eligible):
         raise NoEligibleRemoval("no member has a positive B^- denominator")
     scores = np.full(len(rows), np.inf)
     scores[eligible] = nums[eligible] / denoms[eligible]
-    return int(np.argmin(scores)), scores
+    k = int(np.argmin(scores))
+    return int(rows[k]), float(scores[k])
+
+
+def _addition_scan(X, outside, A, A_half, alpha, beta):
+    """(row, B^+) of the row of X outside the set with the largest B^+ score."""
+    rows = np.flatnonzero(outside)
+    others = X[rows]
+    scores = quadratic_forms(others, A) / (beta + 2.0 * alpha * quadratic_forms(others, A_half))
+    k = int(np.argmax(scores))
+    return int(rows[k]), float(scores[k])
+
+
+def _swap_gram(Z, x_out, x_in):
+    """Z - x_out x_out^T + x_in x_in^T: elementwise products, so symmetric Z stays so."""
+    return Z - x_out[:, None] * x_out + x_in[:, None] * x_in
 
 
 def swap_round(
@@ -158,7 +172,7 @@ def swap_round(
     seed: int = 0,
     aipe_config=None,
 ) -> SwapRunResult:
-    """Round the fractional design pi to an n-subset with lambda_min >= 1 - gamma eps.
+    """Round the fractional design pi to an n-subset whose lambda_min clears 1 - gamma eps.
 
     Expects the family already whitened: sum_i pi_i x_i x_i^T = I (use
     linalg.whiten first; the CLI exposes --whiten).  aipe_config is unused:
@@ -176,9 +190,7 @@ def swap_round(
     if pi.sum() > n + 1e-9:
         raise PreconditionViolation(f"||pi||_1={pi.sum()} violates ||pi||_1 <= n={n}")
     if not check_isotropy(family, pi=pi):
-        raise IsotropyViolation(
-            "sum_i pi_i x_i x_i^T != I; whiten the family first"
-        )
+        raise IsotropyViolation("sum_i pi_i x_i x_i^T != I; whiten the family first")
     if not gamma >= 3.0:  # False on NaN, so NaN is refused too
         raise ConfigError(f"gamma={gamma} violates gamma >= 3")
     if not 0.0 < epsilon <= 1.0 / gamma:
@@ -200,11 +212,7 @@ def swap_round(
     rng = np.random.default_rng(seed)
     members = rng.choice(m, size=n, replace=False)
     result = SwapRunResult(
-        selection=None,
-        lambda_min=math.nan,
-        swaps=0,
-        backend=backend,
-        initial_set=np.sort(members),
+        selection=None, lambda_min=math.nan, swaps=0, backend=backend, initial_set=np.sort(members)
     )
 
     member_mask = np.zeros(m, dtype=bool)
@@ -218,52 +226,44 @@ def swap_round(
             return index.propose(swap_query_matrix(A, A_half, n, epsilon, alpha), rng)
 
     def verify(i, A, A_half):
+        if not member_mask[i]:  # a proposer's stale row: a counted fallback
+            return math.inf, False
         bm = _b_minus(A, A_half, X[i], alpha, beta)
         return bm, bm <= removal_bound * (1.0 + 1e-9)
 
     def scan(A, A_half):
-        member_list = np.flatnonzero(member_mask)
-        local, scores = _removal_scan(X[member_list], A, A_half, alpha, beta)
-        return int(member_list[local]), float(scores[local])
+        return _removal_scan(X, member_mask, A, A_half, alpha, beta)
 
-    t = 1
+    target = 1.0 - gamma * epsilon
+    Z = X[member_mask].T @ X[member_mask]
     while True:
-        Z = X[member_mask].T @ X[member_mask]
         eig = eigendecompose(Z)
-        lam_min = float(eig.eigenvalues[0])
+        lam_min, lam_max = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
         result.lambda_trace.append(lam_min)
-        if t > T_cap or lam_min > 1.0 - gamma * epsilon:
+        cleared = clears(lam_min, lam_max, target)
+        if result.swaps >= T_cap or cleared:
             break
         A_half, A = swap_matrices(eig, alpha)
         result.trace_norm.append(float(np.trace(A)))
         i_t, b_minus_val, fell_back = propose_or_scan(propose, verify, scan, A, A_half)
         result.fallbacks += fell_back
-
-        comp_list = np.flatnonzero(~member_mask)
-        comp = X[comp_list]
-        halves = quadratic_forms(comp, A_half)
-        plus_scores = quadratic_forms(comp, A) / (beta + 2.0 * alpha * halves)
-        j_t = int(comp_list[int(np.argmax(plus_scores))])
-        b_plus_val = float(plus_scores.max())
-
+        j_t, b_plus_val = _addition_scan(X, ~member_mask, A, A_half, alpha, beta)
         member_mask[i_t] = False
         member_mask[j_t] = True
+        Z = _swap_gram(Z, X[i_t], X[j_t])
         result.trace_minus.append(b_minus_val)
         result.trace_plus.append(b_plus_val)
         result.swaps += 1
         if index is not None:
             index.retire(i_t)
             index.insert(j_t)
-        t += 1
 
     check_symmetric(Z)
     members_final = np.flatnonzero(member_mask)
     result.selection = WeightedSelection(members_final, np.ones(len(members_final)))
-    result.lambda_min = lam_min
-    if lam_min <= 1.0 - gamma * epsilon:
+    result.lambda_min, result.lambda_max = lam_min, lam_max
+    if not cleared:
         raise IterationExhausted(
-            f"hit the swap cap T={T_cap} at lambda_min={lam_min}",
-            lambda_min=lam_min,
-            result=result,
+            f"hit the swap cap T={T_cap} at lambda_min={lam_min}", lambda_min=lam_min, result=result
         )
     return result

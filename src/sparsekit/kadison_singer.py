@@ -105,9 +105,10 @@ def _greedy_loop(family, a, beta, propose=None, retire=None) -> KsRunResult:
     """Core loop over barriers `a`; each step picks through linalg.propose_or_scan.
 
     `propose(Q)` answers a remaining row and `retire(i)` drops a chosen one;
-    the exact backend passes neither.  A pick, proposed or the scan's tied
-    argmin, must pass the witness test c_i = v_i^T Q v_i <= beta; a scanned
-    pick that fails it raises BarrierCollapse.
+    the exact backend passes neither.  A proposed row that is no longer
+    remaining is refused, a counted fallback.  A pick, proposed or the
+    scan's tied argmin, must pass the witness test c_i = v_i^T Q v_i <= beta;
+    a scanned pick that fails it raises BarrierCollapse.
     """
     d = family.dim
     V = family.vectors
@@ -121,6 +122,8 @@ def _greedy_loop(family, a, beta, propose=None, retire=None) -> KsRunResult:
     bound = beta * (1.0 + 1e-9)  # the witness test c_i <= beta, with room for roundoff
 
     def verify(i, Q):
+        if not remaining[i]:  # a proposer's stale row: a counted fallback
+            return math.inf, False
         witness = float(V[i] @ Q @ V[i])
         return witness, witness <= bound
 

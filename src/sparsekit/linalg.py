@@ -172,7 +172,9 @@ def propose_or_scan(propose, verify, scan, *query):
     The only code that asks a proposer: ``propose(*query)`` returns a row;
     None or a raised NoPositiveEntry mean no answer, and an exact solve
     passes propose=None.  ``verify(row, *query)`` returns the solver's own
-    (value, inequality holds), so a proposal never weakens a guarantee.
+    (value, inequality holds), so a proposal never weakens a guarantee; it
+    also refuses a row the solver no longer holds (a chosen KS row, a swap
+    non-member), so a stale proposal is a counted fallback too.
     Else ``scan(*query)`` returns the exact (row, value).  Returns (row,
     value, fell_back); fell_back, a scan in a proposal's place, is counted.
     """

@@ -6,7 +6,8 @@ V_j V_j^T; internal nodes sum pairs of children.  Given A with
 sum_i v_i^T A v_i > 0, a query returns an index i with v_i^T A v_i > 0,
 touching one root-to-leaf path.  The tree has no scan of its own: a descent
 that meets two children <= 0, or reaches a leaf holding no witness, raises
-NoPositiveEntry, and the caller decides how to fall back.  The two kinds
+NoPositiveEntry, which linalg.propose_or_scan counts as no answer and
+replaces with the solver's exact scan.  The two kinds
 differ only in the block: the batched tree packs d vectors per leaf, the
 matrix tree one, so its leaves are the outer products v_i v_i^T.
 

@@ -247,6 +247,47 @@ def test_insert_delete_sequence_against_oracle(ops):
         )
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["insert", "grow", "delete"]), st.integers(0, 2**16)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_kept_transforms_give_a_fresh_estimators_estimates(ops):
+    """After deletes, inserts inside the radius and inserts that grow it, the
+    estimates are == those of an estimator built afresh over the live points,
+    given the same pool (a build sizes it by its point count).  The largest
+    point is never deleted, so both radii are the largest norm; a growing
+    point has one nonzero coordinate, whose norm np.linalg.norm reads
+    exactly alike for one vector and for a stack."""
+    rng = np.random.default_rng(3)
+    points = rng.standard_normal((40, DIM))
+    est = InnerProductEstimator(points, EXPDESIGN_EPS, SEED)
+    live = dict(enumerate(points))
+    for kind, k in ops:
+        if kind == "delete" and len(live) > 1:
+            largest = max(live, key=lambda pid: np.linalg.norm(live[pid]))
+            pid = sorted(set(live) - {largest})[k % (len(live) - 1)]
+            est.delete(pid)
+            del live[pid]
+        elif kind == "grow":
+            z = np.zeros(DIM)
+            z[k % DIM] = 1.5 * est.radius
+            live[est.insert(z)] = z
+        elif kind == "insert":
+            z = 0.5 * est.radius * unit(rng.standard_normal(DIM))
+            live[est.insert(z)] = z
+    fresh = InnerProductEstimator(np.stack([live[pid] for pid in sorted(live)]), est.eps, SEED)
+    assert fresh.radius == est.radius
+    fresh.pool, fresh.samples = est.pool, est.samples
+    for t in range(3):
+        q = unit(rng.standard_normal(DIM)) * (0.5 if t % 2 else 1.0)
+        got = est.distance_estimates(q, np.random.default_rng(t))
+        assert np.array_equal(got, fresh.distance_estimates(q, np.random.default_rng(t)))
+
+
 def test_tie_returns_lowest_id():
     p = unit(np.arange(1.0, DIM + 1))
     # ids 1 and 3 are the same point, the furthest from the query p

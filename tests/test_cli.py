@@ -24,6 +24,8 @@ from sparsekit.kadison_singer import ks_select
 from sparsekit.linalg import VectorFamily, whiten
 
 from conftest import harmonic_frame, random_isotropic_family, random_ks_family
+from test_expdesign import SINGULAR_START
+from test_solvers_golden import rare_direction_rows
 
 
 def test_sparsify_epsilon_out_of_range_is_config_error(tmp_path, rng, capsys):
@@ -509,6 +511,38 @@ def test_expdesign_iteration_cap_exits_5(tmp_path, rng, capsys, monkeypatch):
     argv = ["expdesign", "--input", path, "--n", "20", "--whiten"]
     assert cli.main(argv) == cli.EXIT_EXHAUSTED
     assert "iteration cap exhausted: swap cap reached" in capsys.readouterr().err
+
+
+def singular_start_input(tmp_path):
+    """The design file and flags of test_expdesign's SINGULAR_START."""
+    rows_seed, d, n, m, eps, gamma, c, _, seed = SINGULAR_START
+    path = str(tmp_path / "design.mtx")
+    write_matrix_file(path, rare_direction_rows(rows_seed, m, d))
+    flags = ["--n", str(n), "--epsilon", repr(eps), "--gamma", repr(gamma), "--c", repr(c)]
+    return ["expdesign", "--input", path, "--whiten", *flags, "--seed", str(seed)]
+
+
+def test_expdesign_singular_start_is_swapped_until_it_clears(tmp_path, capsys):
+    # threshold 0.0; the random start's lambda_min, 5.7e-16, is roundoff
+    assert cli.main(singular_start_input(tmp_path)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["threshold"] == 0.0 and report["verdict"] == "pass"
+    result = report["result"]
+    assert result["swaps"] >= 1
+    assert result["lambda_min"] > expdesign.CLEAR_TOL * result["lambda_max"]
+
+
+def test_expdesign_verdict_fails_a_singular_selection(tmp_path, capsys, monkeypatch):
+    solve = expdesign.swap_round
+
+    def singular(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        result.lambda_min, result.lambda_max = 5.7e-16, 4.0
+        return result
+
+    monkeypatch.setattr(expdesign, "swap_round", singular)
+    assert cli.main(singular_start_input(tmp_path)) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
 
 
 def test_ks_barrier_collapse_exits_1(tmp_path, rng, capsys, monkeypatch):

@@ -1,7 +1,8 @@
-"""Swap rounding: input and window checks, find_ct against the two-evaluation
-bisection it replaced, the lambda_min guarantee over many seeds on every
-backend, the afn backend queried after inserts, aipe proposals that
-never verify, and one eigendecomposition per iteration."""
+"""Swap rounding: input and window checks, find_ct's contract with a
+bisection as its oracle, the lambda_min guarantee over many seeds on every
+backend, a singular design that must not clear a zero target, the afn
+backend queried after inserts, proposals that never verify or that name a
+non-member, and one eigendecomposition per iteration."""
 
 import math
 
@@ -17,8 +18,8 @@ from sparsekit.linalg import VectorFamily, whiten
 from test_solvers_golden import SWAP_CASES, rare_direction_rows
 
 
-def two_evaluation_find_ct(eigenvalues, alpha):
-    """find_ct as it was when each bisection point was evaluated twice: the oracle."""
+def bisection_find_ct(eigenvalues, alpha):
+    """The root of the trace map by monotone bisection, with the same stop test: the oracle."""
     vals = np.asarray(eigenvalues, dtype=float)
     scaled = alpha * vals
     d = len(vals)
@@ -47,11 +48,8 @@ def two_evaluation_find_ct(eigenvalues, alpha):
     return 0.5 * (lo + hi)
 
 
-def outcome(solver, vals, alpha):
-    try:
-        return solver(vals, alpha)
-    except ArithmeticError as err:
-        return type(err)
+def trace_residual(c, vals, alpha):
+    return abs(float(np.sum((c + alpha * vals) ** -2.0)) - 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -59,10 +57,17 @@ def outcome(solver, vals, alpha):
     st.lists(st.floats(0.0, 1e4), min_size=1, max_size=32),
     st.floats(1e-3, 1e4),
 )
-@example([1e4, 1e4], 1e4)  # trace never within 1e-10 of 1: all 200 steps run
-def test_find_ct_equals_the_two_evaluation_bisection(values, alpha):
+@example([1e4, 1e4], 1e4)  # no float c puts the trace within 1e-10 of 1
+def test_find_ct_meets_the_trace_or_the_bisections_residual(values, alpha):
+    """c lies in the map's domain, and its trace is within 1e-10 of 1; where
+    the float grid near -alpha lambda_min cannot resolve that, its residual
+    is no larger than the bisection's."""
     vals = np.sort(values)
-    assert outcome(expdesign.find_ct, vals, alpha) == outcome(two_evaluation_find_ct, vals, alpha)
+    c = expdesign.find_ct(vals, alpha)
+    assert c > -alpha * vals[0]
+    residual = trace_residual(c, vals, alpha)
+    oracle = trace_residual(bisection_find_ct(vals, alpha), vals, alpha)
+    assert residual <= 1e-10 or residual <= oracle
 
 
 def check_lambda_min_bound(case, backend, rows_seed, seed):
@@ -171,6 +176,30 @@ def test_afn_backend_queries_after_inserts(monkeypatch):
     assert "propose" in calls[calls.index("insert") + 1 :]
 
 
+#: rows seed, d, n, m, epsilon, gamma, c, tau and solver seed of a design whose
+#: random start misses a rare direction while 1 - gamma eps is exactly 0.0
+SINGULAR_START = (7, 4, 310, 1240, 1.0 / 6.0, 6.0, 0.905, 0.9, 7)
+
+
+def test_a_singular_design_does_not_clear_a_zero_target():
+    # the random start has rank 3 in R^4: its lambda_min is 5.7e-16, roundoff
+    # above the target 0.0, which must not count as clearing it
+    rows_seed, d, n, m, eps, gamma, c, tau, seed = SINGULAR_START
+    assert 1.0 - gamma * eps == 0.0
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(rows_seed, m, d)), pi)
+    for backend in ("exact", "afn"):
+        out = expdesign.swap_round(
+            family, pi, n, eps, gamma=gamma, c=c,
+            tau=None if backend == "exact" else tau, backend=backend, seed=seed,
+        )
+        assert out.swaps >= 1 and abs(out.lambda_trace[0]) < 1e-12
+        rows = family.vectors[out.selection.indices]
+        vals = np.linalg.eigvalsh(rows.T @ rows)
+        assert vals[0] > expdesign.CLEAR_TOL * vals[-1]
+        assert expdesign.clears(out.lambda_min, out.lambda_max, 0.0)
+
+
 @pytest.mark.parametrize("epsilon, gamma", [(1e-300, 4.0), (1e-309, 1e308)])
 def test_underflowing_epsilon_squared_is_refused_by_the_n_floor(rng, epsilon, gamma):
     # eps^2 underflows to 0, so n >= 6d/eps^2/(gamma-1-2/c) can hold for no n
@@ -258,6 +287,28 @@ class RandomMembers:
     def insert(self, row):
         assert row not in self.rows
         self.rows.append(row)
+
+
+class NonMember(RandomMembers):
+    """A stand-in that answers the lowest row it does not store."""
+
+    def propose(self, Q, rng):
+        return min(set(range(len(self.rows) + 1)).difference(self.rows))
+
+
+def test_a_proposed_non_member_is_a_counted_fallback(monkeypatch):
+    # verify refuses the row before B^- is read, so every removal is the
+    # scan's, and the run is the exact backend's at the same seed
+    rows_seed, d, eps, gamma, c, tau, n, m, _, seed = SWAP_CASES["aipe-s1"]
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rare_direction_rows(rows_seed, m, d)), pi)
+    exact = expdesign.swap_round(family, pi, n, eps, gamma=gamma, c=c, seed=seed)
+    monkeypatch.setattr(expdesign, "MinIpBackend", NonMember)
+    out = expdesign.swap_round(
+        family, pi, n, eps, gamma=gamma, c=c, tau=tau, backend="aipe", seed=seed
+    )
+    assert out.swaps >= 1 and out.fallbacks == out.swaps
+    np.testing.assert_array_equal(out.selection.indices, exact.selection.indices)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -88,6 +88,19 @@ def test_a_backend_without_proposals_falls_back_to_the_exact_scan_at_every_step(
     assert got.score_trace == want.score_trace
 
 
+def test_a_proposed_chosen_row_is_a_counted_fallback(rng):
+    # the proposer answers the first chosen row: verify refuses it before
+    # its witness is read, so every step is the exact scan's
+    family = random_ks_family(2, 8, rng)
+    n = family.count // 2
+    a = ks_barrier_sequence(8, family.count, n)
+    chosen = []
+    got = _greedy_loop(family, a, 1.0 / KS_C, lambda Q: chosen[0] if chosen else None, chosen.append)
+    want = _greedy_loop(family, a, 1.0 / KS_C)
+    assert got.fallbacks == n
+    assert got.selection.indices.tolist() == want.selection.indices.tolist() == chosen
+
+
 @pytest.mark.parametrize("d, N", [(2, 8), (3, 6), (4, 5), (2, 12)])
 @pytest.mark.parametrize("seed", range(5))
 def test_exact_scan_takes_the_lowest_of_tied_indices(d, N, seed):

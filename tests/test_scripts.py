@@ -110,15 +110,17 @@ def test_replay_afn_keeps_its_recorded_hashes():
         "replay_afn", "--ks", "8", "--swap", "3", "--sparsify", "2", "--aipe", "4", "--exact", "4"
     )
     assert {key: report[key] for key in REPLAY_HASHES} == REPLAY_HASHES
+    # the bits depend on numpy's SIMD target for float64 power (see test_solvers_golden)
+    assert report["numpy"] and report["power_dispatch"]
 
 
 #: replay_afn.py's hashes at the counts above; a change that means to move
 #: outputs re-records them and says why
 REPLAY_HASHES = {
-    "sha256": "2ed91425c7c5f0674febee41633df648d7f3fc0becf1d6f5cd68be1e4c548152",
+    "sha256": "cbdbc820c2a46f9c4f5ab001a56d1459af97b84de5a587748d8d7f56c84437c4",
     "sparsify_sha256": "8acbbee3f04e20dfe008de0d78a79a17c5c7b5da8714a3a182d1cc19a8bb8530",
-    "aipe_sha256": "fab83481b1d58bf78d4bfabaefebacadd6fd6bbd9a12a9a772a24a6b9fa055ef",
-    "exact_sha256": "5c1a3d6996a9d8346ea5309af9c5b5c7f8a667984c5967d6ea42cfc1cd582623",
+    "aipe_sha256": "ffcb34f887037b98cc9bd64558b962322733d8e38d82f6797ac82567a3681314",
+    "exact_sha256": "08a10313147c0c4e353a4bda70a76915482c3160aba116a1ca018778827b7996",
 }
 
 
@@ -133,6 +135,24 @@ def test_sweep_aipe_times_every_phase():
     assert size["samples"] <= size["pool"]
     # a cold query draws its factors; a warm one reuses them
     assert size["query_cold_peak_mb"] >= size["query_warm_peak_mb"] > 0.0
+
+
+def test_sweep_swap_times_every_phase():
+    # seed 1's random start misses a rare direction, so the solve swaps
+    report = run_script("sweep_swap", "--d", "4", "--repeats", "1", "--runs", "1", "--seed", "1")
+    [size] = report["sizes"]
+    assert (size["d"], size["n"], size["m"]) == (4, 772, 3088)
+    assert size["swaps"] >= 1 and size["solve_s"] > 0.0
+    phases = size["phases_s"]
+    named = {
+        "eigendecompose", "find_ct", "a_t", "z_update", "removal_scan", "addition_scan", "checks"
+    }
+    assert set(phases) == named | {"other", "traced_total"}
+    assert all(phases[key] > 0.0 for key in named)
+    # other is the rest of the traced total, so the phases sum to it
+    total = sum(phases[key] for key in named | {"other"})
+    assert total == pytest.approx(phases["traced_total"], abs=1e-5)
+    assert 0.0 < size["named_frac"] <= 1.0
 
 
 def test_sweep_sparsify_keeps_the_barrier():
