@@ -12,7 +12,9 @@ For each (m, d) one Gaussian family of m stored member rows is drawn from
                 is drawn and cached first (its Bartlett draws when tall), as
                 in a solve's first queries
     query_warm  propose() again with the same sampled sketches, now cached
-    scan        expdesign's exact removal scan over the same m rows
+    scan        expdesign's exact removal over the same m rows: the row pass
+                (_row_forms) and the B^- selection (_removal_scan), the work
+                one proposal replaces
 
 Prints one JSON object: per size, the median seconds of each, the ratio of
 the cold query to the scan, and the estimator's sketch pool size and the
@@ -62,6 +64,11 @@ def swap_matrices(X: np.ndarray):
     return A, A_half, alpha, beta, Q
 
 
+def removal(X, members, A, A_half, alpha, beta):
+    """swap_round's exact removal: one pass over the rows, then the B^- selection."""
+    return expdesign._removal_scan(members, *expdesign._row_forms(X, A, A_half), alpha, beta)
+
+
 def query_peaks_mb(X: np.ndarray, Q: np.ndarray, seed: int) -> dict:
     """Traced peak MB of one cold and then one warm propose() on a fresh backend."""
     backend = MinIpBackend("aipe", X, range(len(X)), c=C, tau=TAU, seed=seed)
@@ -88,7 +95,7 @@ def measure(X: np.ndarray, repeats: int, seed: int) -> dict:
         cold.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])
         warm.append(timed(lambda: backend.propose(Q, np.random.default_rng(r)))[0])
         members = np.ones(len(X), dtype=bool)
-        scan.append(timed(lambda: expdesign._removal_scan(X, members, A, A_half, alpha, beta))[0])
+        scan.append(timed(lambda: removal(X, members, A, A_half, alpha, beta))[0])
     out = {
         "build_s": statistics.median(build),
         "query_cold_s": statistics.median(cold),

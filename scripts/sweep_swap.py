@@ -16,8 +16,9 @@ with these expdesign functions wrapped by timers:
     find_ct         Newton's method for c_t
     a_t             A_half and A from c_t (swap_matrices, less find_ct)
     z_update        the rank-two update of Z per swap (_swap_gram)
-    removal_scan    the B^- scan over the members (_removal_scan)
-    addition_scan   the B^+ scan over the non-members (_addition_scan)
+    row_forms       the one pass per swap that scores all m rows (_row_forms)
+    removal_scan    the B^- selection among the members (_removal_scan)
+    addition_scan   the B^+ selection among the non-members (_addition_scan)
     checks          the isotropy check of the input, and the checks of the
                     final selection and of Z (WeightedSelection,
                     check_symmetric)
@@ -59,6 +60,7 @@ PHASES = [
     ("find_ct", "find_ct"),
     ("a_t", "swap_matrices"),
     ("z_update", "_swap_gram"),
+    ("row_forms", "_row_forms"),
     ("removal_scan", "_removal_scan"),
     ("addition_scan", "_addition_scan"),
     ("checks", "check_isotropy"),

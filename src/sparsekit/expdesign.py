@@ -5,11 +5,13 @@ A_t = (c_t I + alpha Z)^{-2} with tr[A_t] = 1.  Each iteration removes a
 member by linalg.propose_or_scan (a proposal of the shared Min-IP backend,
 minip_backend, else the eligible member with the least B^- score) and
 inserts the non-member with the largest B^+ score (always by linear scan:
-the target values are ~1/n, too small for approximate search to resolve);
-both scans use linalg.quadratic_forms.  Z is gathered once and updated by
-rank two per swap.  One eigendecomposition of Z per iteration gives the
-exit test, lambda_min clearing 1 - gamma eps by CLEAR_TOL * lambda_max,
-and A_t, with c_t found by Newton's method in O(d) per step."""
+the target values are ~1/n, too small for approximate search to resolve).
+Each swap scores all m rows once (_row_forms) and both scans select from
+those scores by the member mask (np.where), with no row gather, ties going
+to the lowest row.  Z is gathered once and updated by rank two per swap.
+One eigendecomposition of Z per iteration gives the exit test, lambda_min
+clearing 1 - gamma eps by CLEAR_TOL * lambda_max, and A_t, with c_t found
+by Newton's method in O(d) per step."""
 
 from __future__ import annotations
 
@@ -82,12 +84,8 @@ def find_ct(eigenvalues: np.ndarray, alpha: float) -> float:
 
 def _b_minus(A: np.ndarray, A_half: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> float:
     """B^-(x) for one vector; inf, so never a removal, when its denominator is <= 0."""
-    num = float(x @ A @ x)
-    half = float(x @ A_half @ x)
-    denom_minus = beta - 2.0 * alpha * half
-    if denom_minus <= 0.0:
-        return math.inf
-    return num / denom_minus
+    denom_minus = beta - 2.0 * alpha * float(x @ A_half @ x)
+    return float(x @ A @ x) / denom_minus if denom_minus > 0.0 else math.inf
 
 
 def swap_matrices(eig: EigenDecomposition, alpha: float):
@@ -131,28 +129,27 @@ class SwapRunResult:
         }
 
 
-def _removal_scan(X, inside, A, A_half, alpha, beta):
-    """(row, B^-) of the row of X inside the set with the least B^- among eligible ones."""
-    rows = np.flatnonzero(inside)
-    members = X[rows]
-    nums = quadratic_forms(members, A)
-    denoms = beta - 2.0 * alpha * quadratic_forms(members, A_half)
-    eligible = denoms > 0.0
-    if not np.any(eligible):
-        raise NoEligibleRemoval("no member has a positive B^- denominator")
-    scores = np.full(len(rows), np.inf)
-    scores[eligible] = nums[eligible] / denoms[eligible]
-    k = int(np.argmin(scores))
-    return int(rows[k]), float(scores[k])
+def _row_forms(X, A, A_half):
+    """(x^T A x, x^T A_half x) for every row x of X: a swap's one pass over the rows."""
+    return quadratic_forms(X, A), quadratic_forms(X, A_half)
 
 
-def _addition_scan(X, outside, A, A_half, alpha, beta):
-    """(row, B^+) of the row of X outside the set with the largest B^+ score."""
-    rows = np.flatnonzero(outside)
-    others = X[rows]
-    scores = quadratic_forms(others, A) / (beta + 2.0 * alpha * quadratic_forms(others, A_half))
-    k = int(np.argmax(scores))
-    return int(rows[k]), float(scores[k])
+def _removal_scan(inside, nums, halfs, alpha, beta):
+    """(row, B^-) of the lowest row inside the set with the least B^- among eligible ones."""
+    denoms = beta - 2.0 * alpha * halfs
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is masked
+        scores = np.where(inside & (denoms > 0.0), nums / denoms, np.inf)
+    k = int(scores.argmin())
+    if scores[k] == np.inf:
+        raise NoEligibleRemoval("no member has a positive B^- denominator and a finite B^-")
+    return k, float(scores[k])
+
+
+def _addition_scan(outside, nums, halfs, alpha, beta):
+    """(row, B^+) of the lowest row outside the set with the largest B^+ score."""
+    scores = np.where(outside, nums / (beta + 2.0 * alpha * halfs), -np.inf)
+    k = int(scores.argmax())
+    return k, float(scores[k])
 
 
 def _swap_gram(Z, x_out, x_in):
@@ -231,11 +228,12 @@ def swap_round(
         bm = _b_minus(A, A_half, X[i], alpha, beta)
         return bm, bm <= removal_bound * (1.0 + 1e-9)
 
-    def scan(A, A_half):
-        return _removal_scan(X, member_mask, A, A_half, alpha, beta)
+    def scan(A, A_half):  # reads this iteration's row pass
+        return _removal_scan(member_mask, nums, halfs, alpha, beta)
 
     target = 1.0 - gamma * epsilon
-    Z = X[member_mask].T @ X[member_mask]
+    rows = X[member_mask]
+    Z = rows.T @ rows.copy()  # two views of one buffer would send numpy to SYRK, with other bits
     while True:
         eig = eigendecompose(Z)
         lam_min, lam_max = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
@@ -245,9 +243,10 @@ def swap_round(
             break
         A_half, A = swap_matrices(eig, alpha)
         result.trace_norm.append(float(np.trace(A)))
+        nums, halfs = _row_forms(X, A, A_half)
         i_t, b_minus_val, fell_back = propose_or_scan(propose, verify, scan, A, A_half)
         result.fallbacks += fell_back
-        j_t, b_plus_val = _addition_scan(X, ~member_mask, A, A_half, alpha, beta)
+        j_t, b_plus_val = _addition_scan(~member_mask, nums, halfs, alpha, beta)
         member_mask[i_t] = False
         member_mask[j_t] = True
         Z = _swap_gram(Z, X[i_t], X[j_t])

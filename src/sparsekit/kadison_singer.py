@@ -8,10 +8,10 @@ is
           + v_i^T (a_{j+1} I - T_j)^{-1} v_i
 
 and any i with c_i <= beta keeps the potential falling and the norm below
-the barrier a_{j+1}.  The exact backend scores the remaining rows with one
-GEMM (linalg.quadratic_forms) and takes the lowest index within a relative
-TIE_TOL of the least score: on stacked orthonormal frames all scores tie
-at step 0 and after each completed frame.  On aipe and afn the shared
+the barrier a_{j+1}.  The exact backend scores every row with one
+linalg.quadratic_forms pass, masks the chosen ones to inf, and takes the
+lowest index within a relative TIE_TOL of the least score: on stacked
+orthonormal frames all scores tie at step 0 and after each full frame.  On aipe and afn the shared
 Min-IP backend (minip_backend) proposes first (linalg.propose_or_scan),
 and a chosen row is retired from it at once.  Each step takes one
 eigendecomposition of T, after its update; it serves the barrier check,
@@ -128,11 +128,10 @@ def _greedy_loop(family, a, beta, propose=None, retire=None) -> KsRunResult:
         return witness, witness <= bound
 
     def scan(Q):
-        candidates = np.flatnonzero(remaining)
-        scores = quadratic_forms(V[candidates], Q)
+        scores = np.where(remaining, quadratic_forms(V, Q), np.inf)
         least = scores.min()
-        k = int(np.argmax(scores <= least + TIE_TOL * abs(least)))  # the first tie
-        return int(candidates[k]), float(scores[k])
+        k = int((scores <= least + TIE_TOL * abs(least)).argmax())  # the first tie
+        return k, float(scores[k])
 
     for j in range(n):
         Qmat = ks_query_matrix(eig, a[j], a[j + 1])
@@ -141,7 +140,7 @@ def _greedy_loop(family, a, beta, propose=None, retire=None) -> KsRunResult:
             raise BarrierCollapse(f"no index keeps the potential bounded at step {j}")
         result.fallbacks += fell_back
         result.score_trace.append(witness)
-        T = T + np.outer(V[i_star], V[i_star]) / beta
+        T = T + V[i_star][:, None] * V[i_star] / beta  # np.outer computes this same product
         chosen.append(i_star)
         remaining[i_star] = False
         if retire is not None:
@@ -153,9 +152,8 @@ def _greedy_loop(family, a, beta, propose=None, retire=None) -> KsRunResult:
         [phi] = eig.potentials(a[j + 1])
         result.potential_trace.append(phi)
     check_symmetric(T)
-    selection = WeightedSelection(np.array(chosen), np.ones(len(chosen)))
-    result.selection = selection
-    result.final_norm = float(np.linalg.eigvalsh(selection.reconstruct(family))[-1])
+    result.selection = WeightedSelection(np.array(chosen), np.ones(len(chosen)))
+    result.final_norm = float(np.linalg.eigvalsh(result.selection.reconstruct(family))[-1])
     return result
 
 

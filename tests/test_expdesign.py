@@ -2,17 +2,18 @@
 bisection as its oracle, the lambda_min guarantee over many seeds on every
 backend, a singular design that must not clear a zero target, the afn
 backend queried after inserts, proposals that never verify or that name a
-non-member, and one eigendecomposition per iteration."""
+non-member, one eigendecomposition per iteration, and the removal and
+addition scans against per-row oracles."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsekit import expdesign
-from sparsekit.errors import ConfigError, PreconditionViolation
+from sparsekit.errors import ConfigError, NoEligibleRemoval, PreconditionViolation
 from sparsekit.linalg import VectorFamily, whiten
 
 from test_solvers_golden import SWAP_CASES, rare_direction_rows
@@ -336,3 +337,53 @@ def test_adversarial_proposals_keep_the_lambda_min_bound(monkeypatch, seed):
     )
     assert out.swaps == len(failed) and out.fallbacks == sum(failed)
     assert out.lambda_min > 1.0 - gamma * eps
+
+
+def scan_case(m, d, seed):
+    """Rows drawn from a pool of distinct rows, so scores tie exactly; random
+    PSD A and A_half, alpha and beta that leave some members ineligible, and
+    a random member mask."""
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((int(rng.integers(1, m + 1)), d))
+    X = pool[rng.integers(0, len(pool), m)]
+    A, A_half = (B @ B.T / d for B in rng.standard_normal((2, d, d)))
+    alpha, beta = rng.uniform(0.05, 1.0), rng.uniform(0.5, 2.0)
+    inside = rng.random(m) < rng.random()
+    return X, A, A_half, alpha, beta, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_removal_scan_takes_the_lowest_member_with_the_least_b_minus(m, d, seed):
+    X, A, A_half, alpha, beta, inside = scan_case(m, d, seed)
+    oracle = [
+        expdesign._b_minus(A, A_half, x, alpha, beta) if member else math.inf
+        for x, member in zip(X, inside)
+    ]
+    forms = expdesign._row_forms(X, A, A_half)
+    if min(oracle) == math.inf:  # no member, or none with a positive denominator
+        with pytest.raises(NoEligibleRemoval):
+            expdesign._removal_scan(inside, *forms, alpha, beta)
+        return
+    row, score = expdesign._removal_scan(inside, *forms, alpha, beta)
+    assert inside[row]
+    assert row == oracle.index(min(oracle))
+    # the denominator beta - 2 alpha half cancels, which scales the relative error
+    half = float(X[row] @ A_half @ X[row])
+    rel = 1e-12 * (beta + 2.0 * alpha * half) / (beta - 2.0 * alpha * half)
+    assert score == pytest.approx(oracle[row], rel=rel, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_addition_scan_takes_the_lowest_non_member_with_the_largest_b_plus(m, d, seed):
+    X, A, A_half, alpha, beta, inside = scan_case(m, d, seed)
+    assume(not inside.all())
+    oracle = [
+        -math.inf if member else float(x @ A @ x) / (beta + 2.0 * alpha * float(x @ A_half @ x))
+        for x, member in zip(X, inside)
+    ]
+    row, score = expdesign._addition_scan(~inside, *expdesign._row_forms(X, A, A_half), alpha, beta)
+    assert not inside[row]
+    assert row == oracle.index(max(oracle))
+    assert score == pytest.approx(oracle[row], rel=1e-12, abs=0.0)

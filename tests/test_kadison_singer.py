@@ -4,7 +4,8 @@ ks_select promises a final norm below a_n on the exact backend and at most
 a_n/c on aipe and afn.  Each is checked against the
 largest eigenvalue eigvalsh finds for the selection's sum of outer
 products, over seeded families at the golden shapes and settings.  Also:
-the exact scan's tie rule, and the query matrix against its resolvent form.
+the exact scan's tie rule and its mask of chosen rows, and the query
+matrix against its resolvent form.
 """
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekit.kadison_singer import _greedy_loop, ks_barrier_sequence, ks_query_matrix, ks_select
+from sparsekit import kadison_singer
+from sparsekit.kadison_singer import TIE_TOL, _greedy_loop, ks_barrier_sequence, ks_query_matrix
+from sparsekit.kadison_singer import ks_select
 from sparsekit.linalg import EigenDecomposition
 from sparsekit.minip import MinIpConfig
 
@@ -111,6 +114,21 @@ def test_exact_scan_takes_the_lowest_of_tied_indices(d, N, seed):
     family = random_ks_family(d, N, np.random.default_rng(seed))
     n = family.count // 2
     assert ks_select(family, N, n).selection.indices.tolist() == list(range(n))
+
+
+def test_exact_scan_skips_chosen_rows_and_takes_the_first_within_tie_tol(monkeypatch):
+    """Row 0 keeps the least score after it is chosen, and must not be picked
+    again.  Row 4 is then within TIE_TOL above row 7's least score, so it is
+    picked first; row 2 is just outside, so row 7 is picked next."""
+    family = random_ks_family(2, 16, np.random.default_rng(0))
+    least = 0.5
+    scores = np.full(family.count, 0.9)
+    scores[[0, 2, 4, 7]] = 0.1, least * (1.0 + 2e-12), least * (1.0 + 0.9e-12), least
+    assert scores[4] <= least + TIE_TOL * least < scores[2]
+    monkeypatch.setattr(kadison_singer, "quadratic_forms", lambda V, Q: scores.copy())
+    out = _greedy_loop(family, ks_barrier_sequence(16, family.count, 3), 1.0)
+    assert out.selection.indices.tolist() == [0, 4, 7]
+    assert out.score_trace == [0.1, scores[4], least]
 
 
 @settings(max_examples=200, deadline=None)

@@ -145,7 +145,8 @@ def test_sweep_swap_times_every_phase():
     assert size["swaps"] >= 1 and size["solve_s"] > 0.0
     phases = size["phases_s"]
     named = {
-        "eigendecompose", "find_ct", "a_t", "z_update", "removal_scan", "addition_scan", "checks"
+        "eigendecompose", "find_ct", "a_t", "z_update", "row_forms", "removal_scan",
+        "addition_scan", "checks",
     }
     assert set(phases) == named | {"other", "traced_total"}
     assert all(phases[key] > 0.0 for key in named)
