@@ -11,12 +11,12 @@ and any i with c_i <= beta keeps the potential falling and the norm below
 the barrier a_{j+1}.  The exact backend scores every row with one
 linalg.quadratic_forms pass, masks the chosen ones to inf, and takes the
 lowest index within a relative TIE_TOL of the least score: on stacked
-orthonormal frames all scores tie at step 0 and after each full frame.  On aipe and afn the shared
-Min-IP backend (minip_backend) proposes first (linalg.propose_or_scan),
-and a chosen row is retired from it at once.  Each step takes one
-eigendecomposition of T, after its update; it serves the barrier check,
-the potential trace and the next step's query matrix.  T is checked for
-symmetry once, after the last step.
+orthonormal frames all scores tie at step 0 and after each full frame.
+On aipe and afn the shared Min-IP backend (minip_backend) proposes first
+(linalg.propose_or_scan), and a chosen row is retired from it at once.
+Each step takes one eigendecomposition of T, after its update; it serves
+the barrier check, the potential trace and the next step's query matrix.
+T is checked for symmetry once, after the last step.
 """
 
 from __future__ import annotations
