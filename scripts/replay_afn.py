@@ -57,27 +57,26 @@ its random starting set.  Prints one JSON object; the PYTHONPATH decides
 which source tree is replayed.  Beside the hashes it prints numpy's version
 and the SIMD target numpy runs float64 `power` on (`power_dispatch`): array
 powers differ from libm `pow` in last bits by target, so hashes recorded
-under one target need not hold under another.
+under one target need not hold under another.  BLAS runs on one thread, and
+the KS frames and rare-direction rows are the golden tests' generators (see
+sweeplib).
 """
 
 from __future__ import annotations
 
-import os
+import argparse
+import hashlib
+import json
+import math
+import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from sweeplib import ks_frames, rare_direction_rows  # before numpy
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import time  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from sparsekit import expdesign, kadison_singer, sparsifier  # noqa: E402
-from sparsekit.errors import SparsekitError  # noqa: E402
-from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
+from sparsekit import expdesign, kadison_singer, sparsifier
+from sparsekit.errors import SparsekitError
+from sparsekit.linalg import VectorFamily, whiten
 
 KS_SHAPES = [(2, 8), (2, 12), (3, 6), (3, 8)]
 KS_C, KS_TAU = 0.505, 0.5
@@ -91,25 +90,6 @@ AIPE_KS = (2, 8, 0.505, 0.5)
 SPARSIFY_EPSILON = 0.25
 SPARSIFY_DENSE = (8192, 16)  # (m, d)
 SPARSIFY_SPARSE = (32, 6)  # (d, angles per coordinate pair)
-
-
-def ks_family(d: int, N: int, seed: int) -> VectorFamily:
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(N):
-        Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-        blocks.append(Q * np.sign(np.diag(R)) / math.sqrt(N))
-    return VectorFamily(np.vstack(blocks))
-
-
-def rare_direction_rows(seed: int, m: int, d: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    half = d // 2
-    X = rng.standard_normal((m, d))
-    X[:, half:] = 0.0
-    rare = rng.choice(m, size=d - half, replace=False)
-    X[rare, np.arange(half, d)] = 1.0
-    return X
 
 
 def dense_family(seed: int) -> VectorFamily:
@@ -142,7 +122,7 @@ def ks_record(i: int) -> list:
     d, N = KS_SHAPES[i % len(KS_SHAPES)]
     seed = i // len(KS_SHAPES)
     out = kadison_singer.ks_select(
-        ks_family(d, N, seed),
+        VectorFamily(ks_frames(d, N, seed)),
         N,
         d * N // 2,
         backend="afn",
@@ -176,7 +156,7 @@ def alternating_solve(i: int, backend: str):
         d, N, c, tau = AIPE_KS
         window = {} if backend == "exact" else {"c": c, "tau": tau}
         out = kadison_singer.ks_select(
-            ks_family(d, N, seed), N, d * N // 2, backend=backend, seed=seed, **window
+            VectorFamily(ks_frames(d, N, seed)), N, d * N // 2, backend=backend, seed=seed, **window
         )
         return out, (out.score_trace, out.potential_trace, [out.final_norm])
     d, eps, gamma, c, tau, n, m = AIPE_SWAP

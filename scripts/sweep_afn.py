@@ -9,8 +9,8 @@ ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), sketches of
 minip.SKETCH_DIM = 16 rows in minip.SKETCH_BLOCKS = 4 blocks, counts scaled
 by afn.SCALE = 0.25.  The index builds the kappa AFN replicas of a sketch
 (its battery, one AfnStructure over kappa seeds) only when a query first
-samples that sketch, so the stages are timed apart.  With BLAS pinned to
-one thread, each stage's median wall time over --repeats runs:
+samples that sketch, so the stages are timed apart.  With BLAS on one
+thread (see sweeplib), each stage's median wall time over --repeats runs:
 
     build_s    the eager part: MinIpBackend construction, which sketches the
                rows into the 1 + k point stores and builds no replica
@@ -21,7 +21,8 @@ one thread, each stage's median wall time over --repeats runs:
                retiring the swapped-out one; --inserts rows per run
 
     phases_s   one more run of each stage (the insert stage with the retire
-               before each insert), with the calls below timed by self time:
+               before each insert), with the calls below timed by self time
+               (sweeplib.phase_times):
       sketch      TensorSparseSketch.apply_flat
       directions  afn.gaussian_matrix (every replica's Gaussian directions,
                   one Philox stream per replica)
@@ -41,103 +42,33 @@ is measured.
 
 from __future__ import annotations
 
-import os
+import argparse
+import json
+import statistics
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from sweeplib import ks_frames, machine, phase_times, timed  # before numpy
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from sparsekit import afn, sketch  # noqa: E402
-from sparsekit.errors import ConfigError  # noqa: E402
-from sparsekit.minip import MAX_STRUCTURES, SKETCH_BLOCKS, SKETCH_DIM  # noqa: E402
-from sparsekit.minip_backend import MinIpBackend  # noqa: E402
+from sparsekit import afn, sketch
+from sparsekit.errors import ConfigError
+from sparsekit.minip import MAX_STRUCTURES, SKETCH_BLOCKS, SKETCH_DIM
+from sparsekit.minip_backend import MinIpBackend
 
 D, C, TAU = 2, 0.505, 0.5
 
-#: (owner, attribute, phase) of every timed call
+#: (phase, owner, attribute) of every timed call
 PHASES = [
-    (sketch.TensorSparseSketch, "apply_flat", "sketch"),
-    (afn, "gaussian_matrix", "directions"),
-    (afn.DfnStructure, "__init__", "keys"),
-    (afn.DfnStructure, "insert", "inserts"),
+    ("sketch", sketch.TensorSparseSketch, "apply_flat"),
+    ("directions", afn, "gaussian_matrix"),
+    ("keys", afn.DfnStructure, "__init__"),
+    ("inserts", afn.DfnStructure, "insert"),
 ]
 
 
-def ks_family(n: int, rng: np.random.Generator) -> np.ndarray:
-    frames = n // D
-    blocks = []
-    for _ in range(frames):
-        frame, R = np.linalg.qr(rng.standard_normal((D, D)))
-        blocks.append(frame * np.sign(np.diag(R)) / math.sqrt(frames))
-    return np.vstack(blocks)
-
-
-def build(X: np.ndarray, seed: int) -> MinIpBackend:
+def build(X, seed: int) -> MinIpBackend:
     return MinIpBackend("afn", X, range(len(X)), c=C, tau=TAU, seed=seed)
 
 
-class SelfTimer:
-    """Self time per phase: a call's time less the timed calls inside it."""
-
-    def __init__(self):
-        self.self_s = defaultdict(float)
-        self._children = []
-        self._saved = []
-
-    def wrap(self, owner, name: str, phase: str) -> None:
-        fn = getattr(owner, name)
-        self._saved.append((owner, name, fn))
-
-        def timed(*args, **kwargs):
-            self._children.append(0.0)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                self.self_s[phase] += elapsed - self._children.pop()
-                if self._children:
-                    self._children[-1] += elapsed
-
-        setattr(owner, name, timed)
-
-    def restore(self) -> None:
-        for owner, name, fn in reversed(self._saved):
-            setattr(owner, name, fn)
-        self._saved.clear()
-
-
-def timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def traced(fn) -> dict:
-    """Self time of fn() by phase, with its traced total."""
-    timer = SelfTimer()
-    for owner, name, phase in PHASES:
-        timer.wrap(owner, name, phase)
-    try:
-        total = timed(fn)
-    finally:
-        timer.restore()
-    out = {phase: timer.self_s[phase] for _, _, phase in PHASES}
-    out["other"] = total - sum(out.values())
-    out["traced_total"] = total
-    return {key: round(value, 6) for key, value in out.items()}
-
-
-def all_batteries(X: np.ndarray, seed: int) -> MinIpBackend:
+def all_batteries(X, seed: int) -> MinIpBackend:
     backend = build(X, seed)
     for j in range(len(backend._index.ensemble)):
         backend._index.battery(j)
@@ -149,12 +80,12 @@ def insert_times(backend: MinIpBackend, rows) -> list:
     walls = []
     for row in rows:
         backend.retire(row)
-        walls.append(timed(lambda: backend.insert(row)))
+        walls.append(timed(lambda: backend.insert(row))[0])
     return walls
 
 
 def measure(n: int, repeats: int, inserts: int, seed: int) -> dict:
-    X = ks_family(n, np.random.default_rng(seed))
+    X = ks_frames(D, n // D, seed)
     try:
         first = build(X, seed)
     except ConfigError as err:
@@ -163,12 +94,17 @@ def measure(n: int, repeats: int, inserts: int, seed: int) -> dict:
     rows = range(min(inserts, n))
     build_walls, battery_walls, insert_walls = [], [], []
     for r in range(repeats):
-        build_walls.append(timed(lambda: build(X, seed + r)))
+        build_walls.append(timed(lambda: build(X, seed + r))[0])
         fresh = build(X, seed + r)._index
-        battery_walls.append(timed(lambda: fresh.battery(0)))
+        battery_walls.append(timed(lambda: fresh.battery(0))[0])
         insert_walls += insert_times(all_batteries(X, seed + r), rows)
     fresh = build(X, seed)._index
     full = all_batteries(X, seed)
+    stages = {
+        "build": lambda: build(X, seed),
+        "battery": lambda: fresh.battery(0),
+        "insert": lambda: insert_times(full, rows),
+    }
     return {
         "n": n,
         "structures": len(index.ensemble) * index.kappa,
@@ -177,9 +113,8 @@ def measure(n: int, repeats: int, inserts: int, seed: int) -> dict:
         "battery_s": round(statistics.median(battery_walls), 6),
         "insert_s": round(statistics.median(insert_walls), 6),
         "phases_s": {
-            "build": traced(lambda: build(X, seed)),
-            "battery": traced(lambda: fresh.battery(0)),
-            "insert": traced(lambda: insert_times(full, rows)),
+            stage: {key: round(value, 6) for key, value in phase_times(PHASES, fn).items()}
+            for stage, fn in stages.items()
         },
     }
 
@@ -200,9 +135,7 @@ def main(argv=None) -> None:
         "repeats": args.repeats,
         "inserts": args.inserts,
         "seed": args.seed,
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, BLAS 1 thread",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        **machine(),
         "sizes": [measure(n, args.repeats, args.inserts, args.seed) for n in args.n],
     }
     print(json.dumps(report, indent=2))

@@ -5,7 +5,7 @@
 For each (m, d) one Gaussian family of m stored member rows is drawn from
 --seed, and one swap query matrix is formed from it as swap_round forms it
 (epsilon=0.2, c=0.9, tau=0.5, the expdesign-aipe settings).  Then,
---repeats times each, with BLAS pinned to one thread:
+--repeats times each, with BLAS on one thread (see sweeplib):
 
     build       MinIpBackend("aipe", ...) over the m rows' vec(x x^T)
     query_cold  propose() on a fresh backend: every sampled sketch's factor
@@ -27,31 +27,20 @@ included.  The PYTHONPATH decides which source tree is measured.
 
 from __future__ import annotations
 
-import os
+import argparse
+import json
+import math
+import statistics
+import tracemalloc
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from sweeplib import machine, timed  # before numpy
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from sparsekit import afn, expdesign, linalg  # noqa: E402
-from sparsekit.minip_backend import MinIpBackend  # noqa: E402
+from sparsekit import afn, expdesign, linalg
+from sparsekit.minip_backend import MinIpBackend
 
 EPSILON, C, TAU = 0.2, 0.9, 0.5
-
-
-def timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - start, out
 
 
 def swap_matrices(X: np.ndarray):
@@ -125,9 +114,7 @@ def main(argv=None) -> None:
         "settings": {"epsilon": EPSILON, "c": C, "tau": TAU, "scale": afn.SCALE},
         "repeats": args.repeats,
         "seed": args.seed,
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, BLAS 1 thread",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        **machine(),
         "sizes": rows,
     }
     print(json.dumps(report, indent=2))

@@ -3,8 +3,8 @@
     PYTHONPATH=src python3 scripts/sweep_sparsify.py [--m 2048 8192 32768] [--d 16 32]
 
 For each (m, d) one whitened Gaussian family is drawn from --seed and
-solved --repeats times with epsilon=0.25 (T = 16 d iterations), BLAS pinned
-to one thread.  Each repeat runs one fast solve and then one reference
+solved --repeats times with epsilon=0.25 (T = 16 d iterations), BLAS on one
+thread (see sweeplib).  Each repeat runs one fast solve and then one reference
 solve, so drift on a shared host reaches both paths alike.  Prints one JSON
 object: per size, the median seconds of each path, the median of the
 per-repeat reference/fast ratios, the rows each path read
@@ -15,28 +15,17 @@ PYTHONPATH decides which source tree is measured.
 
 from __future__ import annotations
 
-import os
+import argparse
+import json
+import statistics
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from sweeplib import machine, timed  # before numpy
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from sparsekit import linalg, sparsifier  # noqa: E402
+from sparsekit import linalg, sparsifier
 
 EPSILON = 0.25
-
-
-def timed(solver, family):
-    start = time.perf_counter()
-    out = solver(family, EPSILON)
-    return time.perf_counter() - start, out
 
 
 def time_pairs(family, repeats: int):
@@ -44,8 +33,8 @@ def time_pairs(family, repeats: int):
     it, and the last trace of each path."""
     fast_times, ref_times = [], []
     for _ in range(repeats):
-        fast_s, (_, _, fast_trace) = timed(sparsifier.sparsify_fast, family)
-        ref_s, (_, _, ref_trace) = timed(sparsifier.bss_reference, family)
+        fast_s, (_, _, fast_trace) = timed(lambda: sparsifier.sparsify_fast(family, EPSILON))
+        ref_s, (_, _, ref_trace) = timed(lambda: sparsifier.bss_reference(family, EPSILON))
         fast_times.append(fast_s)
         ref_times.append(ref_s)
     return fast_times, ref_times, fast_trace, ref_trace
@@ -86,9 +75,7 @@ def main(argv=None) -> None:
         "epsilon": EPSILON,
         "repeats": args.repeats,
         "seed": args.seed,
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, BLAS 1 thread",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        **machine(),
         "sizes": rows,
     }
     print(json.dumps(report, indent=2))

@@ -9,8 +9,8 @@ the least feasible size ceil(6d/eps^2/(gamma-1-2/c)) and m = 4n, whitened
 for the uniform design pi = n/m, and solved by expdesign.swap_round on the
 exact backend at the expdesign-aipe settings (eps=0.2, gamma=4, c=0.9),
 with solver seeds seed, seed+1, ... for --repeats solves.  BLAS runs on one
-thread.  Each solve runs --runs times as it is (solve_s), then --runs times
-with these expdesign functions wrapped by timers:
+thread (see sweeplib).  Each solve runs --runs times as it is (solve_s),
+then --runs times with these expdesign functions wrapped by timers:
 
     eigendecompose  the one eigendecomposition of Z per iteration
     find_ct         Newton's method for c_t
@@ -26,7 +26,8 @@ with these expdesign functions wrapped by timers:
                     and window checks, the random start and the first
                     gather of Z, the masks, the propose-or-scan step
 
-Each phase is self time: a call's time less the timed calls inside it.
+Each phase is self time, read by sweeplib.phase_times from perfbench's
+tracer: a call's time less the timed calls inside it.
 Prints one JSON object: per d, the median over all runs of solve_s, of each
 phase's seconds and of the traced total, with named_frac, the share of the
 traced total that the named phases take (other is the rest), and the
@@ -36,36 +37,31 @@ measured.
 
 from __future__ import annotations
 
-import os
+import argparse
+import json
+import math
+import statistics
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from sweeplib import machine, phase_times, rare_direction_rows, timed  # before numpy
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from sparsekit import expdesign  # noqa: E402
-from sparsekit.linalg import VectorFamily, whiten  # noqa: E402
+from sparsekit import expdesign
+from sparsekit.linalg import VectorFamily, whiten
 
 EPSILON, GAMMA, C = 0.2, 4.0, 0.9
-#: (phase, name of the expdesign function it times)
+#: (phase, owner, name of the function it times)
 PHASES = [
-    ("eigendecompose", "eigendecompose"),
-    ("find_ct", "find_ct"),
-    ("a_t", "swap_matrices"),
-    ("z_update", "_swap_gram"),
-    ("row_forms", "_row_forms"),
-    ("removal_scan", "_removal_scan"),
-    ("addition_scan", "_addition_scan"),
-    ("checks", "check_isotropy"),
-    ("checks", "WeightedSelection"),
-    ("checks", "check_symmetric"),
+    ("eigendecompose", expdesign, "eigendecompose"),
+    ("find_ct", expdesign, "find_ct"),
+    ("a_t", expdesign, "swap_matrices"),
+    ("z_update", expdesign, "_swap_gram"),
+    ("row_forms", expdesign, "_row_forms"),
+    ("removal_scan", expdesign, "_removal_scan"),
+    ("addition_scan", expdesign, "_addition_scan"),
+    ("checks", expdesign, "check_isotropy"),
+    ("checks", expdesign, "WeightedSelection"),
+    ("checks", expdesign, "check_symmetric"),
 ]
 
 
@@ -73,66 +69,20 @@ def least_n(d: int) -> int:
     return math.ceil(6 * d / EPSILON**2 / (GAMMA - 1 - 2 / C))
 
 
-def rare_direction_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    half = d // 2
-    X = rng.standard_normal((m, d))
-    X[:, half:] = 0.0
-    rare = rng.choice(m, size=d - half, replace=False)
-    X[rare, np.arange(half, d)] = 1.0
-    return X
-
-
-def traced(solve) -> tuple[dict, object]:
-    """Self seconds of solve() by phase, with the traced total, and its result."""
-    spent = dict.fromkeys([phase for phase, _ in PHASES], 0.0)
-    saved = {name: getattr(expdesign, name) for _, name in PHASES}
-    inner = []  # per open timed call, the time of the timed calls inside it
-
-    def timer(phase, fn):
-        def timed(*args, **kwargs):
-            inner.append(0.0)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                spent[phase] += elapsed - inner.pop()
-                if inner:
-                    inner[-1] += elapsed
-
-        return timed
-
-    for phase, name in PHASES:
-        setattr(expdesign, name, timer(phase, saved[name]))
-    try:
-        start = time.perf_counter()
-        result = solve()
-        total = time.perf_counter() - start
-    finally:
-        for name, fn in saved.items():
-            setattr(expdesign, name, fn)
-    spent["other"] = total - sum(spent.values())
-    spent["traced_total"] = total
-    return spent, result
-
-
 def measure(d: int, repeats: int, runs: int, seed: int) -> dict:
     n = least_n(d)
     m = 4 * n
     pi = np.full(m, n / m)
-    family = whiten(VectorFamily(rare_direction_rows(np.random.default_rng(seed), m, d)), pi)
+    family = whiten(VectorFamily(rare_direction_rows(seed, m, d)), pi)
     traces, untraced, swaps = [], [], []
     for r in range(repeats):
         def solve():
             return expdesign.swap_round(family, pi, n, EPSILON, gamma=GAMMA, c=C, seed=seed + r)
 
         for _ in range(runs):
-            start = time.perf_counter()
-            solve()
-            untraced.append(time.perf_counter() - start)
-        for _ in range(runs):
-            spent, result = traced(solve)
-            traces.append(spent)
+            seconds, result = timed(solve)
+            untraced.append(seconds)
+        traces += [phase_times(PHASES, solve) for _ in range(runs)]
         swaps.append(result.swaps)
     phases = {key: statistics.median(run[key] for run in traces) for key in traces[0]}
     return {
@@ -158,9 +108,7 @@ def main(argv=None) -> None:
         "repeats": args.repeats,
         "runs": args.runs,
         "seed": args.seed,
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, BLAS 1 thread",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        **machine(),
         "sizes": [measure(d, args.repeats, args.runs, args.seed) for d in args.d],
     }
     print(json.dumps(report, indent=2))

@@ -107,7 +107,7 @@ class InnerProductEstimator:
         z = np.asarray(z, dtype=float)
         _check_finite(z, "inserted point")
         pid = self._store.add(z)  # DimensionMismatch for a wrong shape, before radius grows
-        norm = float(np.linalg.norm(z))
+        norm = float(np.linalg.norm(z[None], axis=1)[0])  # as the build reads it
         if norm > self.radius:  # every transformed row depends on the radius
             self.radius = norm
             self._aug = minip_transform_dataset(self._store.points, self.radius)[0]

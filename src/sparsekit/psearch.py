@@ -32,13 +32,6 @@ from .linalg import VectorFamily
 __all__ = ["MatrixSearchTree", "BatchedVectorSearchTree"]
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def _physical_memory_bytes():
     """Installed physical memory in bytes, or None where os.sysconf cannot tell."""
     try:
@@ -62,7 +55,7 @@ class _PartialSumTree:
         self.m = m
         self.dim = d
         self.block = block
-        self._capacity = _next_pow2(n_blocks)
+        self._capacity = 1 << (n_blocks - 1).bit_length()
         needed = 16 * self._capacity * d * d  # the node array's bytes
         physical = _physical_memory_bytes()
         if physical is not None and needed > physical:

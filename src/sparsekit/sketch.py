@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def fwht(x: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis."""
     x = np.array(x, dtype=float)
@@ -108,7 +101,7 @@ class TensorSrhtSketch(_TensorSketchBase):
     def __init__(self, side: int, b: int, seed: int):
         if side < 1 or b < 1:
             raise ConfigError("side and b must be positive")
-        self.side = _next_pow2(side)
+        self.side = 1 << (side - 1).bit_length()
         self.b = b
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)

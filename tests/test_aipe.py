@@ -40,7 +40,7 @@ class Oracle:
     def insert(self, z):
         self.points[self.next_id] = z
         self.next_id += 1
-        self.radius = max(self.radius, float(np.linalg.norm(z)))
+        self.radius = max(self.radius, float(np.linalg.norm(z[None], axis=1)[0]))
 
     def sketch(self, j):
         return bartlett_or_gaussian_sketch(self.children[j], self.s_dim, self.dim + 2)
@@ -259,9 +259,7 @@ def test_kept_transforms_give_a_fresh_estimators_estimates(ops):
     """After deletes, inserts inside the radius and inserts that grow it, the
     estimates are == those of an estimator built afresh over the live points,
     given the same pool (a build sizes it by its point count).  The largest
-    point is never deleted, so both radii are the largest norm; a growing
-    point has one nonzero coordinate, whose norm np.linalg.norm reads
-    exactly alike for one vector and for a stack."""
+    point is never deleted, so both radii are the largest norm."""
     rng = np.random.default_rng(3)
     points = rng.standard_normal((40, DIM))
     est = InnerProductEstimator(points, EXPDESIGN_EPS, SEED)
@@ -273,8 +271,7 @@ def test_kept_transforms_give_a_fresh_estimators_estimates(ops):
             est.delete(pid)
             del live[pid]
         elif kind == "grow":
-            z = np.zeros(DIM)
-            z[k % DIM] = 1.5 * est.radius
+            z = 1.5 * est.radius * unit(rng.standard_normal(DIM))
             live[est.insert(z)] = z
         elif kind == "insert":
             z = 0.5 * est.radius * unit(rng.standard_normal(DIM))

@@ -7,9 +7,14 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from conftest import random_ks_family
+from test_solvers_golden import rare_direction_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -165,6 +170,64 @@ def test_sweep_sparsify_keeps_the_barrier():
     assert size["fast_rows_per_iteration"] == 0.0
     # the first chunk holds all 64 rows
     assert size["reference_rows_per_iteration"] == 64.0
+
+
+@pytest.fixture(scope="module")
+def sweeplib():
+    spec = importlib.util.spec_from_file_location("sweeplib", ROOT / "scripts" / "sweeplib.py")
+    module = importlib.util.module_from_spec(spec)
+    # its import pins BLAS threads and reaches perfbench's tracer: undo both here
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
+
+
+class Stub:
+    def outer(self):
+        time.sleep(0.005)
+        return self.inner()
+
+    def inner(self):
+        time.sleep(0.05)
+        return "done"
+
+    def unused(self):
+        raise AssertionError("never called")
+
+    def fail(self):
+        raise ValueError("raised inside the traced call")
+
+
+def test_phase_times_reads_self_time(sweeplib):
+    sites = [("outer", Stub, "outer"), ("inner", Stub, "inner"), ("idle", Stub, "unused")]
+    phases = sweeplib.phase_times(sites, lambda: Stub().outer())
+    assert list(phases) == ["outer", "inner", "idle", "other", "traced_total"]
+    # the inner call's 50 ms are the inner phase's, not the outer's
+    assert 0.005 <= phases["outer"] < 0.05 <= phases["inner"]
+    assert phases["idle"] == 0.0
+    parts = phases["outer"] + phases["inner"] + phases["idle"] + phases["other"]
+    assert parts == pytest.approx(phases["traced_total"], abs=1e-12)
+
+
+def test_phase_times_restores_the_originals_after_a_raise(sweeplib):
+    originals = dict(vars(Stub))
+    sites = [("inner", Stub, "inner"), ("fail", Stub, "fail")]
+    with pytest.raises(ValueError):
+        sweeplib.phase_times(sites, lambda: Stub().fail())
+    assert vars(Stub)["inner"] is originals["inner"] and vars(Stub)["fail"] is originals["fail"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("d, N", [(2, 8), (3, 6), (4, 3)])
+def test_ks_frames_are_the_golden_families(sweeplib, seed, d, N):
+    expected = random_ks_family(d, N, np.random.default_rng(seed)).vectors
+    assert np.array_equal(sweeplib.ks_frames(d, N, seed), expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("m, d", [(310, 2), (3088, 4), (40, 5)])
+def test_rare_direction_rows_are_the_golden_rows(sweeplib, seed, m, d):
+    assert np.array_equal(sweeplib.rare_direction_rows(seed, m, d), rare_direction_rows(seed, m, d))
 
 
 def load_ab_pairs():
