@@ -28,11 +28,9 @@ once (samples * m * (D+2)^2 multiply-adds at most), and each point's median
 distance is read off its row of squared distances.  The GEMM runs over
 blocks of BLOCK_ROWS points, so a query's projections take at most samples *
 BLOCK_ROWS * min(s_dim, D+2) floats.  Points live in a PointStore (one
-contiguous array, row i holding id i), and their unit-sphere transforms in
-one array kept current, row k the k-th live id: a delete drops its row, an
-insert appends one, and only an insert that grows the radius re-transforms
-them all.  The transform works row by row, so the rows are the bits a fresh
-transform of the live points would give.  Mutations need exclusive access.
+contiguous array, row i holding id i); a query lifts the live points to the
+unit sphere under the current radius, so an update only touches the store
+and, for an insert, the radius.  Mutations need exclusive access.
 """
 
 from __future__ import annotations
@@ -96,7 +94,6 @@ class InnerProductEstimator:
         self._entropy = np.random.SeedSequence(seed).entropy  # refuses a bad seed here
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)
-        self._aug = minip_transform_dataset(pts, self.radius)[0]  # row k: k-th live id
 
     @property
     def count(self) -> int:
@@ -108,18 +105,11 @@ class InnerProductEstimator:
         _check_finite(z, "inserted point")
         pid = self._store.add(z)  # DimensionMismatch for a wrong shape, before radius grows
         norm = float(np.linalg.norm(z[None], axis=1)[0])  # as the build reads it
-        if norm > self.radius:  # every transformed row depends on the radius
-            self.radius = norm
-            self._aug = minip_transform_dataset(self._store.points, self.radius)[0]
-        else:  # the new id is the largest live one: its row goes last
-            row = minip_transform_dataset(z, self.radius)[0]
-            self._aug = np.concatenate([self._aug, row])
+        self.radius = max(self.radius, norm)
         return pid
 
     def delete(self, pid: int) -> None:
         self._store.remove(pid)
-        # its row's index is the number of live ids below it
-        self._aug = np.delete(self._aug, np.searchsorted(self._store.ids, pid), axis=0)
 
     def _factor(self, j: int) -> np.ndarray:
         """R with R^T R distributed as S_j^T S_j / s_dim, S_j an s_dim x (D+2) Gaussian.
@@ -165,7 +155,7 @@ class InnerProductEstimator:
         if q.shape != (self.dim,):
             raise DimensionMismatch(f"expected a query of dim {self.dim}, got shape {q.shape}")
         _check_finite(q, "query")
-        aug = self._aug
+        aug = minip_transform_dataset(self._store.points, self.radius)[0]
         qa, _ = minip_transform_query(q, 1.0)
         picks = rng.choice(self.pool, size=self.samples, replace=False)
         R = np.concatenate([self._factor(int(j)) for j in picks])

@@ -98,7 +98,7 @@ class WeightedSelection:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.indices.shape != self.weights.shape or self.indices.ndim != 1:
             raise DimensionMismatch("indices and weights must be parallel 1-D arrays")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):  # False on NaN, so NaN is refused too
             raise PreconditionViolation("selection weights must be strictly positive")
         if (np.diff(np.sort(self.indices)) == 0).any():
             raise PreconditionViolation("selection indices must be distinct")

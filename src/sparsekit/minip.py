@@ -74,7 +74,7 @@ def minip_transform_dataset(X, D_X: float = None):
     norms = np.linalg.norm(X, axis=1)
     if D_X is None:
         D_X = float(norms.max())
-    if D_X <= 0.0:
+    if not D_X > 0.0:  # False on NaN, so NaN is refused too
         raise PreconditionViolation("dataset diameter must be positive")
     if np.any(norms > D_X * (1 + 1e-12)):
         raise PreconditionViolation("a dataset point exceeds the stated diameter D_X")
@@ -95,7 +95,7 @@ def minip_transform_query(y, D_Y: float = None):
     norm = float(np.linalg.norm(y))
     if D_Y is None:
         D_Y = norm
-    if D_Y <= 0.0:
+    if not D_Y > 0.0:  # False on NaN, so NaN is refused too
         raise PreconditionViolation("query norm must be positive")
     if norm > D_Y * (1 + 1e-12):
         raise PreconditionViolation("query norm exceeds the stated D_Y")
@@ -219,7 +219,7 @@ class RobustMinIpIndex:
         return battery
 
     def _validate_window(self):
-        """Refuse a (c, tau) outside the window; every c inside it gets one cbar formula."""
+        """Refuse a (c, tau) outside the window; inside it cbar^2 > 2(1-eps)^2/(1-2eps) > 2."""
         c, tau, eps = self.c, self.tau, self.EPS
         check_window(c, tau)
         hi = minip_window(tau, eps)
@@ -227,10 +227,6 @@ class RobustMinIpIndex:
             raise ConfigError(f"c={c} violates c < 8*tau/((1-eps)^2*tau + 2*eps + 7) = {hi}")
         self.cbar_sq = c * (1.0 - tau) * (1.0 - eps) ** 2 / (4.0 * (c - tau))
         self.cbar = math.sqrt(self.cbar_sq)
-        if self.cbar <= 1.0:
-            raise ConfigError(
-                f"derived AFN ratio cbar={self.cbar} violates cbar > 1"
-            )
 
     @property
     def count(self) -> int:

@@ -362,3 +362,42 @@ def test_query_after_every_point_is_deleted_raises_not_found():
         est.query_min(np.ones(DIM) / DIM, np.random.default_rng(0))
     assert est.insert(np.ones(DIM)) == DIM
     assert est.query_min(np.ones(DIM) / DIM, np.random.default_rng(0)) == DIM
+
+
+def test_all_zero_points_take_radius_1_and_answer_a_query():
+    """A zero radius would lift no point, so the build takes 1.0, which every
+    later query lifts under until an insert grows it; each estimate is the
+    oracle's, and the tied zero points answer with the lowest id."""
+    points = np.zeros((4, DIM))
+    est = InnerProductEstimator(points, 0.5, SEED)
+    oracle = Oracle(points, est)
+    assert est.radius == oracle.radius == 1.0
+    q = unit(np.arange(1.0, DIM + 1))
+    assert est.query_min(q, np.random.default_rng(0)) == 0
+    for z, radius in ((0.5 * q, 1.0), (-2.0 * q, 2.0)):
+        est.insert(z)
+        oracle.insert(z)
+        assert est.radius == radius
+        got = est.distance_estimates(q, np.random.default_rng(1))
+        want = oracle.estimates(q, np.random.default_rng(1))
+        np.testing.assert_allclose(got, [want[pid] for pid in sorted(want)], rtol=1e-10)
+
+
+def test_updates_lift_nothing_and_a_query_lifts_once(monkeypatch):
+    """Inserts and deletes touch only the store and the radius; each query
+    lifts the live points once, under the radius of that moment."""
+    radii = []
+    lift = aipe.minip_transform_dataset
+
+    def counted(X, D_X):
+        radii.append(D_X)
+        return lift(X, D_X)
+
+    monkeypatch.setattr(aipe, "minip_transform_dataset", counted)
+    est = InnerProductEstimator(np.eye(DIM), 0.5, SEED)
+    est.insert(np.full(DIM, 2.0))
+    est.delete(0)
+    est.insert(np.ones(DIM))
+    assert radii == []
+    est.query_min(unit(np.ones(DIM)), np.random.default_rng(0))
+    assert radii == [est.radius] == [math.sqrt(4.0 * DIM)]

@@ -663,3 +663,18 @@ def test_an_overflowing_family_is_refused_without_a_runtime_warning(tmp_path, ca
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(argv + ["--input", str(path)]) == cli.EXIT_PRECONDITION
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["sparsify"], ["ks", "--n", "4"], ["expdesign", "--n", "4"]], ids=lambda a: a[0]
+)
+def test_missing_input_exits_2(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "--input is required" in capsys.readouterr().err
+
+
+def test_malformed_matrix_market_input_exits_3(tmp_path, capsys):
+    path = tmp_path / "broken.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nnot-a-number\n")
+    assert cli.main(["sparsify", "--input", str(path)]) == cli.EXIT_PRECONDITION
+    assert f"cannot parse {path}" in capsys.readouterr().err

@@ -13,7 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsekit import expdesign
-from sparsekit.errors import ConfigError, NoEligibleRemoval, PreconditionViolation
+from sparsekit.errors import (
+    ConfigError,
+    IterationExhausted,
+    NoEligibleRemoval,
+    PreconditionViolation,
+)
 from sparsekit.linalg import VectorFamily, whiten
 
 from test_solvers_golden import SWAP_CASES, rare_direction_rows
@@ -387,3 +392,36 @@ def test_addition_scan_takes_the_lowest_non_member_with_the_largest_b_plus(m, d,
     assert not inside[row]
     assert row == oracle.index(max(oracle))
     assert score == pytest.approx(oracle[row], rel=1e-12, abs=0.0)
+
+
+def test_swap_cap_raises_iteration_exhausted_with_the_last_state(monkeypatch, rng):
+    """A solve whose lambda_min never clears stops after T_cap = ceil(n/(c eps))
+    swaps: IterationExhausted carries the last lambda_min and the result so far."""
+    m, n, eps, c = 800, 400, 0.2, expdesign.DEFAULT_C
+    pi = np.full(m, n / m)
+    family = whiten(VectorFamily(rng.standard_normal((m, 2))), pi)
+    monkeypatch.setattr(expdesign, "clears", lambda *args: False)
+    with pytest.raises(IterationExhausted, match="swap cap T=2223") as exc:
+        expdesign.swap_round(family, pi, n, eps, c=c)
+    result = exc.value.state["result"]
+    assert result.swaps == math.ceil(n / (c * eps)) == 2223
+    assert len(result.lambda_trace) == result.swaps + 1
+    assert exc.value.state["lambda_min"] == result.lambda_min == result.lambda_trace[-1]
+    indices = result.selection.indices
+    assert len(np.unique(indices)) == len(indices) == n
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [
+        (np.full(799, 0.5), "one weight to every vector"),
+        (np.full((800, 1), 0.5), "one weight to every vector"),
+        (np.full(800, 0.625), r"\|\|pi\|\|_1=500.0 violates \|\|pi\|\|_1 <= n=400"),
+    ],
+    ids=["short", "column", "over-n"],
+)
+def test_pi_of_the_wrong_shape_or_mass_is_precondition_violation(rng, pi, message):
+    m, n = 800, 400
+    family = whiten(VectorFamily(rng.standard_normal((m, 2))), np.full(m, n / m))
+    with pytest.raises(PreconditionViolation, match=message):
+        expdesign.swap_round(family, pi, n, 0.2)

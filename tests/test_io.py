@@ -69,3 +69,19 @@ def test_complex_matrix_market_is_precondition_violation(tmp_path, layout):
     path.write_text(COMPLEX_FILES[layout])
     with pytest.raises(PreconditionViolation, match="complex entries"):
         parse_matrix_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%%MatrixMarket matrix array real general\n2 2\n1.0\nnot-a-number\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
+        "not a matrix market header\n",
+    ],
+    ids=["bad-entry", "short-coordinate", "no-header"],
+)
+def test_malformed_matrix_market_is_precondition_violation(tmp_path, text):
+    path = tmp_path / "broken.mtx"
+    path.write_text(text)
+    with pytest.raises(PreconditionViolation, match="cannot parse"):
+        parse_matrix_file(str(path))

@@ -212,6 +212,11 @@ class TestWeightedSelection:
         with pytest.raises(PreconditionViolation, match=message):
             WeightedSelection(indices, weights)
 
+    def test_nan_weight_is_precondition_violation(self):
+        # nan <= 0 is False: a NaN weight would reconstruct an all-NaN matrix
+        with pytest.raises(PreconditionViolation, match="strictly positive"):
+            WeightedSelection([0, 1], [np.nan, 1.0])
+
     @pytest.mark.parametrize("indices", [[0, 3], [-1, 1]])
     def test_out_of_range_is_precondition_violation(self, indices):
         sel = WeightedSelection(indices, [1.0, 1.0])

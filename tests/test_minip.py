@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_min_ip
 from sparsekit import minip
-from sparsekit.afn import solve_threshold
-from sparsekit.errors import ConfigError, DimensionMismatch, NotFound
+from sparsekit.afn import AfnStructure, solve_threshold
+from sparsekit.errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.minip import (
     MinIpConfig,
     RobustMinIpIndex,
@@ -372,3 +372,78 @@ def test_battery_built_after_deletes_keeps_build_time_sizes(rng):
 def test_desk_refuses_any_other_sketch_shape(shape):
     with pytest.raises(ConfigError, match="16 rows in 4 blocks"):
         MinIpConfig.desk(**shape)
+
+
+@pytest.mark.parametrize(
+    "transform, arg",
+    [(minip_transform_dataset, np.ones((2, 3))), (minip_transform_query, np.ones(3))],
+    ids=["dataset", "query"],
+)
+def test_nan_scale_is_refused(transform, arg):
+    # nan <= 0 is False: a NaN scale would return NaN rows
+    with pytest.raises(PreconditionViolation, match="must be positive"):
+        transform(arg, math.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(0.0, 1.0))
+@example(1e-9, 1.0 - 1e-12)  # the window's corner: the least cbar^2 there is 2(1-eps)^2/(1-2eps)
+@example(0.99, 1.0 - 1e-12)  # near the largest tau whose window is not empty
+def test_every_c_the_window_accepts_gives_cbar_sq_above_2(tau, frac):
+    """c drawn across (tau, minip_window(tau, EPS)): a (c, tau) the window
+    accepts derives an AFN ratio whose square exceeds 2, so cbar > 1 holds
+    with no check of its own."""
+    idx = RobustMinIpIndex.__new__(RobustMinIpIndex)
+    idx.tau = tau
+    idx.c = tau + frac * (minip.minip_window(tau, RobustMinIpIndex.EPS) - tau)
+    try:
+        idx._validate_window()
+    except ConfigError:
+        assume(False)  # an empty window, or c rounded onto one of its ends
+    assert idx.cbar_sq > 2.0
+
+
+def unit_vector(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def near_points(x, n, spread, seed):
+    """n unit vectors within about `spread` of the unit vector x."""
+    pts = x + spread * np.random.default_rng(seed).standard_normal((n, len(x)))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def test_a_sampled_battery_without_a_hit_answers_none(monkeypatch):
+    """A query samples one battery at this size; when it answers None the
+    query answers None, having drawn what an answered query draws."""
+    half = near_points(np.eye(4)[0], 10, 0.5, seed=1)
+    idx = RobustMinIpIndex(np.vstack([half, -half]), c=0.505, tau=0.5, seed=5)
+    x = unit_vector([1.0, 0.2, 0.0, 0.0])
+    answered = np.random.default_rng(0)
+    assert idx.query(x, answered) is not None
+    missed = np.random.default_rng(0)
+    monkeypatch.setattr(AfnStructure, "query", lambda battery, q: None)
+    assert idx.query(x, missed) is None
+    assert missed.bit_generator.state == answered.bit_generator.state
+
+
+def test_a_best_hit_above_the_bound_answers_none(monkeypatch):
+    """Every point is close to the query, so every hit's inner product exceeds
+    tau/c + lambda_tilde: the batteries answer, and the query answers None."""
+    x = unit_vector([1.0, 1.0, 1.0, 1.0])
+    pts = near_points(x, 8, 0.05, seed=2)
+    idx = RobustMinIpIndex(pts, c=0.11, tau=0.1, seed=3)
+    bound = idx.tau / idx.c + idx.lambda_tilde
+    assert bound < (pts @ x).min()
+    real = AfnStructure.query
+    hits = []
+
+    def recorded(battery, q):
+        hits.append(real(battery, q))
+        return hits[-1]
+
+    monkeypatch.setattr(AfnStructure, "query", recorded)
+    assert idx.query(x, np.random.default_rng(0)) is None
+    assert any(h is not None for h in hits)
+

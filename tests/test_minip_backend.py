@@ -125,3 +125,12 @@ def test_insert_of_a_stored_row_is_refused_before_any_change(kind):
     assert backend._index.count == START and len(backend._row_of) == START
     backend.retire(3)
     assert backend._index.count == START - 1
+
+
+@pytest.mark.parametrize("kind", ["aipe", "afn"])
+def test_an_all_zero_query_proposes_nothing_and_draws_nothing(kind):
+    backend = make_backend(kind)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert backend.propose(np.zeros((D, D)), rng) is None
+    assert rng.bit_generator.state == state
