@@ -8,7 +8,7 @@ sqrt(2/n)), and the afn backend is built over all n rows exactly as
 ks_select builds it: c=0.505, tau=0.5 (and afn.DELTA = 0.1), sketches of
 minip.SKETCH_DIM = 16 rows in minip.SKETCH_BLOCKS = 4 blocks, counts scaled
 by afn.SCALE = 0.25.  The index builds the kappa AFN replicas of a sketch
-(its battery, one AfnStructure over kappa seeds) only when a query first
+(its battery, one AfnStructure over kappa Philox keys) only when a query first
 samples that sketch, so the stages are timed apart.  With BLAS on one
 thread (see sweeplib), each stage's median wall time over --repeats runs:
 
@@ -24,14 +24,16 @@ thread (see sweeplib), each stage's median wall time over --repeats runs:
                before each insert), with the calls below timed by self time
                (sweeplib.phase_times):
       sketch      TensorSparseSketch.apply_flat
-      directions  afn.gaussian_matrix (every replica's Gaussian directions,
-                  one Philox stream per replica)
+      seeds       afn.philox_keys, as RobustMinIpIndex.battery calls it (a
+                  battery's kappa Philox keys, in one vectorized pass)
+      directions  afn.gaussian_matrix (every replica's Gaussian directions:
+                  one Philox bit generator, restarted at each replica's key)
       keys        DfnStructure.__init__ less the calls inside it: the
                   batched projection GEMM and the one stable argsort of all
                   rows
       inserts     DfnStructure.insert (a late build's inserts, and each
                   insert into a built battery)
-      other       the rest of the traced stage: seeds, configs, stores
+      other       the rest of the traced stage: configs, stores
 
 The traced stage pays a wrapper per timed call, so its phases add up to
 more than the untraced time when a stage makes many calls.  A size whose
@@ -48,7 +50,7 @@ import statistics
 
 from sweeplib import ks_frames, machine, phase_times, timed  # before numpy
 
-from sparsekit import afn, sketch
+from sparsekit import afn, minip, sketch
 from sparsekit.errors import ConfigError
 from sparsekit.minip import MAX_STRUCTURES, SKETCH_BLOCKS, SKETCH_DIM
 from sparsekit.minip_backend import MinIpBackend
@@ -58,6 +60,7 @@ D, C, TAU = 2, 0.505, 0.5
 #: (phase, owner, attribute) of every timed call
 PHASES = [
     ("sketch", sketch.TensorSparseSketch, "apply_flat"),
+    ("seeds", minip, "philox_keys"),
     ("directions", afn, "gaussian_matrix"),
     ("keys", afn.DfnStructure, "__init__"),
     ("inserts", afn.DfnStructure, "insert"),

@@ -1,8 +1,12 @@
 """Random-projection furthest-neighbor batteries over a shared PointStore.
 
 A battery is R independent replicas of one structure, held in arrays and
-queried in lockstep: one seed per replica, keying its Philox stream as it
-is, and R = 1 is one structure.
+queried in lockstep: one replica per key, and R = 1 is one structure.  A
+key is the two 64-bit words that key a counter-based Philox stream
+(Salmon et al., SC'11), so R streams cost R keys: philox_keys derives them
+all in one vectorized pass, each equal to what SeedSequence(entropy,
+spawn_key=...) hands np.random.Philox, and gaussian_matrix reads every
+stream through one Philox bit generator restarted at each key.
 
 Neither structure holds points.  Both read coordinates from a PointStore
 that their owner fills and empties; `insert(pid)` indexes a point the owner
@@ -57,7 +61,16 @@ import numpy as np
 from .errors import ConfigError
 from .pointstore import PointStore
 
-__all__ = ["DELTA", "SCALE", "DfnStructure", "AfnStructure", "gaussian_matrix", "solve_threshold"]
+__all__ = [
+    "DELTA",
+    "SCALE",
+    "DfnStructure",
+    "AfnStructure",
+    "gaussian_matrix",
+    "philox_keys",
+    "rekey",
+    "solve_threshold",
+]
 
 #: failure probability of every search structure: AFN, AIPE and the Min-IP index
 DELTA = 0.1
@@ -66,22 +79,133 @@ DELTA = 0.1
 SCALE = 0.25
 
 
-def gaussian_matrix(rows: int, cols: int, seeds) -> np.ndarray:
-    """(len(seeds), rows, cols) standard normals: Box-Muller over one
-    counter-based Philox stream per seed.
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # 32-bit words in a SeedSequence pool
 
-    Philox keyed by the seed makes structures bit-reproducible across runs
-    and platforms regardless of draw order elsewhere.  Each stream's first
-    rows * cols uniforms (raw >> 11) * 2^-53 feed the logarithm and the next
-    rows * cols the cosine, as two Generator.random calls would draw them.
+
+def _words(entropy) -> list:
+    """Entropy as SeedSequence reads it: 32-bit words, least significant first."""
+    if isinstance(entropy, (int, np.integer)):
+        entropy = int(entropy)
+        if entropy < 0:
+            raise ValueError("expected non-negative integer")
+        words = [entropy & _MASK32]
+        while entropy > _MASK32:
+            entropy >>= 32
+            words.append(entropy & _MASK32)
+        return words
+    return [word for item in entropy for word in _words(item)]
+
+
+def _spawn_word(word) -> np.ndarray:
+    word = np.asarray(word)
+    if word.dtype.kind not in "ui" or (word < 0).any() or (word > _MASK32).any():
+        raise ValueError(f"each spawn word must be an int below 2**32, not {word!r}")
+    return word.astype(np.uint32)
+
+
+def _hash(value, pre, post):
+    """SeedSequence's hashmix under constant `pre`, which multiplies to `post`;
+    Python ints or uint32 arrays alike."""
+    value = (value ^ pre) * post & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _consts(first: int, mult: int, count: int) -> list:
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def philox_keys(entropy, *spawn_key) -> np.ndarray:
+    """(count, 2) uint64 Philox keys: row i is SeedSequence(entropy,
+    spawn_key=(w[i] for w in spawn_key)).generate_state(2, np.uint64), the
+    key np.random.Philox takes from that SeedSequence.
+
+    `entropy` is a non-negative int or a sequence of them, as SeedSequence
+    accepts.  Each spawn word is an int below 2**32 or an array of them;
+    arrays broadcast, and count is the size of their broadcast (1 when
+    every word is an int).  SeedSequence's 32-bit hash-mix runs once in
+    Python ints over the entropy and the leading int spawn words, then
+    over uint32 arrays, all four pool words at once, for the rest.
+    """
+    words = _words(entropy)
+    # a spawned SeedSequence pads short entropy to the pool; an unspawned one
+    # hashes the missing words as 0, which is the same
+    words += [0] * (_POOL - len(words))
+    spawn = [_spawn_word(word) for word in spawn_key]
+    while spawn and spawn[0].ndim == 0:  # mixed in as entropy words are
+        words.append(int(spawn.pop(0)))
+    # the first _POOL words take 4 hashes to fill and 12 to cross-mix, later ones 4 each
+    const = _consts(_INIT_A, _MULT_A, _POOL * (len(words) + len(spawn)))
+    pool = [_hash(word, const[i], const[i + 1]) for i, word in enumerate(words[:_POOL])]
+    i = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], const[i], const[i + 1]))
+                i += 1
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(word, const[i], const[i + 1]))
+            i += 1
+    state = np.array(pool, dtype=np.uint32)[:, None]  # (pool, count)
+    const = np.array(const, dtype=np.uint32)[:, None]
+    for word in np.broadcast_arrays(*spawn):
+        state = _mix(state, _hash(word.ravel(), const[i : i + _POOL], const[i + 1 : i + _POOL + 1]))
+        i += _POOL
+    const = np.array(_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint32)[:, None]
+    state = np.ascontiguousarray(_hash(state, const[:-1], const[1:]).T)
+    # word pairs read little-endian, as generate_state reads them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def rekey(bitgen: np.random.Philox, key) -> None:
+    """Restart `bitgen` at the start of the stream `key` (two uint64 words)
+    keys: counter 0 and an empty buffer, the state np.random.Philox(key=key)
+    starts in."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def gaussian_matrix(rows: int, cols: int, keys) -> np.ndarray:
+    """(len(keys), rows, cols) standard normals: Box-Muller over one
+    counter-based Philox stream per key (see philox_keys).
+
+    Philox keyed per replica makes structures bit-reproducible across runs
+    and platforms regardless of draw order elsewhere.  One bit generator
+    is restarted at each key.  Each stream's first rows * cols uniforms
+    (raw >> 11) * 2^-53 feed the logarithm and the next rows * cols the
+    cosine, as two Generator.random calls would draw them.
     """
     n = rows * cols
-    u = np.stack([np.random.Philox(seed).random_raw(2 * n) for seed in seeds]) >> 11
-    u = u * 2.0**-53
+    keys = np.asarray(keys, dtype=np.uint64)
+    bitgen = np.random.Philox(0)  # its own seed is never read: rekeyed below
+    u = np.empty((len(keys), 2 * n), dtype=np.uint64)
+    for row, key in zip(u, keys.tolist()):
+        rekey(bitgen, key)
+        row[:] = bitgen.random_raw(2 * n)
+    u = (u >> 11) * 2.0**-53
     u1 = 1.0 - u[:, :n]  # (0, 1], keeps log finite
     u2 = u[:, n:]
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return g.reshape(len(seeds), rows, cols)
+    return g.reshape(len(keys), rows, cols)
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +251,9 @@ def _search_rounds(d: int, eps: float) -> int:
 
 class DfnStructure:
     """Fixed-radius decision version of approximate furthest neighbor, one
-    replica per seed."""
+    replica per key (a (R, 2) array of Philox keys, see philox_keys)."""
 
-    def __init__(self, store: PointStore, cbar: float, seeds):
+    def __init__(self, store: PointStore, cbar: float, keys):
         if not cbar > 1.0:  # False on NaN, so NaN is refused too
             raise ConfigError(f"cbar={cbar} violates cbar > 1")
         base = store.initial_points  # never empty: a PointStore refuses zero rows
@@ -139,13 +263,13 @@ class DfnStructure:
         self.n0 = len(base)
         self.ell = _direction_count(self.n0, self.cbar)
         self.t = solve_threshold(self.n0)
-        self.replicas = len(seeds)
-        self.directions = gaussian_matrix(self.ell, self.dim, seeds)  # (R, ell, dim)
+        self.replicas = len(keys)
+        self.directions = gaussian_matrix(self.ell, self.dim, keys)  # (R, ell, dim)
         rows = self.replicas * self.ell
-        keys = (self.directions @ base.T).reshape(rows, self.n0)
+        proj = (self.directions @ base.T).reshape(rows, self.n0)
         # ids 0..n0-1 in order: a stable sort by key is the (key, id) order
-        self.ids = np.argsort(keys, axis=-1, kind="stable")
-        self.keys = np.take_along_axis(keys, self.ids, axis=-1)
+        self.ids = np.argsort(proj, axis=-1, kind="stable")
+        self.keys = np.take_along_axis(proj, self.ids, axis=-1)
         ids = store.ids
         for pid in ids[ids >= self.n0].tolist():  # live points added since, ascending
             self.insert(pid)
@@ -208,7 +332,7 @@ class DfnStructure:
 
 
 class AfnStructure:
-    """Furthest-neighbor search by radius bisection, one replica per seed.
+    """Furthest-neighbor search by radius bisection, one replica per key.
 
     AFN amplifies success with ceil(SCALE * max(ln ln(d / (eps DELTA)), 1))
     independent DFN copies.  At SCALE = 0.25 that count is 2 or more only
@@ -216,13 +340,13 @@ class AfnStructure:
     at 1e-9 or more, so it is 1 for every input this package can hold.
     """
 
-    def __init__(self, store: PointStore, cbar: float, seeds):
+    def __init__(self, store: PointStore, cbar: float, keys):
         self.store = store
         self.dim = store.dim
         self.cbar = float(cbar)
         self.eps = max(self.cbar - 1.0, 1e-9)
         self.rounds = _search_rounds(self.dim, self.eps)
-        self._dfn = DfnStructure(store, cbar, seeds)
+        self._dfn = DfnStructure(store, cbar, keys)
 
     def insert(self, pid) -> None:
         """Index the stored point `pid`."""

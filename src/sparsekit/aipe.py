@@ -12,8 +12,11 @@ adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
 Pool member j stands for an s_dim x (D+2) Gaussian sketch S_j, drawn from
-SeedSequence(seed, spawn_key=(j,)), the j-th child SeedSequence(seed).spawn
-would give, by its path when j is first sampled.  Only a factor R_j of
+the Philox stream of SeedSequence(seed, spawn_key=(j,)), the j-th child
+SeedSequence(seed).spawn would give, by its path when j is first sampled.
+Factors are keyed per query: a query derives the keys of all its cold
+picks in one afn.philox_keys pass, and the estimator's one Generator is
+restarted at each key to draw that factor.  Only a factor R_j of
 min(s_dim, D+2) x (D+2) is drawn and cached, whose R_j^T R_j has the law of
 S_j^T S_j / s_dim: ||R_j v|| then has the law of ||S_j v|| / sqrt(s_dim)
 for every v, jointly over all v, and a sketch costs O(m D^2) per query
@@ -36,10 +39,11 @@ and, for an insert, the radius.  Mutations need exclusive access.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .afn import DELTA, SCALE
+from .afn import DELTA, SCALE, philox_keys, rekey
 from .errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from .minip import minip_transform_dataset, minip_transform_query
 from .pointstore import PointStore
@@ -91,7 +95,9 @@ class InnerProductEstimator:
         self.s_dim = _sketch_dim(self.eps)
         self.pool = _pool_size(self.s_dim, pts.shape[0])
         self.samples = _sample_count(self.pool)
-        self._entropy = np.random.SeedSequence(seed).entropy  # refuses a bad seed here
+        seq = np.random.SeedSequence(seed)  # refuses a bad seed here
+        self._entropy = seq.entropy
+        self._gen = np.random.Generator(np.random.Philox(seq))  # rekeyed per factor
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)
 
@@ -111,34 +117,34 @@ class InnerProductEstimator:
     def delete(self, pid: int) -> None:
         self._store.remove(pid)
 
-    def _factor(self, j: int) -> np.ndarray:
-        """R with R^T R distributed as S_j^T S_j / s_dim, S_j an s_dim x (D+2) Gaussian.
+    def _factors_of(self, picks: list) -> list:
+        """The factors of pool members `picks`, the cold ones drawn now.
 
-        A short member (s_dim <= p = D+2) draws S_j itself and keeps
-        R = S_j / sqrt(s_dim).  A tall one draws its factor directly:
+        R has R^T R distributed as S_j^T S_j / s_dim, S_j an s_dim x (D+2)
+        Gaussian.  A short member (s_dim <= p = D+2) draws S_j itself and
+        keeps R = S_j / sqrt(s_dim).  A tall one draws its factor directly:
         R = L^T / sqrt(s_dim), L the Bartlett factor of a Wishart(s_dim, I_p),
         with p(p-1)/2 standard normals below the diagonal (np.tril_indices
         order) and L_ii^2 ~ chi^2(s_dim - i) for i = 0..p-1.  That is the
         law of the transposed Cholesky factor of S_j^T S_j / s_dim, so
         ||R v|| has the law of ||S_j v|| / sqrt(s_dim) for every v, at
-        p(p+1)/2 draws instead of s_dim * p.
+        p(p+1)/2 draws instead of s_dim * p.  The cold members' keys come
+        from one philox_keys call.
         """
-        R = self._factors.get(j)
-        if R is None:
-            child = np.random.SeedSequence(self._entropy, spawn_key=(j,))
-            gen = np.random.Generator(np.random.Philox(child))
+        cold = [j for j in picks if j not in self._factors]
+        if cold:
+            gen = self._gen
             p, s = self.dim + 2, self.s_dim
-            if s > p:
-                L = np.zeros((p, p))
-                # a row-major mask fills np.tril_indices order without building
-                # index arrays at every draw (each solve draws fresh factors)
-                L[np.tri(p, k=-1, dtype=bool)] = gen.standard_normal(p * (p - 1) // 2)
-                L.flat[:: p + 1] = np.sqrt(gen.chisquare(s - np.arange(p)))
-                R = L.T / math.sqrt(s)
-            else:
-                R = gen.standard_normal((s, p)) / math.sqrt(s)
-            self._factors[j] = R
-        return R
+            for j, key in zip(cold, philox_keys(self._entropy, cold).tolist()):
+                rekey(gen.bit_generator, key)
+                if s > p:
+                    L = np.zeros((p, p))
+                    L[_below_diagonal(p)] = gen.standard_normal(p * (p - 1) // 2)
+                    L.flat[:: p + 1] = np.sqrt(gen.chisquare(s - np.arange(p)))
+                    self._factors[j] = L.T / math.sqrt(s)
+                else:
+                    self._factors[j] = gen.standard_normal((s, p)) / math.sqrt(s)
+        return [self._factors[j] for j in picks]
 
     def distance_estimates(self, q, rng: np.random.Generator) -> np.ndarray:
         """Median per-point distance estimates in the transformed space.
@@ -158,7 +164,7 @@ class InnerProductEstimator:
         aug = minip_transform_dataset(self._store.points, self.radius)[0]
         qa, _ = minip_transform_query(q, 1.0)
         picks = rng.choice(self.pool, size=self.samples, replace=False)
-        R = np.concatenate([self._factor(int(j)) for j in picks])
+        R = np.concatenate(self._factors_of(picks.tolist()))
         shape = (-1, self.samples, len(R) // self.samples)
         sq = np.empty((len(aug), self.samples))  # (m, samples) squared distances
         for lo in range(0, len(aug), BLOCK_ROWS):
@@ -180,6 +186,15 @@ class InnerProductEstimator:
             raise NotFound("query on an estimator whose points were all deleted")
         d = self.distance_estimates(q, rng)
         return int(self._store.ids[np.argmax(d)])  # first maximum: the lowest id
+
+
+@lru_cache(maxsize=None)
+def _below_diagonal(p: int) -> np.ndarray:
+    """Read-only mask of the entries below the diagonal of a p x p matrix:
+    row-major, so it fills np.tril_indices(p, -1) order."""
+    mask = np.tri(p, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:

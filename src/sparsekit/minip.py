@@ -2,26 +2,37 @@
 
 Pipeline: unit-sphere points are sketched by every member of an ensemble of
 seeded tensor JL transforms; each sketch carries a battery of independent
-furthest-neighbor replicas over the sketched points.  A query samples a few
-ensemble members, quantizes each sketched query to a lambda-grid (so replica
-success generalizes over a net of possible queries), asks the replicas for
-far points, and converts distance back to inner product through
-<p, x> = 1 - ||p - x||^2 / 2.  Candidates violating the advertised bound
-tau/c + lambda_tilde are discarded, so a returned point never violates it.
-The index takes unit vectors only: a caller maps raw rows with
-minip_transform_dataset first, under one D_X for every row it will store.
-Sizes read the package's failure probability afn.DELTA.  The index has one
-size: each sketch is SKETCH_DIM = 16 rows in SKETCH_BLOCKS = 4 blocks, and
-the replica, ensemble, sample and AFN counts are their formulas times
-afn.SCALE = 0.25.
+furthest-neighbor replicas over the sketched points.  A query samples
+_sample_count ensemble members, quantizes each sketched query to a
+lambda-grid (so replica success generalizes over a net of possible
+queries), asks the replicas for far points, and converts distance back to
+inner product through <p, x> = 1 - ||p - x||^2 / 2.  Candidates violating
+the advertised bound tau/c + lambda_tilde are discarded, so a returned
+point never violates it.  The index takes unit vectors only: a caller maps
+raw rows with minip_transform_dataset first, under one D_X for every row it
+will store.  Sizes read the package's failure probability afn.DELTA.  The
+index has one size: each sketch is SKETCH_DIM = 16 rows in SKETCH_BLOCKS =
+4 blocks, and the replica, ensemble, sample and AFN counts are their
+formulas times afn.SCALE = 0.25.
+
+At that size the sample count is 1 for every ensemble, min(k, max(1,
+ceil(SCALE ln 16))) = 1, so each query reads the battery of one sketch,
+sampled afresh, and no answer combines independently sampled sketches.
+Robustness to adaptive queries then rests on that fresh sample alone:
+however a query was chosen, it meets a uniformly random member, so it fails
+with at most the share of members that fail on it, with no vote across
+members to shrink that share.  Within the member, the kappa replicas and
+the lambda-grid carry a replica's success over to nearby queries, and the
+bound check makes a failure a Fail (None), never a wrong point.
 
 The index owns one PointStore of raw points and one of sketched points per
 ensemble member; a build applies each sketch to the whole point stack in
 one call.  The kappa replicas of one sketch form its battery: one
-AfnStructure over kappa seeds, whose replicas are drawn, sorted and
-searched in lockstep as arrays (see afn).  A battery is built on demand,
-the first time a query samples its sketch (battery(j)), with the sizes an
-eager build would give it and seeds derived from (j, replica) alone, so a
+AfnStructure over kappa Philox keys, one replica per key, whose replicas
+are drawn, sorted and searched in lockstep as arrays (see afn).  A battery
+is built on demand, the first time a query samples its sketch
+(battery(j)), with the sizes an eager build would give it and keys derived
+from (j, replica) alone, all kappa in one afn.philox_keys pass, so a
 KS solve that samples half the sketches builds half the batteries and
 answers the same.  A battery reads its sketch's store and holds only its
 replicas' directions and sorted (key, id) rows.  The index alone changes
@@ -46,7 +57,7 @@ import math
 
 import numpy as np
 
-from .afn import DELTA, SCALE, AfnStructure
+from .afn import DELTA, SCALE, AfnStructure, philox_keys
 from .errors import ConfigError, DimensionMismatch, PreconditionViolation
 from .pointstore import PointStore
 from .sketch import SketchEnsemble, ensemble_size_default
@@ -205,7 +216,7 @@ class RobustMinIpIndex:
     def battery(self, j: int) -> AfnStructure:
         """The AFN battery of kappa replicas over sketch j's store, built on first use.
 
-        Replica r is seeded by its path, SeedSequence(seed + 1,
+        Replica r is keyed by its path, the key of SeedSequence(seed + 1,
         spawn_key=(j, r, 0)), whatever was built before, and the battery is
         sized from the store's initial count, so a battery built after
         deletes and inserts is the one an eager build would hold.
@@ -213,9 +224,8 @@ class RobustMinIpIndex:
         battery = self._batteries[j]
         if battery is None:
             # the trailing 0, a removed copy layer's index, keeps the recorded outputs
-            root = self.seed + 1
-            seeds = [np.random.SeedSequence(root, spawn_key=(j, r, 0)) for r in range(self.kappa)]
-            battery = self._batteries[j] = AfnStructure(self._stores[j], self.cbar, seeds)
+            keys = philox_keys(self.seed + 1, j, np.arange(self.kappa), 0)
+            battery = self._batteries[j] = AfnStructure(self._stores[j], self.cbar, keys)
         return battery
 
     def _validate_window(self):

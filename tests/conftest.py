@@ -17,6 +17,21 @@ def random_isotropic_family(m, d, rng):
     return whiten(VectorFamily(raw))
 
 
+def count_full_passes(monkeypatch, module, m) -> list:
+    """Wrap `module`'s quadratic_forms; the list returned grows by one entry
+    at each call over all m rows, a full pass of the exact scan."""
+    full = []
+    original = module.quadratic_forms
+
+    def counting(V, M):
+        if len(V) == m:
+            full.append(m)
+        return original(V, M)
+
+    monkeypatch.setattr(module, "quadratic_forms", counting)
+    return full
+
+
 def random_ks_family(d, N, rng):
     """m = d N vectors of norm exactly 1/sqrt(N) with Gram matrix I.
 

@@ -17,11 +17,17 @@ from sparsekit.afn import (
     _direction_count,
     _search_rounds,
     gaussian_matrix,
+    philox_keys,
     solve_threshold,
 )
 from sparsekit.errors import DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.pointstore import PointStore
 from sparsekit.sortedlist import SortedKeyList
+
+
+def keys_of(seeds):
+    """One Philox key per int seed: row i keys the stream np.random.Philox(seeds[i]) draws."""
+    return np.concatenate([philox_keys(seed) for seed in seeds])
 
 
 def store_of(pairs):
@@ -109,20 +115,107 @@ class TestThresholdSolver:
 
 class TestGaussianMatrix:
     def test_reproducible(self):
-        a = gaussian_matrix(5, 7, [13])
-        b = gaussian_matrix(5, 7, [13])
+        a = gaussian_matrix(5, 7, philox_keys(13))
+        b = gaussian_matrix(5, 7, philox_keys(13))
         assert a.shape == (1, 5, 7) and np.array_equal(a, b)
 
     def test_moments(self):
-        g = gaussian_matrix(200, 200, [1]).ravel()
+        g = gaussian_matrix(200, 200, philox_keys(1)).ravel()
         assert abs(g.mean()) <= 0.02
         assert abs(g.std() - 1.0) <= 0.02
 
     def test_each_replica_draws_what_one_generator_draws(self):
         seeds = np.random.SeedSequence(3).spawn(5)
-        stacked = gaussian_matrix(2, 6, seeds)
+        stacked = gaussian_matrix(2, 6, philox_keys(3, np.arange(5)))
         for g, seed in zip(stacked, seeds, strict=True):
             assert np.array_equal(g, oracle_gaussian(2, 6, seed))
+
+
+    # keys of SeedSequence(e, spawn_key=(r,)) for r = 0..count-1, against the
+    # Generator.random draws of each child's own Philox stream
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 7),
+        count=st.integers(1, 6),
+        entropy=st.integers(0, 2**70),
+    )
+    def test_rows_are_the_streams_of_their_seed_sequences(self, rows, cols, count, entropy):
+        stacked = gaussian_matrix(rows, cols, philox_keys(entropy, np.arange(count)))
+        assert stacked.shape == (count, rows, cols)
+        for r, g in enumerate(stacked):
+            child = np.random.SeedSequence(entropy, spawn_key=(r,))
+            assert np.array_equal(g, oracle_gaussian(rows, cols, child))
+
+    @pytest.mark.parametrize("n", [5, 6])  # an odd and an even rows * cols
+    def test_raw_words_are_philox_random_raw(self, n):
+        """(raw >> 11) * 2^-53 of the first 2n raw words, as Box-Muller reads them."""
+        seq = [np.random.SeedSequence(9, spawn_key=(2, r, 0)) for r in range(3)]
+        stacked = gaussian_matrix(1, n, philox_keys(9, 2, np.arange(3), 0))
+        for g, child in zip(stacked, seq, strict=True):
+            u = (np.random.Philox(child).random_raw(2 * n) >> 11) * 2.0**-53
+            want = np.sqrt(-2.0 * np.log(1.0 - u[:n])) * np.cos(2.0 * np.pi * u[n:])
+            assert np.array_equal(g.ravel(), want)
+
+
+#: spawn words, with both ends of the 32-bit range drawn often
+SPAWN_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+#: entropy as SeedSequence takes it: an int of any width, or a tuple of them
+ENTROPY = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11]),
+    st.integers(0, 2**160),
+    st.tuples(*[st.integers(0, 2**40)] * 2),
+    st.lists(st.integers(0, 2**70), max_size=6).map(tuple),
+)
+
+
+class TestPhiloxKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(entropy=ENTROPY, spawn=st.lists(SPAWN_WORD, max_size=5))
+    def test_a_key_is_the_seed_sequence_state(self, entropy, spawn):
+        seq = np.random.SeedSequence(entropy, spawn_key=spawn)
+        keys = philox_keys(entropy, *spawn)
+        assert keys.shape == (1, 2) and keys.dtype == np.uint64
+        assert np.array_equal(keys[0], seq.generate_state(2, np.uint64))
+        # the key Philox takes from that SeedSequence: the same stream
+        want = np.random.Philox(seq).random_raw(9)
+        assert np.array_equal(np.random.Philox(key=keys[0]).random_raw(9), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entropy=ENTROPY,
+        head=st.lists(SPAWN_WORD, max_size=2),
+        column=st.lists(SPAWN_WORD, min_size=1, max_size=8),
+        tail=st.lists(SPAWN_WORD, max_size=2),
+    )
+    def test_array_words_broadcast_row_by_row(self, entropy, head, column, tail):
+        keys = philox_keys(entropy, *head, np.array(column), *tail)
+        assert keys.shape == (len(column), 2)
+        for key, word in zip(keys, column, strict=True):
+            seq = np.random.SeedSequence(entropy, spawn_key=(*head, word, *tail))
+            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+
+    def test_entropy_from_a_fresh_seed_sequence(self):
+        entropy = np.random.SeedSequence().entropy  # 128 random bits
+        keys = philox_keys(entropy, np.arange(4), 7)
+        for r, key in enumerate(keys):
+            seq = np.random.SeedSequence(entropy, spawn_key=(r, 7))
+            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize(
+        "entropy, spawn",
+        [
+            (-1, ()),
+            ((3, -2), ()),
+            (5, (-1,)),
+            (5, (2**32,)),
+            (5, (np.array([1, 2**32]),)),
+            (5, (0.5,)),
+        ],
+    )
+    def test_a_negative_entropy_or_a_word_outside_32_bits_is_refused(self, entropy, spawn):
+        with pytest.raises(ValueError):
+            philox_keys(entropy, *spawn)
 
 
 def oracle_gaussian(rows, cols, seed):
@@ -238,7 +331,7 @@ class TestBatteryAgainstOracle:
         pool = np.vstack([POOL, rng.standard_normal((3, 3))])
         store = PointStore(pool[initial])
         seeds = [seed + i for i in range(replicas)]
-        afn = AfnStructure(store, cbar, seeds)
+        afn = AfnStructure(store, cbar, keys_of(seeds))
         oracles = [OracleAfn(store, cbar, s) for s in seeds]
         for op, k in ops + [("query", 0)]:
             if op == "insert" or (op == "delete" and len(store) == 1):
@@ -256,7 +349,7 @@ class TestBatteryAgainstOracle:
                 assert (hits is None) == (not expected)
                 if hits is not None:
                     assert hits.tolist() == expected
-                late = AfnStructure(store, cbar, seeds).query(q)  # built after the updates
+                late = AfnStructure(store, cbar, keys_of(seeds)).query(q)  # built after the updates
                 assert (late is None) == (hits is None)
                 if late is not None:
                     assert late.tolist() == hits.tolist()
@@ -276,7 +369,7 @@ class TestBatteryAgainstOracle:
             for pid in range(0, n, 5):
                 store.remove(pid)
             seeds = list(range(6))
-            dfn = DfnStructure(store, cbar, seeds)
+            dfn = DfnStructure(store, cbar, keys_of(seeds))
             assert dfn.ell >= 2
             oracles = [OracleDfn(store, cbar, s) for s in seeds]
             for _ in range(20):
@@ -288,7 +381,7 @@ class TestBatteryAgainstOracle:
     def test_zero_boxwidth_every_replica_answers_the_lowest_id(self):
         store = PointStore(np.tile(POOL[1], (4, 1)))
         store.remove(0)
-        afn = AfnStructure(store, 1.5, range(3))
+        afn = AfnStructure(store, 1.5, keys_of(range(3)))
         oracles = [OracleAfn(store, 1.5, s) for s in range(3)]
         q = np.array([5.0, 0.0, 0.0])
         assert afn.query(q).tolist() == [o.query(q) for o in oracles] == [1, 1, 1]
@@ -296,13 +389,13 @@ class TestBatteryAgainstOracle:
 
 class TestDfn:
     def test_single_point_in_every_list(self):
-        dfn = DfnStructure(PointStore([[1.0, 2.0]]), cbar=2.0, seeds=[3])
+        dfn = DfnStructure(PointStore([[1.0, 2.0]]), cbar=2.0, keys=philox_keys(3))
         assert dfn.keys.shape == dfn.ids.shape == (dfn.ell, 1)
         assert dfn.directions.shape == (1, dfn.ell, 2)
 
     def test_projection_fidelity(self, rng):
         pts = [(i, rng.standard_normal(6)) for i in range(40)]
-        dfn = DfnStructure(store_of(pts), cbar=2.0, seeds=[5, 6])
+        dfn = DfnStructure(store_of(pts), cbar=2.0, keys=keys_of([5, 6]))
         for row, stored in enumerate(rows_of(dfn, dfn.store)):
             direction = dfn.directions[row // dfn.ell, row % dfn.ell]
             expected = sorted((float(direction @ p), pid) for pid, p in pts)
@@ -313,7 +406,7 @@ class TestDfn:
     def test_projection_fidelity_after_updates(self, rng):
         pts = [(i, rng.standard_normal(4)) for i in range(20)]
         store = store_of(pts)
-        dfn = DfnStructure(store, cbar=2.0, seeds=[8, 9])
+        dfn = DfnStructure(store, cbar=2.0, keys=keys_of([8, 9]))
         live = dict(pts)
         for _ in range(200):
             if rng.random() < 0.5 and live:
@@ -335,20 +428,20 @@ class TestDfn:
 
     def test_forced_answer_when_one_point_qualifies(self):
         pts = [(0, np.array([0.0, 0.0])), (1, np.array([10.0, 0.0]))]
-        dfn = DfnStructure(store_of(pts), cbar=2.0, seeds=range(100))
+        dfn = DfnStructure(store_of(pts), cbar=2.0, keys=keys_of(range(100)))
         hits = dfn.query(np.array([0.0, 0.0]), r=5.0)
         assert set(hits.tolist()) <= {-1, 1}  # only (10, 0) is at distance >= 2.5
         assert (hits == 1).sum() >= 50  # success with constant probability per replica
 
     def test_all_points_too_close_always_fail(self, rng):
         pts = [(i, 0.01 * rng.standard_normal(3)) for i in range(20)]
-        dfn = DfnStructure(store_of(pts), cbar=2.0, seeds=[4, 5, 6])
+        dfn = DfnStructure(store_of(pts), cbar=2.0, keys=keys_of([4, 5, 6]))
         q = np.zeros(3)
         assert dfn.query(q, r=10.0).tolist() == [-1, -1, -1]
 
     def test_soundness_postcheck(self, rng):
         pts = [(i, rng.standard_normal(5)) for i in range(50)]
-        dfn = DfnStructure(store_of(pts), cbar=1.5, seeds=range(9, 13))
+        dfn = DfnStructure(store_of(pts), cbar=1.5, keys=keys_of(range(9, 13)))
         for _ in range(50):
             q = rng.standard_normal(5)
             r = rng.uniform(0.5, 4.0, dfn.replicas)
@@ -357,7 +450,7 @@ class TestDfn:
                     assert np.linalg.norm(dfn.store[pid] - q) >= radius / dfn.cbar
 
     def test_nonpositive_radius_raises(self):
-        dfn = DfnStructure(PointStore([[0.0], [1.0]]), cbar=2.0, seeds=[0, 1])
+        dfn = DfnStructure(PointStore([[0.0], [1.0]]), cbar=2.0, keys=keys_of([0, 1]))
         with pytest.raises(ValueError):
             dfn.query(np.zeros(1), [1.0, 0.0])
 
@@ -371,7 +464,7 @@ class TestDfn:
     def test_query_skips_removed_ids_like_lists_of_live_pairs(self, n0, ops, seed):
         rng = np.random.default_rng(seed)
         store = PointStore(rng.standard_normal((n0, 3)))
-        dfn = DfnStructure(store, cbar=2.0, seeds=[seed, seed + 1])
+        dfn = DfnStructure(store, cbar=2.0, keys=keys_of([seed, seed + 1]))
         removed = set()
         for remove, pick in ops:
             if remove and len(store):
@@ -403,13 +496,13 @@ class TestDfn:
         rng = np.random.default_rng(seed)
         store = PointStore(rng.standard_normal((n0, 3)))
         seeds = [seed, seed + 1]
-        early = DfnStructure(store, cbar=2.0, seeds=seeds)
+        early = DfnStructure(store, cbar=2.0, keys=keys_of(seeds))
         for remove, pick in ops:
             if remove and len(store) > 1:
                 store.remove(int(store.ids[pick % len(store)]))
             else:
                 early.insert(store.add(rng.standard_normal(3)))
-        late = DfnStructure(store, cbar=2.0, seeds=seeds)
+        late = DfnStructure(store, cbar=2.0, keys=keys_of(seeds))
         assert (late.n0, late.ell, late.t) == (early.n0, early.ell, early.t)
         # bit-equal keys; the early rows may also hold ids added and removed since
         assert rows_of(late, store) == rows_of(early, store)
@@ -423,7 +516,7 @@ class TestDfn:
         store = PointStore(rng.standard_normal((200, 3)))
         for pid in range(0, 60, 3):
             store.remove(pid)
-        dfn = DfnStructure(store, cbar=2.0, seeds=[11])
+        dfn = DfnStructure(store, cbar=2.0, keys=philox_keys(11))
         assert dfn.ell == 2
         cap = 2 * dfn.ell + 1
         spanned = False
@@ -451,7 +544,7 @@ class TestDfn:
     def test_shared_distance_table_matches_fresh_queries(self, rng):
         pts = [(i, rng.standard_normal(4)) for i in range(30)]
         store = store_of(pts)
-        dfn = DfnStructure(store, cbar=1.5, seeds=[2, 3])
+        dfn = DfnStructure(store, cbar=1.5, keys=keys_of([2, 3]))
         q = rng.standard_normal(4)
         store.remove(7)
         probe = dfn.probe(q)
@@ -475,7 +568,7 @@ class TestPointStore:
     def test_boxwidth_single_point(self):
         store = PointStore([[3.0, 4.0]])
         assert store.boxwidth == 0.0
-        assert AfnStructure(store, 2.0, [0]).query(np.array([0.0, 0.0])).tolist() == [0]
+        assert AfnStructure(store, 2.0, philox_keys(0)).query(np.array([0.0, 0.0])).tolist() == [0]
 
     def test_boxwidth_of_an_emptied_store_is_not_found(self):
         store = PointStore([[3.0, 4.0], [5.0, 6.0]])
@@ -545,7 +638,7 @@ class TestPointStore:
 class TestAfn:
     def test_forced_two_point_instance(self):
         pts = [(0, np.zeros(4)), (1, np.array([1.0, 0.0, 0.0, 0.0]))]
-        hits = AfnStructure(store_of(pts), cbar=2.0, seeds=range(40)).query(np.zeros(4))
+        hits = AfnStructure(store_of(pts), cbar=2.0, keys=keys_of(range(40))).query(np.zeros(4))
         assert set(hits.tolist()) == {1}
         assert len(hits) >= 20
 
@@ -557,7 +650,7 @@ class TestAfn:
         for seed in range(10):
             pts_arr = rng.standard_normal((n, d))
             pts_arr /= np.linalg.norm(pts_arr, axis=1)[:, None]
-            afn = AfnStructure(PointStore(pts_arr), cbar, [seed])
+            afn = AfnStructure(PointStore(pts_arr), cbar, philox_keys(seed))
             for _ in range(20):
                 q = rng.standard_normal(d)
                 q /= np.linalg.norm(q)
@@ -575,7 +668,7 @@ class TestAfn:
 
     def test_far_query_any_point_fine(self, rng):
         pts_arr = rng.standard_normal((50, 4))
-        afn = AfnStructure(PointStore(pts_arr), 2.0, [6])
+        afn = AfnStructure(PointStore(pts_arr), 2.0, philox_keys(6))
         center = pts_arr.mean(axis=0)
         q = center + 1000.0 * np.ones(4)
         hit = afn.query(q)

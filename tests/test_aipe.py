@@ -101,7 +101,8 @@ def per_sketch_estimates(est: InnerProductEstimator, q, rng) -> np.ndarray:
     qa, _ = minip_transform_query(q, 1.0)
     diff = aug - qa
     picks = rng.choice(est.pool, size=est.samples, replace=False)
-    return np.median([np.linalg.norm(diff @ est._factor(int(j)).T, axis=1) for j in picks], axis=0)
+    factors = est._factors_of(picks.tolist())
+    return np.median([np.linalg.norm(diff @ R.T, axis=1) for R in factors], axis=0)
 
 
 # (c, tau) = (0.9, 0.5), expdesign-aipe's window, asks (1 + eps)^2 = 1.125
@@ -203,7 +204,7 @@ def test_tall_factor_has_the_gaussian_sketch_law(s_dim):
     p, members = DIM + 2, 2000
     est = InnerProductEstimator(np.eye(DIM), math.sqrt(8.0 / (s_dim - 0.5)), SEED)
     assert est.s_dim == s_dim
-    assert_gaussian_sketch_law((est._factor(j) for j in range(members)), s_dim, p)
+    assert_gaussian_sketch_law(est._factors_of(list(range(members))), s_dim, p)
     rng = np.random.default_rng(5)
     explicit = (rng.standard_normal((s_dim, p)) / math.sqrt(s_dim) for _ in range(members))
     assert_gaussian_sketch_law(explicit, s_dim, p)
@@ -318,6 +319,30 @@ def test_same_seed_same_answers():
             a.distance_estimates(q, np.random.default_rng(t)),
             b.distance_estimates(q, np.random.default_rng(t)),
         )
+
+
+def test_two_estimators_queried_interleaved_answer_as_each_alone():
+    """The factors two estimators draw in turn, cold on each query, come out
+    as each draws them alone: no generator state is shared."""
+    rng = np.random.default_rng(12)
+    points = rng.standard_normal((40, DIM))
+    queries = [unit(rng.standard_normal(DIM)) for _ in range(8)]
+    seeds, eps = (SEED, SEED + 1), EXPDESIGN_EPS  # tall factors: normals, then chi-squares
+    pair = [InnerProductEstimator(points, eps, seed) for seed in seeds]
+    interleaved = [[], []]
+    for t, q in enumerate(queries):
+        for side in (0, 1):
+            interleaved[side].append(pair[side].distance_estimates(q, np.random.default_rng(t)))
+    for side, seed in enumerate(seeds):
+        alone = InnerProductEstimator(points, eps, seed)
+        for t, (q, got) in enumerate(zip(queries, interleaved[side], strict=True)):
+            np.testing.assert_array_equal(got, alone.distance_estimates(q, np.random.default_rng(t)))
+    assert not np.array_equal(pair[0]._factors_of([0])[0], pair[1]._factors_of([0])[0])
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError):
+        InnerProductEstimator(np.eye(DIM), 0.5, -1)
 
 
 def test_errors_are_taxonomy_errors():

@@ -5,7 +5,7 @@ input data a structure cannot take."""
 import numpy as np
 import pytest
 
-from sparsekit.afn import DfnStructure
+from sparsekit.afn import DfnStructure, philox_keys
 from sparsekit.errors import ConfigError, PreconditionViolation, SparsekitError
 from sparsekit.hashing import PolyHash
 from sparsekit.minip import RobustMinIpIndex, minip_transform_dataset, minip_transform_query
@@ -22,7 +22,9 @@ CASES = {
     ),
     "dfn-radius": (
         ConfigError,
-        lambda: DfnStructure(PointStore([[0.0], [1.0]]), 2.0, [0]).query(np.zeros(1), 0.0),
+        lambda: DfnStructure(PointStore([[0.0], [1.0]]), 2.0, philox_keys(0)).query(
+            np.zeros(1), 0.0
+        ),
     ),
     "polyhash-k": (ConfigError, lambda: PolyHash(1, 13, seed=0)),
     "polyhash-range": (ConfigError, lambda: PolyHash(2, 0, seed=0)),

@@ -19,7 +19,7 @@ from sparsekit.kadison_singer import ks_select
 from sparsekit.linalg import EigenDecomposition
 from sparsekit.minip import MinIpConfig
 
-from conftest import harmonic_frame, random_ks_family
+from conftest import count_full_passes, harmonic_frame, random_ks_family
 from test_solvers_golden import KS_C, KS_TAU
 
 #: each backend's bound on the final norm, in units of a_n
@@ -43,6 +43,23 @@ def test_every_backend_keeps_its_norm_bound(shape, seed):
             assert norm < a_n
         else:
             assert norm <= factor * a_n
+
+
+@pytest.mark.parametrize("backend", ["afn", "aipe"])
+def test_an_accelerated_solve_makes_no_full_pass(monkeypatch, backend):
+    """At ks-afn's shape, (d, N) = (2, 8) and n = m/2, over 5 seeds: every
+    proposal verifies, and no call scores all m rows; the exact backend,
+    as a control, makes one such call per step."""
+    d, N = 2, 8
+    full = count_full_passes(monkeypatch, kadison_singer, d * N)
+    for seed in range(5):
+        family = random_ks_family(d, N, np.random.default_rng(seed))
+        n = family.count // 2
+        result = ks_select(family, N, n, backend=backend, c=KS_C, tau=KS_TAU, seed=seed)
+        assert (len(full), result.fallbacks) == (0, 0)
+        ks_select(family, N, n)
+        assert len(full) == n
+        full.clear()
 
 
 def test_a_frame_whose_m_is_not_d_times_a_double_is_accepted():

@@ -326,6 +326,32 @@ def test_lazy_batteries_answer_like_forced_ones(initial, ops, seed):
     assert same_answer(lazy.query(x, rng_lazy), forced.query(x, rng_forced))
 
 
+def test_two_indexes_queried_interleaved_answer_as_each_alone(rng):
+    """Batteries built and queried in turn over two indexes draw no shared
+    generator state: each answers as a twin of it queried alone does."""
+    pts = unit_rows(rng, 24, 4)
+    queries = unit_rows(rng, 12, 4)
+    pair = [RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=seed) for seed in (3, 4)]
+    rngs = [np.random.default_rng(seed) for seed in (3, 4)]
+    interleaved = [[], []]
+    for x in queries:
+        for side in (0, 1):
+            interleaved[side].append(pair[side].query(x, rngs[side]))
+    for side, seed in enumerate((3, 4)):
+        alone = RobustMinIpIndex(pts, c=0.505, tau=0.5, seed=seed)
+        alone_rng = np.random.default_rng(seed)
+        for x, got in zip(queries, interleaved[side], strict=True):
+            assert same_answer(got, alone.query(x, alone_rng))
+        assert any(got is not None for got in interleaved[side])
+
+
+def test_a_query_samples_one_sketch_at_the_index_size():
+    """_sample_count(SKETCH_DIM, k) = min(k, max(1, ceil(SCALE ln 16))) = 1
+    for every ensemble size k: at the index's one size no answer combines
+    sampled sketches (see the module docstring)."""
+    assert {minip._sample_count(minip.SKETCH_DIM, k) for k in range(1, 201)} == {1}
+
+
 def test_a_query_builds_kappa_replicas_per_new_sketch(monkeypatch, rng):
     built = []  # (store, replica count) of every AfnStructure built
 

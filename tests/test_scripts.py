@@ -45,11 +45,14 @@ def test_sweep_afn_builds_the_ks_afn_index():
     assert set(phases) == {"build", "battery", "insert"}
     for stage in phases.values():
         assert set(stage) == {
-            "sketch", "directions", "keys", "inserts", "other", "traced_total"
+            "sketch", "seeds", "directions", "keys", "inserts", "other", "traced_total"
         }
-    # the eager build draws no directions; a battery draws, projects and sorts
-    assert phases["build"]["directions"] == 0.0 and phases["build"]["sketch"] > 0.0
-    assert phases["battery"]["directions"] > 0.0 and phases["battery"]["keys"] > 0.0
+    # the eager build keys and draws no directions; a battery keys, draws,
+    # projects and sorts
+    assert phases["build"]["seeds"] == phases["build"]["directions"] == 0.0
+    assert phases["build"]["sketch"] > 0.0
+    assert phases["battery"]["seeds"] > 0.0 and phases["battery"]["directions"] > 0.0
+    assert phases["battery"]["keys"] > 0.0
     assert phases["insert"]["inserts"] > 0.0 and phases["insert"]["keys"] == 0.0
 
 

@@ -13,7 +13,7 @@ from sparsekit.errors import BarrierViolation, ConfigError, NoPositiveEntry, NoW
 from sparsekit.errors import NumericalWarning
 from sparsekit.linalg import VectorFamily
 
-from conftest import paired_angle_family, random_isotropic_family
+from conftest import count_full_passes, paired_angle_family, random_isotropic_family
 
 SOLVERS = {"reference": sparsifier.bss_reference, "fast": sparsifier.sparsify_fast}
 FULL_SCAN = linalg.quadratic_forms
@@ -273,6 +273,16 @@ def test_reference_first_witness_past_the_first_chunk(monkeypatch):
     picks, trace = check_reference_picks(monkeypatch, family)
     assert family.count == 96 and max(picks) >= sparsifier.SCAN_CHUNK
     assert trace.rows_read < len(picks) * family.count
+
+
+def test_fast_path_makes_no_full_pass_when_every_proposal_verifies(monkeypatch):
+    """2,000 whitened Gaussian rows in R^8 at eps = 0.5: the tree's every
+    answer verifies, and no call reads all m rows."""
+    family = random_isotropic_family(2000, 8, np.random.default_rng(0))
+    full = count_full_passes(monkeypatch, sparsifier, family.count)
+    _, _, trace = sparsifier.sparsify_fast(family, 0.5)
+    assert trace.fallbacks == 0
+    assert full == []
 
 
 def test_fast_path_reads_no_rows(rng):
