@@ -171,9 +171,9 @@ def philox_keys(entropy, *spawn_key) -> np.ndarray:
 
 
 def rekey(bitgen: np.random.Philox, key) -> None:
-    """Restart `bitgen` at the start of the stream `key` (two uint64 words)
-    keys: counter 0 and an empty buffer, the state np.random.Philox(key=key)
-    starts in."""
+    """Restart `bitgen` at the start of the stream that `key` (two uint64
+    words) names: counter 0 and an empty buffer, the state
+    np.random.Philox(key=key) starts in."""
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": key},
