@@ -2,11 +2,12 @@
 
 A battery is R independent replicas of one structure, held in arrays and
 queried in lockstep: one replica per key, and R = 1 is one structure.  A
-key is the two 64-bit words that key a counter-based Philox stream
-(Salmon et al., SC'11), so R streams cost R keys: philox_keys derives them
-all in one vectorized pass, each equal to what SeedSequence(entropy,
-spawn_key=...) hands np.random.Philox, and gaussian_matrix reads every
-stream through one Philox bit generator restarted at each key.
+key is the two 64-bit words that key a counter-based Philox stream (Salmon
+et al., SC'11), so R streams cost R keys.  philox_keys derives each as
+SeedSequence(entropy, spawn_key=...) hands it to np.random.Philox: numpy's
+SeedSequence mixes the entropy and the leading int spawn words once, and
+one vectorized pass mixes the rest into all R and hashes them out.
+gaussian_matrix reads each stream from one Philox bit generator, rekeyed.
 
 Neither structure holds points.  Both read coordinates from a PointStore
 that their owner fills and empties; `insert(pid)` indexes a point the owner
@@ -87,18 +88,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4  # 32-bit words in a SeedSequence pool
 
 
-def _words(entropy) -> list:
-    """Entropy as SeedSequence reads it: 32-bit words, least significant first."""
+def _words(entropy) -> int:
+    """How many 32-bit words SeedSequence reads from `entropy`."""
     if isinstance(entropy, (int, np.integer)):
-        entropy = int(entropy)
-        if entropy < 0:
-            raise ValueError("expected non-negative integer")
-        words = [entropy & _MASK32]
-        while entropy > _MASK32:
-            entropy >>= 32
-            words.append(entropy & _MASK32)
-        return words
-    return [word for item in entropy for word in _words(item)]
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(_words(item) for item in entropy)
 
 
 def _spawn_word(word) -> np.ndarray:
@@ -108,23 +102,21 @@ def _spawn_word(word) -> np.ndarray:
     return word.astype(np.uint32)
 
 
-def _hash(value, pre, post):
-    """SeedSequence's hashmix under constant `pre`, which multiplies to `post`;
-    Python ints or uint32 arrays alike."""
-    value = (value ^ pre) * post & _MASK32
+def _consts(first: int, mult: int, start: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants first * mult**k mod 2**32, k = start..start + count."""
+    head = first * pow(mult, start, 1 << 32) & _MASK32
+    return np.array([head] + [mult] * count, np.uint32).cumprod(dtype=np.uint32)[:, None]
+
+
+def _hash(value, const):
+    """SeedSequence's hashmix of uint32 arrays: row k under const[k], times const[k + 1]."""
+    value = (value ^ const[:-1]) * const[1:]
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    x = _MIX_L * x - _MIX_R * y
     return x ^ x >> 16
-
-
-def _consts(first: int, mult: int, count: int) -> list:
-    out = [first]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
 
 
 def philox_keys(entropy, *spawn_key) -> np.ndarray:
@@ -135,37 +127,26 @@ def philox_keys(entropy, *spawn_key) -> np.ndarray:
     `entropy` is a non-negative int or a sequence of them, as SeedSequence
     accepts.  Each spawn word is an int below 2**32 or an array of them;
     arrays broadcast, and count is the size of their broadcast (1 when
-    every word is an int).  SeedSequence's 32-bit hash-mix runs once in
-    Python ints over the entropy and the leading int spawn words, then
-    over uint32 arrays, all four pool words at once, for the rest.
+    every word is an int).  Numpy's SeedSequence mixes the entropy and the
+    leading int spawn words into one pool of four words; this function
+    then mixes the rest, from the first array on, into all count rows at
+    once, and hashes each row out as generate_state does.
     """
-    words = _words(entropy)
-    # a spawned SeedSequence pads short entropy to the pool; an unspawned one
-    # hashes the missing words as 0, which is the same
-    words += [0] * (_POOL - len(words))
     spawn = [_spawn_word(word) for word in spawn_key]
-    while spawn and spawn[0].ndim == 0:  # mixed in as entropy words are
-        words.append(int(spawn.pop(0)))
-    # the first _POOL words take 4 hashes to fill and 12 to cross-mix, later ones 4 each
-    const = _consts(_INIT_A, _MULT_A, _POOL * (len(words) + len(spawn)))
-    pool = [_hash(word, const[i], const[i + 1]) for i, word in enumerate(words[:_POOL])]
-    i = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], const[i], const[i + 1]))
-                i += 1
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(word, const[i], const[i + 1]))
-            i += 1
-    state = np.array(pool, dtype=np.uint32)[:, None]  # (pool, count)
-    const = np.array(const, dtype=np.uint32)[:, None]
-    for word in np.broadcast_arrays(*spawn):
-        state = _mix(state, _hash(word.ravel(), const[i : i + _POOL], const[i + 1 : i + _POOL + 1]))
-        i += _POOL
-    const = np.array(_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint32)[:, None]
-    state = np.ascontiguousarray(_hash(state, const[:-1], const[1:]).T)
+    lead = next((i for i, word in enumerate(spawn) if word.ndim), len(spawn))
+    pool = np.random.SeedSequence(entropy, spawn_key=[int(w) for w in spawn[:lead]]).pool
+    # SeedSequence hashes 4 times to fill the pool, 12 to cross-mix it and 4
+    # per later word: 4 per word it reads, and it reads at least 4, since a
+    # spawned one pads short entropy to the pool and an unspawned one hashes
+    # the missing words as 0, which fills the same pool.  So the array
+    # words' hashes start at this constant.
+    start = _POOL * (max(_words(entropy), _POOL) + lead)
+    arrays = np.broadcast_arrays(*spawn[lead:])
+    const = _consts(_INIT_A, _MULT_A, start, _POOL * len(arrays))
+    state = pool[:, None]  # (pool, count)
+    for i, word in enumerate(arrays):
+        state = _mix(state, _hash(word.ravel(), const[_POOL * i : _POOL * (i + 1) + 1]))
+    state = np.ascontiguousarray(_hash(state, _consts(_INIT_B, _MULT_B, 0, _POOL)).T)
     # word pairs read little-endian, as generate_state reads them
     return state.astype("<u4").view("<u8").astype(np.uint64)
 

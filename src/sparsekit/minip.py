@@ -87,8 +87,8 @@ def minip_transform_dataset(X, D_X: float = None):
         D_X = float(norms.max())
     if not D_X > 0.0:  # False on NaN, so NaN is refused too
         raise PreconditionViolation("dataset diameter must be positive")
-    if np.any(norms > D_X * (1 + 1e-12)):
-        raise PreconditionViolation("a dataset point exceeds the stated diameter D_X")
+    if not np.all(norms <= D_X * (1 + 1e-12)):  # a NaN row fails too
+        raise PreconditionViolation("a dataset point is NaN or exceeds the stated diameter D_X")
     n, d = X.shape
     out = np.empty((n, d + 2))
     np.divide(X, D_X, out=out[:, :d])
@@ -108,8 +108,8 @@ def minip_transform_query(y, D_Y: float = None):
         D_Y = norm
     if not D_Y > 0.0:  # False on NaN, so NaN is refused too
         raise PreconditionViolation("query norm must be positive")
-    if norm > D_Y * (1 + 1e-12):
-        raise PreconditionViolation("query norm exceeds the stated D_Y")
+    if not norm <= D_Y * (1 + 1e-12):  # a NaN query fails too
+        raise PreconditionViolation("query norm is NaN or exceeds the stated D_Y")
     tail = math.sqrt(max(1.0 - (norm / D_Y) ** 2, 0.0))
     return np.concatenate([y / D_Y, [tail], [0.0]]), D_Y
 
@@ -180,7 +180,7 @@ class RobustMinIpIndex:
     def __init__(self, points, c: float, tau: float, seed: int):
         """Index `points`, one unit vector per row."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-9):  # NaN fails too
             raise PreconditionViolation("points must be unit vectors (see minip_transform_dataset)")
         self.tau = float(tau)
         self.c = float(c)
@@ -249,7 +249,7 @@ class RobustMinIpIndex:
             raise DimensionMismatch(
                 f"inserted points must have dim {self._points.dim}, not shape {p.shape}"
             )
-        if abs(np.linalg.norm(p) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(p) - 1.0) <= 1e-9:  # NaN fails too
             raise PreconditionViolation("inserted points must be unit vectors")
         pid = self._points.add(p)
         for sketch, store, battery in zip(self.ensemble.sketches, self._stores, self._batteries):
@@ -270,7 +270,7 @@ class RobustMinIpIndex:
     def query(self, x, rng: np.random.Generator):
         """Best (pid, point, ip) meeting the additive Min-IP bound, or None."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self._points.dim,) or abs(np.linalg.norm(x) - 1.0) > 1e-9:
+        if x.shape != (self._points.dim,) or not abs(np.linalg.norm(x) - 1.0) <= 1e-9:
             raise DimensionMismatch(f"query must be a unit vector of dim {self._points.dim}")
         count = _sample_count(SKETCH_DIM, len(self.ensemble))
         sampled = self.ensemble.sample(count, rng)

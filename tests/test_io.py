@@ -1,5 +1,7 @@
 """Matrix files: CSV and Matrix Market (array and coordinate) round trips."""
 
+import gzip
+
 import numpy as np
 import pytest
 import scipy.io
@@ -15,13 +17,16 @@ def sample_rows(rng) -> np.ndarray:
     return rows
 
 
-@pytest.mark.parametrize("name, header", [("rows.csv", None), ("rows.mtx", "array")])
+@pytest.mark.parametrize(
+    "name, header",
+    [("rows.csv", None), ("rows.mtx", "array"), ("rows.mtx.gz", "array")],
+)
 def test_dense_formats_round_trip(tmp_path, rng, name, header):
     rows = sample_rows(rng)
     path = str(tmp_path / name)
     write_matrix_file(path, rows)
     if header is not None:
-        with open(path) as f:
+        with (gzip.open if name.endswith(".gz") else open)(path, "rt") as f:
             assert header in f.readline()
     family = parse_matrix_file(path)
     assert np.array_equal(family.vectors, rows)
