@@ -1,4 +1,4 @@
-"""Wall time of the ks-afn RobustMinIpIndex by stage and phase: build, battery, insert.
+"""Wall time of the ks-afn RobustMinIpIndex by stage and phase: build, tables, battery, insert.
 
     PYTHONPATH=src python3 scripts/sweep_afn.py [--n 16 256 2048] [--repeats 3] [--inserts 8]
 
@@ -12,8 +12,12 @@ by afn.SCALE = 0.25.  The index builds the kappa AFN replicas of a sketch
 samples that sketch, so the stages are timed apart.  With BLAS on one
 thread (see sweeplib), each stage's median wall time over --repeats runs:
 
-    build_s    the eager part: MinIpBackend construction, which sketches the
-               rows into the 1 + k point stores and builds no replica
+    build_s    the eager part: MinIpBackend construction, which draws the
+               sketch ensemble, sketches the rows into the 1 + k point stores
+               and builds no replica
+    tables_s   the part of the build that draws the ensemble: the
+               SketchEnsemble construction, whose one generator draws every
+               member's hash polynomials and one Horner pass evaluates them
     battery_s  one battery, RobustMinIpIndex.battery(0), on a fresh index
     insert_s   one MinIpBackend.insert (the row's transform and
                RobustMinIpIndex.insert) into an index whose k batteries are
@@ -23,7 +27,8 @@ thread (see sweeplib), each stage's median wall time over --repeats runs:
     phases_s   one more run of each stage (the insert stage with the retire
                before each insert), with the calls below timed by self time
                (sweeplib.phase_times):
-      sketch      TensorSparseSketch.apply_flat
+      sketch      TensorSparseSketch.apply_flat (each member's scatter plan,
+                  applied by one bincount)
       seeds       afn.philox_keys, as RobustMinIpIndex.battery calls it (a
                   battery's kappa Philox keys, in one vectorized pass)
       directions  afn.gaussian_matrix (every replica's Gaussian directions:
@@ -33,7 +38,8 @@ thread (see sweeplib), each stage's median wall time over --repeats runs:
                   rows
       inserts     DfnStructure.insert (a late build's inserts, and each
                   insert into a built battery)
-      other       the rest of the traced stage: configs, stores
+      other       the rest of the traced stage: configs, the ensemble's
+                  table draw, stores
 
 The traced stage pays a wrapper per timed call, so its phases add up to
 more than the untraced time when a stage makes many calls.  A size whose
@@ -95,9 +101,11 @@ def measure(n: int, repeats: int, inserts: int, seed: int) -> dict:
         return {"n": n, "refused": str(err)}
     index = first._index
     rows = range(min(inserts, n))
-    build_walls, battery_walls, insert_walls = [], [], []
+    build_walls, tables_walls, battery_walls, insert_walls = [], [], [], []
     for r in range(repeats):
         build_walls.append(timed(lambda: build(X, seed + r))[0])
+        shape = dict(index.ensemble.descriptor(), master_seed=seed + r)
+        tables_walls.append(timed(lambda: sketch.SketchEnsemble(**shape))[0])
         fresh = build(X, seed + r)._index
         battery_walls.append(timed(lambda: fresh.battery(0))[0])
         insert_walls += insert_times(all_batteries(X, seed + r), rows)
@@ -113,6 +121,7 @@ def measure(n: int, repeats: int, inserts: int, seed: int) -> dict:
         "structures": len(index.ensemble) * index.kappa,
         "kappa": index.kappa,
         "build_s": round(statistics.median(build_walls), 6),
+        "tables_s": round(statistics.median(tables_walls), 6),
         "battery_s": round(statistics.median(battery_walls), 6),
         "insert_s": round(statistics.median(insert_walls), 6),
         "phases_s": {

@@ -89,17 +89,23 @@ _POOL = 4  # 32-bit words in a SeedSequence pool
 
 
 def _words(entropy) -> int:
-    """How many 32-bit words SeedSequence reads from `entropy`."""
+    """How many 32-bit words SeedSequence reads from `entropy`; TypeError on a str or bytes."""
     if isinstance(entropy, (int, np.integer)):
         return max(1, -(-int(entropy).bit_length() // 32))
+    if isinstance(entropy, (str, bytes)):  # SeedSequence would read '0x10' as 16
+        raise TypeError(f"entropy must be ints, not {entropy!r}")
     return sum(_words(item) for item in entropy)
 
 
-def _spawn_word(word) -> np.ndarray:
-    word = np.asarray(word)
-    if word.dtype.kind not in "ui" or (word < 0).any() or (word > _MASK32).any():
-        raise ValueError(f"each spawn word must be an int below 2**32, not {word!r}")
-    return word.astype(np.uint32)
+def _spawn_word(word):
+    """An int word as an int, an array word as uint32 (checked in numpy), each below 2**32."""
+    if type(word) is int or isinstance(word, np.integer):
+        if 0 <= word <= _MASK32:
+            return int(word)
+    elif (array := np.asarray(word)).dtype.kind in "ui":
+        if 0 <= array.min(initial=0) and array.max(initial=0) <= _MASK32:
+            return array.astype(np.uint32)
+    raise ValueError(f"each spawn word must be an int below 2**32, not {word!r}")
 
 
 def _consts(first: int, mult: int, start: int, count: int) -> np.ndarray:
@@ -133,15 +139,15 @@ def philox_keys(entropy, *spawn_key) -> np.ndarray:
     once, and hashes each row out as generate_state does.
     """
     spawn = [_spawn_word(word) for word in spawn_key]
-    lead = next((i for i, word in enumerate(spawn) if word.ndim), len(spawn))
-    pool = np.random.SeedSequence(entropy, spawn_key=[int(w) for w in spawn[:lead]]).pool
+    lead = next((i for i, word in enumerate(spawn) if getattr(word, "ndim", 0)), len(spawn))
     # SeedSequence hashes 4 times to fill the pool, 12 to cross-mix it and 4
     # per later word: 4 per word it reads, and it reads at least 4, since a
     # spawned one pads short entropy to the pool and an unspawned one hashes
     # the missing words as 0, which fills the same pool.  So the array
     # words' hashes start at this constant.
     start = _POOL * (max(_words(entropy), _POOL) + lead)
-    arrays = np.broadcast_arrays(*spawn[lead:])
+    pool = np.random.SeedSequence(entropy, spawn_key=[int(w) for w in spawn[:lead]]).pool
+    arrays = np.broadcast_arrays(*(np.asarray(word, np.uint32) for word in spawn[lead:]))
     const = _consts(_INIT_A, _MULT_A, start, _POOL * len(arrays))
     state = pool[:, None]  # (pool, count)
     for i, word in enumerate(arrays):

@@ -26,7 +26,8 @@ the lambda-grid carry a replica's success over to nearby queries, and the
 bound check makes a failure a Fail (None), never a wrong point.
 
 The index owns one PointStore of raw points and one of sketched points per
-ensemble member; a build applies each sketch to the whole point stack in
+ensemble member, whose hash polynomials one generator draws, each with its
+law (see sketch); a build applies each sketch to the whole point stack in
 one call.  The kappa replicas of one sketch form its battery: one
 AfnStructure over kappa Philox keys, one replica per key, whose replicas
 are drawn, sorted and searched in lockstep as arrays (see afn).  A battery

@@ -12,6 +12,8 @@ np.outer(u, v).ravel():
 
 Plus the adaptive-robust ensemble the Min-IP index uses: many independent
 small TensorSparseSketches, of which queries sample a few and keep the best.
+One generator draws all members' hash polynomials at once, and each hash
+keeps its law (see hashing).
 Sizes and hash independence read the package's failure probability afn.DELTA,
 and the ensemble size the package's size multiplier afn.SCALE.
 Sketches are immutable after construction and application is pure, so
@@ -27,7 +29,7 @@ import numpy as np
 
 from .afn import DELTA, SCALE
 from .errors import ConfigError, DimensionMismatch, PreconditionViolation
-from .hashing import PolyHash
+from .hashing import MERSENNE_P, poly_tables
 
 __all__ = [
     "TensorSrhtSketch",
@@ -60,10 +62,36 @@ def ensemble_size_default(d: int, m: int) -> int:
     return max(1, math.ceil(SCALE * (d + math.log(1.0 / DELTA)) * math.log(m * d)))
 
 
+def _sparse_plans(side: int, b: int, s: int, seed, count: int):
+    """(h1, h2, sg1, sg2, slots, weights) of `count` TensorSparseSketches, stacked.
+
+    One default_rng(seed) draws all 4 count hash polynomials in two calls,
+    every coefficient uniform in GF(2^61 - 1) and the leading ones nonzero,
+    as PolyHash draws one.  slots and weights, (count, s, side^2), hold the
+    output slot and the weight sigma1 sigma2/sqrt(s) of entry (i, j) in
+    block k: the scatter plan that apply_flat follows.
+    """
+    if side < 1:
+        raise ConfigError("side must be positive")
+    if s < 1 or b < s or b % s != 0:
+        raise ConfigError(f"b={b} must be a positive multiple of s={s}")
+    block, degree = b // s, max(2, math.ceil(math.log(1.0 / DELTA)))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, MERSENNE_P, size=(count, 4, degree), dtype=np.uint64)
+    coeffs[..., -1] = rng.integers(1, MERSENNE_P, size=(count, 4), dtype=np.uint64)
+    # keys i*s + k on the side x s grid; hashes onto [b/s], signs onto [2]
+    tables = poly_tables(coeffs, [block, block, 2, 2], side * s).reshape(count, 4, side, s)
+    h1, h2 = tables[:, 0], tables[:, 1]
+    sg1, sg2 = 2.0 * tables[:, 2] - 1.0, 2.0 * tables[:, 3] - 1.0
+    slots = (h1.mT[..., :, None] + h2.mT[..., None, :]) % block
+    slots += np.arange(0, b, block)[:, None, None]
+    weights = sg1.mT[..., :, None] * sg2.mT[..., None, :] * (1.0 / math.sqrt(s))
+    return h1, h2, sg1, sg2, slots.reshape(count, s, -1), weights.reshape(count, s, -1)
+
+
 class _TensorSketchBase:
     side: int
     b: int
-    seed: int
 
     def _pad_flat(self, x) -> np.ndarray:
         """Embed flat inputs into the side x side tensor grid.
@@ -136,40 +164,27 @@ class TensorSparseSketch(_TensorSketchBase):
     Entry (r, (i, j)) is sigma1(i,k) sigma2(j,k)/sqrt(s) when
     ((h1(i,k) + h2(j,k)) mod b/s) + k*(b/s) = r for the block k, giving every
     implicit column exactly s nonzeros, one per block.  Hash and sign
-    functions are Theta(log 1/DELTA)-wise independent polynomials.
+    functions are Theta(log 1/DELTA)-wise independent polynomials, drawn as
+    for a one-member ensemble.
     """
 
     def __init__(self, side: int, b: int, s: int, seed: int):
-        if side < 1:
-            raise ConfigError("side must be positive")
-        if s < 1 or b < s or b % s != 0:
-            raise ConfigError(f"b={b} must be a positive multiple of s={s}")
-        self.side = int(side)
-        self.b = b
-        self.s = s
-        self.block = b // s
         self.seed = int(seed)
-        degree = max(2, math.ceil(math.log(1.0 / DELTA)))
-        ss = np.random.SeedSequence(self.seed).spawn(4)
-        self.h1 = PolyHash(degree, self.block, ss[0]).grid(self.side, s)
-        self.h2 = PolyHash(degree, self.block, ss[1]).grid(self.side, s)
-        self.sg1 = 2.0 * PolyHash(degree, 2, ss[2]).grid(self.side, s) - 1.0
-        self.sg2 = 2.0 * PolyHash(degree, 2, ss[3]).grid(self.side, s) - 1.0
+        self._adopt(side, b, s, *(part[0] for part in _sparse_plans(side, b, s, self.seed, 1)))
+
+    def _adopt(self, side, b, s, *plan) -> None:
+        self.side, self.b, self.s, self.block = int(side), b, s, b // s
+        self.h1, self.h2, self.sg1, self.sg2, self._slots, self._weights = plan
 
     def apply_flat(self, x) -> np.ndarray:
         X = self._pad_flat(x)
-        stack = X.reshape((-1,) + X.shape[-2:])  # (n, side, side)
-        n = stack.shape[0]
-        scale = 1.0 / math.sqrt(self.s)
-        # output slot of entry (i, j) in block k; stack row r owns slots [r b, (r+1) b)
-        buckets = (self.h1.T[:, :, None] + self.h2.T[:, None, :]) % self.block
-        buckets = buckets + (np.arange(self.s) * self.block)[:, None, None]
-        signs = self.sg1.T[:, :, None] * self.sg2.T[:, None, :]
-        index = buckets[None] + (np.arange(n) * self.b)[:, None, None, None]
-        vals = signs[None] * stack[:, None] * scale
-        # bincount adds each bucket's entries in (i, j) order, as one row's
+        rows = X.reshape(-1, 1, self.side**2)
+        index = self._slots + (np.arange(len(rows)) * self.b)[:, None, None]
+        # weight * x has the bits of sign * x * (1/sqrt(s)): a +-1 factor is exact
+        vals = self._weights * rows
+        # bincount adds each slot's entries in (k, i, j) order, as one row's
         # scatter-add would, so a row's sketch does not depend on the stack
-        out = np.bincount(index.ravel(), vals.ravel(), minlength=n * self.b)
+        out = np.bincount(index.ravel(), vals.ravel(), minlength=len(rows) * self.b)
         return out.reshape(X.shape[:-2] + (self.b,))
 
     def materialize(self) -> np.ndarray:
@@ -186,7 +201,7 @@ class TensorSparseSketch(_TensorSketchBase):
 
 @dataclass
 class SketchEnsemble:
-    """k independent TensorSparseSketches of b rows in s blocks, seeded from one master seed.
+    """k independent TensorSparseSketches of b rows in s blocks, drawn from one master seed.
 
     During an adaptive query sequence a caller samples a few members per
     query and keeps the best answer; a 0.95 fraction of members preserves
@@ -202,10 +217,10 @@ class SketchEnsemble:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("ensemble size k must be >= 1")
-        seeds = np.random.SeedSequence(self.master_seed).generate_state(self.k)
-        self.sketches = [
-            TensorSparseSketch(self.side, self.b, self.s, int(seed)) for seed in seeds
-        ]
+        plans = _sparse_plans(self.side, self.b, self.s, self.master_seed, self.k)
+        self.sketches = [TensorSparseSketch.__new__(TensorSparseSketch) for _ in range(self.k)]
+        for member, *parts in zip(self.sketches, *plans):
+            member._adopt(self.side, self.b, self.s, *parts)
 
     def __len__(self) -> int:
         return self.k

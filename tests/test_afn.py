@@ -211,11 +211,29 @@ class TestPhiloxKeys:
             (5, (2**32,)),
             (5, (np.array([1, 2**32]),)),
             (5, (0.5,)),
+            (5, (np.array([3, -1]),)),
+            (5, (np.int64(-1),)),
+            (5, (np.uint64(2**32),)),
+            (5, (3, np.arange(4), np.int32(-2))),
+            (5, (True,)),
         ],
     )
     def test_a_negative_entropy_or_a_word_outside_32_bits_is_refused(self, entropy, spawn):
         with pytest.raises(ValueError):
             philox_keys(entropy, *spawn)
+
+    def test_numpy_int_and_zero_dim_words_are_int_words(self):
+        top = np.uint32(2**32 - 1)
+        keys = philox_keys(5, np.int64(3), np.array(7), top, np.arange(3), np.uint8(4))
+        for r, key in enumerate(keys):
+            seq = np.random.SeedSequence(5, spawn_key=(3, 7, 2**32 - 1, r, 4))
+            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("entropy", [["0x10"], "5", (1, b"2")])
+    def test_a_str_or_bytes_in_the_entropy_is_refused(self, entropy):
+        # numpy's SeedSequence reads ["0x10"] as 16; the keys refuse it before hashing
+        with pytest.raises(TypeError):
+            philox_keys(entropy, np.arange(2))
 
 
 def oracle_gaussian(rows, cols, seed):

@@ -4,15 +4,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsekit.errors import ConfigError, DimensionMismatch
-from sparsekit.hashing import PolyHash
+from sparsekit.hashing import MERSENNE_P, PolyHash, poly_tables
 from sparsekit.sketch import (
     SketchEnsemble,
     TensorSparseSketch,
     TensorSrhtSketch,
     fwht,
 )
+
+
+def oracle_hash(coeffs, range_size):
+    """A PolyHash holding `coeffs` (coeffs[i] of x^i): Python-int Horner per key."""
+    h = PolyHash(len(coeffs), range_size, seed=0)
+    h.coeffs = [int(c) for c in coeffs]
+    return h
+
+
+COEFF = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1)
+)
+
+
+@st.composite
+def polynomial_blocks(draw):
+    """(coeffs, ranges): a (count, len(ranges), degree) nested list of coefficients."""
+    degree = draw(st.integers(2, 5))
+    ranges = draw(st.lists(st.sampled_from([2, 13, MERSENNE_P - 2]), min_size=1, max_size=4))
+    poly = st.lists(COEFF, min_size=degree, max_size=degree)
+    polys = st.lists(poly, min_size=len(ranges), max_size=len(ranges))
+    return draw(st.lists(polys, min_size=1, max_size=3)), ranges
 
 
 class TestFwht:
@@ -215,10 +239,28 @@ class TestEnsemble:
         for sa, sb in zip(a.sketches, b.sketches):
             assert np.array_equal(sa.apply_flat(uv), sb.apply_flat(uv))
 
-    def test_distinct_member_seeds(self):
+    def test_distinct_member_tables(self):
         ens = SketchEnsemble(side=4, b=16, s=8, k=20, master_seed=1)
-        seeds = {s.seed for s in ens.sketches}
-        assert len(seeds) == 20
+        tables = {
+            tuple(table.tobytes() for table in (sk.h1, sk.h2, sk.sg1, sk.sg2))
+            for sk in ens.sketches
+        }
+        assert len(tables) == 20
+
+    def test_member_tables_are_the_drawn_polynomials(self):
+        # default_rng(master_seed) draws the (k, 4, degree) coefficients in two
+        # calls, the leading ones from [1, P); PolyHash evaluates each key
+        k, side, b, s = 3, 3, 12, 4
+        ens = SketchEnsemble(side=side, b=b, s=s, k=k, master_seed=9)
+        rng = np.random.default_rng(9)
+        degree = 3  # ceil(ln(1 / DELTA))
+        coeffs = rng.integers(0, MERSENNE_P, size=(k, 4, degree), dtype=np.uint64)
+        coeffs[..., -1] = rng.integers(1, MERSENNE_P, size=(k, 4), dtype=np.uint64)
+        for sk, member in zip(ens.sketches, coeffs.tolist(), strict=True):
+            tables = (sk.h1, sk.h2, (sk.sg1 + 1) / 2, (sk.sg2 + 1) / 2)
+            for table, row, size in zip(tables, member, (b // s, b // s, 2, 2), strict=True):
+                h = oracle_hash(row, size)
+                assert table.tolist() == [[h(i * s + j) for j in range(s)] for i in range(side)]
 
     def test_sample_full_and_singleton(self):
         ens = SketchEnsemble(side=4, b=16, s=8, k=6, master_seed=3)
@@ -303,3 +345,16 @@ class TestPolyHash:
                 assert grid.shape == (rows, cols) and grid.dtype == np.int64
                 expected = [[h(r * cols + c) for c in range(cols)] for r in range(rows)]
                 assert grid.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=polynomial_blocks(), keys=st.integers(1, 4096))
+    @example(block=([[[MERSENNE_P - 1] * 3] * 2], [MERSENNE_P - 2, 2]), keys=4096)
+    def test_tables_are_each_polynomial_at_each_key(self, block, keys):
+        # the uint64 Horner pass is exact in GF(2^61 - 1), entry by entry
+        coeffs, ranges = block
+        tables = poly_tables(np.array(coeffs, dtype=np.uint64), ranges, keys)
+        assert tables.shape == (len(coeffs), len(ranges), keys) and tables.dtype == np.int64
+        for polys, rows in zip(coeffs, tables, strict=True):
+            for poly, size, table in zip(polys, ranges, rows, strict=True):
+                h = oracle_hash(poly, size)
+                assert table.tolist() == [h(x) for x in range(keys)]

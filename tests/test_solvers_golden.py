@@ -183,12 +183,12 @@ GOLDEN = {
         'final_norm': 0.6435699546937286,
     },
     'ks-afn': {
-        'indices': [0, 1, 14, 15, 6, 9, 10, 11],
+        'indices': [0, 1, 6, 7, 4, 5, 15, 14],
         'weights': [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        'score_trace': [0.7852627661454067, 0.6883465296697153, 0.754116950493074, 0.6799540445455559, 0.7343861804418518, 0.676876429177219, 0.705736261917557, 0.6843058117814814],
-        'potential_trace': [5.656854249492381, 4.80429840435229, 4.13399808545668, 3.6556508370339946, 3.257154298736887, 2.9512192919042137, 2.687651428688559, 2.47278215044155, 2.2872747635588873],
+        'score_trace': [0.7852627661454067, 0.6883465296697153, 0.7541169504930741, 0.679954044545556, 0.7343861804418528, 0.6743547549464504, 0.7207668686556037, 0.6703559228286256],
+        'potential_trace': [5.656854249492381, 4.80429840435229, 4.13399808545668, 3.6556508370339946, 3.257154298736887, 2.9512192919042137, 2.687187099194311, 2.4747519709993293, 2.286988541018597],
         'fallbacks': 0,
-        'final_norm': 0.519371683989233,
+        'final_norm': 0.49999999999999983,
     },
     'swap-exact-s1': {
         'indices': '6ad1de0aed133429',
