@@ -130,13 +130,14 @@ def philox_keys(entropy, *spawn_key) -> np.ndarray:
     spawn_key=(w[i] for w in spawn_key)).generate_state(2, np.uint64), the
     key np.random.Philox takes from that SeedSequence.
 
-    `entropy` is a non-negative int or a sequence of them, as SeedSequence
-    accepts.  Each spawn word is an int below 2**32 or an array of them;
-    arrays broadcast, and count is the size of their broadcast (1 when
-    every word is an int).  Numpy's SeedSequence mixes the entropy and the
-    leading int spawn words into one pool of four words; this function
-    then mixes the rest, from the first array on, into all count rows at
-    once, and hashes each row out as generate_state does.
+    `entropy` is a non-negative int or a sequence of them (a str or bytes,
+    which SeedSequence would parse, is a TypeError).  Each spawn word is an
+    int below 2**32 or an array of them; arrays broadcast, and count is the
+    size of their broadcast (1 when every word is an int).  Numpy's
+    SeedSequence mixes the entropy and the leading int spawn words into one
+    pool of four words; this function then mixes the rest, from the first
+    array on, into all count rows at once, and hashes each row out as
+    generate_state does.
     """
     spawn = [_spawn_word(word) for word in spawn_key]
     lead = next((i for i, word in enumerate(spawn) if getattr(word, "ndim", 0)), len(spawn))
