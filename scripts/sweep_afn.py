@@ -30,7 +30,8 @@ thread (see sweeplib), each stage's median wall time over --repeats runs:
       sketch      TensorSparseSketch.apply_flat (each member's scatter plan,
                   applied by one bincount)
       seeds       afn.philox_keys, as RobustMinIpIndex.battery calls it (a
-                  battery's kappa Philox keys, in one vectorized pass)
+                  battery's kappa Philox keys: the seed's one SeedSequence
+                  word beside each replica's path (j, r))
       directions  afn.gaussian_matrix (every replica's Gaussian directions:
                   one Philox bit generator, restarted at each replica's key)
       keys        DfnStructure.__init__ less the calls inside it: the

@@ -2,12 +2,12 @@
 
 A battery is R independent replicas of one structure, held in arrays and
 queried in lockstep: one replica per key, and R = 1 is one structure.  A
-key is the two 64-bit words that key a counter-based Philox stream (Salmon
-et al., SC'11), so R streams cost R keys.  philox_keys derives each as
-SeedSequence(entropy, spawn_key=...) hands it to np.random.Philox: numpy's
-SeedSequence mixes the entropy and the leading int spawn words once, and
-one vectorized pass mixes the rest into all R and hashes them out.
-gaussian_matrix reads each stream from one Philox bit generator, rekeyed.
+key is the two 64-bit words that key a counter-based Philox stream, and
+distinct keys give independent streams (Salmon et al., SC'11), so R streams
+cost R keys.  philox_keys lays a key out as (head, member * 2**32 +
+replica): head is one word that numpy's SeedSequence derives from the seed,
+and the path (member, replica) names the stream under it.  gaussian_matrix
+reads each stream from one Philox bit generator, rekeyed.
 
 Neither structure holds points.  Both read coordinates from a PointStore
 that their owner fills and empties; `insert(pid)` indexes a point the owner
@@ -80,82 +80,29 @@ DELTA = 0.1
 SCALE = 0.25
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4  # 32-bit words in a SeedSequence pool
+def _path_word(word) -> np.ndarray:
+    """`word` as a uint64 array; a ValueError unless it holds ints below 2**32."""
+    array = np.asarray(word)
+    if array.dtype.kind in "ui" and 0 <= array.min(initial=0) and array.max(initial=0) < 1 << 32:
+        return array.astype(np.uint64)
+    raise ValueError(f"each path word must be an int below 2**32, not {word!r}")
 
 
-def _words(entropy) -> int:
-    """How many 32-bit words SeedSequence reads from `entropy`; TypeError on a str or bytes."""
-    if isinstance(entropy, (int, np.integer)):
-        return max(1, -(-int(entropy).bit_length() // 32))
-    if isinstance(entropy, (str, bytes)):  # SeedSequence would read '0x10' as 16
-        raise TypeError(f"entropy must be ints, not {entropy!r}")
-    return sum(_words(item) for item in entropy)
+def philox_keys(seed, member=0, replica=0) -> np.ndarray:
+    """(count, 2) uint64 Philox keys, row i (head, member[i] * 2**32 + replica[i]).
 
-
-def _spawn_word(word):
-    """An int word as an int, an array word as uint32 (checked in numpy), each below 2**32."""
-    if type(word) is int or isinstance(word, np.integer):
-        if 0 <= word <= _MASK32:
-            return int(word)
-    elif (array := np.asarray(word)).dtype.kind in "ui":
-        if 0 <= array.min(initial=0) and array.max(initial=0) <= _MASK32:
-            return array.astype(np.uint32)
-    raise ValueError(f"each spawn word must be an int below 2**32, not {word!r}")
-
-
-def _consts(first: int, mult: int, start: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constants first * mult**k mod 2**32, k = start..start + count."""
-    head = first * pow(mult, start, 1 << 32) & _MASK32
-    return np.array([head] + [mult] * count, np.uint32).cumprod(dtype=np.uint32)[:, None]
-
-
-def _hash(value, const):
-    """SeedSequence's hashmix of uint32 arrays: row k under const[k], times const[k + 1]."""
-    value = (value ^ const[:-1]) * const[1:]
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    x = _MIX_L * x - _MIX_R * y
-    return x ^ x >> 16
-
-
-def philox_keys(entropy, *spawn_key) -> np.ndarray:
-    """(count, 2) uint64 Philox keys: row i is SeedSequence(entropy,
-    spawn_key=(w[i] for w in spawn_key)).generate_state(2, np.uint64), the
-    key np.random.Philox takes from that SeedSequence.
-
-    `entropy` is a non-negative int or a sequence of them (a str or bytes,
-    which SeedSequence would parse, is a TypeError).  Each spawn word is an
-    int below 2**32 or an array of them; arrays broadcast, and count is the
-    size of their broadcast (1 when every word is an int).  Numpy's
-    SeedSequence mixes the entropy and the leading int spawn words into one
-    pool of four words; this function then mixes the rest, from the first
-    array on, into all count rows at once, and hashes each row out as
-    generate_state does.
+    head is SeedSequence(seed).generate_state(1, np.uint64)[0] of a
+    non-negative int seed of any width.  `member` and `replica` are ints
+    below 2**32 or arrays of them; arrays broadcast, and count is the size
+    of their broadcast (1 when both are ints).
     """
-    spawn = [_spawn_word(word) for word in spawn_key]
-    lead = next((i for i, word in enumerate(spawn) if getattr(word, "ndim", 0)), len(spawn))
-    # SeedSequence hashes 4 times to fill the pool, 12 to cross-mix it and 4
-    # per later word: 4 per word it reads, and it reads at least 4, since a
-    # spawned one pads short entropy to the pool and an unspawned one hashes
-    # the missing words as 0, which fills the same pool.  So the array
-    # words' hashes start at this constant.
-    start = _POOL * (max(_words(entropy), _POOL) + lead)
-    pool = np.random.SeedSequence(entropy, spawn_key=[int(w) for w in spawn[:lead]]).pool
-    arrays = np.broadcast_arrays(*(np.asarray(word, np.uint32) for word in spawn[lead:]))
-    const = _consts(_INIT_A, _MULT_A, start, _POOL * len(arrays))
-    state = pool[:, None]  # (pool, count)
-    for i, word in enumerate(arrays):
-        state = _mix(state, _hash(word.ravel(), const[_POOL * i : _POOL * (i + 1) + 1]))
-    state = np.ascontiguousarray(_hash(state, _consts(_INIT_B, _MULT_B, 0, _POOL)).T)
-    # word pairs read little-endian, as generate_state reads them
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    if not (type(seed) is int or isinstance(seed, np.integer)):  # a str, list or None
+        raise TypeError(f"seed must be an int, not {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    head = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
+    path = np.ravel(_path_word(member) << 32 | _path_word(replica))
+    return np.column_stack((np.full(path.size, head), path))
 
 
 def rekey(bitgen: np.random.Philox, key) -> None:

@@ -12,11 +12,10 @@ adaptively chosen queries.  Inner-product estimates follow from
 w_i = D * (1 - d_i^2 / 2).
 
 Pool member j stands for an s_dim x (D+2) Gaussian sketch S_j, drawn from
-the Philox stream of SeedSequence(seed, spawn_key=(j,)), the j-th child
-SeedSequence(seed).spawn would give, by its path when j is first sampled.
-Factors are keyed per query: a query derives the keys of all its cold
-picks in one afn.philox_keys pass, and the estimator's one Generator is
-restarted at each key to draw that factor.  Only a factor R_j of
+the Philox stream of the path (j, 0) under seed (see afn.philox_keys) when
+j is first sampled.  Factors are keyed per query: a query derives the keys
+of all its cold picks in one afn.philox_keys call, and the estimator's one
+Generator is restarted at each key to draw that factor.  Only a factor R_j of
 min(s_dim, D+2) x (D+2) is drawn and cached, whose R_j^T R_j has the law of
 S_j^T S_j / s_dim: ||R_j v|| then has the law of ||S_j v|| / sqrt(s_dim)
 for every v, jointly over all v, and a sketch costs O(m D^2) per query
@@ -95,9 +94,9 @@ class InnerProductEstimator:
         self.s_dim = _sketch_dim(self.eps)
         self.pool = _pool_size(self.s_dim, pts.shape[0])
         self.samples = _sample_count(self.pool)
-        seq = np.random.SeedSequence(seed)  # refuses a bad seed here
-        self._entropy = seq.entropy
-        self._gen = np.random.Generator(np.random.Philox(seq))  # rekeyed per factor
+        philox_keys(seed)  # refuses a bad seed here, not at the first query
+        self.seed = seed
+        self._gen = np.random.Generator(np.random.Philox(0))  # rekeyed per factor
         self._factors: dict[int, np.ndarray] = {}
         self._store = PointStore(pts)
 
@@ -135,7 +134,7 @@ class InnerProductEstimator:
         if cold:
             gen = self._gen
             p, s = self.dim + 2, self.s_dim
-            for j, key in zip(cold, philox_keys(self._entropy, cold).tolist()):
+            for j, key in zip(cold, philox_keys(self.seed, cold).tolist()):
                 rekey(gen.bit_generator, key)
                 if s > p:
                     L = np.zeros((p, p))

@@ -217,15 +217,15 @@ class RobustMinIpIndex:
     def battery(self, j: int) -> AfnStructure:
         """The AFN battery of kappa replicas over sketch j's store, built on first use.
 
-        Replica r is keyed by its path, the key of SeedSequence(seed + 1,
-        spawn_key=(j, r, 0)), whatever was built before, and the battery is
-        sized from the store's initial count, so a battery built after
-        deletes and inserts is the one an eager build would hold.
+        Replica r is keyed by its path (j, r) under seed + 1 (see
+        afn.philox_keys), a seed apart from the sketch ensemble's
+        default_rng(seed), whatever was built before.  The battery is sized
+        from the store's initial count, so a battery built after deletes
+        and inserts is the one an eager build would hold.
         """
         battery = self._batteries[j]
         if battery is None:
-            # the trailing 0, a removed copy layer's index, keeps the recorded outputs
-            keys = philox_keys(self.seed + 1, j, np.arange(self.kappa), 0)
+            keys = philox_keys(self.seed + 1, j, np.arange(self.kappa))
             battery = self._batteries[j] = AfnStructure(self._stores[j], self.cbar, keys)
         return battery
 

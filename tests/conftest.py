@@ -6,6 +6,14 @@ import pytest
 from sparsekit.linalg import VectorFamily, whiten
 
 
+def path_key(seed: int, member: int = 0, replica: int = 0) -> int:
+    """The 128-bit Philox key of the stream (member, replica) under `seed`,
+    written out from the layout rather than read from afn.philox_keys: the
+    first uint64 word of SeedSequence(seed) low, member * 2**32 + replica high."""
+    head = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    return head + ((int(member) << 32 | int(replica)) << 64)
+
+
 def random_symmetric(d, rng, scale=1.0):
     A = rng.standard_normal((d, d)) * scale
     return 0.5 * (A + A.T)

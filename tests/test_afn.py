@@ -24,9 +24,11 @@ from sparsekit.errors import DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.pointstore import PointStore
 from sparsekit.sortedlist import SortedKeyList
 
+from conftest import path_key
+
 
 def keys_of(seeds):
-    """One Philox key per int seed: row i keys the stream np.random.Philox(seeds[i]) draws."""
+    """One Philox key per int seed: row i keys the stream path_key(seeds[i]) names."""
     return np.concatenate([philox_keys(seed) for seed in seeds])
 
 
@@ -113,6 +115,12 @@ class TestThresholdSolver:
             assert t >= 1.0
 
 
+#: path words, with both ends of the 32-bit range drawn often
+PATH_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+#: seeds of any width, with the ends of one and two 64-bit words drawn often
+SEED = st.one_of(st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**127 + 11]), st.integers(0, 2**160))
+
+
 class TestGaussianMatrix:
     def test_reproducible(self):
         a = gaussian_matrix(5, 7, philox_keys(13))
@@ -125,97 +133,105 @@ class TestGaussianMatrix:
         assert abs(g.std() - 1.0) <= 0.02
 
     def test_each_replica_draws_what_one_generator_draws(self):
-        seeds = np.random.SeedSequence(3).spawn(5)
-        stacked = gaussian_matrix(2, 6, philox_keys(3, np.arange(5)))
-        for g, seed in zip(stacked, seeds, strict=True):
-            assert np.array_equal(g, oracle_gaussian(2, 6, seed))
+        stacked = gaussian_matrix(2, 6, philox_keys(3, 0, np.arange(5)))
+        for r, g in enumerate(stacked):
+            assert np.array_equal(g, oracle_gaussian(2, 6, path_key(3, 0, r)))
 
-
-    # keys of SeedSequence(e, spawn_key=(r,)) for r = 0..count-1, against the
-    # Generator.random draws of each child's own Philox stream
+    # the keys of the paths (member, r) for r = 0..count-1, against the
+    # Generator.random draws of each path's own Philox stream
     @settings(max_examples=40, deadline=None)
     @given(
         rows=st.integers(1, 6),
         cols=st.integers(1, 7),
         count=st.integers(1, 6),
-        entropy=st.integers(0, 2**70),
+        seed=st.integers(0, 2**70),
+        member=PATH_WORD,
     )
-    def test_rows_are_the_streams_of_their_seed_sequences(self, rows, cols, count, entropy):
-        stacked = gaussian_matrix(rows, cols, philox_keys(entropy, np.arange(count)))
+    def test_rows_are_the_streams_of_their_paths(self, rows, cols, count, seed, member):
+        stacked = gaussian_matrix(rows, cols, philox_keys(seed, member, np.arange(count)))
         assert stacked.shape == (count, rows, cols)
         for r, g in enumerate(stacked):
-            child = np.random.SeedSequence(entropy, spawn_key=(r,))
-            assert np.array_equal(g, oracle_gaussian(rows, cols, child))
+            assert np.array_equal(g, oracle_gaussian(rows, cols, path_key(seed, member, r)))
 
     @pytest.mark.parametrize("n", [5, 6])  # an odd and an even rows * cols
     def test_raw_words_are_philox_random_raw(self, n):
         """(raw >> 11) * 2^-53 of the first 2n raw words, as Box-Muller reads them."""
-        seq = [np.random.SeedSequence(9, spawn_key=(2, r, 0)) for r in range(3)]
-        stacked = gaussian_matrix(1, n, philox_keys(9, 2, np.arange(3), 0))
-        for g, child in zip(stacked, seq, strict=True):
-            u = (np.random.Philox(child).random_raw(2 * n) >> 11) * 2.0**-53
+        stacked = gaussian_matrix(1, n, philox_keys(9, 2, np.arange(3)))
+        for r, g in enumerate(stacked):
+            raw = np.random.Philox(key=path_key(9, 2, r)).random_raw(2 * n)
+            u = (raw >> 11) * 2.0**-53
             want = np.sqrt(-2.0 * np.log(1.0 - u[:n])) * np.cos(2.0 * np.pi * u[n:])
             assert np.array_equal(g.ravel(), want)
 
+    @pytest.mark.parametrize("member, replica", [(0, 0), (3, 7), (2**32 - 2, 2**32 - 2)])
+    def test_neighbouring_paths_draw_uncorrelated_normals(self, member, replica):
+        n = 40_000
+        here = oracle_gaussian(1, n, path_key(5, member, replica)).ravel()
+        for j, r in ((member, replica + 1), (member + 1, replica)):
+            there = oracle_gaussian(1, n, path_key(5, j, r)).ravel()
+            assert abs(np.corrcoef(here, there)[0, 1]) <= 0.02
 
-#: spawn words, with both ends of the 32-bit range drawn often
-SPAWN_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
-#: entropy as SeedSequence takes it: an int of any width, or a tuple of them
-ENTROPY = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11]),
-    st.integers(0, 2**160),
-    st.tuples(*[st.integers(0, 2**40)] * 2),
-    st.lists(st.integers(0, 2**70), max_size=6).map(tuple),
-)
+
+def key_int(key) -> int:
+    """A (2,) uint64 key as the 128-bit int Philox(key=...) reads, low word first."""
+    low, high = (int(word) for word in key)
+    return low | high << 64
 
 
 class TestPhiloxKeys:
     @settings(max_examples=300, deadline=None)
-    @given(entropy=ENTROPY, spawn=st.lists(SPAWN_WORD, max_size=5))
-    def test_a_key_is_the_seed_sequence_state(self, entropy, spawn):
-        seq = np.random.SeedSequence(entropy, spawn_key=spawn)
-        keys = philox_keys(entropy, *spawn)
+    @given(seed=SEED, member=PATH_WORD, replica=PATH_WORD)
+    def test_a_key_is_its_path_under_the_seed(self, seed, member, replica):
+        keys = philox_keys(seed, member, replica)
         assert keys.shape == (1, 2) and keys.dtype == np.uint64
-        assert np.array_equal(keys[0], seq.generate_state(2, np.uint64))
-        # the key Philox takes from that SeedSequence: the same stream
-        want = np.random.Philox(seq).random_raw(9)
+        assert key_int(keys[0]) == path_key(seed, member, replica)
+        # the same stream
+        want = np.random.Philox(key=path_key(seed, member, replica)).random_raw(9)
         assert np.array_equal(np.random.Philox(key=keys[0]).random_raw(9), want)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        entropy=ENTROPY,
-        head=st.lists(SPAWN_WORD, max_size=2),
-        column=st.lists(SPAWN_WORD, min_size=1, max_size=8),
-        tail=st.lists(SPAWN_WORD, max_size=2),
+        seed=SEED,
+        members=st.lists(PATH_WORD, min_size=1, max_size=5),
+        replicas=st.lists(PATH_WORD, min_size=1, max_size=5),
     )
-    def test_array_words_broadcast_row_by_row(self, entropy, head, column, tail):
-        keys = philox_keys(entropy, *head, np.array(column), *tail)
-        assert keys.shape == (len(column), 2)
-        for key, word in zip(keys, column, strict=True):
-            seq = np.random.SeedSequence(entropy, spawn_key=(*head, word, *tail))
-            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+    def test_array_words_broadcast_row_by_row(self, seed, members, replicas):
+        keys = philox_keys(seed, np.array(members)[:, None], np.array(replicas))
+        assert keys.shape == (len(members) * len(replicas), 2)
+        want = [path_key(seed, j, r) for j in members for r in replicas]
+        assert [key_int(key) for key in keys] == want
+        column = philox_keys(seed, members[0], np.array(replicas))
+        assert [key_int(key) for key in column] == want[: len(replicas)]
+
+    def test_every_path_on_a_grid_has_its_own_key(self):
+        keys = philox_keys(17, np.arange(40)[:, None], np.arange(64))
+        want = [path_key(17, j, r) for j in range(40) for r in range(64)]
+        assert [key_int(key) for key in keys] == want
+        assert len(set(want)) == 40 * 64
 
     def test_entropy_from_a_fresh_seed_sequence(self):
         entropy = np.random.SeedSequence().entropy  # 128 random bits
         keys = philox_keys(entropy, np.arange(4), 7)
-        for r, key in enumerate(keys):
-            seq = np.random.SeedSequence(entropy, spawn_key=(r, 7))
-            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+        assert [key_int(key) for key in keys] == [path_key(entropy, r, 7) for r in range(4)]
 
+    # a seed is the entropy of the SeedSequence that draws the head word, and
+    # the spawn words are the path (member, replica)
     @pytest.mark.parametrize(
         "entropy, spawn",
         [
             (-1, ()),
-            ((3, -2), ()),
+            (np.int64(-1), ()),
             (5, (-1,)),
             (5, (2**32,)),
             (5, (np.array([1, 2**32]),)),
             (5, (0.5,)),
-            (5, (np.array([3, -1]),)),
+            (5, (0, np.array([3, -1]))),
             (5, (np.int64(-1),)),
             (5, (np.uint64(2**32),)),
-            (5, (3, np.arange(4), np.int32(-2))),
+            (5, (np.arange(4), np.int32(-2))),
             (5, (True,)),
+            (5, (2**70,)),
+            (5, ("3",)),
         ],
     )
     def test_a_negative_entropy_or_a_word_outside_32_bits_is_refused(self, entropy, spawn):
@@ -223,22 +239,21 @@ class TestPhiloxKeys:
             philox_keys(entropy, *spawn)
 
     def test_numpy_int_and_zero_dim_words_are_int_words(self):
-        top = np.uint32(2**32 - 1)
-        keys = philox_keys(5, np.int64(3), np.array(7), top, np.arange(3), np.uint8(4))
-        for r, key in enumerate(keys):
-            seq = np.random.SeedSequence(5, spawn_key=(3, 7, 2**32 - 1, r, 4))
-            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+        keys = philox_keys(np.uint64(5), np.int64(3), np.array(7))
+        assert keys.shape == (1, 2) and key_int(keys[0]) == path_key(5, 3, 7)
+        keys = philox_keys(np.int32(5), np.uint32(2**32 - 1), np.uint8(4))
+        assert key_int(keys[0]) == path_key(5, 2**32 - 1, 4)
 
-    @pytest.mark.parametrize("entropy", [["0x10"], "5", (1, b"2")])
+    @pytest.mark.parametrize("entropy", [["0x10"], "5", (1, b"2"), None, 1.0, True])
     def test_a_str_or_bytes_in_the_entropy_is_refused(self, entropy):
-        # numpy's SeedSequence reads ["0x10"] as 16; the keys refuse it before hashing
+        # numpy's SeedSequence reads ["0x10"] as 16; a seed is an int or nothing
         with pytest.raises(TypeError):
             philox_keys(entropy, np.arange(2))
 
 
-def oracle_gaussian(rows, cols, seed):
-    """Box-Muller over two Generator.random calls on one Philox stream."""
-    gen = np.random.Generator(np.random.Philox(seed))
+def oracle_gaussian(rows, cols, key):
+    """Box-Muller over two Generator.random calls on the Philox stream of `key`."""
+    gen = np.random.Generator(np.random.Philox(key=key))
     n = rows * cols
     u1 = 1.0 - gen.random(n)
     u2 = gen.random(n)
@@ -256,7 +271,7 @@ class OracleDfn:
         self.store, self.cbar = store, float(cbar)
         self.ell = _direction_count(len(base), self.cbar)
         self.t = solve_threshold(len(base))
-        self.directions = oracle_gaussian(self.ell, store.dim, seed)
+        self.directions = oracle_gaussian(self.ell, store.dim, path_key(seed))
         keys = (self.directions @ base.T).tolist()
         self.lists = [sorted(zip(row, range(len(base)))) for row in keys]
         ids = store.ids

@@ -1,15 +1,15 @@
 """The adaptive inner-product estimator against a sketch oracle.
 
 The oracle keeps its points in a dict, regenerates every sampled sketch from
-SeedSequence(seed).spawn(pool)[j], and applies it to each transformed point
-directly, as the estimator's definition reads: a short s_dim x (D+2)
-Gaussian S_j as it is drawn, and for a tall s_dim the (D+2) x (D+2) factor
-R_j rebuilt from its Bartlett draws.  That R_j has the law of the full
-sketch's factor, which test_tall_factor_has_the_gaussian_sketch_law checks
-against explicit Gaussian sketches.  The oracle shares the estimator's
-unit-sphere transform (tested in test_minip): a point or query on the unit
-sphere has a tail coordinate of sqrt(rounding error), which a sketch passes
-on linearly.
+the Philox stream of the path (j, 0) under seed, whose key conftest.path_key
+writes out, and applies it to each transformed point directly, as the
+estimator's definition reads: a short s_dim x (D+2) Gaussian S_j as it is
+drawn, and for a tall s_dim the (D+2) x (D+2) factor R_j rebuilt from its
+Bartlett draws.  That R_j has the law of the full sketch's factor, which
+test_tall_factor_has_the_gaussian_sketch_law checks against explicit
+Gaussian sketches.  The oracle shares the estimator's unit-sphere transform
+(tested in test_minip): a point or query on the unit sphere has a tail
+coordinate of sqrt(rounding error), which a sketch passes on linearly.
 """
 
 import math
@@ -25,6 +25,8 @@ from sparsekit.aipe import InnerProductEstimator
 from sparsekit.errors import ConfigError, DimensionMismatch, NotFound, PreconditionViolation
 from sparsekit.minip import minip_transform_dataset, minip_transform_query
 
+from conftest import path_key
+
 DIM, SEED = 6, 11
 
 
@@ -34,7 +36,7 @@ class Oracle:
         self.dim = np.shape(points)[1]
         self.radius = float(np.linalg.norm(points, axis=1).max()) or 1.0
         self.s_dim, self.pool, self.samples = est.s_dim, est.pool, est.samples
-        self.children = np.random.SeedSequence(seed).spawn(self.pool)
+        self.seed = seed
         self.next_id = len(self.points)
 
     def insert(self, z):
@@ -43,7 +45,7 @@ class Oracle:
         self.radius = max(self.radius, float(np.linalg.norm(z[None], axis=1)[0]))
 
     def sketch(self, j):
-        return bartlett_or_gaussian_sketch(self.children[j], self.s_dim, self.dim + 2)
+        return bartlett_or_gaussian_sketch(path_key(self.seed, j), self.s_dim, self.dim + 2)
 
     def estimates(self, q, rng) -> dict:
         """Id -> median over the sampled sketches of ||S (a_i - q_a)||."""
@@ -60,12 +62,12 @@ class Oracle:
         return max(est, key=lambda pid: (est[pid], -pid))
 
 
-def bartlett_or_gaussian_sketch(child, s_dim, p):
-    """Pool member j's sketch from its SeedSequence: S / sqrt(s_dim) for a short
+def bartlett_or_gaussian_sketch(key, s_dim, p):
+    """Pool member j's sketch from its Philox key: S / sqrt(s_dim) for a short
     s_dim <= p; for a tall one, L^T / sqrt(s_dim) with L lower triangular,
     N(0, 1) entries below the diagonal in row-major order, then
     L_ii = sqrt(chi^2(s_dim - i)) drawn in one call."""
-    gen = np.random.Generator(np.random.Philox(child))
+    gen = np.random.Generator(np.random.Philox(key=key))
     if s_dim <= p:
         return gen.standard_normal((s_dim, p)) / math.sqrt(s_dim)
     L = np.zeros((p, p))

@@ -125,9 +125,9 @@ def test_replay_afn_keeps_its_recorded_hashes():
 #: replay_afn.py's hashes at the counts above; a change that means to move
 #: outputs re-records them and says why
 REPLAY_HASHES = {
-    "sha256": "85421e3b4130277307b72e2d2c197218e7d25aa05db1572ffa80ba1de909370d",
+    "sha256": "28773df4284577bdb6285a92ef34ffd4796d365ba88e3e9a16146459785379a0",
     "sparsify_sha256": "8acbbee3f04e20dfe008de0d78a79a17c5c7b5da8714a3a182d1cc19a8bb8530",
-    "aipe_sha256": "ffcb34f887037b98cc9bd64558b962322733d8e38d82f6797ac82567a3681314",
+    "aipe_sha256": "16c3749f5cc93989a7a9ad30c716d30f9cca1b06ac31f06d7e9d0c28f0c5ce80",
     "exact_sha256": "08a10313147c0c4e353a4bda70a76915482c3160aba116a1ca018778827b7996",
 }
 
