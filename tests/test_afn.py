@@ -165,7 +165,7 @@ class TestGaussianMatrix:
 
     @pytest.mark.parametrize("member, replica", [(0, 0), (3, 7), (2**32 - 2, 2**32 - 2)])
     def test_neighbouring_paths_draw_uncorrelated_normals(self, member, replica):
-        n = 40_000
+        n = 40_000  # independent streams' correlation has sd 1/sqrt(n) = 0.005
         here = oracle_gaussian(1, n, path_key(5, member, replica)).ravel()
         for j, r in ((member, replica + 1), (member + 1, replica)):
             there = oracle_gaussian(1, n, path_key(5, j, r)).ravel()
@@ -246,7 +246,7 @@ class TestPhiloxKeys:
 
     @pytest.mark.parametrize("entropy", [["0x10"], "5", (1, b"2"), None, 1.0, True])
     def test_a_str_or_bytes_in_the_entropy_is_refused(self, entropy):
-        # numpy's SeedSequence reads ["0x10"] as 16; a seed is an int or nothing
+        # numpy's SeedSequence reads ["0x10"] as 16; a seed must be an int
         with pytest.raises(TypeError):
             philox_keys(entropy, np.arange(2))
 
